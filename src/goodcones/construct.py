@@ -1,6 +1,11 @@
 """Constructive families: the explicit quadric-normal example family, the
 obstructed family built by the coprimality-breaking induction, chain
 closing, and the weighted-homogeneity checker.
+
+The chain-closing search runs on the affine lattice slice {v0 . t = 1}, v0
+the primitive normal of the plane spanned by the first and last chain
+normals (any point of the slice is automatically Delzant-paired with both
+ends), translating along first+last into the feasible cone.
 """
 
 from __future__ import annotations
@@ -9,9 +14,19 @@ import math
 import random
 from typing import List, Sequence, Tuple
 
-from .cone import GoodCone, gluing_matrix, load_cone, validate
-from .construct_support import close_chain_normals
-from .exactnum import Vec3, cross, det3, dot, vec_add, vec_scale
+from .cone import GoodCone, gluing_matrix, validate
+from .exactnum import (
+    SearchExhausted,
+    Vec3,
+    _xgcd,
+    cross,
+    cross_primitive,
+    det3,
+    plane_lattice_basis,
+    solve_dot_one,
+    vec_add,
+    vec_scale,
+)
 from .reeb import ReebVector, reeb_from_vectors
 
 
@@ -26,18 +41,6 @@ def example_family(k: int, d: int = 2) -> Tuple[GoodCone, ReebVector]:
     cone = GoodCone(tuple(normals))
     reeb = reeb_from_vectors(normals[0], normals[k + 1], d)
     return cone, reeb
-
-
-def _xgcd(a: int, b: int):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def obstructed_family(
@@ -85,6 +88,50 @@ def obstructed_family(
         raise RuntimeError(f"obstructed family failed validation: {report.failures[:4]}")
     reeb = reeb_from_vectors(ns[0], ns[k + 1], d)
     return cone, reeb
+
+
+def close_chain_normals(chain: Sequence[Vec3], max_steps: int = 1 << 20) -> Vec3:
+    """Closing normal for the chain (first, ..., last): satisfies
+    det3(last, t, m^j) > 0 for all j < last and det3(t, first, m^j) > 0 for
+    all j > first, with Delzant pairs (last, t) and (t, first) guaranteed by
+    the slice construction."""
+    chain = [tuple(int(x) for x in n) for n in chain]
+    if len(chain) < 2:
+        raise ValueError("need at least two chain normals")
+    first, last = chain[0], chain[-1]
+    for a, b, c in zip(chain, chain[1:], chain[2:]):
+        if det3(a, b, c) <= 0:
+            raise ValueError(f"chain triple {a},{b},{c} is not positively convex")
+    v0 = cross_primitive(first, last)
+    t0 = solve_dot_one(v0)
+    u1, u2 = plane_lattice_basis(v0)
+    drift = vec_add(first, last)  # in the slice's lattice plane
+
+    def feasible(t: Vec3) -> bool:
+        g = math.gcd(math.gcd(abs(t[0]), abs(t[1])), abs(t[2]))
+        if g != 1:
+            return False
+        for j in range(len(chain) - 1):
+            if det3(last, t, chain[j]) <= 0:
+                return False
+        for j in range(1, len(chain)):
+            if det3(t, first, chain[j]) <= 0:
+                return False
+        return True
+
+    s = 0
+    while s <= max_steps:
+        base = vec_add(t0, vec_scale(s, drift))
+        for j1 in range(-3, 4):
+            for j2 in range(-3, 4):
+                cand = vec_add(base, vec_add(vec_scale(j1, u1), vec_scale(j2, u2)))
+                if feasible(cand):
+                    return cand
+        s = s + 1 if s < 64 else s * 2
+    raise SearchExhausted(
+        f"no closing normal found within {max_steps} translation steps "
+        "(the construction guarantees existence; raise the bound)"
+    )
 
 
 def close_chain(chain_normals: Sequence[Vec3]) -> Vec3:

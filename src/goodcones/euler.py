@@ -13,15 +13,13 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .cone import GoodCone, InvalidCone
-from .exactnum import Vec3, cross_primitive, det3, dot
+from .exactnum import Vec3, cross_primitive, det3
 from .reeb import (
     ArcDecomposition,
     Extreme,
     IsotropyProfile,
     ReebVector,
-    arc_decomposition,
-    choose_transverse_circle,
-    isotropy_profile,
+    _arc_data,
     lie_g_coords,
 )
 
@@ -211,10 +209,7 @@ def _vertex_intersection_weight(
 def build_identity_data(
     cone: GoodCone, R: ReebVector, ybar: Optional[Vec3] = None
 ) -> IdentityData:
-    profile = isotropy_profile(cone, R)
-    if ybar is None:
-        ybar = choose_transverse_circle(cone, R)
-    arcs = arc_decomposition(cone, R, ybar)
+    profile, ybar, arcs = _arc_data(cone, R, ybar)
     return IdentityData(
         cone=cone, profile=profile, arcs=arcs, ybar=ybar, k=list(profile.k)
     )

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional, Sequence, Tuple, Union
+from typing import Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, "QuadNumber"]
 Vec3 = Tuple[Scalar, Scalar, Scalar]

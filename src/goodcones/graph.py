@@ -18,7 +18,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .cone import GoodCone, face_invariants
+from .cone import GoodCone, face_invariants, validate
+from .construct import close_chain_normals
 from .exactnum import (
     DegenerateInput,
     QuadNumber,
@@ -26,17 +27,16 @@ from .exactnum import (
     cross_primitive,
     det3,
     dot,
+    is_delzant_pair,
     lattice_complement,
 )
 from .reeb import (
     ReebVector,
-    arc_decomposition,
-    choose_transverse_circle,
-    isotropy_profile,
+    _arc_data,
+    _profile_of,
     lie_g_coords,
     reeb_lie_g_coords,
 )
-from .construct_support import close_chain_normals
 
 
 class GraphAssemblyError(ValueError):
@@ -67,7 +67,7 @@ class FiniteCyclicSubgroup:
             cand = tuple((j * x) % 1 for x in self.generator)
             if best is None or cand < best:
                 best = cand
-        return FiniteCyclicSubgroup(self.order, best if best else (Fraction(0), Fraction(0)))
+        return FiniteCyclicSubgroup(self.order, best)
 
     def transformed(self, a) -> "FiniteCyclicSubgroup":
         g = self.generator
@@ -159,11 +159,11 @@ def _canonical_sign(v: Tuple[int, int]) -> Tuple[int, int]:
     raise DegenerateInput("zero direction")
 
 
-def _edge_isotropy(profile, cone: GoodCone, face: int) -> FiniteCyclicSubgroup:
+def _edge_isotropy(profile, normals, face: int) -> FiniteCyclicSubgroup:
     """Subgroup of T^2 cut out by the face's lens space: generated by
     (1/k) n - sigma m in Lie(G), with m the lattice complement of v0 and
     sigma the sign of v0 . n."""
-    n = cone.normal(face)
+    n = normals[face % len(normals)]
     s = dot(profile.v0, n)
     k = abs(s)
     sigma = 1 if s > 0 else -1
@@ -177,10 +177,11 @@ def _edge_isotropy(profile, cone: GoodCone, face: int) -> FiniteCyclicSubgroup:
     return FiniteCyclicSubgroup(order=k, generator=(a, b)).canonical()
 
 
-def _vertex_direction(profile, cone: GoodCone, vertex: int) -> Tuple[int, int]:
+def _vertex_direction(profile, normals, vertex: int) -> Tuple[int, int]:
     """Primitive Lie(G)_Z direction of the isotropy circle at the polygon
     vertex between faces `vertex` and `vertex`+1."""
-    edge = cross_primitive(cone.normal(vertex), cone.normal(vertex + 1))
+    m = len(normals)
+    edge = cross_primitive(normals[vertex % m], normals[(vertex + 1) % m])
     y = cross_primitive(profile.v0, edge)
     a, b = lie_g_coords(profile, y)
     assert a.denominator == 1 and b.denominator == 1
@@ -226,10 +227,7 @@ def extract_graph(
     faces with isotropy order >= 2, chains ordered by the canonical
     transverse moment functional, and the Reeb class in Lie(G)_Z
     coordinates."""
-    profile = isotropy_profile(cone, R)
-    if ybar is None:
-        ybar = choose_transverse_circle(cone, R)
-    arcs = arc_decomposition(cone, R, ybar)
+    profile, _, arcs = _arc_data(cone, R, ybar)
 
     def extreme(ext) -> Extreme:
         if ext.kind == "flat":
@@ -238,39 +236,43 @@ def extract_graph(
         k1 = profile.k[v % len(cone)]
         k2 = profile.k[(v + 1) % len(cone)]
         return RegularVertex(
-            order=math.gcd(k1, k2), direction=_vertex_direction(profile, cone, v)
+            order=math.gcd(k1, k2),
+            direction=_vertex_direction(profile, cone.normals, v),
         )
 
-    chains: List[Tuple[ChainItem, ...]] = []
-    for arc in (arcs.neg_arc, arcs.pos_arc):
-        items: List[ChainItem] = []
-        for pos, face in enumerate(arc):
-            kf = profile.k[face]
-            if kf >= 2:
-                items.append(
-                    EdgeItem(
-                        multiplicity=kf, isotropy=_edge_isotropy(profile, cone, face)
-                    )
-                )
-            if pos + 1 < len(arc):
-                nxt = arc[pos + 1]
-                # interior vertex between consecutive arc faces
-                v = face if (face + 1) % len(cone) == nxt else nxt
-                items.append(
-                    RegularVertex(
-                        order=math.gcd(profile.k[face], profile.k[nxt]),
-                        direction=_vertex_direction(profile, cone, v),
-                    )
-                )
-        if items:
-            chains.append(tuple(items))
-
+    chains = tuple(
+        _chain_items(profile, cone.normals, arc) for arc in (arcs.neg_arc, arcs.pos_arc)
+    )
     return IsotropyGraph(
         reeb_class=reeb_lie_g_coords(profile, R),
         minimum=extreme(arcs.minimum),
         maximum=extreme(arcs.maximum),
-        chains=tuple(chains),
+        chains=tuple(ch for ch in chains if ch),
     )
+
+
+def _chain_items(profile, normals, faces) -> Tuple[ChainItem, ...]:
+    """Edges (faces with isotropy order >= 2) and interior vertices of one
+    boundary chain, whose faces are consecutive in the cyclic order and are
+    listed from the minimum to the maximum."""
+    items: List[ChainItem] = []
+    for pos, face in enumerate(faces):
+        kf = profile.k[face]
+        if kf >= 2:
+            items.append(
+                EdgeItem(multiplicity=kf, isotropy=_edge_isotropy(profile, normals, face))
+            )
+        if pos + 1 < len(faces):
+            nxt = faces[pos + 1]
+            # interior vertex between consecutive chain faces
+            v = face if (face + 1) % len(normals) == nxt else nxt
+            items.append(
+                RegularVertex(
+                    order=math.gcd(profile.k[face], profile.k[nxt]),
+                    direction=_vertex_direction(profile, normals, v),
+                )
+            )
+    return tuple(items)
 
 
 def count_nontrivial_chains(g: IsotropyGraph) -> int:
@@ -288,61 +290,36 @@ def _hnf_2x2(m: Tuple[Tuple[int, int], Tuple[int, int]]):
     """Column-style Hermite form: unique U in GL(2,Z) with M U = H,
     H = [[h00, 0], [h10, h11]], h00 > 0, h11 > 0, 0 <= h10 < h11.
     Returns (H, U); M must be nonsingular."""
-    a, b = m[0]
-    c, d = m[1]
-    u = ((1, 0), (0, 1))
+    # Every column operation acts on M and U alike, so it is applied once
+    # to the stacked 4x2 matrix [M; U] (rows 0-1 are M, rows 2-3 are U).
+    stacked = (tuple(m[0]), tuple(m[1]), (1, 0), (0, 1))
 
-    def colop(mat, uu, j_src, j_dst, q):
-        # col_dst -= q * col_src
-        m2 = tuple(
-            tuple(
-                row[jj] - q * row[j_src] if jj == j_dst else row[jj]
-                for jj in range(2)
-            )
-            for row in mat
-        )
-        u2 = tuple(
-            tuple(
-                row[jj] - q * row[j_src] if jj == j_dst else row[jj]
-                for jj in range(2)
-            )
-            for row in uu
-        )
-        return m2, u2
-
-    def swap(mat, uu):
-        return (
-            tuple((row[1], row[0]) for row in mat),
-            tuple((row[1], row[0]) for row in uu),
+    def column_op(e):
+        # stacked <- stacked . e, e in GL(2, Z)
+        nonlocal stacked
+        stacked = tuple(
+            (r[0] * e[0][0] + r[1] * e[1][0], r[0] * e[0][1] + r[1] * e[1][1])
+            for r in stacked
         )
 
-    def negcol(mat, uu, j):
-        return (
-            tuple(tuple(-row[jj] if jj == j else row[jj] for jj in range(2)) for row in mat),
-            tuple(tuple(-row[jj] if jj == j else row[jj] for jj in range(2)) for row in uu),
-        )
-
-    mat = ((a, b), (c, d))
-    # eliminate mat[0][1]
-    while mat[0][1] != 0:
-        if mat[0][0] == 0 or (mat[0][1] != 0 and abs(mat[0][1]) < abs(mat[0][0])):
-            mat, u = swap(mat, u)
-            continue
-        q = mat[0][1] // mat[0][0] if mat[0][0] != 0 else 0
-        if q == 0:
-            mat, u = swap(mat, u)
-            continue
-        mat, u = colop(mat, u, 0, 1, q)
-    if mat[0][0] < 0:
-        mat, u = negcol(mat, u, 0)
-    if mat[1][1] < 0:
-        mat, u = negcol(mat, u, 1)
-    if mat[1][1] == 0:
+    # eliminate the top-right entry (Euclid on the first row)
+    while stacked[0][1] != 0:
+        a, b = stacked[0]
+        if a == 0 or abs(b) < abs(a):
+            column_op(((0, 1), (1, 0)))
+        else:
+            # |b| >= |a| > 0, so q = b // a is nonzero
+            column_op(((1, -(b // a)), (0, 1)))
+    if stacked[0][0] < 0:
+        column_op(((-1, 0), (0, 1)))
+    if stacked[1][1] < 0:
+        column_op(((1, 0), (0, -1)))
+    if stacked[1][1] == 0:
         raise DegenerateInput("singular matrix in HNF")
-    q = mat[1][0] // mat[1][1]
+    q = stacked[1][0] // stacked[1][1]
     if q:
-        mat, u = colop(mat, u, 1, 0, q)
-    return mat, u
+        column_op(((1, 0), (-q, 1)))
+    return stacked[:2], stacked[2:]
 
 
 def reeb_frame_matrix(g: IsotropyGraph):
@@ -367,15 +344,9 @@ def reeb_frame_matrix(g: IsotropyGraph):
     return a
 
 
-def _apply_matrix_int(a, v: Tuple[int, int]) -> Tuple[int, int]:
+def _apply_matrix(a, v):
+    """A v for a 2x2 integer A and a pair v of integers or QuadNumbers."""
     return (a[0][0] * v[0] + a[0][1] * v[1], a[1][0] * v[0] + a[1][1] * v[1])
-
-
-def _apply_matrix_quad(a, v):
-    return (
-        a[0][0] * v[0] + a[0][1] * v[1],
-        a[1][0] * v[0] + a[1][1] * v[1],
-    )
 
 
 def transform_graph(g: IsotropyGraph, a) -> IsotropyGraph:
@@ -384,7 +355,7 @@ def transform_graph(g: IsotropyGraph, a) -> IsotropyGraph:
     def tr_extreme(v):
         if isinstance(v, FatVertex):
             return FatVertex(
-                direction=_canonical_sign(_apply_matrix_int(a, v.direction)),
+                direction=_canonical_sign(_apply_matrix(a, v.direction)),
                 genus=v.genus,
                 multiplicities=v.multiplicities,
                 orbifold_euler=v.orbifold_euler,
@@ -393,7 +364,7 @@ def transform_graph(g: IsotropyGraph, a) -> IsotropyGraph:
             )
         return RegularVertex(
             order=v.order,
-            direction=_canonical_sign(_apply_matrix_int(a, v.direction)),
+            direction=_canonical_sign(_apply_matrix(a, v.direction)),
         )
 
     def tr_item(item):
@@ -405,7 +376,7 @@ def transform_graph(g: IsotropyGraph, a) -> IsotropyGraph:
         return tr_extreme(item)
 
     return IsotropyGraph(
-        reeb_class=_apply_matrix_quad(a, g.reeb_class),
+        reeb_class=_apply_matrix(a, g.reeb_class),
         minimum=tr_extreme(g.minimum),
         maximum=tr_extreme(g.maximum),
         chains=tuple(tuple(tr_item(i) for i in ch) for ch in g.chains),
@@ -431,8 +402,9 @@ def _encode_extreme(v, reversed_reading: bool = False) -> list:
 
 
 def _encode_item(item) -> list:
+    # Edge isotropies are canonical here: transform_graph canonicalizes them.
     if isinstance(item, EdgeItem):
-        iso = item.isotropy.canonical()
+        iso = item.isotropy
         return ["edge", item.multiplicity, iso.order, [str(x) for x in iso.generator]]
     return ["vertex", item.order, list(item.direction)]
 
@@ -454,15 +426,16 @@ def canonical_form(g: IsotropyGraph) -> str:
             )
         else:
             cand = base
+        chains = sorted(
+            json.dumps([_encode_item(i) for i in ch], sort_keys=True)
+            for ch in cand.chains
+        )
         for reversed_reading in (False, True):
             payload = {
                 "reeb": [_encode_quad(x) for x in cand.reeb_class],
                 "min": _encode_extreme(cand.minimum, reversed_reading),
                 "max": _encode_extreme(cand.maximum, reversed_reading),
-                "chains": sorted(
-                    json.dumps([_encode_item(i) for i in ch], sort_keys=True)
-                    for ch in cand.chains
-                ),
+                "chains": chains,
             }
             variants.append(
                 json.dumps(payload, sort_keys=True, separators=(",", ":"))
@@ -545,21 +518,17 @@ class LensBundleDescriptor:
 
 
 def germ_profile(germ: GermOfChain):
-    """Profile-like data of a germ: v0, per-face isotropy magnitudes, the
-    Lie(G) frame, Reeb class, and the two end moment values (constant on
-    each flat end segment, computable from the inner vertices alone)."""
-    from .reeb import _integer_span_normal  # shared normal computation
-
+    """Profile of a germ (v0, per-face isotropy magnitudes, the Lie(G)
+    frame) and the two end moment values (constant on each flat end
+    segment, computable from the inner vertices alone)."""
     R = germ.reeb
-    v0 = _integer_span_normal(R)
-    k = tuple(abs(dot(v0, n)) for n in germ.normals)
+    profile = _profile_of(R, germ.normals)
+    k = profile.k
     if k[0] != 0 or k[-1] != 0:
         raise GraphAssemblyError("germ ends must be flat (v0 . n = 0)")
     if any(x == 0 for x in k[1:-1]):
         raise GraphAssemblyError("germ interior must not contain flats")
-    from .exactnum import plane_lattice_basis
-
-    u1, u2 = plane_lattice_basis(v0)
+    u1, u2 = profile.lieG_basis
 
     def moment_point(face_a: int, face_b: int):
         ray = cross_primitive(germ.normals[face_a], germ.normals[face_b])
@@ -578,34 +547,18 @@ def germ_profile(germ: GermOfChain):
         )
 
     return {
-        "v0": v0,
+        "profile": profile,
+        "v0": profile.v0,
         "k": k,
-        "basis": (u1, u2),
+        "basis": profile.lieG_basis,
         "moment_min": moment_point(0, 1),
         "moment_max": moment_point(len(k) - 2, len(k) - 1),
     }
 
 
-def _germ_reeb_class(germ: GermOfChain, basis, v0):
-    u1, u2 = basis
-    den = det3(u1, u2, v0)
-    R = germ.reeb
-    out = []
-    for first in (True, False):
-        if first:
-            np_, nq = det3(R.p, u2, v0), det3(R.q, u2, v0)
-        else:
-            np_, nq = det3(u1, R.p, v0), det3(u1, R.q, v0)
-        out.append(QuadNumber(Fraction(np_, den), Fraction(nq, den), R.d))
-    return tuple(out)
-
-
 def validate_germ(germ: GermOfChain) -> None:
     """Realizability: consecutive triples convex, adjacent pairs Delzant,
     and the chain closes to a good cone (close_chain search)."""
-    from .cone import GoodCone as _GC, validate as _validate
-    from .exactnum import is_delzant_pair
-
     ns = germ.normals
     for a, b, c in zip(ns, ns[1:], ns[2:]):
         if det3(a, b, c) <= 0:
@@ -614,8 +567,8 @@ def validate_germ(germ: GermOfChain) -> None:
         if not is_delzant_pair(a, b):
             raise GraphAssemblyError(f"germ pair {a},{b} is not Delzant")
     closing = close_chain_normals(ns)
-    closed = _GC(tuple(ns) + (closing,))
-    rep = _validate(closed)
+    closed = GoodCone(tuple(ns) + (closing,))
+    rep = validate(closed)
     if not rep.is_good:
         raise GraphAssemblyError(f"germ does not close to a good cone: {rep.failures[:3]}")
 
@@ -635,12 +588,12 @@ def assemble_fiber_sum(
     for germ in germs:
         validate_germ(germ)
         prof = germ_profile(germ)
-        rc = _germ_reeb_class(germ, prof["basis"], prof["v0"])
-        if rc != bundle.reeb_class:
+        profile = prof["profile"]
+        if reeb_lie_g_coords(profile, germ.reeb) != bundle.reeb_class:
             raise GraphAssemblyError("germ Reeb class does not match the bundle fiber")
         if prof["moment_min"] != bundle.moment_min or prof["moment_max"] != bundle.moment_max:
             raise GraphAssemblyError("germ extreme moment values do not match the bundle")
-        k = prof["k"]
+        k = profile.k
         end_lo, end_hi = k[1], k[-2]
         prod_min *= end_lo
         prod_max *= end_hi
@@ -648,7 +601,8 @@ def assemble_fiber_sum(
             mults_min.append(end_lo)
         if end_hi >= 2:
             mults_max.append(end_hi)
-        chains.append(_germ_chain_items(germ, prof))
+        interior = range(1, len(k) - 1)
+        chains.append(_chain_items(profile, germ.normals, interior))
 
     b_min, f_min = bundle.fat_min[1]
     b_max, f_max = bundle.fat_max[1]
@@ -674,51 +628,3 @@ def assemble_fiber_sum(
         maximum=maximum,
         chains=tuple(ch for ch in chains if ch),
     )
-
-
-def _germ_chain_items(germ: GermOfChain, prof) -> Tuple[ChainItem, ...]:
-    """Chain items of the germ interior, in order from the flat minimum to
-    the flat maximum, matching extract_graph's encoding on a closed cone."""
-    from .reeb import IsotropyProfile
-
-    v0 = prof["v0"]
-    u1, u2 = prof["basis"]
-    k = prof["k"]
-    ns = germ.normals
-    profile = IsotropyProfile(
-        v0=v0,
-        k=k,
-        flats=frozenset({0, len(k) - 1}),
-        vertex_orders=(),
-        lieG_basis=(u1, u2),
-    )
-
-    class _ConeView:
-        def __init__(self, normals):
-            self.normals = normals
-
-        def normal(self, i):
-            return self.normals[i % len(self.normals)]
-
-        def __len__(self):
-            return len(self.normals)
-
-    view = _ConeView(tuple(ns))
-    items: List[ChainItem] = []
-    interior = list(range(1, len(ns) - 1))
-    for pos, face in enumerate(interior):
-        if k[face] >= 2:
-            items.append(
-                EdgeItem(
-                    multiplicity=k[face],
-                    isotropy=_edge_isotropy(profile, view, face),
-                )
-            )
-        if pos + 1 < len(interior):
-            items.append(
-                RegularVertex(
-                    order=math.gcd(k[face], k[face + 1]),
-                    direction=_vertex_direction(profile, view, face),
-                )
-            )
-    return tuple(items)

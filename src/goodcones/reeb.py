@@ -84,7 +84,11 @@ def _pair(R: ReebVector, v: Vec3) -> QuadNumber:
 def is_admissible(cone: GoodCone, R: ReebVector) -> bool:
     """R lies in the dual cone interior: R . edge_ray(i) > 0 for every i."""
     require_valid(cone)
-    return all(_pair(R, e).sign() > 0 for e in edge_rays(cone))
+    return _admissible(R, edge_rays(cone))
+
+
+def _admissible(R: ReebVector, rays) -> bool:
+    return all(_pair(R, e).sign() > 0 for e in rays)
 
 
 @dataclass(frozen=True)
@@ -104,12 +108,18 @@ class MomentPolygon:
 
 def moment_polygon(cone: GoodCone, R: ReebVector) -> MomentPolygon:
     require_valid(cone)
-    verts = []
-    for e in edge_rays(cone):
-        t = _pair(R, e)
-        if t.sign() <= 0:
+    rays = edge_rays(cone)
+    for e in rays:
+        if _pair(R, e).sign() <= 0:
             raise InadmissibleReeb(f"R pairs non-positively with edge {e}")
-        inv = t.inverse()
+    return _polygon(R, rays)
+
+
+def _polygon(R: ReebVector, rays) -> MomentPolygon:
+    """The polygon with vertices e / (R . e); R must be admissible."""
+    verts = []
+    for e in rays:
+        inv = _pair(R, e).inverse()
         verts.append(tuple(inv * c for c in e))
     return MomentPolygon(vertices=tuple(verts))
 
@@ -151,16 +161,33 @@ class IsotropyProfile:
 
 
 def isotropy_profile(cone: GoodCone, R: ReebVector) -> IsotropyProfile:
+    return _checked_profile(cone, R)[1]
+
+
+def _checked_profile(cone: GoodCone, R: ReebVector):
+    """The start of every public call that needs a profile: the one
+    goodness check, the one admissibility check, then the edge rays and the
+    profile that the unchecked helpers consume."""
     require_valid(cone)
-    if not is_admissible(cone, R):
+    rays = edge_rays(cone)
+    if not _admissible(R, rays):
         raise InadmissibleReeb("profile requires an admissible Reeb vector")
-    v0 = _integer_span_normal(R)
-    k = tuple(abs(dot(v0, n)) for n in cone.normals)
-    flats = frozenset(i for i, ki in enumerate(k) if ki == 0)
+    profile = _profile_of(R, cone.normals)
+    flats = sorted(profile.flats)
     if len(flats) > 2:
         raise InvalidCone(
-            f"more than two flat faces {sorted(flats)}: rank-2 data inconsistent"
+            f"more than two flat faces {flats}: rank-2 data inconsistent"
         )
+    return rays, profile
+
+
+def _profile_of(R: ReebVector, normals) -> IsotropyProfile:
+    """Profile data of R against a cyclic list of normals (a cone's, or a
+    germ's whose two ends are flat); checks neither goodness nor
+    admissibility."""
+    v0 = _integer_span_normal(R)
+    k = tuple(abs(dot(v0, n)) for n in normals)
+    flats = frozenset(i for i, ki in enumerate(k) if ki == 0)
     orders = []
     m = len(k)
     for i in range(m):
@@ -224,9 +251,14 @@ def choose_transverse_circle(
     Positivity at the vertex e_i / (R.e_i) is equivalent to the integer
     condition Ybar . e_i > 0 since R is admissible.
     """
-    profile = isotropy_profile(cone, R)
+    rays, profile = _checked_profile(cone, R)
+    return _transverse_circle(profile, R, rays, box)
+
+
+def _transverse_circle(
+    profile: IsotropyProfile, R: ReebVector, rays, box: int = 32
+) -> Vec3:
     u1, u2 = profile.lieG_basis
-    rays = edge_rays(cone)
 
     def good(a: int, b: int):
         if math.gcd(a, b) != 1:
@@ -281,10 +313,10 @@ def width_of_flat_face(
     (2) pr2-chord of the segment, pr2 = pairing with the lattice complement m
         of Lie(G) (well defined: the segment direction lies in Lie(G)).
     """
-    profile = isotropy_profile(cone, R)
+    rays, profile = _checked_profile(cone, R)
     if i not in profile.flats:
         raise DegenerateInput(f"face {i} is not flat (k={profile.k[i % len(cone)]})")
-    poly = moment_polygon(cone, R)
+    poly = _polygon(R, rays)
     p_lo, p_hi = poly.face_segment(i)
     c_lo = sum(ybar[j] * p_lo[j] for j in range(3))
     c_hi = sum(ybar[j] * p_hi[j] for j in range(3))
@@ -292,8 +324,8 @@ def width_of_flat_face(
 
     n_prev, n_next = cone.normal(i - 1), cone.normal(i + 1)
     s_prev, s_next = dot(profile.v0, n_prev), dot(profile.v0, n_next)
-    third = tuple(c_lo * rc - y for rc, y in zip(_quad_coords(R), ybar))
-    det_num = _qdet3(_lift(n_prev, R.d), _lift(n_next, R.d), third)
+    third = tuple(c_lo * rc - y for rc, y in zip(R.coords(), ybar))
+    det_num = det3(_lift(n_prev, R.d), _lift(n_next, R.d), third)
     dg = det_g(profile, R, ybar)
     w_formula = det_num / (QuadNumber(Fraction(s_prev * s_next), Fraction(0), R.d) * dg)
     if w_formula.sign() < 0:
@@ -307,16 +339,8 @@ def width_of_flat_face(
     return w_formula
 
 
-def _quad_coords(R: ReebVector):
-    return R.coords()
-
-
 def _lift(v: Vec3, d: int):
     return tuple(quad(x, 0, d) for x in v)
-
-
-def _qdet3(u, v, w):
-    return det3(u, v, w)
 
 
 def face_slope(profile: IsotropyProfile, R: ReebVector, ybar: Vec3, n: Vec3):
@@ -369,10 +393,16 @@ class ArcDecomposition:
 def arc_decomposition(
     cone: GoodCone, R: ReebVector, ybar: Optional[Vec3] = None
 ) -> ArcDecomposition:
-    profile = isotropy_profile(cone, R)
+    return _arc_data(cone, R, ybar)[2]
+
+
+def _arc_data(cone: GoodCone, R: ReebVector, ybar: Optional[Vec3]):
+    """The start of every public call that walks the boundary chains:
+    (profile, Ybar, arcs) from one validation, with Ybar chosen when None."""
+    rays, profile = _checked_profile(cone, R)
     if ybar is None:
-        ybar = choose_transverse_circle(cone, R)
-    poly = moment_polygon(cone, R)
+        ybar = _transverse_circle(profile, R, rays)
+    poly = _polygon(R, rays)
     k = len(cone)
     signs = profile.signed(cone)
     pi_vals = [sum(ybar[j] * poly.vertices[i][j] for j in range(3)) for i in range(k)]
@@ -415,9 +445,10 @@ def arc_decomposition(
 
     neg.sort(key=lambda f: face_level(f))
     pos.sort(key=lambda f: face_level(f))
-    return ArcDecomposition(
+    arcs = ArcDecomposition(
         minimum=minimum, maximum=maximum, neg_arc=tuple(neg), pos_arc=tuple(pos)
     )
+    return profile, ybar, arcs
 
 
 def closure_identity_residual(
@@ -433,8 +464,7 @@ def closure_identity_residual(
 
     with arcs ordered by increasing Ybar-moment (chain 1 = negative arc).
     """
-    profile = isotropy_profile(cone, R)
-    arcs = arc_decomposition(cone, R, ybar)
+    profile, ybar, arcs = _arc_data(cone, R, ybar)
     signs = profile.signed(cone)
     d = R.d
 

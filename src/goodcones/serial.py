@@ -11,7 +11,7 @@ from typing import Optional
 
 from .cone import GoodCone, load_cone, validate
 from .exactnum import QuadNumber
-from .graph import EdgeItem, FatVertex, IsotropyGraph, RegularVertex
+from .graph import EdgeItem, FatVertex, IsotropyGraph, canonical_form
 from .reeb import ReebVector
 
 
@@ -122,8 +122,6 @@ def graph_to_json(g: IsotropyGraph) -> dict:
                 },
             }
         return {"kind": "vertex", "order": item.order, "direction": list(item.direction)}
-
-    from .graph import canonical_form
 
     return {
         "reeb_class": [quad_to_json(x) for x in g.reeb_class],

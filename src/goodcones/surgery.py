@@ -13,7 +13,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .cone import GoodCone, require_valid, validate
+from .cone import GoodCone, edge_rays, require_valid, validate
 from .exactnum import (
     DegenerateInput,
     QuadNumber,
@@ -77,12 +77,6 @@ def cone_hash(cone: GoodCone) -> str:
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
-def edge_rays_cached(cone: GoodCone):
-    from .cone import edge_rays
-
-    return edge_rays(cone)
-
-
 def cut(cone: GoodCone, spec: CutSpec) -> SurgeryResult:
     """Intersect with the half-space {t . v >= 0} and classify.
 
@@ -94,7 +88,7 @@ def cut(cone: GoodCone, spec: CutSpec) -> SurgeryResult:
     """
     require_valid(cone)
     t = spec.t
-    rays = edge_rays_cached(cone)
+    rays = edge_rays(cone)
     k = len(cone)
     negative = [i for i, e in enumerate(rays) if dot(t, e) < 0]
     if not negative:
@@ -168,7 +162,7 @@ def replace_range(cone: GoodCone, rng: Sequence[int], t: Vec3) -> GoodCone:
         raise SurgeryRejected("range must be a proper subset of the faces")
     if len(rng) == 1 and cone.normals[rng[0]] == t:
         return cone
-    for e in edge_rays_cached(cone):
+    for e in edge_rays(cone):
         if dot(t, e) < 0:
             raise SurgeryRejected(
                 f"replacement normal {t} cuts the cone (edge {e}): not an attachment"

@@ -6,9 +6,17 @@ import random
 
 import pytest
 
-from goodcones.cone import GoodCone, load_cone, validate
+from goodcones.cone import GoodCone, face_invariants, load_cone, validate
 from goodcones.exactnum import delzant_witness, dot, mat_vec, vec_add, vec_scale
-from goodcones.reeb import ReebVector, rank_of, reeb_from_vectors
+from goodcones.graph import LensBundleDescriptor, germ_profile, reversed_euler_residue
+from goodcones.reeb import (
+    ReebVector,
+    isotropy_profile,
+    lie_g_coords,
+    rank_of,
+    reeb_from_vectors,
+    reeb_lie_g_coords,
+)
 from goodcones.surgery import CutSpec, SurgeryRejected, cut
 
 SIMPLICIAL = GoodCone(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
@@ -102,6 +110,30 @@ def random_admissible_rank2_reeb(rnd, cone, d=2, tries=50):
         if rank_of(r) == 2:
             return r
     raise RuntimeError("could not build a rank-2 admissible Reeb vector")
+
+
+def bundle_from_cone(cone, reeb, flat_lo, flat_hi, germ):
+    """Lens bundle whose fiber is the germ and whose fat vertices are the
+    flat faces flat_lo, flat_hi of the closed cone."""
+    prof = isotropy_profile(cone, reeb)
+    gp = germ_profile(germ)
+
+    def fat(face):
+        inv = face_invariants(cone, face)
+        a, b = lie_g_coords(prof, cone.normal(face))
+        d = (int(a), int(b))
+        if d < (0, 0) or (d[0] == 0 and d[1] < 0) or d[0] < 0:
+            d = (-d[0], -d[1])
+        return (d, (inv.b, inv.f), reversed_euler_residue(cone, face))
+
+    return LensBundleDescriptor(
+        genus=0,
+        reeb_class=reeb_lie_g_coords(prof, reeb),
+        moment_min=gp["moment_min"],
+        moment_max=gp["moment_max"],
+        fat_min=fat(flat_lo),
+        fat_max=fat(flat_hi),
+    )
 
 
 @pytest.fixture

@@ -13,7 +13,6 @@ from goodcones.graph import (
     GermOfChain,
     GraphAssemblyError,
     IsotropyGraph,
-    LensBundleDescriptor,
     RegularVertex,
     assemble_fiber_sum,
     canonical_form,
@@ -26,13 +25,12 @@ from goodcones.graph import (
 )
 from goodcones.reeb import (
     isotropy_profile,
-    lie_g_coords,
     reeb_from_vectors,
-    reeb_lie_g_coords,
 )
 
 from conftest import (
     SIMPLICIAL,
+    bundle_from_cone,
     random_admissible_rank2_reeb,
     random_gl3,
     random_good_cone,
@@ -189,50 +187,29 @@ def test_toric_condition_brute_force_agreement(rnd):
         done += 1
 
 
-def _bundle_from_cone(cone, reeb, flat_lo, flat_hi, germ):
-    prof = isotropy_profile(cone, reeb)
-    gp = germ_profile(germ)
-
-    from goodcones.graph import reversed_euler_residue
-
-    def fat(face):
-        inv = face_invariants(cone, face)
-        a, b = lie_g_coords(prof, cone.normal(face))
-        d = (int(a), int(b))
-        if d < (0, 0) or (d[0] == 0 and d[1] < 0) or d[0] < 0:
-            d = (-d[0], -d[1])
-        return (d, (inv.b, inv.f), reversed_euler_residue(cone, face))
-
-    return LensBundleDescriptor(
-        genus=0,
-        reeb_class=reeb_lie_g_coords(prof, reeb),
-        moment_min=gp["moment_min"],
-        moment_max=gp["moment_max"],
-        fat_min=fat(flat_lo),
-        fat_max=fat(flat_hi),
-    )
-
-
 def test_fiber_sum_zero_one_two_germs():
-    cone, reeb = example_family(2)
-    germ = GermOfChain(normals=cone.normals[:4], reeb=reeb)
-    bundle = _bundle_from_cone(cone, reeb, 0, 3, germ)
+    # The one-germ fiber sum is built by the germ path and must agree with
+    # the closed-cone path on the cone the germ was cut from.
+    for k in range(2, 9):
+        cone, reeb = example_family(k)
+        germ = GermOfChain(normals=cone.normals[: k + 2], reeb=reeb)
+        bundle = bundle_from_cone(cone, reeb, 0, k + 1, germ)
 
-    g0 = assemble_fiber_sum(bundle, [])
-    assert len(g0.fat_vertices) == 2
-    assert count_nontrivial_chains(g0) == 0
+        g0 = assemble_fiber_sum(bundle, [])
+        assert len(g0.fat_vertices) == 2
+        assert count_nontrivial_chains(g0) == 0
 
-    g1 = assemble_fiber_sum(bundle, [germ])
-    assert isomorphic(g1, extract_graph(cone, reeb))
+        g1 = assemble_fiber_sum(bundle, [germ])
+        assert isomorphic(g1, extract_graph(cone, reeb)), k
 
-    g2 = assemble_fiber_sum(bundle, [germ, germ])
-    assert count_nontrivial_chains(g2) == 2
+        g2 = assemble_fiber_sum(bundle, [germ, germ])
+        assert count_nontrivial_chains(g2) == 2
 
 
 def test_fiber_sum_rejects_mismatched_fiber():
     cone, reeb = example_family(2)
     germ = GermOfChain(normals=cone.normals[:4], reeb=reeb)
-    bundle = _bundle_from_cone(cone, reeb, 0, 3, germ)
+    bundle = bundle_from_cone(cone, reeb, 0, 3, germ)
     other_cone, other_reeb = example_family(3)
     alien = GermOfChain(normals=other_cone.normals[:5], reeb=other_reeb)
     with pytest.raises(GraphAssemblyError):
