@@ -46,7 +46,17 @@ class GraphAssemblyError(ValueError):
 @dataclass(frozen=True)
 class FiniteCyclicSubgroup:
     """Finite cyclic subgroup of T^2 = (Q/Z)^2, stored by its order and the
-    lexicographically smallest generator of exact order."""
+    lexicographically smallest generator of exact order.
+
+    `canonical` finds that generator in closed form rather than by scanning
+    the units j mod the order.  Write the generator as (a, b)/m with m its
+    exact order, so gcd(a, b, m) = 1.  Units mod m surject onto units mod
+    any divisor, so the least first coordinate over j*(a, b) is
+    g = gcd(a, m), reached exactly when j = j0 mod h, with h = m/g and
+    j0 = (a/g)^-1 mod h.  Those j give second coordinates c + h*r, with
+    c = j0*b mod h, and each r in 0..g-1 comes from one j mod m, because
+    gcd(b, g) = 1.  The least r whose j is a unit wins; the r skipped are
+    bounded by Jacobsthal's function of m."""
 
     order: int
     generator: Tuple[Fraction, Fraction]
@@ -60,14 +70,22 @@ class FiniteCyclicSubgroup:
             raise ValueError("generator order does not divide the stated order")
 
     def canonical(self) -> "FiniteCyclicSubgroup":
-        best = None
-        for j in range(1, self.order + 1):
-            if math.gcd(j, self.order) != 1:
-                continue
-            cand = tuple((j * x) % 1 for x in self.generator)
-            if best is None or cand < best:
-                best = cand
-        return FiniteCyclicSubgroup(self.order, best)
+        n = self.order
+        a, b = (x.numerator * (n // x.denominator) for x in self.generator)
+        e = math.gcd(a, b, n)
+        m = n // e
+        a, b = a // e, b // e
+        g = math.gcd(a, m)
+        h = m // g
+        j0 = pow(a // g, -1, h)
+        c = j0 * b % h
+        q = (j0 * b % m - c) // h
+        b_inv = pow(b, -1, g)
+        # j = j0 + h*t reaches second coordinate c + h*r for t = (r - q)/b mod g
+        r = 0
+        while math.gcd(j0 + h * ((r - q) * b_inv % g), m) != 1:
+            r += 1
+        return FiniteCyclicSubgroup(n, (Fraction(g % m, m), Fraction(c + h * r, m)))
 
     def transformed(self, a) -> "FiniteCyclicSubgroup":
         g = self.generator

@@ -7,10 +7,9 @@ import random
 import pytest
 
 from goodcones.cone import GoodCone, face_invariants, load_cone, validate
-from goodcones.exactnum import delzant_witness, dot, mat_vec, vec_add, vec_scale
+from goodcones.exactnum import delzant_witness, mat_vec, vec_add, vec_scale
 from goodcones.graph import LensBundleDescriptor, germ_profile, reversed_euler_residue
 from goodcones.reeb import (
-    ReebVector,
     isotropy_profile,
     lie_g_coords,
     rank_of,

@@ -1,9 +1,8 @@
 import json
-import os
 
 import pytest
 
-from goodcones.cli import render_svg, run
+from goodcones.cli import run
 from goodcones.serial import Document, document_from_json, document_to_json
 from goodcones.construct import example_family
 

@@ -4,7 +4,6 @@ import pytest
 
 from goodcones.cone import (
     GoodCone,
-    InvalidCone,
     can_blowdown_to_orbit,
     edge_ray,
     edge_rays,
@@ -26,7 +25,7 @@ from goodcones.exactnum import (
     primitive_part,
 )
 
-from conftest import SIMPLICIAL, random_good_cone, random_sl3
+from conftest import SIMPLICIAL, random_good_cone
 
 FAMILY2 = load_cone([(1, 0, 1), (1, 1, 1), (1, 2, 3), (1, 3, 7), (1, 1, 4)])
 FAMILY3 = load_cone([(1, 0, 1), (1, 1, 1), (1, 2, 3), (1, 3, 7), (1, 4, 13), (1, 1, 5)])

@@ -1,4 +1,3 @@
-import math
 import time
 
 import pytest
@@ -17,7 +16,7 @@ from goodcones.construct import (
     weighted_homogeneous_check,
 )
 from goodcones.cone import GoodCone
-from goodcones.exactnum import det3, dot, is_delzant_pair
+from goodcones.exactnum import is_delzant_pair
 from goodcones.reeb import is_admissible, isotropy_profile, rank_of
 
 

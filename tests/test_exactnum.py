@@ -15,7 +15,6 @@ from goodcones.exactnum import (
     delzant_witness,
     det3,
     dot,
-    is_delzant_pair,
     is_prime,
     lattice_complement,
     plane_lattice_basis,

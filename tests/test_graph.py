@@ -4,10 +4,9 @@ from fractions import Fraction
 import pytest
 
 from goodcones.cone import face_invariants, load_cone
-from goodcones.exactnum import dot, mat_vec
-from goodcones.construct import example_family
+from goodcones.exactnum import mat_vec
+from goodcones.construct import example_family, obstructed_family
 from goodcones.graph import (
-    EdgeItem,
     FatVertex,
     FiniteCyclicSubgroup,
     GermOfChain,
@@ -29,11 +28,11 @@ from goodcones.reeb import (
 )
 
 from conftest import (
-    SIMPLICIAL,
     bundle_from_cone,
     random_admissible_rank2_reeb,
     random_gl3,
     random_good_cone,
+    random_sl3,
 )
 
 FAMILY2, R_FAMILY2 = example_family(2)
@@ -220,3 +219,61 @@ def test_germ_requires_flat_ends():
     cone, reeb = example_family(2)
     with pytest.raises(GraphAssemblyError):
         germ_profile(GermOfChain(normals=cone.normals[1:4], reeb=reeb))
+
+
+def _lexmin_scan(n, a, b):
+    """Lexicographically smallest generator of the subgroup of order n
+    generated by (a, b)/n, by scanning every unit j mod n (the definition
+    `canonical` computes in closed form)."""
+    best = min(
+        (j * a % n, j * b % n) for j in range(1, n + 1) if math.gcd(j, n) == 1
+    )
+    return (Fraction(best[0], n), Fraction(best[1], n))
+
+
+def _subgroup(n, a, b):
+    return FiniteCyclicSubgroup(n, (Fraction(a, n), Fraction(b, n)))
+
+
+def test_canonical_matches_lexmin_scan_for_small_orders():
+    for n in range(1, 41):
+        for a in range(n):
+            for b in range(n):
+                got = _subgroup(n, a, b).canonical()
+                assert got.order == n and got.generator == _lexmin_scan(n, a, b), (n, a, b)
+
+
+def test_canonical_matches_lexmin_scan_on_random_generators(rnd):
+    orders = [rnd.randrange(41, 1000) for _ in range(150)] + [2310, 30030]
+    for n in orders:
+        divisors = [d for d in range(2, n) if n % d == 0] or [1]
+        for _ in range(4 if n == 30030 else 20):
+            a, b, e = rnd.randrange(n), rnd.randrange(n), rnd.choice(divisors)
+            # unless n is prime, the second generator is not exact: gcd(a, b, n) >= e > 1
+            for x, y in ((a, b), (a * e % n, b * e % n)):
+                assert _subgroup(n, x, y).canonical().generator == _lexmin_scan(n, x, y), (
+                    n, x, y,
+                )
+
+
+def test_canonical_is_idempotent_and_unit_invariant(rnd):
+    for _ in range(300):
+        n = rnd.randint(1, 500)
+        a, b = rnd.randrange(n), rnd.randrange(n)
+        j = rnd.randrange(1, n + 1)
+        while math.gcd(j, n) != 1:
+            j = rnd.randrange(1, n + 1)
+        canon = _subgroup(n, a, b).canonical()
+        assert canon.canonical() == canon
+        assert _subgroup(n, j * a % n, j * b % n).canonical() == canon, (n, a, b, j)
+
+
+def test_obstructed_16_graph_canonical_form_is_sl3_invariant(rnd):
+    # Isotropy orders here reach about 4.5e7, beyond any scan over units.
+    cone, reeb = obstructed_family(16, seed=0)
+    g = extract_graph(cone, reeb)
+    assert count_nontrivial_chains(g) <= 2
+    u = random_sl3(rnd)
+    cone2 = load_cone([mat_vec(u, n) for n in cone.normals])
+    r2 = reeb_from_vectors(mat_vec(u, tuple(reeb.p)), mat_vec(u, tuple(reeb.q)))
+    assert canonical_form(extract_graph(cone2, r2)) == canonical_form(g)

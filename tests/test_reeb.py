@@ -2,9 +2,8 @@ from fractions import Fraction
 
 import pytest
 
-from goodcones.cone import load_cone, validate
+from goodcones.cone import load_cone
 from goodcones.exactnum import (
-    QuadNumber,
     SearchExhausted,
     det3,
     dot,
@@ -17,7 +16,6 @@ from goodcones.reeb import (
     arc_decomposition,
     choose_transverse_circle,
     closure_identity_residual,
-    det_g,
     face_slope,
     is_admissible,
     isotropy_profile,

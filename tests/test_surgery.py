@@ -14,7 +14,7 @@ from goodcones.exactnum import (
     mat_vec,
     quad,
 )
-from goodcones.reeb import isotropy_profile, reeb_from_vectors
+from goodcones.reeb import isotropy_profile
 from goodcones.surgery import (
     CutSpec,
     PlanningError,
