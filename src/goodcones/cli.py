@@ -35,9 +35,10 @@ from .graph import (
 from .reeb import (
     InadmissibleReeb,
     RankError,
+    _checked_profile,
+    _polygon,
     is_admissible,
     isotropy_profile,
-    moment_polygon,
     rank_of,
 )
 from .serial import (
@@ -123,10 +124,11 @@ def render_svg(doc: Document, out_path: str) -> None:
     isotropy magnitudes, and highlight flat faces."""
     reeb = _need_reeb(doc)
     cone = doc.cone
-    if not is_admissible(cone, reeb):
-        raise InadmissibleReeb("reeb vector is not admissible for this cone")
-    profile = isotropy_profile(cone, reeb)
-    poly = moment_polygon(cone, reeb)
+    try:
+        rays, profile = _checked_profile(cone, reeb)
+    except InadmissibleReeb:
+        raise InadmissibleReeb("reeb vector is not admissible for this cone") from None
+    poly = _polygon(reeb, rays)
     coords = [abs(float(c)) for c in reeb.coords()]
     drop = coords.index(max(coords))
     keep = [j for j in range(3) if j != drop]
@@ -388,11 +390,9 @@ def _cmd_close(args) -> int:
 
 
 def _cmd_toric_check(args) -> int:
-    v = toric_condition_check(
-        _parse_vec(args.vmin, 2), _parse_vec(args.vmax, 2), box=args.box
-    )
+    v = toric_condition_check(_parse_vec(args.vmin, 2), _parse_vec(args.vmax, 2))
     if v is None:
-        _emit({"found": False, "box": args.box})
+        _emit({"found": False})
         return 1
     _emit({"found": True, "v": list(v)})
     return 0
@@ -487,7 +487,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("toric-check", help="unimodular vector between two rays")
     p.add_argument("--vmin", required=True, help="a,b")
     p.add_argument("--vmax", required=True, help="a,b")
-    p.add_argument("--box", type=int, default=32)
     p.set_defaults(func=_cmd_toric_check)
 
     p = sub.add_parser("render", help="SVG of the moment cross-section")

@@ -262,6 +262,31 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
+def least_denominator(lo, lo_open: bool, hi, hi_open: bool) -> Optional[int]:
+    """Least q >= 1 such that some p / q lies in the interval from lo to hi
+    (rational ends, each open or closed); None when it is empty.
+
+    Continued-fraction (Stern–Brocot) descent: an interval holding no
+    integer lies in (n, n + 1), and x -> 1 / (x - n) maps it onto one in
+    (1, inf] whose least numerator is the least denominator sought; that
+    least numerator is reached at the least integer of the last interval.
+    The steps are as many as the continued fraction of an end has terms."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi or (lo == hi and (lo_open or hi_open)):
+        return None
+    # x = (A z + B) / (C z + D), unimodular, maps the current interval back
+    # to the original, so the denominator of x is C z + D.
+    C, D = 0, 1
+    while True:
+        n = math.floor(lo)
+        z = n + 1 if lo_open or n < lo else n
+        if hi is None or z < hi or (z == hi and not hi_open):
+            return C * z + D
+        C, D = C * n + D, C
+        inv_lo = None if lo == n else 1 / (lo - n)
+        lo, lo_open, hi, hi_open = 1 / (hi - n), hi_open, inv_lo, lo_open
+
+
 def solve_dot_one(v: Vec3) -> Vec3:
     """Integer w with v . w = 1, for primitive v (extended gcd over coords)."""
     g01, x, y = _xgcd(v[0], v[1])

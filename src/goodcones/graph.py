@@ -471,32 +471,21 @@ def isomorphic(g1: IsotropyGraph, g2: IsotropyGraph) -> bool:
 
 
 def toric_condition_check(
-    v_min: Tuple[int, int], v_max: Tuple[int, int], box: int = 32
+    v_min: Tuple[int, int], v_max: Tuple[int, int]
 ) -> Optional[Tuple[int, int]]:
-    """Search the open cone between v_min and v_max for an integer v with
-    |det2(v, v_min)| = |det2(v, v_max)| = 1 (both pairs Z-bases); None when
-    the bounded search is exhausted."""
+    """The integer v in the open cone between v_min and v_max with
+    |det2(v, v_min)| = |det2(v, v_max)| = 1 (both pairs Z-bases), or None.
 
-    def det2(a, b):
-        return a[0] * b[1] - a[1] * b[0]
-
-    orient = det2(v_min, v_max)
-    if orient == 0:
+    Inside the cone the two determinants have the sign of D = det2(v_min,
+    v_max), and writing v = a v_min + b v_max they are b D and a D; so the
+    only candidate is v = (v_min + v_max) / |D|, a solution when integral."""
+    D = v_min[0] * v_max[1] - v_min[1] * v_max[0]
+    if D == 0:
         raise DegenerateInput("v_min, v_max must be linearly independent")
-    s = 1 if orient > 0 else -1
-    candidates = []
-    for x in range(-box, box + 1):
-        for y in range(-box, box + 1):
-            v = (x, y)
-            if v == (0, 0) or math.gcd(abs(x), abs(y)) != 1:
-                continue
-            if s * det2(v_min, v) <= 0 or s * det2(v, v_max) <= 0:
-                continue
-            if abs(det2(v, v_min)) == 1 and abs(det2(v, v_max)) == 1:
-                candidates.append(v)
-    if not candidates:
+    x, y = v_min[0] + v_max[0], v_min[1] + v_max[1]
+    if x % D or y % D:
         return None
-    return min(candidates, key=lambda v: (v[0] * v[0] + v[1] * v[1], v))
+    return (x // abs(D), y // abs(D))
 
 
 # ---------------------------------------------------------------------------

@@ -25,13 +25,13 @@ from .cone import GoodCone, InvalidCone, edge_rays, require_valid
 from .exactnum import (
     DegenerateInput,
     QuadNumber,
-    SearchExhausted,
     Vec3,
     cross,
     cross_primitive,
     det3,
     dot,
     lattice_complement,
+    least_denominator,
     plane_lattice_basis,
     quad,
     vec_add,
@@ -239,65 +239,50 @@ def det_g(profile: IsotropyProfile, x: ReebVector, y: Vec3) -> QuadNumber:
     )
 
 
-def choose_transverse_circle(
-    cone: GoodCone, R: ReebVector, box: int = 32
-) -> Vec3:
+def choose_transverse_circle(cone: GoodCone, R: ReebVector) -> Vec3:
     """Primitive Ybar in Lie(G) ∩ Z^3 pairing positively with every polygon
-    vertex: an expanding box search over u1/u2 combinations, extended by a
-    drift search along rational approximations of R's own Lie(G)
-    coordinates (R is strictly admissible, so nearby lattice directions
-    eventually are too).
+    vertex: the point a u1 + b u2 of least max-norm max(|a|, |b|) in the open
+    feasible cone, ties broken by the least (a, b).
 
     Positivity at the vertex e_i / (R.e_i) is equivalent to the integer
-    condition Ybar . e_i > 0 since R is admissible.
+    condition Ybar . e_i > 0 since R is admissible; R itself lies in the
+    feasible cone, so it is never empty.
     """
     rays, profile = _checked_profile(cone, R)
-    return _transverse_circle(profile, R, rays, box)
+    return _transverse_circle(profile, rays)
 
 
-def _transverse_circle(
-    profile: IsotropyProfile, R: ReebVector, rays, box: int = 32
-) -> Vec3:
+def _transverse_circle(profile: IsotropyProfile, rays) -> Vec3:
+    """On a side {(sigma r, t)} or {(t, sigma r)}, |t| <= r, of the square
+    of radius r the constraints confine t / r to an interval, so the least
+    r with a point on that side is the least denominator of a fraction in
+    it.  A point of least radius is primitive: dividing it by a common
+    factor would give a feasible point of smaller radius."""
     u1, u2 = profile.lieG_basis
-
-    def good(a: int, b: int):
-        if math.gcd(a, b) != 1:
-            return None
-        y = vec_add(vec_scale(a, u1), vec_scale(b, u2))
-        if all(dot(y, e) > 0 for e in rays):
-            return y
-        return None
-
-    for radius in range(1, box + 1):
-        for a in range(-radius, radius + 1):
-            for b in range(-radius, radius + 1):
-                if max(abs(a), abs(b)) != radius:
+    pairs = [(dot(u1, e), dot(u2, e)) for e in rays]
+    found = []
+    for sigma in (-1, 1):
+        for first in (True, False):
+            # Each constraint reads alpha + beta x > 0 for x = t / r in [-1, 1].
+            lo, lo_open, hi, hi_open = Fraction(-1), False, Fraction(1), False
+            for c1, c2 in pairs:
+                alpha, beta = (sigma * c1, c2) if first else (sigma * c2, c1)
+                if beta == 0:
+                    if alpha <= 0:
+                        break
                     continue
-                y = good(a, b)
-                if y is not None:
-                    return y
-    # Drift phase: follow s * (alpha, beta), the Reeb direction in the
-    # (u1, u2) frame, with an exact rational surd approximation.
-    alpha, beta = reeb_lie_g_coords(profile, R)
-    approx = Fraction(math.isqrt(R.d * 10**24), 10**12)
-
-    def rat(x: QuadNumber) -> Fraction:
-        return x.rat + x.irr * approx
-
-    ra, rb = rat(alpha), rat(beta)
-    s = 1
-    for _ in range(box):
-        ca, cb = round(ra * s), round(rb * s)
-        for da in range(-2, 3):
-            for db in range(-2, 3):
-                g = math.gcd(abs(ca + da), abs(cb + db))
-                if g == 0:
-                    continue
-                y = good((ca + da) // g, (cb + db) // g)
-                if y is not None:
-                    return y
-        s *= 2
-    raise SearchExhausted(f"no transverse circle within box radius {box}")
+                end = Fraction(-alpha, beta)
+                if beta > 0 and end >= lo:
+                    lo, lo_open = end, True
+                elif beta < 0 and end <= hi:
+                    hi, hi_open = end, True
+            else:
+                q = least_denominator(lo, lo_open, hi, hi_open)
+                if q is not None:
+                    t = math.floor(lo * q) + 1 if lo_open else math.ceil(lo * q)
+                    found.append((q, (sigma * q, t) if first else (t, sigma * q)))
+    _, (a, b) = min(found)
+    return vec_add(vec_scale(a, u1), vec_scale(b, u2))
 
 
 def width_of_flat_face(
@@ -401,7 +386,7 @@ def _arc_data(cone: GoodCone, R: ReebVector, ybar: Optional[Vec3]):
     (profile, Ybar, arcs) from one validation, with Ybar chosen when None."""
     rays, profile = _checked_profile(cone, R)
     if ybar is None:
-        ybar = _transverse_circle(profile, R, rays)
+        ybar = _transverse_circle(profile, rays)
     poly = _polygon(R, rays)
     k = len(cone)
     signs = profile.signed(cone)

@@ -3,6 +3,7 @@ import json
 import pytest
 
 from goodcones.cli import run
+from goodcones.reeb import reeb_from_vectors
 from goodcones.serial import Document, document_from_json, document_to_json
 from goodcones.construct import example_family
 
@@ -101,6 +102,11 @@ def test_toric_check(capsys):
     assert code == 0 and out["v"] == [1, 1]
     code, out = run_json(capsys, ["toric-check", "--vmin", "1,0", "--vmax", "-1,0"])
     assert code == 2  # parallel rays are a usage error
+    # det(v_min, v_max) = 3 and (v_min + v_max) / 3 is not integral
+    code, out = run_json(capsys, ["toric-check", "--vmin", "1,0", "--vmax", "1,3"])
+    assert code == 1 and out == {"found": False}
+    code, _ = run_json(capsys, ["toric-check", "--vmin", "1,0", "--vmax", "1,3", "--box", "8"])
+    assert code == 2  # the search bound is gone
 
 def test_render_deterministic(tmp_path, doc_path, capsys):
     out1 = tmp_path / "a.svg"
@@ -120,6 +126,17 @@ def test_render_requires_reeb(tmp_path, capsys):
     code = run(["render", str(path), "--out", str(tmp_path / "x.svg")])
     capsys.readouterr()
     assert code == 2
+
+
+def test_render_inadmissible_message(tmp_path, capsys):
+    cone, reeb = example_family(2)
+    flipped = reeb_from_vectors([-x for x in reeb.p], [-x for x in reeb.q], reeb.d)
+    path = tmp_path / "flipped.json"
+    path.write_text(json.dumps(document_to_json(Document(cone=cone, reeb=flipped))))
+    code = run(["render", str(path), "--out", str(tmp_path / "x.svg")])
+    err = json.loads(capsys.readouterr().err)
+    assert code == 1
+    assert err == {"error": "reeb vector is not admissible for this cone"}
 
 
 def test_catalog_roundtrip(tmp_path, doc_path, capsys):

@@ -146,6 +146,10 @@ def test_toric_condition_examples():
     v = toric_condition_check((1, 0), (1, 2))
     assert v == (1, 1)
     assert abs(v[0] * 2 - v[1] * 1) == 1  # det with (1,2)
+    # v = (v_min + v_max) / |det| can lie outside any fixed search box
+    assert toric_condition_check((1, 0), (-99, 1)) == (-98, 1)
+    assert toric_condition_check((-99, 1), (1, 0)) == (-98, 1)
+    assert toric_condition_check((1, 0), (1, 3)) is None
 
 
 def brute_toric(vmin, vmax, box=32):

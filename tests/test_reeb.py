@@ -1,12 +1,15 @@
+import math
 from fractions import Fraction
 
 import pytest
 
-from goodcones.cone import load_cone
+from goodcones.cone import edge_rays, load_cone
+from goodcones.construct import obstructed_family
+from goodcones.euler import verify_global_identity
 from goodcones.exactnum import (
-    SearchExhausted,
     det3,
     dot,
+    least_denominator,
     mat_vec,
     quad,
 )
@@ -105,7 +108,7 @@ def test_profile_k_values_from_coordinate_plane_normal():
 
 
 def test_choose_transverse_circle_family():
-    y = choose_transverse_circle(FAMILY2, R_FAMILY2, box=10)
+    y = choose_transverse_circle(FAMILY2, R_FAMILY2)
     prof = isotropy_profile(FAMILY2, R_FAMILY2)
     assert dot(y, prof.v0) == 0
     poly = moment_polygon(FAMILY2, R_FAMILY2)
@@ -114,9 +117,82 @@ def test_choose_transverse_circle_family():
         assert val.sign() > 0
 
 
-def test_choose_transverse_circle_bound_error():
-    with pytest.raises(SearchExhausted):
-        choose_transverse_circle(FAMILY2, R_FAMILY2, box=0)
+def _assert_transverse(cone, reeb, y):
+    """Primitive, in Lie(G), and positive on every edge ray."""
+    assert math.gcd(*y) == 1
+    assert dot(y, isotropy_profile(cone, reeb).v0) == 0
+    assert all(dot(y, e) > 0 for e in edge_rays(cone))
+
+
+def _ring_scan(cone, reeb, box=32):
+    """The former search: rings of growing max-norm radius up to box, each
+    scanned in lex order of (a, b), keeping primitive a u1 + b u2 only."""
+    u1, u2 = isotropy_profile(cone, reeb).lieG_basis
+    pairs = [(dot(u1, e), dot(u2, e)) for e in edge_rays(cone)]
+    for radius in range(1, box + 1):
+        for a in range(-radius, radius + 1):
+            column = range(-radius, radius + 1) if abs(a) == radius else (-radius, radius)
+            for b in column:
+                if math.gcd(a, b) != 1:
+                    continue
+                if all(a * c1 + b * c2 > 0 for c1, c2 in pairs):
+                    return tuple(a * x + b * y for x, y in zip(u1, u2))
+    return None
+
+
+def test_choose_transverse_circle_matches_ring_scan(rnd):
+    in_box = 0
+    for _ in range(500):
+        cone = random_good_cone(rnd, cuts=rnd.randint(0, 4))
+        reeb = random_admissible_rank2_reeb(rnd, cone, d=rnd.choice((2, 3, 5)))
+        u = random_sl3(rnd, shears=rnd.randint(3, 8))
+        image = load_cone([mat_vec(u, n) for n in cone.normals])
+        image_reeb = reeb_from_vectors(
+            mat_vec(u, reeb.p), mat_vec(u, reeb.q), reeb.d
+        )
+        for c, r in ((cone, reeb), (image, image_reeb)):
+            y = choose_transverse_circle(c, r)
+            _assert_transverse(c, r, y)
+            expected = _ring_scan(c, r)
+            if expected is not None:
+                assert y == expected, (c.normals, r)
+                in_box += 1
+    assert in_box >= 500
+
+
+def test_least_denominator_brute_force():
+    ends = sorted({Fraction(p, q) for q in range(1, 13) for p in range(-2 * q, 2 * q + 1)})
+
+    def brute(lo, lo_open, hi, hi_open):
+        # A nonempty interval holds an end (denominator <= 12) or the mediant
+        # of two neighbouring fractions of order 12, so q <= 24 suffices.
+        for q in range(1, 25):
+            t = -(-lo.numerator * q // lo.denominator)
+            if lo_open and t * lo.denominator == lo.numerator * q:
+                t += 1
+            if t * hi.denominator < hi.numerator * q or (
+                not hi_open and t * hi.denominator == hi.numerator * q
+            ):
+                return q
+        return None
+
+    for lo in ends:
+        for hi in ends:
+            for lo_open in (False, True):
+                for hi_open in (False, True):
+                    got = least_denominator(lo, lo_open, hi, hi_open)
+                    assert got == brute(lo, lo_open, hi, hi_open), (lo, hi, lo_open, hi_open)
+
+
+def test_transverse_circle_beyond_old_search_radius():
+    # The former search gave up here (radius 32 plus a drift along a
+    # 12-digit approximation of sqrt(d)); the exact construction cannot.
+    for k in (32, 48):
+        cone, reeb = obstructed_family(k)
+        y = choose_transverse_circle(cone, reeb)
+        _assert_transverse(cone, reeb, y)
+        assert _ring_scan(cone, reeb) is None
+        assert verify_global_identity(cone, reeb).ok
 
 
 def test_width_of_flat_faces_family():
@@ -139,10 +215,7 @@ def test_width_on_random_instances(rnd):
         prof = isotropy_profile(cone, reeb)
         if not prof.flats:
             continue
-        try:
-            y = choose_transverse_circle(cone, reeb)
-        except SearchExhausted:
-            continue
+        y = choose_transverse_circle(cone, reeb)
         for i in prof.flats:
             w = width_of_flat_face(cone, reeb, y, i)
             assert w.sign() >= 0

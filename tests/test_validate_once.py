@@ -1,9 +1,13 @@
-"""Each public entry of the Reeb, Euler and graph layers validates its cone
-exactly once and hands what it computed to unchecked helpers."""
+"""Each public entry of the Reeb, Euler and graph layers, and the CLI's SVG
+renderer, validates its cone exactly once and hands what it computed to
+unchecked helpers."""
+
+import os
 
 import pytest
 
 import goodcones.cone
+from goodcones.cli import render_svg
 from goodcones.construct import example_family
 from goodcones.euler import build_identity_data, verify_global_identity
 from goodcones.graph import extract_graph
@@ -16,6 +20,7 @@ from goodcones.reeb import (
     moment_polygon,
     width_of_flat_face,
 )
+from goodcones.serial import Document
 
 CONE, REEB = example_family(3)
 YBAR = choose_transverse_circle(CONE, REEB)
@@ -31,6 +36,7 @@ ENTRIES = {
     "extract_graph": lambda: extract_graph(CONE, REEB),
     "build_identity_data": lambda: build_identity_data(CONE, REEB),
     "verify_global_identity": lambda: verify_global_identity(CONE, REEB),
+    "render_svg": lambda: render_svg(Document(cone=CONE, reeb=REEB), os.devnull),
 }
 
 
