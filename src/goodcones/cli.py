@@ -22,6 +22,7 @@ from .cone import (
     GoodCone,
     InvalidCone,
     face_invariants,
+    require_valid,
     validate,
 )
 from .euler import ChainDataError, verify_global_identity
@@ -96,6 +97,8 @@ def _load_document(path: str) -> Document:
 
 def _need_reeb(doc: Document):
     if doc.reeb is None:
+        # A non-good cone is reported first (exit 1), as the operation would.
+        require_valid(doc.cone)
         raise UsageError("this operation needs a document with a 'reeb' field")
     return doc.reeb
 
@@ -259,7 +262,7 @@ def catalog_get(store: str, digest: str) -> dict:
 
 
 def _cmd_validate(args) -> int:
-    doc = document_from_json(_load_json(args.file), revalidate=False)
+    doc = _load_document(args.file)
     report = validate(doc.cone)
     _emit(
         {
@@ -272,6 +275,7 @@ def _cmd_validate(args) -> int:
 
 def _cmd_invariants(args) -> int:
     doc = _load_document(args.file)
+    require_valid(doc.cone)
     inv = face_invariants(doc.cone, args.face)
     _emit(
         {
@@ -358,7 +362,7 @@ def _cmd_blowdown(args) -> int:
 def _cmd_plan(args) -> int:
     doc = _load_document(args.file)
     keep = [int(x) for x in args.keep.split(",")]
-    plan = plan_blowdown_sequence(doc.cone, keep, box=args.box)
+    plan = plan_blowdown_sequence(doc.cone, keep)
     final = replay(plan, doc.cone)
     _emit({"steps": plan.to_json(), "final": cone_to_json(final)})
     return 0
@@ -410,6 +414,7 @@ def _cmd_catalog(args) -> int:
         if not args.file:
             raise UsageError("catalog add needs a document file")
         doc = _load_document(args.file)
+        require_valid(doc.cone)
         digest = catalog_add(args.store, doc)
         _emit({"hash": digest})
         return 0
@@ -470,7 +475,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("plan", help="blow-down plan keeping the given faces")
     p.add_argument("file")
     p.add_argument("--keep", required=True, help="comma-separated face indices")
-    p.add_argument("--box", type=int, default=64)
     p.set_defaults(func=_cmd_plan)
 
     p = sub.add_parser("construct", help="generate a constructive family")

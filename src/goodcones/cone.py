@@ -70,9 +70,6 @@ class GoodCone:
     def normal(self, i: int) -> Vec3:
         return self.normals[i % len(self.normals)]
 
-    def replace_normals(self, normals) -> "GoodCone":
-        return GoodCone(tuple(normals))
-
 
 def load_cone(normals) -> GoodCone:
     """Build a GoodCone from raw normal lists, enforcing primitivity and the

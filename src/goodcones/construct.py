@@ -90,7 +90,11 @@ def obstructed_family(
     return cone, reeb
 
 
-def close_chain_normals(chain: Sequence[Vec3], max_steps: int = 1 << 20) -> Vec3:
+# Last drift step of the closing-normal search: steps 0..64, then doubling.
+_MAX_DRIFT_STEPS = 1 << 20
+
+
+def close_chain_normals(chain: Sequence[Vec3]) -> Vec3:
     """Closing normal for the chain (first, ..., last): satisfies
     det3(last, t, m^j) > 0 for all j < last and det3(t, first, m^j) > 0 for
     all j > first, with Delzant pairs (last, t) and (t, first) guaranteed by
@@ -120,7 +124,7 @@ def close_chain_normals(chain: Sequence[Vec3], max_steps: int = 1 << 20) -> Vec3
         return True
 
     s = 0
-    while s <= max_steps:
+    while s <= _MAX_DRIFT_STEPS:
         base = vec_add(t0, vec_scale(s, drift))
         for j1 in range(-3, 4):
             for j2 in range(-3, 4):
@@ -129,8 +133,7 @@ def close_chain_normals(chain: Sequence[Vec3], max_steps: int = 1 << 20) -> Vec3
                     return cand
         s = s + 1 if s < 64 else s * 2
     raise SearchExhausted(
-        f"no closing normal found within {max_steps} translation steps "
-        "(the construction guarantees existence; raise the bound)"
+        f"no closing normal found within {_MAX_DRIFT_STEPS} translation steps"
     )
 
 

@@ -140,6 +140,18 @@ class QuadNumber:
             return 1 if lhs > rhs else -1
         return 1 if rhs > lhs else -1
 
+    def __floor__(self) -> int:
+        """Exact floor: with a common denominator D, a + b*sqrt(d) is
+        (A + B*sqrt(d)) / D, and floor(N / D) = floor(floor(N) / D) for an
+        integer D > 0.  B*sqrt(d) is irrational unless B = 0, so its floor
+        is isqrt(B^2 d) for B >= 0 and -isqrt(B^2 d) - 1 for B < 0."""
+        den = math.lcm(self.rat.denominator, self.irr.denominator)
+        a, b = int(self.rat * den), int(self.irr * den)
+        root = math.isqrt(b * b * self.d)
+        if b < 0:
+            root = -root - 1
+        return (a + root) // den
+
     def __eq__(self, other):
         o = self._coerce(other)
         if o is NotImplemented:
@@ -175,12 +187,6 @@ def quad(rat, irr=0, d: int = DEFAULT_DISCRIMINANT) -> QuadNumber:
     return QuadNumber(Fraction(rat), Fraction(irr), d)
 
 
-def sign_of(x: Scalar) -> int:
-    if isinstance(x, QuadNumber):
-        return x.sign()
-    return (x > 0) - (x < 0)
-
-
 # ---------------------------------------------------------------------------
 # Vectors in Z^3 (plain tuples), and over Q / Q(sqrt(d)).
 # ---------------------------------------------------------------------------
@@ -192,10 +198,6 @@ def vec_add(u: Vec3, v: Vec3) -> Vec3:
 
 def vec_sub(u: Vec3, v: Vec3) -> Vec3:
     return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
-def vec_neg(u: Vec3) -> Vec3:
-    return (-u[0], -u[1], -u[2])
 
 
 def vec_scale(c: Scalar, u: Vec3) -> Vec3:
@@ -402,10 +404,6 @@ def mat_vec(a: Mat3, v: Vec3) -> Vec3:
     return tuple(sum(a[i][k] * v[k] for k in range(3)) for i in range(3))
 
 
-def mat_transpose(a: Mat3) -> Mat3:
-    return tuple(zip(*a))
-
-
 def mat_adjugate(m: Mat3) -> Mat3:
     cof = [[0] * 3 for _ in range(3)]
     for i in range(3):
@@ -426,10 +424,6 @@ def mat_inverse_unimodular(m: Mat3) -> Mat3:
     if d == 1:
         return adj
     return tuple(tuple(-x for x in row) for row in adj)
-
-
-def is_unimodular(m: Mat3) -> bool:
-    return mat_det(m) in (1, -1)
 
 
 # ---------------------------------------------------------------------------

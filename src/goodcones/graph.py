@@ -33,6 +33,8 @@ from .exactnum import (
 from .reeb import (
     ReebVector,
     _arc_data,
+    _pair,
+    _polygon,
     _profile_of,
     lie_g_coords,
     reeb_lie_g_coords,
@@ -535,31 +537,23 @@ def germ_profile(germ: GermOfChain):
         raise GraphAssemblyError("germ ends must be flat (v0 . n = 0)")
     if any(x == 0 for x in k[1:-1]):
         raise GraphAssemblyError("germ interior must not contain flats")
-    u1, u2 = profile.lieG_basis
-
-    def moment_point(face_a: int, face_b: int):
+    # The two end edge rays, oriented so that R pairs positively with them.
+    ends = []
+    for face_a, face_b in ((0, 1), (len(k) - 2, len(k) - 1)):
         ray = cross_primitive(germ.normals[face_a], germ.normals[face_b])
-        rq = tuple(QuadNumber(R.p[j], R.q[j], R.d) for j in range(3))
-        t = sum(rq[j] * ray[j] for j in range(3))
-        if t.sign() < 0:
-            ray = tuple(-x for x in ray)
-            t = -t
-        if t.sign() == 0:
+        pairing = _pair(R, ray).sign()
+        if pairing == 0:
             raise GraphAssemblyError("Reeb pairs degenerately with a germ edge")
-        inv = t.inverse()
-        point = tuple(inv * c for c in ray)
-        return (
-            sum(point[j] * u1[j] for j in range(3)),
-            sum(point[j] * u2[j] for j in range(3)),
-        )
-
+        ends.append(ray if pairing > 0 else tuple(-x for x in ray))
+    u1, u2 = profile.lieG_basis
+    moment = [(dot(p, u1), dot(p, u2)) for p in _polygon(R, ends).vertices]
     return {
         "profile": profile,
         "v0": profile.v0,
         "k": k,
         "basis": profile.lieG_basis,
-        "moment_min": moment_point(0, 1),
-        "moment_max": moment_point(len(k) - 2, len(k) - 1),
+        "moment_min": moment[0],
+        "moment_max": moment[1],
     }
 
 

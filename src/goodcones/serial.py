@@ -9,7 +9,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
-from .cone import GoodCone, load_cone, validate
+from .cone import GoodCone, load_cone
 from .exactnum import QuadNumber
 from .graph import EdgeItem, FatVertex, IsotropyGraph, canonical_form
 from .reeb import ReebVector
@@ -33,10 +33,6 @@ def parse_frac(value) -> Fraction:
 
 def quad_to_json(x: QuadNumber) -> dict:
     return {"rat": frac_str(x.rat), "irr": frac_str(x.irr), "d": x.d}
-
-
-def quad_from_json(obj) -> QuadNumber:
-    return QuadNumber(parse_frac(obj["rat"]), parse_frac(obj["irr"]), int(obj["d"]))
 
 
 def cone_to_json(cone: GoodCone) -> dict:
@@ -78,7 +74,9 @@ def document_to_json(doc: Document) -> dict:
     return out
 
 
-def document_from_json(obj, revalidate: bool = True) -> Document:
+def document_from_json(obj) -> Document:
+    """Deserialize a document or a bare cone file.  The cone is not checked
+    for goodness here; the operation that uses it validates it."""
     if "normals" in obj:  # bare cone file
         cone = cone_from_json(obj)
         reeb = None
@@ -87,10 +85,6 @@ def document_from_json(obj, revalidate: bool = True) -> Document:
         cone = cone_from_json(obj["cone"])
         reeb = reeb_from_json(obj["reeb"]) if obj.get("reeb") else None
         meta = dict(obj.get("metadata", {}))
-    if revalidate:
-        report = validate(cone)
-        if not report.is_good:
-            raise DocumentError(f"document cone is not good: {report.failures[:4]}")
     return Document(cone=cone, reeb=reeb, metadata=meta)
 
 

@@ -186,6 +186,10 @@ def replace_range(cone: GoodCone, rng: Sequence[int], t: Vec3) -> GoodCone:
 # ---------------------------------------------------------------------------
 
 
+# Max-norm radius of the lattice box that follows the prime construction.
+BLOWDOWN_BOX = 64
+
+
 def _theta_member(n_prev: Vec3, n_i: Vec3, n_next: Vec3, t: Vec3) -> bool:
     return (
         det3(n_prev, n_i, t) > 0
@@ -202,19 +206,16 @@ def _primitive_or_none(v: Vec3) -> Optional[Vec3]:
 
 
 def _blowdown_candidates(
-    cone: GoodCone,
-    i: int,
-    constraint: Optional[Tuple[Vec3, int]],
-    box: int,
-    extra_delzant: Sequence[Vec3],
+    cone: GoodCone, i: int, constraint: Optional[Tuple[Vec3, int]]
 ) -> Iterator[Vec3]:
     """Admissible blow-down normals for face i, prime construction first,
-    then a deterministic expanding box (combinations of the local normals,
-    or the constraint's affine lattice slice)."""
+    then a deterministic expanding box of radius up to BLOWDOWN_BOX
+    (combinations of the local normals, or the constraint's affine lattice
+    slice)."""
     k = len(cone)
     i %= k
     n_prev, n_i, n_next = cone.normal(i - 1), cone.normal(i), cone.normal(i + 1)
-    pairs = [n_prev, n_next, *extra_delzant]
+    pairs = [n_prev, n_next]
 
     def admissible(t: Optional[Vec3]) -> bool:
         if t is None or t == (0, 0, 0) or not is_primitive(t):
@@ -237,7 +238,7 @@ def _blowdown_candidates(
         t = _prime_construction(cone, i, admissible)
         if emit(t):
             yield t
-        for radius in range(1, box + 1):
+        for radius in range(1, BLOWDOWN_BOX + 1):
             for s1 in range(-radius, radius + 1):
                 for s2 in range(-radius, radius + 1):
                     for s3 in range(-radius, radius + 1):
@@ -258,7 +259,7 @@ def _blowdown_candidates(
     v0, value = constraint
     t0 = vec_scale(value, solve_dot_one(v0)) if value != 0 else (0, 0, 0)
     u1, u2 = plane_lattice_basis(v0)
-    for radius in range(0, box + 1):
+    for radius in range(0, BLOWDOWN_BOX + 1):
         for a in range(-radius, radius + 1):
             for b in range(-radius, radius + 1):
                 if max(abs(a), abs(b)) != radius:
@@ -325,16 +326,13 @@ def find_blowdown_normal(
     cone: GoodCone,
     i: int,
     constraint: Optional[Tuple[Vec3, int]] = None,
-    box: int = 64,
-    extra_delzant: Sequence[Vec3] = (),
 ) -> Optional[Vec3]:
     """Primitive t in the open cone Theta(i) = {det3(n^{i-1}, n^i, .) > 0,
     det3(n^i, n^{i+1}, .) > 0, det3(n^{i-1}, n^{i+1}, .) < 0}, Delzant-paired
-    with n^{i-1} and n^{i+1} (and any extra vectors); optionally restricted
-    to the affine slice v0 . t = value.  None when the bounded search is
-    exhausted."""
+    with n^{i-1} and n^{i+1}; optionally restricted to the affine slice
+    v0 . t = value.  None when the bounded search is exhausted."""
     require_valid(cone)
-    for t in _blowdown_candidates(cone, i, constraint, box, extra_delzant):
+    for t in _blowdown_candidates(cone, i, constraint):
         return t
     return None
 
@@ -385,9 +383,7 @@ def replay(plan: SurgeryPlan, cone: GoodCone) -> GoodCone:
     return cone
 
 
-def plan_blowdown_sequence(
-    cone: GoodCone, keep: Sequence[int], box: int = 64
-) -> SurgeryPlan:
+def plan_blowdown_sequence(cone: GoodCone, keep: Sequence[int]) -> SurgeryPlan:
     """Reduce the contiguous complement of `keep` to a single face by
     alternating lens blow-downs (replace the run's head by a fresh normal)
     and orbit blow-downs (delete the next face of the run), peeling from the
@@ -414,7 +410,7 @@ def plan_blowdown_sequence(
     while len(run) >= 2:
         f = current.normals.index(run[0])
         placed = False
-        for t in _blowdown_candidates(current, f, None, box, ()):
+        for t in _blowdown_candidates(current, f, None):
             try:
                 c1 = replace_range(current, [f], t)
             except SurgeryRejected:
@@ -446,7 +442,7 @@ def plan_blowdown_sequence(
             break
         if not placed:
             raise PlanningError(
-                f"no blow-down normal reduces the run at face {f} within box {box}"
+                f"no blow-down normal reduces the run at face {f} within box {BLOWDOWN_BOX}"
             )
     return SurgeryPlan(steps=tuple(steps))
 
@@ -475,14 +471,20 @@ def solve_local_blowup(
     m1: int,
     m2: int,
     radius_sq_inv: Fraction,
-    height_bound: int = 4096,
 ) -> LocalBlowupSolution:
     """Cutting data for a blow-up along a 1-dimensional minimal orbit with
     isotropy weights (m1, m2): radii r_i = l m_i with l = lam1 - (u/v) lam0,
     u/v rational of minimal height with gcd(v, m1) = gcd(v, m2) = 1 and both
     radii above the bound.  The S^1 weights come out as a0 = v, a1 = u m1,
     a2 = u m2, which satisfy gcd(a0, a1) = gcd(a0, a2) = 1 (free action) and
-    a1 m2 - a2 m1 = 0 (the new extreme is 3-dimensional)."""
+    a1 m2 - a2 m1 = 0 (the new extreme is 3-dimensional).
+
+    Closed form.  For a bound B > 0 the feasible x = u/v satisfy
+    sigma l > c with sigma = sign(m1) = sign(m2) and c = B / min|m_i|, an
+    open half-line of x with end xi = (lam1 - sigma c) / lam0.  Opposite-sign
+    weights leave it empty.  A fraction of height h on a half-line puts the
+    integer +-h on it too, so the least height is reached at v = 1; among
+    equal heights the order is u = -h before u = h (and -1, 0, 1 at h = 1)."""
     if lam0.is_zero():
         raise ValueError("lam0 must be nonzero")
     ratio = lam1 / lam0
@@ -491,29 +493,27 @@ def solve_local_blowup(
     if m1 == 0 or m2 == 0 or math.gcd(abs(m1), abs(m2)) != 1:
         raise ValueError("weights must be nonzero coprime integers")
     bound = Fraction(radius_sq_inv)
-    for h in range(1, height_bound + 1):
-        for v in range(1, h + 1):
-            if math.gcd(v, abs(m1)) != 1 or math.gcd(v, abs(m2)) != 1:
-                continue
-            us = range(-h, h + 1) if v == h else (-h, h)
-            for u in us:
-                if max(abs(u), v) != h:
-                    continue
-                if math.gcd(abs(u), v) != 1:
-                    continue
-                l = lam1 - Fraction(u, v) * lam0
-                r1 = l * m1
-                r2 = l * m2
-                if (r1 - bound).sign() > 0 and (r2 - bound).sign() > 0:
-                    a0, a1, a2 = v, u * m1, u * m2
-                    assert math.gcd(a0, abs(a1)) == 1 and math.gcd(a0, abs(a2)) == 1
-                    assert a1 * m2 - a2 * m1 == 0
-                    return LocalBlowupSolution(
-                        l=l, u=u, v=v, r1=r1, r2=r2, a0=a0, a1=a1, a2=a2
-                    )
-    raise SearchExhausted(
-        f"no admissible u/v below height {height_bound} with radii above {bound}"
-    )
+    if bound <= 0:
+        raise ValueError(f"radius_sq_inv must be positive, got {bound}")
+    if (m1 > 0) != (m2 > 0):
+        raise SearchExhausted(
+            f"weights {m1}, {m2} have opposite signs: no u/v puts both radii above {bound}"
+        )
+    sigma = 1 if m1 > 0 else -1
+    xi = (lam1 - sigma * (bound / min(abs(m1), abs(m2)))) / lam0
+    if (sigma * lam0).sign() > 0:  # x < xi
+        u = min(-1, -math.floor(-xi) - 1)
+    else:  # x > xi
+        u = max(-1, math.floor(xi) + 1)
+    v = 1
+    l = lam1 - u * lam0
+    r1 = l * m1
+    r2 = l * m2
+    assert (r1 - bound).sign() > 0 and (r2 - bound).sign() > 0
+    a0, a1, a2 = v, u * m1, u * m2
+    assert math.gcd(a0, abs(a1)) == 1 and math.gcd(a0, abs(a2)) == 1
+    assert a1 * m2 - a2 * m1 == 0
+    return LocalBlowupSolution(l=l, u=u, v=v, r1=r1, r2=r2, a0=a0, a1=a1, a2=a2)
 
 
 def can_blowdown_by_multiplicities(

@@ -84,6 +84,25 @@ def test_blowup_and_plan(capsys, tmp_path):
     assert len(out["final"]["normals"]) == 4
 
 
+def test_plan_box_option_is_gone(capsys, doc_path):
+    code = run(["plan", doc_path, "--keep", "0,3,4", "--box", "8"])
+    capsys.readouterr()
+    assert code == 2
+
+
+def test_non_good_document_exits_1(capsys, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"normals": [[1, 0, 0], [0, 1, 0], [1, 1, 0]]}))
+    code = run(["invariants", str(bad), "--face", "1"])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+    assert "not good" in json.loads(captured.err)["error"]
+    # a bare non-good cone is reported as non-good, not as missing a reeb
+    code = run(["profile", str(bad)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == ""
+
+
 def test_construct_and_close(capsys, tmp_path):
     code, out = run_json(capsys, ["construct", "--family", "example", "--k", "2"])
     assert code == 0

@@ -228,6 +228,27 @@ def test_quadnumber_sign_against_high_precision():
         assert x.sign() == expected
 
 
+def test_quadnumber_floor_examples():
+    assert math.floor(quad(0, 1)) == 1
+    assert math.floor(quad(0, -1)) == -2
+    assert math.floor(quad(1, -1)) == -1
+    assert math.floor(quad(Fraction(-7, 2))) == -4
+    assert math.floor(quad(3)) == 3
+    assert math.floor(quad(Fraction(1, 3), Fraction(-1, 6), 7)) == -1
+
+
+def test_quadnumber_floor_against_exact_sign(rnd):
+    # n = floor(x) exactly when x - n >= 0 and x - (n + 1) < 0
+    for _ in range(5000):
+        d = rnd.choice((2, 3, 5, 7, 11))
+        rat = Fraction(rnd.randint(-10**6, 10**6), rnd.randint(1, 97))
+        irr = Fraction(rnd.randint(-500, 500), rnd.randint(1, 97))
+        x = QuadNumber(rat, irr if rnd.random() < 0.9 else 0, d)
+        n = math.floor(x)
+        assert isinstance(n, int)
+        assert (x - n).sign() >= 0 and (x - (n + 1)).sign() < 0
+
+
 def test_quadnumber_discriminants_do_not_mix():
     with pytest.raises(TypeError):
         quad(1, 1, 2) + quad(1, 1, 3)

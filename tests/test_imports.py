@@ -1,9 +1,13 @@
-"""Every module-level import in the package and the test suite is used.
+"""Every module-level import in the package and the test suite is used, and
+every module-level function or class of the package is referenced.
 
 A stdlib `ast` scan: a name bound by a top-level `import` or `from ...
 import` must be read somewhere in the same module.  The package
 `__init__.py` is exempt, since its imports are re-exports listed in
-`__all__`, as is `from __future__ import annotations`."""
+`__all__`, as is `from __future__ import annotations`.  A top-level `def`
+or `class` of the package must be read (as a name or an attribute)
+somewhere in the package or the test suite outside its own definition;
+a re-export in `__init__.py` does not count."""
 
 import ast
 from pathlib import Path
@@ -12,9 +16,10 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 EXEMPT = {ROOT / "src" / "goodcones" / "__init__.py"}
+PACKAGE = ROOT / "src" / "goodcones"
 MODULES = sorted(
     p
-    for d in (ROOT / "src" / "goodcones", ROOT / "tests")
+    for d in (PACKAGE, ROOT / "tests")
     for p in d.glob("*.py")
     if p not in EXEMPT
 )
@@ -42,3 +47,49 @@ def test_no_unused_module_imports(path):
 def test_scan_flags_unused_and_accepts_used():
     src = "from __future__ import annotations\nimport os\nimport math\nx = math.pi\n"
     assert unused_imports(src) == [(2, "os")]
+
+
+def _names_read(node):
+    return {
+        n.id if isinstance(n, ast.Name) else n.attr
+        for n in ast.walk(node)
+        if isinstance(n, (ast.Name, ast.Attribute))
+    }
+
+
+def unreferenced_definitions(package, others):
+    """(module, name) of each top-level def/class in the `package` sources
+    that no code reads outside its own definition; `others` are further
+    sources whose reads count.  Both map a module name to its source."""
+    trees = {m: ast.parse(src) for m, src in {**others, **package}.items()}
+    # Names read by each top-level statement, and by each whole module.
+    per_stmt = {m: [_names_read(n) for n in t.body] for m, t in trees.items()}
+    whole = {m: set().union(*stmts) for m, stmts in per_stmt.items()}
+    found = []
+    for m in package:
+        for pos, node in enumerate(trees[m].body):
+            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                continue
+            elsewhere = any(node.name in w for o, w in whole.items() if o != m)
+            in_module = any(
+                node.name in names for j, names in enumerate(per_stmt[m]) if j != pos
+            )
+            if not (elsewhere or in_module):
+                found.append((m, node.name))
+    return found
+
+
+def test_no_unreferenced_package_definitions():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in MODULES}
+    package = {m: s for m, s in sources.items() if m.startswith("src")}
+    others = {m: s for m, s in sources.items() if m not in package}
+    assert unreferenced_definitions(package, others) == []
+
+
+def test_definition_scan_flags_unreferenced():
+    package = {
+        "a": "def used():\n    pass\n\ndef lonely():\n    return lonely()\n",
+        "b": "class Kept:\n    pass\n\nx = Kept\n",
+    }
+    others = {"t": "import a\na.used()\n"}
+    assert unreferenced_definitions(package, others) == [("a", "lonely")]

@@ -6,6 +6,7 @@ import pytest
 from goodcones.cone import GoodCone, load_cone, validate
 from goodcones.construct import example_family
 from goodcones.exactnum import (
+    SearchExhausted,
     content,
     cross,
     det3,
@@ -218,7 +219,7 @@ def test_find_blowdown_normal_exhaustion():
     # the constrained slice search reports emptiness on the full family
     cone, reeb = example_family(2)
     prof = isotropy_profile(cone, reeb)
-    assert find_blowdown_normal(cone, 1, constraint=(prof.v0, 1), box=12) is None
+    assert find_blowdown_normal(cone, 1, constraint=(prof.v0, 1)) is None
 
 
 def test_plan_empty_when_keep_all():
@@ -277,11 +278,75 @@ def test_solve_local_blowup_errors():
         solve_local_blowup(quad(1), quad(2), 1, 1, Fraction(1))  # rank 1
     with pytest.raises(ValueError):
         solve_local_blowup(quad(1), quad(0, 1), 2, 4, Fraction(1))  # not coprime
-    from goodcones.exactnum import SearchExhausted
-
+    for bound in (Fraction(0), Fraction(-3, 2)):
+        with pytest.raises(ValueError):
+            solve_local_blowup(quad(1), quad(0, 1), 1, 1, bound)
     with pytest.raises(SearchExhausted):
         # opposite-sign weights cannot both clear a positive bound
-        solve_local_blowup(quad(1), quad(0, 1), 1, -1, Fraction(1), height_bound=40)
+        solve_local_blowup(quad(1), quad(0, 1), 1, -1, Fraction(1))
+
+
+SCAN_HEIGHT = 20
+
+
+def _farey_scan(lam0, lam1, m1, m2, bound):
+    """The former solver: u/v in lowest terms with v prime to m1 and m2, by
+    increasing height max(|u|, v), v ascending, u = -h before u = h; the
+    first with both radii above the bound, or None up to SCAN_HEIGHT."""
+    for h in range(1, SCAN_HEIGHT + 1):
+        for v in range(1, h + 1):
+            if math.gcd(v, abs(m1)) != 1 or math.gcd(v, abs(m2)) != 1:
+                continue
+            us = range(-h, h + 1) if v == h else (-h, h)
+            for u in us:
+                if max(abs(u), v) != h or math.gcd(abs(u), v) != 1:
+                    continue
+                l = lam1 - Fraction(u, v) * lam0
+                if (l * m1 - bound).sign() > 0 and (l * m2 - bound).sign() > 0:
+                    return u, v
+    return None
+
+
+def test_solve_local_blowup_matches_farey_scan(rnd):
+    compared = 0
+    for _ in range(1200):
+        d = rnd.choice((2, 3, 5, 7))
+        while True:
+            lam0 = quad(rnd.randint(-6, 6), rnd.randint(-6, 6), d)
+            lam1 = quad(rnd.randint(-6, 6), rnd.randint(-6, 6), d)
+            if not lam0.is_zero() and not (lam1 / lam0).is_rational():
+                break
+        while True:
+            m1, m2 = rnd.randint(1, 9), rnd.randint(1, 9)
+            if math.gcd(m1, m2) == 1:
+                break
+        if rnd.random() < 0.5:
+            m1, m2 = -m1, -m2
+        bound = Fraction(rnd.randint(1, 40), rnd.randint(1, 4))
+        sol = solve_local_blowup(lam0, lam1, m1, m2, bound)
+        expected = _farey_scan(lam0, lam1, m1, m2, bound)
+        if expected is None:
+            assert max(abs(sol.u), sol.v) > SCAN_HEIGHT
+        else:
+            assert (sol.u, sol.v) == expected
+            compared += 1
+        u, v = sol.u, sol.v
+        assert v >= 1 and math.gcd(abs(u), v) == 1
+        assert sol.l == lam1 - Fraction(u, v) * lam0
+        assert (sol.r1, sol.r2) == (sol.l * m1, sol.l * m2)
+        assert (sol.r1 - bound).sign() > 0 and (sol.r2 - bound).sign() > 0
+        assert (sol.a0, sol.a1, sol.a2) == (v, u * m1, u * m2)
+    assert compared >= 1000
+
+
+def test_solve_local_blowup_far_heights():
+    # the answer lies far beyond any scan height, and is still minimal
+    lam0, lam1 = quad(-3, 2, 2), quad(0, 1, 2)  # lam0 = 2 sqrt2 - 3 < 0
+    sol = solve_local_blowup(lam0, lam1, 1, 1, Fraction(10**6))
+    assert sol.v == 1 and sol.u > 10**6
+    for u in (sol.u, sol.u - 1):
+        l = lam1 - u * lam0
+        assert ((l - 10**6).sign() > 0) == (u == sol.u)
 
 
 def test_can_blowdown_by_multiplicities_table():

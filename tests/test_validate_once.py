@@ -1,13 +1,16 @@
-"""Each public entry of the Reeb, Euler and graph layers, and the CLI's SVG
-renderer, validates its cone exactly once and hands what it computed to
-unchecked helpers."""
+"""Each public entry of the Reeb, Euler and graph layers, the CLI's SVG
+renderer and the CLI commands that read a document validate the cone
+exactly once and hand what they computed to unchecked helpers."""
 
+import json
 import os
 
 import pytest
 
+import goodcones.cli
 import goodcones.cone
-from goodcones.cli import render_svg
+import goodcones.serial
+from goodcones.cli import render_svg, run
 from goodcones.construct import example_family
 from goodcones.euler import build_identity_data, verify_global_identity
 from goodcones.graph import extract_graph
@@ -20,7 +23,7 @@ from goodcones.reeb import (
     moment_polygon,
     width_of_flat_face,
 )
-from goodcones.serial import Document
+from goodcones.serial import Document, document_to_json
 
 CONE, REEB = example_family(3)
 YBAR = choose_transverse_circle(CONE, REEB)
@@ -40,8 +43,16 @@ ENTRIES = {
 }
 
 
-@pytest.mark.parametrize("name", sorted(ENTRIES))
-def test_public_entry_validates_once(monkeypatch, name):
+CLI_COMMANDS = {
+    "profile": [],
+    "graph": [],
+    "euler-check": [],
+    "render": ["--out", os.devnull],
+}
+
+
+def count_validate(monkeypatch):
+    """Count `validate` calls through every module that binds it."""
     calls = []
     original = goodcones.cone.validate
 
@@ -49,6 +60,24 @@ def test_public_entry_validates_once(monkeypatch, name):
         calls.append(cone)
         return original(cone)
 
-    monkeypatch.setattr(goodcones.cone, "validate", counting)
+    for module in (goodcones.cone, goodcones.cli, goodcones.serial):
+        if hasattr(module, "validate"):
+            monkeypatch.setattr(module, "validate", counting)
+    return calls
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+def test_public_entry_validates_once(monkeypatch, name):
+    calls = count_validate(monkeypatch)
     ENTRIES[name]()
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("command", sorted(CLI_COMMANDS))
+def test_cli_command_validates_once(monkeypatch, tmp_path, capsys, command):
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(document_to_json(Document(cone=CONE, reeb=REEB))))
+    calls = count_validate(monkeypatch)
+    assert run([command, str(path), *CLI_COMMANDS[command]]) == 0
+    capsys.readouterr()
     assert len(calls) == 1
