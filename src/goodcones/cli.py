@@ -103,11 +103,16 @@ def _need_reeb(doc: Document):
     return doc.reeb
 
 
-def _parse_vec(text: str, length: int = 3):
+def _parse_vec(text: str, length: Optional[int] = 3):
+    """Comma-separated integers, exactly `length` of them unless it is None."""
     parts = text.split(",")
-    if len(parts) != length:
-        raise UsageError(f"expected {length} comma-separated integers, got {text!r}")
-    return tuple(int(x) for x in parts)
+    what = "comma-separated integers" if length is None else f"{length} comma-separated integers"
+    if length is not None and len(parts) != length:
+        raise UsageError(f"expected {what}, got {text!r}")
+    try:
+        return tuple(int(x) for x in parts)
+    except ValueError:
+        raise UsageError(f"expected {what}, got {text!r}") from None
 
 
 def _emit(obj) -> None:
@@ -361,8 +366,7 @@ def _cmd_blowdown(args) -> int:
 
 def _cmd_plan(args) -> int:
     doc = _load_document(args.file)
-    keep = [int(x) for x in args.keep.split(",")]
-    plan = plan_blowdown_sequence(doc.cone, keep)
+    plan = plan_blowdown_sequence(doc.cone, _parse_vec(args.keep, None))
     final = replay(plan, doc.cone)
     _emit({"steps": plan.to_json(), "final": cone_to_json(final)})
     return 0
@@ -386,6 +390,8 @@ def _cmd_construct(args) -> int:
 
 def _cmd_close(args) -> int:
     obj = _load_json(args.file)
+    if isinstance(obj, dict) and "normals" not in obj:
+        raise UsageError(f"{args.file} has no 'normals' field")
     normals = obj["normals"] if isinstance(obj, dict) else obj
     closing = construct.close_chain([tuple(n) for n in normals])
     closed = GoodCone(tuple(tuple(int(x) for x in n) for n in normals) + (closing,))

@@ -58,7 +58,11 @@ class GoodCone:
     normals: Tuple[Vec3, ...]
 
     def __post_init__(self):
-        normals = tuple(tuple(int(x) for x in n) for n in self.normals)
+        # tuple() of a list allocates once at the final length; tuple() of a
+        # generator resizes as it grows, and on this hot path (every surgery
+        # builds a cone) those resizes fragment the heap and peak RSS grows
+        # with the number of cones built.
+        normals = tuple([tuple([int(x) for x in n]) for n in self.normals])
         for n in normals:
             if not is_primitive(n):
                 raise DegenerateInput(f"normal {n} is not primitive")
@@ -129,7 +133,7 @@ def edge_ray(cone: GoodCone, i: int) -> Vec3:
 
 
 def edge_rays(cone: GoodCone) -> Tuple[Vec3, ...]:
-    return tuple(edge_ray(cone, i) for i in range(len(cone)))
+    return tuple([edge_ray(cone, i) for i in range(len(cone))])  # see GoodCone
 
 
 def face_invariants(cone: GoodCone, i: int) -> FaceInvariants:

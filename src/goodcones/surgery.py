@@ -2,11 +2,18 @@
 normal deletion, range replacement, blow-down normal search (Dirichlet
 prime construction with a bounded lattice fallback), blow-down planning,
 and the local blow-up parameter solver.
+
+Every public surgery validates its input cone once.  An edit of a good
+cone can only break the triples and pairs that contain a new normal or a
+new adjacent pair, so the result is checked on those alone, in O(k); the
+full O(k^2) `validate` runs only when that check fails, to report why.
+Plans validate their input once and chain the unchecked edits.
 """
 
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 import math
 from dataclasses import dataclass
@@ -19,6 +26,7 @@ from .exactnum import (
     QuadNumber,
     SearchExhausted,
     Vec3,
+    cross,
     delzant_witness,
     det3,
     dot,
@@ -29,6 +37,7 @@ from .exactnum import (
     mat_inverse_unimodular,
     mat_vec,
     plane_lattice_basis,
+    primitive_part,
     solve_dot_one,
     vec_add,
     vec_scale,
@@ -83,10 +92,15 @@ def cut(cone: GoodCone, spec: CutSpec) -> SurgeryResult:
     S = edges strictly cut (t . e < 0): a single edge is an orbit blow-up
     (insert t at that vertex, one more closed orbit); the two edges of one
     face and nothing else is a lens blow-up (replace that face's normal by
-    t, orbit count unchanged).  Anything else is rejected, as is any result
-    failing validation.
+    t, orbit count unchanged).  Anything else is rejected, as is a result
+    that is not good.  The input is validated once; the result is checked
+    locally in O(k) (see `_edited`).
     """
     require_valid(cone)
+    return _cut(cone, spec)
+
+
+def _cut(cone: GoodCone, spec: CutSpec) -> SurgeryResult:
     t = spec.t
     rays = edge_rays(cone)
     k = len(cone)
@@ -97,12 +111,12 @@ def cut(cone: GoodCone, spec: CutSpec) -> SurgeryResult:
         v = negative[0]
         normals = list(cone.normals)
         normals.insert(v + 1, t)
-        result = GoodCone(tuple(normals))
-        report = validate(result)
-        if not report.is_good:
-            raise SurgeryRejected(
-                f"orbit cut at vertex {v} yields a non-good cone", report
-            )
+        result = _edited(
+            normals,
+            [v + 1],
+            [v, v + 1],
+            f"orbit cut at vertex {v} yields a non-good cone",
+        )
         return SurgeryResult(cone=result, kind="orbit-blowup", index=v)
     if len(negative) == 2:
         a, b = negative
@@ -117,12 +131,12 @@ def cut(cone: GoodCone, spec: CutSpec) -> SurgeryResult:
             )
         normals = list(cone.normals)
         normals[face] = t
-        result = GoodCone(tuple(normals))
-        report = validate(result)
-        if not report.is_good:
-            raise SurgeryRejected(
-                f"lens cut at face {face} yields a non-good cone", report
-            )
+        result = _edited(
+            normals,
+            [face],
+            [face - 1, face],
+            f"lens cut at face {face} yields a non-good cone",
+        )
         return SurgeryResult(cone=result, kind="lens-blowup", index=face)
     raise SurgeryRejected(
         f"cut removes {len(negative)} edges ({negative}): not a modeled surgery"
@@ -132,22 +146,28 @@ def cut(cone: GoodCone, spec: CutSpec) -> SurgeryResult:
 def blowdown_delete(cone: GoodCone, i: int) -> GoodCone:
     """Remove normal i (inverse of an orbit blow-up).  Fails with the
     validation report when the remaining normals are not good, in particular
-    when (n^{i-1}, n^{i+1}) is not a Delzant pair."""
+    when (n^{i-1}, n^{i+1}) is not a Delzant pair.  The input is validated
+    once; the result is checked locally in O(k)."""
     require_valid(cone)
+    return _delete(cone, i)
+
+
+def _delete(cone: GoodCone, i: int) -> GoodCone:
     i %= len(cone)
     normals = [n for j, n in enumerate(cone.normals) if j != i]
-    result = GoodCone(tuple(normals))
-    report = validate(result)
-    if not report.is_good:
-        raise SurgeryRejected(f"cannot blow down face {i}", report)
-    return result
+    return _edited(normals, [], [i - 1], f"cannot blow down face {i}")
 
 
 def replace_range(cone: GoodCone, rng: Sequence[int], t: Vec3) -> GoodCone:
     """Replace a contiguous run of normals by the single normal t.  The new
     half-space must contain the old cone (t pairs >= 0 with every old edge
-    ray: attachment only enlarges), and the result must validate."""
+    ray: attachment only enlarges), and the result must be good.  The input
+    is validated once; the result is checked locally in O(k)."""
     require_valid(cone)
+    return _replace(cone, rng, t)
+
+
+def _replace(cone: GoodCone, rng: Sequence[int], t: Vec3) -> GoodCone:
     t = tuple(int(x) for x in t)
     if not is_primitive(t):
         raise DegenerateInput(f"replacement normal {t} is not primitive")
@@ -171,14 +191,58 @@ def replace_range(cone: GoodCone, rng: Sequence[int], t: Vec3) -> GoodCone:
     normals = []
     for j in range(k):
         if j == rng[0]:
+            pos = len(normals)
             normals.append(t)
         elif j not in rng_set:
             normals.append(cone.normals[j])
+    return _edited(
+        normals, [pos], [pos - 1, pos], f"replacement by {t} is not a good cone"
+    )
+
+
+def _edited(
+    normals: List[Vec3], fresh: Sequence[int], pairs: Sequence[int], message: str
+) -> GoodCone:
+    """The cone left by an edit of a good cone, or SurgeryRejected.
+
+    `fresh` are the positions of the inserted or replaced normals and
+    `pairs` the positions p of the new adjacent pairs (p, p+1).  Every
+    triple and pair of `validate` that contains neither is one of the good
+    input's, so only these are checked.  When the check fails, or fewer
+    than 3 normals remain, the full `validate` gives the report (or raises
+    DegenerateInput), exactly as validating the whole result would.
+    """
     result = GoodCone(tuple(normals))
+    if len(normals) >= 3 and _locally_good(result.normals, fresh, pairs):
+        return result
     report = validate(result)
-    if not report.is_good:
-        raise SurgeryRejected(f"replacement by {t} is not a good cone", report)
-    return result
+    assert not report.is_good
+    raise SurgeryRejected(message, report)
+
+
+def _locally_good(
+    normals: Sequence[Vec3], fresh: Sequence[int], pairs: Sequence[int]
+) -> bool:
+    """det3(n^p, n^{p+1}, n^j) > 0 for p in `pairs` and every other j,
+    det3(n^i, n^{i+1}, n^f) > 0 for every other pair i and f in `fresh`
+    (f not in the pair), and Delzant on each pair in `pairs`."""
+    m = len(normals)
+    new = {p % m for p in pairs}
+    for p in new:
+        q = (p + 1) % m
+        if not is_delzant_pair(normals[p], normals[q]):
+            return False
+        c = cross(normals[p], normals[q])
+        if any(dot(c, n) <= 0 for j, n in enumerate(normals) if j != p and j != q):
+            return False
+    for f in fresh:
+        for i in range(m):
+            q = (i + 1) % m
+            if i in new or f == i or f == q:
+                continue
+            if det3(normals[i], normals[q], normals[f]) <= 0:
+                return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -198,75 +262,104 @@ def _theta_member(n_prev: Vec3, n_i: Vec3, n_next: Vec3, t: Vec3) -> bool:
     )
 
 
-def _primitive_or_none(v: Vec3) -> Optional[Vec3]:
-    g = math.gcd(math.gcd(abs(v[0]), abs(v[1])), abs(v[2]))
-    if g == 0:
-        return None
-    return (v[0] // g, v[1] // g, v[2] // g)
-
-
 def _blowdown_candidates(
     cone: GoodCone, i: int, constraint: Optional[Tuple[Vec3, int]]
 ) -> Iterator[Vec3]:
     """Admissible blow-down normals for face i, prime construction first,
     then a deterministic expanding box of radius up to BLOWDOWN_BOX
     (combinations of the local normals, or the constraint's affine lattice
-    slice)."""
+    slice), scanning only the box points that lie in Theta(i).
+
+    With t = s1 n^{i-1} + s2 n^i + s3 n^{i+1} and D = det3(n^{i-1}, n^i,
+    n^{i+1}) > 0, the three Theta(i) determinants are s3 D, s1 D and -s2 D,
+    so Theta(i) is the open positive octant of (s1, s2, s3).  On the slice
+    t = t0 + a u1 + b u2 they are linear forms in (a, b)."""
     k = len(cone)
     i %= k
     n_prev, n_i, n_next = cone.normal(i - 1), cone.normal(i), cone.normal(i + 1)
-    pairs = [n_prev, n_next]
 
-    def admissible(t: Optional[Vec3]) -> bool:
-        if t is None or t == (0, 0, 0) or not is_primitive(t):
-            return False
-        if not _theta_member(n_prev, n_i, n_next, t):
-            return False
-        if constraint is not None and dot(constraint[0], t) != constraint[1]:
-            return False
-        return all(is_delzant_pair(p, t) for p in pairs)
-
-    seen = set()
-
-    def emit(t: Optional[Vec3]):
-        if t is not None and t not in seen and admissible(t):
-            seen.add(t)
-            return True
-        return False
+    def delzant(t: Vec3) -> bool:
+        return is_delzant_pair(n_prev, t) and is_delzant_pair(n_next, t)
 
     if constraint is None:
+
+        def admissible(t: Optional[Vec3]) -> bool:
+            if t is None or t == (0, 0, 0) or not is_primitive(t):
+                return False
+            return _theta_member(n_prev, n_i, n_next, t) and delzant(t)
+
+        seen = set()
         t = _prime_construction(cone, i, admissible)
-        if emit(t):
+        if t is not None:
+            seen.add(t)
             yield t
         for radius in range(1, BLOWDOWN_BOX + 1):
-            for s1 in range(-radius, radius + 1):
-                for s2 in range(-radius, radius + 1):
-                    for s3 in range(-radius, radius + 1):
-                        if max(abs(s1), abs(s2), abs(s3)) != radius:
-                            continue
-                        cand = _primitive_or_none(
+            for s1 in range(1, radius + 1):
+                for s2 in range(1, radius + 1):
+                    low = 1 if radius in (s1, s2) else radius
+                    for s3 in range(low, radius + 1):
+                        cand = primitive_part(
                             vec_add(
-                                vec_add(
-                                    vec_scale(s1, n_prev), vec_scale(s2, n_i)
-                                ),
+                                vec_add(vec_scale(s1, n_prev), vec_scale(s2, n_i)),
                                 vec_scale(s3, n_next),
                             )
                         )
-                        if emit(cand):
+                        if cand not in seen and delzant(cand):
+                            seen.add(cand)
                             yield cand
         return
 
     v0, value = constraint
     t0 = vec_scale(value, solve_dot_one(v0)) if value != 0 else (0, 0, 0)
     u1, u2 = plane_lattice_basis(v0)
-    for radius in range(0, BLOWDOWN_BOX + 1):
-        for a in range(-radius, radius + 1):
-            for b in range(-radius, radius + 1):
-                if max(abs(a), abs(b)) != radius:
-                    continue
-                cand = vec_add(t0, vec_add(vec_scale(a, u1), vec_scale(b, u2)))
-                if emit(cand):
-                    yield cand
+    forms = [
+        (sign * det3(p, q, t0), sign * det3(p, q, u1), sign * det3(p, q, u2))
+        for p, q, sign in ((n_prev, n_i, 1), (n_i, n_next, 1), (n_prev, n_next, -1))
+    ]
+    for a, b in _positive_square_points(forms, BLOWDOWN_BOX):
+        cand = vec_add(t0, vec_add(vec_scale(a, u1), vec_scale(b, u2)))
+        if is_primitive(cand) and delzant(cand):
+            yield cand
+
+
+def _positive_square_points(
+    forms: Sequence[Tuple[int, int, int]], radius: int
+) -> Iterator[Tuple[int, int]]:
+    """Lattice points (a, b) with max(|a|, |b|) <= radius on which every
+    form c + ca*a + cb*b is positive, shell by shell, each shell in
+    lexicographic order.  Each side of a shell fixes one coordinate, so its
+    points are an integer interval of the other; the four sorted sides
+    merge into the shell's order."""
+
+    def a_fixed(a: int, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
+        free = _positive_interval([(c + ca * a, cb) for c, ca, cb in forms], lo, hi)
+        return ((a, b) for b in free)
+
+    def b_fixed(b: int, lo: int, hi: int) -> Iterator[Tuple[int, int]]:
+        free = _positive_interval([(c + cb * b, ca) for c, ca, cb in forms], lo, hi)
+        return ((a, b) for a in free)
+
+    if all(c > 0 for c, _, _ in forms):
+        yield (0, 0)
+    for r in range(1, radius + 1):
+        yield from heapq.merge(
+            a_fixed(-r, -r, r),
+            b_fixed(-r, 1 - r, r - 1),
+            b_fixed(r, 1 - r, r - 1),
+            a_fixed(r, -r, r),
+        )
+
+
+def _positive_interval(forms: Sequence[Tuple[int, int]], lo: int, hi: int) -> range:
+    """The integers x in [lo, hi] with c + m*x > 0 for every (c, m)."""
+    for c, m in forms:
+        if m > 0:
+            lo = max(lo, -((c - 1) // m))
+        elif m < 0:
+            hi = min(hi, (c - 1) // -m)
+        elif c <= 0:
+            return range(0)
+    return range(lo, hi + 1)
 
 
 def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
@@ -361,26 +454,34 @@ class SurgeryPlan:
         ]
 
 
-def apply_plan_step(cone: GoodCone, step: PlanStep) -> GoodCone:
-    if cone_hash(cone) != step.pre:
-        raise PlanningError(f"pre-hash mismatch at step {step.op}", step)
-    if step.op == "delete":
-        result = blowdown_delete(cone, step.params["i"])
-    elif step.op == "replace":
-        result = replace_range(cone, step.params["range"], tuple(step.params["t"]))
-    elif step.op == "cut":
-        result = cut(cone, CutSpec(tuple(step.params["t"]))).cone
-    else:
-        raise PlanningError(f"unknown op {step.op}", step)
-    if cone_hash(result) != step.post:
-        raise PlanningError(f"post-hash mismatch at step {step.op}", step)
-    return result
-
-
 def replay(plan: SurgeryPlan, cone: GoodCone) -> GoodCone:
-    for step in plan.steps:
-        cone = apply_plan_step(cone, step)
+    """Apply the plan's steps to `cone`, verifying each step's pre- and
+    post-hash.  The cone is validated once, at the first step (after its
+    pre-hash and its op are checked); every later step starts from the
+    locally checked result of the one before."""
+    digest = cone_hash(cone)
+    for n, step in enumerate(plan.steps):
+        if digest != step.pre:
+            raise PlanningError(f"pre-hash mismatch at step {step.op}", step)
+        if step.op == "delete":
+            edit, args = _delete, (step.params["i"],)
+        elif step.op == "replace":
+            edit, args = _replace, (step.params["range"], tuple(step.params["t"]))
+        elif step.op == "cut":
+            edit, args = _cut_cone, (CutSpec(tuple(step.params["t"])),)
+        else:
+            raise PlanningError(f"unknown op {step.op}", step)
+        if n == 0:
+            require_valid(cone)
+        cone = edit(cone, *args)
+        digest = cone_hash(cone)
+        if digest != step.post:
+            raise PlanningError(f"post-hash mismatch at step {step.op}", step)
     return cone
+
+
+def _cut_cone(cone: GoodCone, spec: CutSpec) -> GoodCone:
+    return _cut(cone, spec).cone
 
 
 def plan_blowdown_sequence(cone: GoodCone, keep: Sequence[int]) -> SurgeryPlan:
@@ -388,7 +489,8 @@ def plan_blowdown_sequence(cone: GoodCone, keep: Sequence[int]) -> SurgeryPlan:
     alternating lens blow-downs (replace the run's head by a fresh normal)
     and orbit blow-downs (delete the next face of the run), peeling from the
     low end.  The final cone's normals are keep ∪ {one new closing normal}.
-    Every emitted step records pre/post hashes; replay verifies them."""
+    Every emitted step records pre/post hashes; replay verifies them.  The
+    input is validated once; each step's result is checked locally."""
     require_valid(cone)
     k = len(cone)
     keep_set = {x % k for x in keep}
@@ -406,37 +508,31 @@ def plan_blowdown_sequence(cone: GoodCone, keep: Sequence[int]) -> SurgeryPlan:
     run = [cone.normals[(starts[0] + off) % k] for off in range(len(removed))]
 
     steps: List[PlanStep] = []
-    current = cone
+    current, digest = cone, cone_hash(cone)
     while len(run) >= 2:
         f = current.normals.index(run[0])
         placed = False
         for t in _blowdown_candidates(current, f, None):
             try:
-                c1 = replace_range(current, [f], t)
+                c1 = _replace(current, [f], t)
             except SurgeryRejected:
                 continue
             idx = c1.normals.index(run[1])
             try:
-                c2 = blowdown_delete(c1, idx)
+                c2 = _delete(c1, idx)
             except SurgeryRejected:
                 continue
+            h1, h2 = cone_hash(c1), cone_hash(c2)
             steps.append(
                 PlanStep(
                     op="replace",
                     params={"range": [f], "t": list(t)},
-                    pre=cone_hash(current),
-                    post=cone_hash(c1),
+                    pre=digest,
+                    post=h1,
                 )
             )
-            steps.append(
-                PlanStep(
-                    op="delete",
-                    params={"i": idx},
-                    pre=cone_hash(c1),
-                    post=cone_hash(c2),
-                )
-            )
-            current = c2
+            steps.append(PlanStep(op="delete", params={"i": idx}, pre=h1, post=h2))
+            current, digest = c2, h2
             run = [t] + run[2:]
             placed = True
             break

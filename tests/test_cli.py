@@ -103,6 +103,31 @@ def test_non_good_document_exits_1(capsys, tmp_path):
     assert code == 1 and captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "option",
+    [
+        ["plan", "--keep", "a,b"],
+        ["plan", "--keep", "0,,4"],
+        ["blowup", "--t=1,x,1"],
+        ["euler-check", "--ybar", "1,2,1.5"],
+    ],
+)
+def test_malformed_integer_option_exits_2(capsys, doc_path, option):
+    code = run([option[0], doc_path, *option[1:]])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "comma-separated integers" in json.loads(captured.err)["error"]
+
+
+def test_close_without_normals_exits_2(capsys, tmp_path):
+    path = tmp_path / "cone.json"
+    path.write_text(json.dumps({"cone": 1}))
+    code = run(["close", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert "normals" in json.loads(captured.err)["error"]
+
+
 def test_construct_and_close(capsys, tmp_path):
     code, out = run_json(capsys, ["construct", "--family", "example", "--k", "2"])
     assert code == 0

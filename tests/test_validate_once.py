@@ -1,6 +1,7 @@
-"""Each public entry of the Reeb, Euler and graph layers, the CLI's SVG
-renderer and the CLI commands that read a document validate the cone
-exactly once and hand what they computed to unchecked helpers."""
+"""Each public entry of the Reeb, Euler, graph and surgery layers, the
+CLI's SVG renderer and the CLI commands that read a document validate the
+cone exactly once and hand what they computed to unchecked helpers.  A
+surgery that succeeds checks its result locally, without `validate`."""
 
 import json
 import os
@@ -10,6 +11,7 @@ import pytest
 import goodcones.cli
 import goodcones.cone
 import goodcones.serial
+import goodcones.surgery
 from goodcones.cli import render_svg, run
 from goodcones.construct import example_family
 from goodcones.euler import build_identity_data, verify_global_identity
@@ -24,9 +26,23 @@ from goodcones.reeb import (
     width_of_flat_face,
 )
 from goodcones.serial import Document, document_to_json
+from goodcones.surgery import (
+    CutSpec,
+    blowdown_delete,
+    cut,
+    find_blowdown_normal,
+    plan_blowdown_sequence,
+    replace_range,
+    replay,
+)
 
 CONE, REEB = example_family(3)
 YBAR = choose_transverse_circle(CONE, REEB)
+# An orbit cut at vertex 2 inserts (2, 5, 9) at position 3; the plan keeps
+# faces 0, 4, 5 and reduces the chain 1..3 in four steps.
+ORBIT_CUT = CutSpec((2, 5, 9))
+BLOWN_UP = cut(CONE, ORBIT_CUT).cone
+PLAN = plan_blowdown_sequence(CONE, [0, 4, 5])
 
 ENTRIES = {
     "isotropy_profile": lambda: isotropy_profile(CONE, REEB),
@@ -40,6 +56,12 @@ ENTRIES = {
     "build_identity_data": lambda: build_identity_data(CONE, REEB),
     "verify_global_identity": lambda: verify_global_identity(CONE, REEB),
     "render_svg": lambda: render_svg(Document(cone=CONE, reeb=REEB), os.devnull),
+    "cut": lambda: cut(CONE, ORBIT_CUT),
+    "blowdown_delete": lambda: blowdown_delete(BLOWN_UP, 3),
+    "replace_range": lambda: replace_range(CONE, [1], (3, 2, 4)),
+    "find_blowdown_normal": lambda: find_blowdown_normal(CONE, 1),
+    "plan_blowdown_sequence": lambda: plan_blowdown_sequence(CONE, [0, 4, 5]),
+    "replay": lambda: replay(PLAN, CONE),
 }
 
 
@@ -60,7 +82,7 @@ def count_validate(monkeypatch):
         calls.append(cone)
         return original(cone)
 
-    for module in (goodcones.cone, goodcones.cli, goodcones.serial):
+    for module in (goodcones.cone, goodcones.cli, goodcones.serial, goodcones.surgery):
         if hasattr(module, "validate"):
             monkeypatch.setattr(module, "validate", counting)
     return calls
