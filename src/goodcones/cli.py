@@ -54,10 +54,9 @@ from .surgery import (
     CutSpec,
     PlanningError,
     SurgeryRejected,
+    _planned,
     blowdown_delete,
     cut,
-    plan_blowdown_sequence,
-    replay,
 )
 
 DOMAIN_ERRORS = (
@@ -133,10 +132,10 @@ def render_svg(doc: Document, out_path: str) -> None:
     reeb = _need_reeb(doc)
     cone = doc.cone
     try:
-        rays, profile = _checked_profile(cone, reeb)
+        rays, profile, z = _checked_profile(cone, reeb)
     except InadmissibleReeb:
         raise InadmissibleReeb("reeb vector is not admissible for this cone") from None
-    poly = _polygon(reeb, rays)
+    poly = _polygon(z, rays)
     coords = [abs(float(c)) for c in reeb.coords()]
     drop = coords.index(max(coords))
     keep = [j for j in range(3) if j != drop]
@@ -366,8 +365,7 @@ def _cmd_blowdown(args) -> int:
 
 def _cmd_plan(args) -> int:
     doc = _load_document(args.file)
-    plan = plan_blowdown_sequence(doc.cone, _parse_vec(args.keep, None))
-    final = replay(plan, doc.cone)
+    plan, final = _planned(doc.cone, _parse_vec(args.keep, None))
     _emit({"steps": plan.to_json(), "final": cone_to_json(final)})
     return 0
 
@@ -388,13 +386,26 @@ def _cmd_construct(args) -> int:
     return 0
 
 
+def _parse_chain(normals, path: str):
+    """A chain is a JSON list of normals, each a list of three integers."""
+    if not isinstance(normals, list) or not all(
+        isinstance(n, list) and len(n) == 3 and all(type(x) is int for x in n)
+        for n in normals
+    ):
+        raise UsageError(f"{path}: 'normals' must be a list of integer triples")
+    return [tuple(n) for n in normals]
+
+
 def _cmd_close(args) -> int:
     obj = _load_json(args.file)
     if isinstance(obj, dict) and "normals" not in obj:
         raise UsageError(f"{args.file} has no 'normals' field")
-    normals = obj["normals"] if isinstance(obj, dict) else obj
-    closing = construct.close_chain([tuple(n) for n in normals])
-    closed = GoodCone(tuple(tuple(int(x) for x in n) for n in normals) + (closing,))
+    chain = _parse_chain(obj["normals"] if isinstance(obj, dict) else obj, args.file)
+    try:
+        closing = construct.close_chain(chain)
+    except construct.ChainError as exc:
+        raise UsageError(f"{args.file}: {exc}") from None
+    closed = GoodCone(tuple(chain) + (closing,))
     _emit({"closing": list(closing), "cone": cone_to_json(closed)})
     return 0
 
@@ -533,7 +544,15 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
 
 
 def main() -> None:
-    sys.exit(run())
+    try:
+        code = run()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # The reader closed stdout early (`goodcones ... | head`).  Point
+        # stdout at devnull so that the flush at exit cannot raise again.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        code = 1
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -17,10 +17,11 @@ from .exactnum import (
     DegenerateInput,
     Mat3,
     Vec3,
+    content,
+    cross,
     cross_primitive,
     delzant_witness,
     det3,
-    is_delzant_pair,
     is_primitive,
     mat_from_columns,
     mat_inverse_unimodular,
@@ -95,23 +96,25 @@ def validate(cone: GoodCone) -> ValidityReport:
     Zero determinants are reported as face-order failures (improper face
     structure), negative ones as convexity failures.
     """
-    k = len(cone)
+    normals = cone.normals
+    k = len(normals)
     if k < 3:
         raise DegenerateInput("a cone needs at least 3 normals")
     failures: List[Tuple[str, Tuple[int, ...]]] = []
+    delzant: List[Tuple[str, Tuple[int, ...]]] = []
     for i in range(k):
-        ni, ni1 = cone.normal(i), cone.normal(i + 1)
-        for j in range(k):
-            if j == i or j == (i + 1) % k:
-                continue
-            d = det3(ni, ni1, cone.normal(j))
-            if d == 0:
-                failures.append(("face-order", (i, j)))
-            elif d < 0:
-                failures.append(("convexity-det", (i, j)))
-    for i in range(k):
-        if not is_delzant_pair(cone.normal(i), cone.normal(i + 1)):
-            failures.append(("delzant-pair", (i,)))
+        i1 = (i + 1) % k
+        # det3(n^i, n^{i+1}, n^j) = c . n^j; it is 0 for j in (i, i+1).
+        c = cross(normals[i], normals[i1])
+        c0, c1, c2 = c
+        for j, (x, y, z) in enumerate(normals):
+            d = c0 * x + c1 * y + c2 * z
+            if d <= 0 and j != i and j != i1:
+                failures.append(("face-order" if d == 0 else "convexity-det", (i, j)))
+        # The pair extends to a Z-basis iff its 2x2 minors are coprime.
+        if content(c) != 1:
+            delzant.append(("delzant-pair", (i,)))
+    failures += delzant
     return ValidityReport(is_good=not failures, failures=tuple(failures))
 
 

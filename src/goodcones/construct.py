@@ -30,6 +30,10 @@ from .exactnum import (
 from .reeb import ReebVector, reeb_from_vectors
 
 
+class ChainError(ValueError):
+    """A chain of normals is too short or not positively convex."""
+
+
 def example_family(k: int, d: int = 2) -> Tuple[GoodCone, ReebVector]:
     """Normals n^i = (1, i, i^2 - i + 1) for 0 <= i <= k+1 closed by
     n^{k+2} = (1, 1, k+2), with the canonical Reeb n^0 + sqrt(d) n^{k+1}.
@@ -101,11 +105,11 @@ def close_chain_normals(chain: Sequence[Vec3]) -> Vec3:
     the slice construction."""
     chain = [tuple(int(x) for x in n) for n in chain]
     if len(chain) < 2:
-        raise ValueError("need at least two chain normals")
+        raise ChainError("need at least two chain normals")
     first, last = chain[0], chain[-1]
     for a, b, c in zip(chain, chain[1:], chain[2:]):
         if det3(a, b, c) <= 0:
-            raise ValueError(f"chain triple {a},{b},{c} is not positively convex")
+            raise ChainError(f"chain triple {a},{b},{c} is not positively convex")
     v0 = cross_primitive(first, last)
     t0 = solve_dot_one(v0)
     u1, u2 = plane_lattice_basis(v0)

@@ -41,7 +41,7 @@ class QuadNumber:
     """Element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
     d is a square-free integer >= 2, fixed per value; mixing discriminants
-    raises TypeError.  Sign decisions compare a^2 against d*b^2 exactly.
+    raises TypeError.  Signs are decided by `quad_sign` on integers.
     """
 
     rat: Fraction
@@ -49,8 +49,10 @@ class QuadNumber:
     d: int = DEFAULT_DISCRIMINANT
 
     def __post_init__(self):
-        object.__setattr__(self, "rat", Fraction(self.rat))
-        object.__setattr__(self, "irr", Fraction(self.irr))
+        if not isinstance(self.rat, Fraction):
+            object.__setattr__(self, "rat", Fraction(self.rat))
+        if not isinstance(self.irr, Fraction):
+            object.__setattr__(self, "irr", Fraction(self.irr))
         if not _is_square_free(self.d):
             raise ValueError(f"discriminant must be square-free >= 2, got {self.d}")
 
@@ -87,6 +89,8 @@ class QuadNumber:
         return o - self
 
     def __mul__(self, other):
+        if isinstance(other, (int, Fraction)):
+            return QuadNumber(self.rat * other, self.irr * other, self.d)
         o = self._coerce(other)
         if o is NotImplemented:
             return o
@@ -123,22 +127,12 @@ class QuadNumber:
         return self.irr == 0
 
     def sign(self) -> int:
-        """Exact sign of a + b*sqrt(d) by case analysis; no floats."""
+        """Exact sign: a = r/s and b = t/u with s, u > 0 give
+        a + b*sqrt(d) = (r*u + t*s*sqrt(d)) / (s*u)."""
         a, b = self.rat, self.irr
-        if b == 0:
-            return (a > 0) - (a < 0)
-        if a == 0:
-            return 1 if b > 0 else -1
-        if a > 0 and b > 0:
-            return 1
-        if a < 0 and b < 0:
-            return -1
-        # Mixed signs: compare a^2 with d*b^2 (equality impossible: sqrt(d)
-        # irrational and a, b nonzero).
-        lhs, rhs = a * a, self.d * b * b
-        if a > 0:  # b < 0
-            return 1 if lhs > rhs else -1
-        return 1 if rhs > lhs else -1
+        return quad_sign(
+            a.numerator * b.denominator, b.numerator * a.denominator, self.d
+        )
 
     def __floor__(self) -> int:
         """Exact floor: with a common denominator D, a + b*sqrt(d) is
@@ -181,6 +175,19 @@ class QuadNumber:
 
     def __repr__(self):
         return f"QuadNumber({self.rat} + {self.irr}*sqrt({self.d}))"
+
+
+def quad_sign(a: int, b: int, d: int) -> int:
+    """Exact sign of a + b*sqrt(d) for integers a, b and a non-square d > 0.
+    Only mixed signs need work: then a^2 != d*b^2, as sqrt(d) is
+    irrational, and the larger of the two decides."""
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0 or (a > 0) == (b > 0):
+        return 1 if b > 0 else -1
+    if a * a > d * b * b:
+        return 1 if a > 0 else -1
+    return 1 if b > 0 else -1
 
 
 def quad(rat, irr=0, d: int = DEFAULT_DISCRIMINANT) -> QuadNumber:

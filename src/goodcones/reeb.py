@@ -12,6 +12,15 @@ pr2(v) = m . v; the slope of the face line {n . v = 0} in the slice
 {R . v = 1} is det3(n, R, m) / det3(n, R, Ybar), and widths along pr2 come
 out as quadratic-field determinant ratios normalized by det_G(R, Ybar),
 the frame determinant of R and Ybar in the (u1, u2) basis.
+
+Arithmetic.  Only R is irrational; normals, edge rays, Ybar and the
+isotropy data are integers.  Each public call clears R once to integer
+parts, R = (P + sqrt(d) Q) / den with den > 0, so that R . e is
+(P . e + sqrt(d) Q . e) / den.  Every sign and every order (admissibility,
+the ranking of vertices by Ybar-moment, the arcs) is then decided in Z by
+`quad_sign`, and a determinant against R is the pair of integer
+determinants against P and Q.  A QuadNumber is built only for a value that
+a public function returns: polygon vertices, widths, slopes, residuals.
 """
 
 from __future__ import annotations
@@ -19,7 +28,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional, Tuple
+from functools import cmp_to_key
+from typing import NamedTuple, Optional, Tuple
 
 from .cone import GoodCone, InvalidCone, edge_rays, require_valid
 from .exactnum import (
@@ -27,13 +37,14 @@ from .exactnum import (
     QuadNumber,
     Vec3,
     cross,
-    cross_primitive,
     det3,
     dot,
     lattice_complement,
     least_denominator,
     plane_lattice_basis,
+    primitive_part,
     quad,
+    quad_sign,
     vec_add,
     vec_scale,
 )
@@ -77,18 +88,56 @@ def rank_of(R: ReebVector) -> int:
     return 2
 
 
-def _pair(R: ReebVector, v: Vec3) -> QuadNumber:
-    return QuadNumber(dot(R.p, v), dot(R.q, v), R.d)
+class _Cleared(NamedTuple):
+    """R = (P + sqrt(d) Q) / den with integer 3-vectors P, Q and den > 0."""
+
+    P: Vec3
+    Q: Vec3
+    den: int
+    d: int
+
+
+def _clear(R: ReebVector) -> _Cleared:
+    den = math.lcm(*(x.denominator for x in R.p + R.q))
+    return _Cleared(
+        P=tuple(x.numerator * (den // x.denominator) for x in R.p),
+        Q=tuple(x.numerator * (den // x.denominator) for x in R.q),
+        den=den,
+        d=R.d,
+    )
+
+
+def _pair_sign(z: _Cleared, e: Vec3) -> int:
+    """Sign of R . e for an integer vector e."""
+    return quad_sign(dot(z.P, e), dot(z.Q, e), z.d)
+
+
+def _det_r(z: _Cleared, a: Vec3, b: Vec3) -> Tuple[int, int]:
+    """den * det3(a, b, R) as its integer parts (rational, irrational)."""
+    c = cross(a, b)
+    return dot(c, z.P), dot(c, z.Q)
+
+
+def _quotient(num: Tuple[int, int], den: Tuple[int, int], d: int) -> QuadNumber:
+    """(n1 + n2 sqrt(d)) / (m1 + m2 sqrt(d)) for integers, as one QuadNumber:
+    multiply through by the conjugate m1 - m2 sqrt(d)."""
+    (n1, n2), (m1, m2) = num, den
+    norm = m1 * m1 - d * m2 * m2
+    if norm == 0:
+        raise ZeroDivisionError("zero has no inverse in Q(sqrt(d))")
+    return QuadNumber(
+        Fraction(n1 * m1 - d * n2 * m2, norm), Fraction(n2 * m1 - n1 * m2, norm), d
+    )
 
 
 def is_admissible(cone: GoodCone, R: ReebVector) -> bool:
     """R lies in the dual cone interior: R . edge_ray(i) > 0 for every i."""
     require_valid(cone)
-    return _admissible(R, edge_rays(cone))
+    return _admissible(_clear(R), edge_rays(cone))
 
 
-def _admissible(R: ReebVector, rays) -> bool:
-    return all(_pair(R, e).sign() > 0 for e in rays)
+def _admissible(z: _Cleared, rays) -> bool:
+    return all(_pair_sign(z, e) > 0 for e in rays)
 
 
 @dataclass(frozen=True)
@@ -109,34 +158,35 @@ class MomentPolygon:
 def moment_polygon(cone: GoodCone, R: ReebVector) -> MomentPolygon:
     require_valid(cone)
     rays = edge_rays(cone)
+    z = _clear(R)
     for e in rays:
-        if _pair(R, e).sign() <= 0:
+        if _pair_sign(z, e) <= 0:
             raise InadmissibleReeb(f"R pairs non-positively with edge {e}")
-    return _polygon(R, rays)
+    return _polygon(z, rays)
 
 
-def _polygon(R: ReebVector, rays) -> MomentPolygon:
+def _vertex(z: _Cleared, e: Vec3) -> Tuple[QuadNumber, QuadNumber, QuadNumber]:
+    """The slice point e / (R . e) = den e / (P . e + sqrt(d) Q . e)."""
+    a, b = dot(z.P, e), dot(z.Q, e)
+    norm = a * a - z.d * b * b
+    return tuple(
+        QuadNumber(Fraction(z.den * c * a, norm), Fraction(-z.den * c * b, norm), z.d)
+        for c in e
+    )
+
+
+def _polygon(z: _Cleared, rays) -> MomentPolygon:
     """The polygon with vertices e / (R . e); R must be admissible."""
-    verts = []
-    for e in rays:
-        inv = _pair(R, e).inverse()
-        verts.append(tuple(inv * c for c in e))
-    return MomentPolygon(vertices=tuple(verts))
+    return MomentPolygon(vertices=tuple([_vertex(z, e) for e in rays]))
 
 
-def _integer_span_normal(R: ReebVector) -> Vec3:
+def _integer_span_normal(z: _Cleared) -> Vec3:
     """Primitive integer normal of the rational plane spanned by p and q,
     sign-canonicalized so the first nonzero coordinate is positive."""
-    if rank_of(R) != 2:
+    c = cross(z.P, z.Q)
+    if c == (0, 0, 0):
         raise RankError("v0 is only defined for rank-2 Reeb vectors")
-
-    def clear(v):
-        den = 1
-        for x in v:
-            den = den * x.denominator // math.gcd(den, x.denominator)
-        return tuple(int(x * den) for x in v)
-
-    c = cross_primitive(clear(R.p), clear(R.q))
+    c = primitive_part(c)
     for x in c:
         if x != 0:
             return c if x > 0 else tuple(-y for y in c)
@@ -166,26 +216,28 @@ def isotropy_profile(cone: GoodCone, R: ReebVector) -> IsotropyProfile:
 
 def _checked_profile(cone: GoodCone, R: ReebVector):
     """The start of every public call that needs a profile: the one
-    goodness check, the one admissibility check, then the edge rays and the
-    profile that the unchecked helpers consume."""
+    goodness check, the one clearing of R, the one admissibility check, then
+    the edge rays, the profile and the cleared R that the unchecked helpers
+    consume."""
     require_valid(cone)
     rays = edge_rays(cone)
-    if not _admissible(R, rays):
+    z = _clear(R)
+    if not _admissible(z, rays):
         raise InadmissibleReeb("profile requires an admissible Reeb vector")
-    profile = _profile_of(R, cone.normals)
+    profile = _profile_of(z, cone.normals)
     flats = sorted(profile.flats)
     if len(flats) > 2:
         raise InvalidCone(
             f"more than two flat faces {flats}: rank-2 data inconsistent"
         )
-    return rays, profile
+    return rays, profile, z
 
 
-def _profile_of(R: ReebVector, normals) -> IsotropyProfile:
+def _profile_of(z: _Cleared, normals) -> IsotropyProfile:
     """Profile data of R against a cyclic list of normals (a cone's, or a
     germ's whose two ends are flat); checks neither goodness nor
     admissibility."""
-    v0 = _integer_span_normal(R)
+    v0 = _integer_span_normal(z)
     k = tuple(abs(dot(v0, n)) for n in normals)
     flats = frozenset(i for i, ki in enumerate(k) if ki == 0)
     orders = []
@@ -248,7 +300,7 @@ def choose_transverse_circle(cone: GoodCone, R: ReebVector) -> Vec3:
     condition Ybar . e_i > 0 since R is admissible; R itself lies in the
     feasible cone, so it is never empty.
     """
-    rays, profile = _checked_profile(cone, R)
+    rays, profile, _ = _checked_profile(cone, R)
     return _transverse_circle(profile, rays)
 
 
@@ -297,25 +349,45 @@ def width_of_flat_face(
         with c the (constant) value of Ybar on the face segment;
     (2) pr2-chord of the segment, pr2 = pairing with the lattice complement m
         of Lie(G) (well defined: the segment direction lies in Lie(G)).
+
+    In (1), c = den y / (a + b sqrt(d)) with y = Ybar . e, a = P . e and
+    b = Q . e at an end ray e of the face, and by linearity
+    det3(n, n', c R - Ybar) = c det3(n, n', R) - det3(n, n', Ybar), so
+
+        w = |den g ((y A - D a) + sqrt(d) (y B - D b))|
+            / |s s' (a + b sqrt(d)) (G_P + sqrt(d) G_Q)|
+
+    with A + B sqrt(d) = den det3(n, n', R), D = det3(n, n', Ybar),
+    G_P + sqrt(d) G_Q = den g det_G(R, Ybar) and g = det3(u1, u2, v0).
     """
-    rays, profile = _checked_profile(cone, R)
+    rays, profile, z = _checked_profile(cone, R)
     if i not in profile.flats:
         raise DegenerateInput(f"face {i} is not flat (k={profile.k[i % len(cone)]})")
-    poly = _polygon(R, rays)
-    p_lo, p_hi = poly.face_segment(i)
-    c_lo = sum(ybar[j] * p_lo[j] for j in range(3))
-    c_hi = sum(ybar[j] * p_hi[j] for j in range(3))
-    assert (c_lo - c_hi).is_zero(), "flat face is not in a Ybar level set"
+    e_lo, e_hi = rays[(i - 1) % len(cone)], rays[i % len(cone)]
+    d = z.d
+    y, a, b = dot(ybar, e_hi), dot(z.P, e_hi), dot(z.Q, e_hi)
+    y_lo, a_lo, b_lo = dot(ybar, e_lo), dot(z.P, e_lo), dot(z.Q, e_lo)
+    assert y * a_lo == y_lo * a and y * b_lo == y_lo * b, (
+        "flat face is not in a Ybar level set"
+    )
 
     n_prev, n_next = cone.normal(i - 1), cone.normal(i + 1)
     s_prev, s_next = dot(profile.v0, n_prev), dot(profile.v0, n_next)
-    third = tuple(c_lo * rc - y for rc, y in zip(R.coords(), ybar))
-    det_num = det3(_lift(n_prev, R.d), _lift(n_next, R.d), third)
-    dg = det_g(profile, R, ybar)
-    w_formula = det_num / (QuadNumber(Fraction(s_prev * s_next), Fraction(0), R.d) * dg)
+    big_a, big_b = _det_r(z, n_prev, n_next)
+    big_d = det3(n_prev, n_next, ybar)
+    u1, u2 = profile.lieG_basis
+    g = det3(u1, u2, profile.v0)
+    g_p, g_q = det3(z.P, ybar, profile.v0), det3(z.Q, ybar, profile.v0)
+    scale = z.den * g
+    w_formula = _quotient(
+        (scale * (y * big_a - big_d * a), scale * (y * big_b - big_d * b)),
+        (s_prev * s_next * (a * g_p + d * b * g_q), s_prev * s_next * (a * g_q + b * g_p)),
+        d,
+    )
     if w_formula.sign() < 0:
         w_formula = -w_formula
 
+    p_lo, p_hi = _vertex(z, e_lo), _vertex(z, e_hi)
     m = lattice_complement(profile.v0)
     chord = sum(m[j] * (p_hi[j] - p_lo[j]) for j in range(3))
     if chord.sign() < 0:
@@ -324,29 +396,33 @@ def width_of_flat_face(
     return w_formula
 
 
-def _lift(v: Vec3, d: int):
-    return tuple(quad(x, 0, d) for x in v)
-
-
 def face_slope(profile: IsotropyProfile, R: ReebVector, ybar: Vec3, n: Vec3):
     """Slope d(pr2)/d(pi) of the face line {n . v = 0} in the slice; only
-    defined for non-flat faces (det3(n, R, Ybar) != 0)."""
+    defined for non-flat faces (det3(n, R, Ybar) != 0).  Both determinants
+    are linear in R, and den cancels from their ratio."""
     m = lattice_complement(profile.v0)
-    rq = R.coords()
-    num = det3(_lift(n, R.d), rq, _lift(m, R.d))
-    den = det3(_lift(n, R.d), rq, _lift(ybar, R.d))
-    if den.is_zero():
+    z = _clear(R)
+    num = _det_r(z, m, n)  # det3(n, R, m) = det3(m, n, R)
+    den = _det_r(z, ybar, n)
+    if den == (0, 0):
         raise DegenerateInput("slope undefined on a flat face")
-    return num / den
+    return _quotient(num, den, z.d)
 
 
 def slope_change(profile: IsotropyProfile, R: ReebVector, ybar: Vec3, n: Vec3, np: Vec3):
     """Closed form for slope(np) - slope(n):
-    det3(n, np, R) / ((v0.n)(v0.np) det_G(R, Ybar))."""
-    rq = R.coords()
-    num = det3(_lift(n, R.d), _lift(np, R.d), rq)
-    s = dot(profile.v0, n) * dot(profile.v0, np)
-    return num / (QuadNumber(Fraction(s), Fraction(0), R.d) * det_g(profile, R, ybar))
+    det3(n, np, R) / ((v0.n)(v0.np) det_G(R, Ybar)), where
+    det_G(R, Ybar) = (det3(P, Ybar, v0) + sqrt(d) det3(Q, Ybar, v0)) / (den g)
+    with g = det3(u1, u2, v0), so den cancels."""
+    z = _clear(R)
+    v0 = profile.v0
+    u1, u2 = profile.lieG_basis
+    g = det3(u1, u2, v0)
+    a, b = _det_r(z, n, np)
+    s = dot(v0, n) * dot(v0, np)
+    return _quotient(
+        (g * a, g * b), (s * det3(z.P, ybar, v0), s * det3(z.Q, ybar, v0)), z.d
+    )
 
 
 # ---------------------------------------------------------------------------
@@ -384,13 +460,12 @@ def arc_decomposition(
 def _arc_data(cone: GoodCone, R: ReebVector, ybar: Optional[Vec3]):
     """The start of every public call that walks the boundary chains:
     (profile, Ybar, arcs) from one validation, with Ybar chosen when None."""
-    rays, profile = _checked_profile(cone, R)
+    rays, profile, z = _checked_profile(cone, R)
     if ybar is None:
         ybar = _transverse_circle(profile, rays)
-    poly = _polygon(R, rays)
     k = len(cone)
     signs = profile.signed(cone)
-    pi_vals = [sum(ybar[j] * poly.vertices[i][j] for j in range(3)) for i in range(k)]
+    rank = _moment_ranks(z, ybar, rays)
 
     def extreme_at(argbest: int) -> Extreme:
         # A vertex incident to a flat face belongs to that 3-dim component.
@@ -401,8 +476,8 @@ def _arc_data(cone: GoodCone, R: ReebVector, ybar: Optional[Vec3]):
             return Extreme("flat", nxt)
         return Extreme("vertex", argbest)
 
-    lo = min(range(k), key=lambda i: pi_vals[i])
-    hi = max(range(k), key=lambda i: pi_vals[i])
+    lo = min(range(k), key=rank.__getitem__)
+    hi = max(range(k), key=rank.__getitem__)
     minimum = extreme_at(lo)
     maximum = extreme_at(hi)
 
@@ -425,15 +500,39 @@ def _arc_data(cone: GoodCone, R: ReebVector, ybar: Optional[Vec3]):
             raise InvalidCone(f"non-extreme face {face} is flat")
 
     def face_level(face: int):
-        lo_v, hi_v = pi_vals[(face - 1) % k], pi_vals[face]
+        lo_v, hi_v = rank[(face - 1) % k], rank[face]
         return min(lo_v, hi_v), max(lo_v, hi_v)
 
-    neg.sort(key=lambda f: face_level(f))
-    pos.sort(key=lambda f: face_level(f))
+    neg.sort(key=face_level)
+    pos.sort(key=face_level)
     arcs = ArcDecomposition(
         minimum=minimum, maximum=maximum, neg_arc=tuple(neg), pos_arc=tuple(pos)
     )
     return profile, ybar, arcs
+
+
+def _moment_ranks(z: _Cleared, ybar: Vec3, rays) -> list:
+    """Rank of each vertex e_i / (R . e_i) by its Ybar-moment
+    pi_i = (Ybar . e_i) / (R . e_i), tied vertices ranked equal.  With
+    y = Ybar . e, a = P . e and b = Q . e, every a + b sqrt(d) is positive
+    (R is admissible), so pi_i < pi_j exactly when
+    (y_i a_j - y_j a_i) + sqrt(d) (y_i b_j - y_j b_i) < 0."""
+    keys = [(dot(ybar, e), dot(z.P, e), dot(z.Q, e)) for e in rays]
+    d = z.d
+
+    def compare(i: int, j: int) -> int:
+        yi, ai, bi = keys[i]
+        yj, aj, bj = keys[j]
+        return quad_sign(yi * aj - yj * ai, yi * bj - yj * bi, d)
+
+    order = sorted(range(len(keys)), key=cmp_to_key(compare))
+    rank = [0] * len(keys)
+    r = 0
+    for prev, cur in zip(order, order[1:]):
+        if compare(prev, cur):
+            r += 1
+        rank[cur] = r
+    return rank
 
 
 def closure_identity_residual(
@@ -451,24 +550,18 @@ def closure_identity_residual(
     """
     profile, ybar, arcs = _arc_data(cone, R, ybar)
     signs = profile.signed(cone)
-    d = R.d
 
-    def nrm(face):
-        return _lift(cone.normal(face), d)
-
-    y = _lift(ybar, d)
-
-    def kk(f1, f2):
-        return Fraction(1, abs(signs[f1]) * abs(signs[f2]))
+    def term(f1, f2):
+        return Fraction(
+            det3(cone.normal(f1), cone.normal(f2), ybar),
+            abs(signs[f1]) * abs(signs[f2]),
+        )
 
     if not arcs.neg_arc or not arcs.pos_arc:
         raise InvalidCone("arc decomposition degenerate: empty boundary chain")
     c1, c2 = arcs.neg_arc, arcs.pos_arc
-    total = quad(0, 0, d)
-    total = total + kk(c2[-1], c1[-1]) * det3(nrm(c2[-1]), nrm(c1[-1]), y)
-    total = total + kk(c1[0], c2[0]) * det3(nrm(c1[0]), nrm(c2[0]), y)
-    for j, arc in ((1, c1), (2, c2)):
-        sgn = 1 if j == 1 else -1
+    total = term(c2[-1], c1[-1]) + term(c1[0], c2[0])
+    for sgn, arc in ((1, c1), (-1, c2)):
         for a, b in zip(arc, arc[1:]):
-            total = total - sgn * kk(b, a) * det3(nrm(b), nrm(a), y)
-    return total
+            total -= sgn * term(b, a)
+    return quad(total, 0, R.d)

@@ -491,12 +491,18 @@ def plan_blowdown_sequence(cone: GoodCone, keep: Sequence[int]) -> SurgeryPlan:
     low end.  The final cone's normals are keep ∪ {one new closing normal}.
     Every emitted step records pre/post hashes; replay verifies them.  The
     input is validated once; each step's result is checked locally."""
+    return _planned(cone, keep)[0]
+
+
+def _planned(cone: GoodCone, keep: Sequence[int]) -> Tuple[SurgeryPlan, GoodCone]:
+    """The plan and the final cone it reaches, which the planner holds
+    already: what `replay(plan, cone)` returns, without replaying."""
     require_valid(cone)
     k = len(cone)
     keep_set = {x % k for x in keep}
     removed = [i for i in range(k) if i not in keep_set]
     if not removed:
-        return SurgeryPlan(steps=())
+        return SurgeryPlan(steps=()), cone
     starts = [
         s
         for s in removed
@@ -540,7 +546,7 @@ def plan_blowdown_sequence(cone: GoodCone, keep: Sequence[int]) -> SurgeryPlan:
             raise PlanningError(
                 f"no blow-down normal reduces the run at face {f} within box {BLOWDOWN_BOX}"
             )
-    return SurgeryPlan(steps=tuple(steps))
+    return SurgeryPlan(steps=tuple(steps)), current
 
 
 # ---------------------------------------------------------------------------

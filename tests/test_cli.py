@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -126,6 +130,46 @@ def test_close_without_normals_exits_2(capsys, tmp_path):
     captured = capsys.readouterr()
     assert code == 2 and captured.out == ""
     assert "normals" in json.loads(captured.err)["error"]
+
+
+@pytest.mark.parametrize(
+    "chain, message",
+    [
+        ({"normals": 5}, "list of integer triples"),
+        ([[1, 0], [0, 1, 0]], "list of integer triples"),
+        ([["a", 0, 1], [0, 1, 0], [0, 0, 1]], "list of integer triples"),
+        ([[1, 0, 0], [0, 0, 1], [0, 1, 0]], "not positively convex"),
+    ],
+    ids=["normals-not-a-list", "normal-of-length-2", "non-integer-entry", "not-convex"],
+)
+def test_close_malformed_chain_exits_2(capsys, tmp_path, chain, message):
+    path = tmp_path / "chain.json"
+    path.write_text(json.dumps(chain))
+    code = run(["close", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert message in json.loads(captured.err)["error"]
+
+
+def test_closed_stdout_exits_quietly(doc_path):
+    """A reader that closes the pipe first (`goodcones ... | head`) gets no
+    traceback: the write fails with EPIPE and the CLI exits 1."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "goodcones.cli", "euler-check", doc_path],
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            env=env,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert proc.stderr == b""
 
 
 def test_construct_and_close(capsys, tmp_path):

@@ -1,0 +1,401 @@
+"""The Reeb layer decides signs and orders in Z.  Each integer kernel is
+checked against a test-local copy of the Q(sqrt(d)) route it replaced:
+admissibility, the arc decomposition, the closure residual, both width
+routes, `face_slope` and `slope_change` must agree exactly on the random
+cones of conftest, on `example_family(k)` up to k = 256 and on
+`obstructed_family(k)` up to k = 96 (entries of 107 bits).  `quad_sign` is
+checked against a Fraction bracket of sqrt(d), and `validate` against a
+copy of its old triple loop.  The vertex ranking, a private kernel, is
+checked directly: ties decide nothing on valid cones, where they come only
+from flat faces, so the arcs alone would not show a tie ranked apart."""
+
+import math
+import random
+from fractions import Fraction
+from functools import cmp_to_key
+
+import pytest
+
+from goodcones.cone import GoodCone, ValidityReport, edge_rays, validate
+from goodcones.construct import example_family, obstructed_family
+from goodcones.exactnum import (
+    QuadNumber,
+    det3,
+    dot,
+    is_delzant_pair,
+    lattice_complement,
+    quad,
+    quad_sign,
+)
+from goodcones.reeb import (
+    _clear,
+    _moment_ranks,
+    arc_decomposition,
+    choose_transverse_circle,
+    closure_identity_residual,
+    det_g,
+    face_slope,
+    is_admissible,
+    isotropy_profile,
+    reeb_from_vectors,
+    slope_change,
+    width_of_flat_face,
+)
+
+from conftest import random_admissible_rank2_reeb, random_good_cone
+
+# ---------------------------------------------------------------------------
+# Oracles: the Q(sqrt(d)) routes as they were before the integer kernels.
+# ---------------------------------------------------------------------------
+
+
+def old_sign(x: QuadNumber) -> int:
+    """The case analysis on Fractions that QuadNumber.sign used to do."""
+    a, b = x.rat, x.irr
+    if b == 0:
+        return (a > 0) - (a < 0)
+    if a == 0:
+        return 1 if b > 0 else -1
+    if a > 0 and b > 0:
+        return 1
+    if a < 0 and b < 0:
+        return -1
+    lhs, rhs = a * a, x.d * b * b
+    if a > 0:
+        return 1 if lhs > rhs else -1
+    return 1 if rhs > lhs else -1
+
+
+def old_key(x: QuadNumber):
+    return cmp_to_key(lambda u, v: old_sign(u - v))(x)
+
+
+def lift(v, d):
+    return tuple(quad(x, 0, d) for x in v)
+
+
+def old_pair(R, v):
+    return QuadNumber(dot(R.p, v), dot(R.q, v), R.d)
+
+
+def old_admissible(cone, R):
+    return all(old_sign(old_pair(R, e)) > 0 for e in edge_rays(cone))
+
+
+def old_polygon(R, rays):
+    verts = []
+    for e in rays:
+        inv = old_pair(R, e).inverse()
+        verts.append(tuple(inv * quad(c, 0, R.d) for c in e))
+    return verts
+
+
+def old_moments(cone, R, ybar):
+    """Ybar-moment of each polygon vertex, as sort keys."""
+    verts = old_polygon(R, edge_rays(cone))
+    return [old_key(sum(ybar[j] * v[j] for j in range(3))) for v in verts]
+
+
+def old_ranks(pi_vals):
+    order = sorted(range(len(pi_vals)), key=lambda i: pi_vals[i])
+    rank = [0] * len(pi_vals)
+    for prev, cur in zip(order, order[1:]):
+        rank[cur] = rank[prev] + (pi_vals[prev] != pi_vals[cur])
+    return rank
+
+
+def old_arcs(cone, profile, pi_vals):
+    """(minimum, maximum, neg_arc, pos_arc) from the moment polygon."""
+    k = len(cone)
+    signs = profile.signed(cone)
+
+    def extreme_at(argbest):
+        if argbest in profile.flats:
+            return ("flat", argbest)
+        nxt = (argbest + 1) % k
+        if nxt in profile.flats:
+            return ("flat", nxt)
+        return ("vertex", argbest)
+
+    minimum = extreme_at(min(range(k), key=lambda i: pi_vals[i]))
+    maximum = extreme_at(max(range(k), key=lambda i: pi_vals[i]))
+    drop = {e[1] for e in (minimum, maximum) if e[0] == "flat"}
+    members = [f for f in range(k) if f not in drop]
+    neg = [f for f in members if signs[f] < 0]
+    pos = [f for f in members if signs[f] > 0]
+
+    def face_level(face):
+        lo_v, hi_v = pi_vals[(face - 1) % k], pi_vals[face]
+        return min(lo_v, hi_v), max(lo_v, hi_v)
+
+    neg.sort(key=face_level)
+    pos.sort(key=face_level)
+    return minimum, maximum, tuple(neg), tuple(pos)
+
+
+def old_residual(cone, R, profile, ybar, neg, pos):
+    d = R.d
+    signs = profile.signed(cone)
+    y = lift(ybar, d)
+
+    def nrm(face):
+        return lift(cone.normal(face), d)
+
+    def kk(f1, f2):
+        return Fraction(1, abs(signs[f1]) * abs(signs[f2]))
+
+    c1, c2 = neg, pos
+    total = quad(0, 0, d)
+    total = total + kk(c2[-1], c1[-1]) * det3(nrm(c2[-1]), nrm(c1[-1]), y)
+    total = total + kk(c1[0], c2[0]) * det3(nrm(c1[0]), nrm(c2[0]), y)
+    for sgn, arc in ((1, c1), (-1, c2)):
+        for a, b in zip(arc, arc[1:]):
+            total = total - sgn * kk(b, a) * det3(nrm(b), nrm(a), y)
+    return total
+
+
+def old_widths(cone, R, profile, ybar, i):
+    """(determinant route, chord route) of the flat face i."""
+    verts = old_polygon(R, edge_rays(cone))
+    k = len(cone)
+    p_lo, p_hi = verts[(i - 1) % k], verts[i % k]
+    c_lo = sum(ybar[j] * p_lo[j] for j in range(3))
+    n_prev, n_next = cone.normal(i - 1), cone.normal(i + 1)
+    s = dot(profile.v0, n_prev) * dot(profile.v0, n_next)
+    rq = tuple(QuadNumber(R.p[j], R.q[j], R.d) for j in range(3))
+    third = tuple(c_lo * rc - y for rc, y in zip(rq, ybar))
+    num = det3(lift(n_prev, R.d), lift(n_next, R.d), third)
+    formula = num / (quad(s, 0, R.d) * det_g(profile, R, ybar))
+    m = lattice_complement(profile.v0)
+    chord = sum(m[j] * (p_hi[j] - p_lo[j]) for j in range(3))
+    return (
+        formula if old_sign(formula) >= 0 else -formula,
+        chord if old_sign(chord) >= 0 else -chord,
+    )
+
+
+def old_face_slope(profile, R, ybar, n):
+    m = lattice_complement(profile.v0)
+    rq = tuple(QuadNumber(R.p[j], R.q[j], R.d) for j in range(3))
+    return det3(lift(n, R.d), rq, lift(m, R.d)) / det3(lift(n, R.d), rq, lift(ybar, R.d))
+
+
+def old_slope_change(profile, R, ybar, n, np):
+    rq = tuple(QuadNumber(R.p[j], R.q[j], R.d) for j in range(3))
+    num = det3(lift(n, R.d), lift(np, R.d), rq)
+    s = dot(profile.v0, n) * dot(profile.v0, np)
+    return num / (quad(s, 0, R.d) * det_g(profile, R, ybar))
+
+
+# ---------------------------------------------------------------------------
+# Corpus.
+# ---------------------------------------------------------------------------
+
+EXAMPLE_K = (2, 3, 5, 8, 16, 32, 64, 128, 256)
+OBSTRUCTED_K = (2, 8, 32, 48, 96)
+
+
+def random_pairs(seed=20240817, count=48):
+    rnd = random.Random(seed)
+    pairs = []
+    for n in range(count):
+        cone = random_good_cone(rnd, cuts=n % 5)
+        pairs.append((cone, random_admissible_rank2_reeb(rnd, cone, d=(2, 3, 5)[n % 3])))
+    return pairs
+
+
+CASES = (
+    [(f"random-{n}", pair) for n, pair in enumerate(random_pairs())]
+    + [(f"example-{k}", example_family(k)) for k in EXAMPLE_K]
+    + [(f"obstructed-{k}", obstructed_family(k, seed=0)) for k in OBSTRUCTED_K]
+)
+
+
+def rescaled(R, a, b):
+    """a p + sqrt(d) b q: rational parts, so R clears to den > 1."""
+    return reeb_from_vectors([a * x for x in R.p], [b * x for x in R.q], R.d)
+
+
+@pytest.mark.parametrize("cone, R", [c for _, c in CASES], ids=[n for n, _ in CASES])
+def test_admissibility_matches_quadratic_field_route(cone, R):
+    flipped = [rescaled(R, 1, -1), rescaled(R, -1, 1), rescaled(R, -1, -1)]
+    for other in [R, rescaled(R, Fraction(3, 7), Fraction(5, 11))] + flipped:
+        assert is_admissible(cone, other) == old_admissible(cone, other)
+    assert not is_admissible(cone, flipped[-1])
+
+
+@pytest.mark.parametrize("cone, R", [c for _, c in CASES], ids=[n for n, _ in CASES])
+@pytest.mark.parametrize("scale", [(1, 1), (Fraction(3, 7), Fraction(5, 11))], ids=["R", "scaled"])
+def test_read_path_matches_quadratic_field_routes(cone, R, scale):
+    R = rescaled(R, *scale)
+    assert is_admissible(cone, R)
+    profile = isotropy_profile(cone, R)
+    ybar = choose_transverse_circle(cone, R)
+
+    pi_vals = old_moments(cone, R, ybar)
+    rank = _moment_ranks(_clear(R), ybar, edge_rays(cone))
+    assert rank == old_ranks(pi_vals)
+    # The two ends of a flat face lie in one Ybar-level set: a tie.
+    k = len(cone)
+    assert all(rank[(i - 1) % k] == rank[i] for i in profile.flats)
+
+    arcs = arc_decomposition(cone, R, ybar)
+    minimum, maximum, neg, pos = old_arcs(cone, profile, pi_vals)
+    assert (arcs.minimum.kind, arcs.minimum.index) == minimum
+    assert (arcs.maximum.kind, arcs.maximum.index) == maximum
+    assert (arcs.neg_arc, arcs.pos_arc) == (neg, pos)
+
+    residual = closure_identity_residual(cone, R, ybar)
+    assert repr(residual) == repr(old_residual(cone, R, profile, ybar, neg, pos))
+
+    for i in sorted(profile.flats):
+        formula, chord = old_widths(cone, R, profile, ybar, i)
+        width = width_of_flat_face(cone, R, ybar, i)
+        assert width == formula == chord
+
+    for i in range(k):
+        n, np = cone.normal(i), cone.normal(i + 1)
+        if profile.k[i] and profile.k[(i + 1) % k]:
+            assert slope_change(profile, R, ybar, n, np) == old_slope_change(
+                profile, R, ybar, n, np
+            )
+        if profile.k[i]:
+            assert face_slope(profile, R, ybar, n) == old_face_slope(profile, R, ybar, n)
+
+
+def test_corpus_reaches_the_large_entries_and_the_flat_faces():
+    """The ladder covers what the kernels are for: 107-bit entries, many
+    faces, and flat faces whose widths go through both routes."""
+    cone, _ = obstructed_family(96, seed=0)
+    assert max(abs(x) for n in cone.normals for x in n).bit_length() >= 100
+    assert max(len(c) for _, (c, _) in CASES) >= 256
+    assert sum(len(isotropy_profile(c, r).flats) for _, (c, r) in CASES) >= 2 * len(EXAMPLE_K)
+
+
+# ---------------------------------------------------------------------------
+# quad_sign and the QuadNumber fast paths.
+# ---------------------------------------------------------------------------
+
+SQUARE_FREE = (2, 3, 5, 6, 7, 10, 11, 13, 14, 15, 17, 19, 21, 23, 101, 2**61 - 1)
+BRACKET_BITS = 1024
+
+
+def reference_sign(a, b, d):
+    """Sign of a + b sqrt(d) from Fractions lo < sqrt(d) < hi, 2^-1024 apart:
+    |a + b sqrt(d)| >= 1 / |a - b sqrt(d)| > 2^-420 for the entries here,
+    so both ends of the bracket give the same sign."""
+    root = math.isqrt(d << (2 * BRACKET_BITS))
+    lo = Fraction(root, 1 << BRACKET_BITS)
+    hi = Fraction(root + 1, 1 << BRACKET_BITS)
+    signs = {(v > 0) - (v < 0) for v in (a + b * lo, a + b * hi)}
+    assert len(signs) == 1, "bracket too wide"
+    return signs.pop()
+
+
+def test_quad_sign_against_fraction_bracket():
+    rnd = random.Random(7)
+    cases = []
+    for _ in range(2000):
+        d = rnd.choice(SQUARE_FREE)
+        bits = rnd.randint(1, 200)
+        a = rnd.randint(-(2**bits), 2**bits)
+        b = rnd.randint(-(2**bits), 2**bits)
+        cases.append((a, b, d))
+        # Mixed signs near the cancellation a = -b sqrt(d).
+        b2 = rnd.randint(1, 2**bits) * rnd.choice((-1, 1))
+        near = -b2 * math.isqrt(d * (1 << 200)) >> 100
+        cases.append((near + rnd.randint(-1, 1), b2, d))
+    cases += [(0, 0, 2), (0, 5, 3), (0, -5, 3), (7, 0, 5), (-7, 0, 5)]
+    cases += [(2**200, 0, 2), (0, -(2**200), 2), (3, -2, 2), (-3, 2, 2), (1, -1, 2)]
+    for a, b, d in cases:
+        assert quad_sign(a, b, d) == reference_sign(a, b, d), (a, b, d)
+    assert {quad_sign(a, b, d) for a, b, d in cases} == {-1, 0, 1}
+
+
+def test_quadnumber_sign_and_scalar_product_use_the_kernels():
+    rnd = random.Random(11)
+    for _ in range(500):
+        d = rnd.choice((2, 3, 5, 7))
+        x = QuadNumber(
+            Fraction(rnd.randint(-(2**80), 2**80), rnd.randint(1, 2**40)),
+            Fraction(rnd.randint(-(2**80), 2**80), rnd.randint(1, 2**40)),
+            d,
+        )
+        assert x.sign() == old_sign(x)
+        for c in (rnd.randint(-(2**40), 2**40), Fraction(rnd.randint(-99, 99), rnd.randint(1, 99))):
+            prod = x * c
+            assert type(prod) is QuadNumber
+            assert prod == x * quad(c, 0, d) == c * x
+            assert type(prod.rat) is Fraction and type(prod.irr) is Fraction
+
+
+def test_quadnumber_is_still_built_through_init():
+    built = []
+    original = QuadNumber.__init__
+
+    def counting(self, *args, **kwargs):
+        built.append(1)
+        original(self, *args, **kwargs)
+
+    QuadNumber.__init__ = counting
+    try:
+        x = quad(1, 2, 3)
+        built.clear()
+        x * 5
+        x * Fraction(1, 3)
+        assert len(built) == 2
+    finally:
+        QuadNumber.__init__ = original
+
+
+# ---------------------------------------------------------------------------
+# validate: one cross product per adjacent pair.
+# ---------------------------------------------------------------------------
+
+
+def old_validate(cone):
+    k = len(cone)
+    failures = []
+    for i in range(k):
+        ni, ni1 = cone.normal(i), cone.normal(i + 1)
+        for j in range(k):
+            if j == i or j == (i + 1) % k:
+                continue
+            d = det3(ni, ni1, cone.normal(j))
+            if d == 0:
+                failures.append(("face-order", (i, j)))
+            elif d < 0:
+                failures.append(("convexity-det", (i, j)))
+    for i in range(k):
+        if not is_delzant_pair(cone.normal(i), cone.normal(i + 1)):
+            failures.append(("delzant-pair", (i,)))
+    return ValidityReport(is_good=not failures, failures=tuple(failures))
+
+
+def random_normal_list(rnd):
+    pool = [
+        v
+        for v in ((rnd.randint(-3, 3), rnd.randint(-3, 3), rnd.randint(-3, 3)) for _ in range(40))
+        if math.gcd(*v) == 1
+    ]
+    k = rnd.randint(3, 9)
+    normals = [rnd.choice(pool) for _ in range(k)]
+    if rnd.random() < 0.3:
+        # A coplanar triple: n^0 + n^1 lies in their plane, so a zero det.
+        s = tuple(x + y for x, y in zip(normals[0], normals[1]))
+        if math.gcd(*s) == 1:
+            normals[rnd.randrange(2, k)] = s
+    return GoodCone(tuple(normals))
+
+
+def test_validate_matches_old_triple_loop():
+    rnd = random.Random(3)
+    kinds = set()
+    for _ in range(1500):
+        cone = random_normal_list(rnd)
+        report = validate(cone)
+        assert report == old_validate(cone)
+        kinds.update(kind for kind, _ in report.failures)
+    for cone, _ in (example_family(8), obstructed_family(8, seed=0), random_pairs(count=5)[4]):
+        assert validate(cone) == old_validate(cone)
+    assert kinds == {"face-order", "convexity-det", "delzant-pair"}

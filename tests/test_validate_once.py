@@ -70,6 +70,8 @@ CLI_COMMANDS = {
     "graph": [],
     "euler-check": [],
     "render": ["--out", os.devnull],
+    # The planner hands back the final cone; `plan` does not replay it.
+    "plan": ["--keep", "0,4,5"],
 }
 
 
