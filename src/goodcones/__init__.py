@@ -44,7 +44,6 @@ from .exactnum import (
     is_delzant_pair,
     is_prime,
     plane_lattice_basis,
-    prime_in_progression,
     quad,
 )
 from .graph import (

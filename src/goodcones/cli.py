@@ -26,7 +26,7 @@ from .cone import (
     validate,
 )
 from .euler import ChainDataError, verify_global_identity
-from .exactnum import DegenerateInput, NoProgression, SearchExhausted
+from .exactnum import DegenerateInput, SearchExhausted
 from .graph import (
     GraphAssemblyError,
     count_nontrivial_chains,
@@ -69,7 +69,6 @@ DOMAIN_ERRORS = (
     ChainDataError,
     GraphAssemblyError,
     DegenerateInput,
-    NoProgression,
     DocumentError,
 )
 

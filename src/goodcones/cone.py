@@ -18,14 +18,13 @@ from .exactnum import (
     Mat3,
     Vec3,
     content,
+    cramer_rows,
     cross,
     cross_primitive,
     delzant_witness,
     det3,
+    dot,
     is_primitive,
-    mat_from_columns,
-    mat_inverse_unimodular,
-    mat_mul,
 )
 
 
@@ -139,6 +138,15 @@ def edge_rays(cone: GoodCone) -> Tuple[Vec3, ...]:
     return tuple([edge_ray(cone, i) for i in range(len(cone))])  # see GoodCone
 
 
+def _frame_change(left, right) -> Mat3:
+    """left^{-1} right for two frames given as column triples; left must be
+    unimodular, so its inverse is its Cramer rows times its determinant."""
+    rows = cramer_rows(*left)
+    d = dot(left[0], rows[0])
+    assert d in (1, -1), f"frame determinant {d} is not +-1"
+    return tuple([tuple([d * dot(r, c) for c in right]) for r in rows])
+
+
 def face_invariants(cone: GoodCone, i: int) -> FaceInvariants:
     """Invariants of the lens space over face i, from the adjacent triple
     (n^{i-1}, n^i, n^{i+1}) in the roles (n1, n2, n3):
@@ -147,6 +155,10 @@ def face_invariants(cone: GoodCone, i: int) -> FaceInvariants:
         f = det3(n1, n3, l2) mod b,   det3(n3, l2, n2) = 1
         gluing = (l2, n3, n2)^{-1} (l1, n1, n2),  det3(l1, n1, n2) = 1
 
+    b and f depend on the triple alone: any other witness l2 + s n2 + t n3
+    moves det3(n1, n3, l2) by s det3(n1, n3, n2) = -s b.  The gluing is one
+    frame change between the frames of the canonical witnesses
+    (`delzant_witness`), both of determinant -1.
     b equals |gluing[0][1]| and f ≡ gluing[2][1] (mod b); the upper-left 2x2
     block of the gluing matrix is a Heegaard attaching map of determinant -1.
     """
@@ -161,9 +173,7 @@ def face_invariants(cone: GoodCone, i: int) -> FaceInvariants:
     # det3(n2, n3, l2) = 1 gives det3(n3, l2, n2) = 1 by cyclic permutation,
     # and det3(n1, n2, l1) = 1 gives det3(l1, n1, n2) = 1.
     f = det3(n1, n3, l2) % b
-    left = mat_from_columns(l2, n3, n2)
-    right = mat_from_columns(l1, n1, n2)
-    gluing = mat_mul(mat_inverse_unimodular(left), right)
+    gluing = _frame_change((l2, n3, n2), (l1, n1, n2))
     assert abs(gluing[0][1]) == b and (gluing[2][1] - f) % b == 0
     heegaard = gluing[0][0] * gluing[1][1] - gluing[0][1] * gluing[1][0]
     assert heegaard == -1
@@ -191,8 +201,6 @@ def gluing_matrix(cone: GoodCone, i: int) -> Mat3:
     li1 = delzant_witness(ni1, ni2)
     if li is None or li1 is None:
         raise InvalidCone(f"faces {i}, {i+1}, {i+2} are not Delzant-adjacent")
-    left = mat_from_columns(ni, li, ni1)
-    right = mat_from_columns(ni2, li1, ni1)
-    t = mat_mul(mat_inverse_unimodular(left), right)
+    t = _frame_change((ni, li, ni1), (ni2, li1, ni1))
     assert tuple(row[2] for row in t) == (0, 0, 1)
     return t

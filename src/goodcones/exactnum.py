@@ -228,6 +228,13 @@ def det3(u: Vec3, v: Vec3, w: Vec3):
     return dot(cross(u, v), w)
 
 
+def cramer_rows(a1: Vec3, a2: Vec3, a3: Vec3) -> Tuple[Vec3, Vec3, Vec3]:
+    """Rows (a2 x a3, a3 x a1, a1 x a2) of the adjugate of the frame with
+    columns a1, a2, a3 (Cramer's rule): the coordinates of v in the frame
+    are row . v / det3(a1, a2, a3), and that determinant is a1 . row 1."""
+    return (cross(a2, a3), cross(a3, a1), cross(a1, a2))
+
+
 def content(u: Sequence[int]) -> int:
     """gcd of the coordinates (0 for the zero vector)."""
     g = 0
@@ -332,11 +339,6 @@ def plane_lattice_basis(v0: Vec3) -> Tuple[Vec3, Vec3]:
     return u1, u2
 
 
-def lattice_complement(v0: Vec3) -> Vec3:
-    """Integer m with v0 . m = 1; (u1, u2, m) is then a basis of Z^3."""
-    return solve_dot_one(v0)
-
-
 # ---------------------------------------------------------------------------
 # Delzant witnesses.
 # ---------------------------------------------------------------------------
@@ -350,9 +352,12 @@ def is_delzant_pair(n: Vec3, np: Vec3) -> bool:
 
 
 def delzant_witness(n: Vec3, np: Vec3) -> Optional[Vec3]:
-    """Integer l with det3(n, np, l) = 1, canonicalized to the minimal-norm
-    representative modulo the lattice spanned by n, np (ties: lexicographic).
-    None when the pair is not Delzant."""
+    """Integer l with det3(n, np, l) = 1, or None when the pair is not
+    Delzant.  From l0 = solve_dot_one(n x np), the least point by (norm,
+    lexicographic order) of l0 - a n - b np over the 5x5 window of (a, b)
+    around the rounded coordinates of l0 in the (n, np, n x np) frame.
+    This is a canonical choice, not the least-norm witness modulo
+    span(n, np): a shorter one can lie outside the window."""
     if not (is_primitive(n) and is_primitive(np)):
         raise DegenerateInput("delzant_witness requires primitive inputs")
     c = cross(n, np)
@@ -362,12 +367,12 @@ def delzant_witness(n: Vec3, np: Vec3) -> Optional[Vec3]:
         return None
     l0 = solve_dot_one(c)
     # Reduce l0 modulo span_Z(n, np): solve the real coefficients of l0 in
-    # the (n, np, c)-frame and scan a small neighborhood of the rounding.
+    # the (n, np, c)-frame, whose determinant is c . c, and scan a small
+    # neighborhood of the rounding.
+    row_a, row_b, _ = cramer_rows(n, np, c)
     denom = dot(c, c)
-    a_num = det3(l0, np, c)
-    b_num = det3(n, l0, c)
-    a0 = round(Fraction(a_num, denom))
-    b0 = round(Fraction(b_num, denom))
+    a0 = round(Fraction(dot(row_a, l0), denom))
+    b0 = round(Fraction(dot(row_b, l0), denom))
     best = None
     for da in range(-2, 3):
         for db in range(-2, 3):
@@ -391,50 +396,12 @@ def mat_from_columns(c1: Vec3, c2: Vec3, c3: Vec3) -> Mat3:
     return tuple(zip(c1, c2, c3))
 
 
-def mat_columns(m: Mat3) -> Tuple[Vec3, Vec3, Vec3]:
-    return tuple(zip(*m))
-
-
-def mat_det(m: Mat3):
-    c1, c2, c3 = mat_columns(m)
-    return det3(c1, c2, c3)
-
-
-def mat_mul(a: Mat3, b: Mat3) -> Mat3:
-    return tuple(
-        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
-        for i in range(3)
-    )
-
-
 def mat_vec(a: Mat3, v: Vec3) -> Vec3:
     return tuple(sum(a[i][k] * v[k] for k in range(3)) for i in range(3))
 
 
-def mat_adjugate(m: Mat3) -> Mat3:
-    cof = [[0] * 3 for _ in range(3)]
-    for i in range(3):
-        for j in range(3):
-            sub = [
-                [m[r][c] for c in range(3) if c != j] for r in range(3) if r != i
-            ]
-            minor = sub[0][0] * sub[1][1] - sub[0][1] * sub[1][0]
-            cof[i][j] = (-1) ** (i + j) * minor
-    return tuple(tuple(cof[j][i] for j in range(3)) for i in range(3))
-
-
-def mat_inverse_unimodular(m: Mat3) -> Mat3:
-    d = mat_det(m)
-    if d not in (1, -1):
-        raise DegenerateInput(f"matrix determinant {d} is not +-1")
-    adj = mat_adjugate(m)
-    if d == 1:
-        return adj
-    return tuple(tuple(-x for x in row) for row in adj)
-
-
 # ---------------------------------------------------------------------------
-# Primes in arithmetic progressions (Dirichlet searches stay exact).
+# Primality (the Dirichlet-progression blow-down construction).
 # ---------------------------------------------------------------------------
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
@@ -462,21 +429,3 @@ def is_prime(n: int) -> bool:
         else:
             return False
     return True
-
-
-class NoProgression(ValueError):
-    """gcd(a, m) != 1: the progression contains at most one prime."""
-
-
-def prime_in_progression(a: int, m: int, lower: int) -> int:
-    """Smallest prime p >= lower with p ≡ a (mod m); requires gcd(a, m) = 1."""
-    if m <= 0:
-        raise ValueError("modulus must be positive")
-    if math.gcd(a, m) != 1:
-        raise NoProgression(f"gcd({a}, {m}) != 1")
-    r = a % m
-    p = max(lower, 2)
-    p += (r - p) % m
-    while not is_prime(p):
-        p += m
-    return p

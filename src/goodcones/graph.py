@@ -18,17 +18,18 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .cone import GoodCone, face_invariants, validate
+from .cone import GoodCone, InvalidCone, face_invariants, validate
 from .construct import close_chain_normals
 from .exactnum import (
     DegenerateInput,
     QuadNumber,
     Vec3,
+    cross,
     cross_primitive,
     det3,
     dot,
     is_delzant_pair,
-    lattice_complement,
+    solve_dot_one,
 )
 from .reeb import (
     ReebVector,
@@ -108,9 +109,12 @@ class FatVertex:
     Euler number), and the normal Euler class as a residue (b, f).
 
     normal_euler_rev is the same Euler class read in the reversed cyclic
-    orientation (a unit multiple of f mod b); the canonical form minimizes
-    over the two readings so that orientation-reversing re-coordinatizations
-    of the cone produce isomorphic graphs."""
+    orientation: `reversed_euler_residue`, det3(n^{i-1}, n^{i+1}, l) mod b
+    for any witness l of the pair (n^{i-1}, n^i), where f is
+    det3(n^{i-1}, n^{i+1}, l') mod b for any witness l' of (n^i, n^{i+1}).
+    The canonical form minimizes over the two readings so that
+    orientation-reversing re-coordinatizations of the cone produce
+    isomorphic graphs."""
 
     direction: Tuple[int, int]
     genus: int
@@ -188,14 +192,11 @@ def _edge_isotropy(profile, normals, face: int) -> FiniteCyclicSubgroup:
     s = dot(profile.v0, n)
     k = abs(s)
     sigma = 1 if s > 0 else -1
-    m = lattice_complement(profile.v0)
+    m = solve_dot_one(profile.v0)
     g_vec = tuple(Fraction(n[j], k) - sigma * m[j] for j in range(3))
-    # coordinates in (u1, u2)
-    u1, u2 = profile.lieG_basis
-    den = det3(u1, u2, profile.v0)
-    a = Fraction(det3(g_vec, u2, profile.v0), den)
-    b = Fraction(det3(u1, g_vec, profile.v0), den)
-    return FiniteCyclicSubgroup(order=k, generator=(a, b)).canonical()
+    return FiniteCyclicSubgroup(
+        order=k, generator=lie_g_coords(profile, g_vec)
+    ).canonical()
 
 
 def _vertex_direction(profile, normals, vertex: int) -> Tuple[int, int]:
@@ -211,17 +212,23 @@ def _vertex_direction(profile, normals, vertex: int) -> Tuple[int, int]:
 
 def reversed_euler_residue(cone: GoodCone, face: int) -> int:
     """The face's normal Euler class read against the reversed cyclic
-    orientation: recompute face_invariants on the orientation-reversed,
-    mirror-imaged cone (the result is independent of the mirror chosen)."""
-    k = len(cone)
-    mirror = tuple(
-        (n[0], n[1], -n[2]) for n in reversed(cone.normals)
-    )
-    rev = GoodCone(mirror)
-    return face_invariants(rev, k - 1 - (face % k)).f
+    orientation, det3(n^{i-1}, n^{i+1}, l) mod b for any witness l of the
+    pair (n^{i-1}, n^i) and b = det3(n^{i-1}, n^i, n^{i+1}).
+
+    It is face_invariants' f on the orientation-reversed mirror image of
+    the cone, where face i has the adjacent triple (M n^{i+1}, M n^i,
+    M n^{i-1}) for a reflection M, and M l witnesses the pair (M n^i,
+    M n^{i-1}).  Another witness l + s n^{i-1} + t n^i moves the
+    determinant by t det3(n^{i-1}, n^{i+1}, n^i) = -t b."""
+    n1, n2, n3 = cone.normal(face - 1), cone.normal(face), cone.normal(face + 1)
+    c = cross(n1, n2)
+    b = dot(c, n3)
+    if b <= 0:
+        raise InvalidCone(f"faces {face-1},{face},{face+1} are not a convex triple")
+    return det3(n1, n3, solve_dot_one(c)) % b
 
 
-def _fat_vertex(profile, cone: GoodCone, face: int, genus: int = 0) -> FatVertex:
+def _fat_vertex(profile, cone: GoodCone, face: int) -> FatVertex:
     k = len(cone)
     n = cone.normal(face)
     a, b = lie_g_coords(profile, n)
@@ -232,7 +239,7 @@ def _fat_vertex(profile, cone: GoodCone, face: int, genus: int = 0) -> FatVertex
     mults = tuple(sorted(x for x in (k_lo, k_hi) if x >= 2))
     return FatVertex(
         direction=direction,
-        genus=genus,
+        genus=0,
         multiplicities=mults,
         orbifold_euler=Fraction(-inv.b, k_lo * k_hi),
         normal_euler=(inv.b, inv.f),

@@ -36,15 +36,16 @@ from .exactnum import (
     DegenerateInput,
     QuadNumber,
     Vec3,
+    cramer_rows,
     cross,
     det3,
     dot,
-    lattice_complement,
     least_denominator,
     plane_lattice_basis,
     primitive_part,
     quad,
     quad_sign,
+    solve_dot_one,
     vec_add,
     vec_scale,
 )
@@ -256,28 +257,19 @@ def _profile_of(z: _Cleared, normals) -> IsotropyProfile:
 
 
 def lie_g_coords(profile: IsotropyProfile, v: Vec3) -> Tuple[Fraction, Fraction]:
-    """Coefficients of a vector of the Lie(G) plane in the (u1, u2) basis."""
+    """Coefficients of a vector of the Lie(G) plane in the (u1, u2) basis:
+    its first two coordinates in the frame (u1, u2, v0)."""
     u1, u2 = profile.lieG_basis
-    v0 = profile.v0
-    den = det3(u1, u2, v0)
-    a = Fraction(det3(v, u2, v0), den)
-    b = Fraction(det3(u1, v, v0), den)
-    return a, b
+    row_a, row_b, _ = cramer_rows(u1, u2, profile.v0)
+    den = dot(u1, row_a)
+    return Fraction(dot(row_a, v), den), Fraction(dot(row_b, v), den)
 
 
 def reeb_lie_g_coords(profile: IsotropyProfile, R: ReebVector):
     """R in the (u1, u2) basis, as a pair of QuadNumbers."""
-    u1, u2 = profile.lieG_basis
-    v0 = profile.v0
-    den = det3(u1, u2, v0)
-    coords = []
-    for first in (True, False):
-        if first:
-            num_p, num_q = det3(R.p, u2, v0), det3(R.q, u2, v0)
-        else:
-            num_p, num_q = det3(u1, R.p, v0), det3(u1, R.q, v0)
-        coords.append(QuadNumber(Fraction(num_p, den), Fraction(num_q, den), R.d))
-    return tuple(coords)
+    a_p, b_p = lie_g_coords(profile, R.p)
+    a_q, b_q = lie_g_coords(profile, R.q)
+    return QuadNumber(a_p, a_q, R.d), QuadNumber(b_p, b_q, R.d)
 
 
 def det_g(profile: IsotropyProfile, x: ReebVector, y: Vec3) -> QuadNumber:
@@ -388,7 +380,7 @@ def width_of_flat_face(
         w_formula = -w_formula
 
     p_lo, p_hi = _vertex(z, e_lo), _vertex(z, e_hi)
-    m = lattice_complement(profile.v0)
+    m = solve_dot_one(profile.v0)
     chord = sum(m[j] * (p_hi[j] - p_lo[j]) for j in range(3))
     if chord.sign() < 0:
         chord = -chord
@@ -400,7 +392,7 @@ def face_slope(profile: IsotropyProfile, R: ReebVector, ybar: Vec3, n: Vec3):
     """Slope d(pr2)/d(pi) of the face line {n . v = 0} in the slice; only
     defined for non-flat faces (det3(n, R, Ybar) != 0).  Both determinants
     are linear in R, and den cancels from their ratio."""
-    m = lattice_complement(profile.v0)
+    m = solve_dot_one(profile.v0)
     z = _clear(R)
     num = _det_r(z, m, n)  # det3(n, R, m) = det3(m, n, R)
     den = _det_r(z, ybar, n)

@@ -26,6 +26,7 @@ from .exactnum import (
     QuadNumber,
     SearchExhausted,
     Vec3,
+    cramer_rows,
     cross,
     delzant_witness,
     det3,
@@ -34,7 +35,6 @@ from .exactnum import (
     is_prime,
     is_primitive,
     mat_from_columns,
-    mat_inverse_unimodular,
     mat_vec,
     plane_lattice_basis,
     primitive_part,
@@ -74,7 +74,6 @@ class SurgeryResult:
     cone: GoodCone
     kind: str  # 'orbit-blowup' | 'lens-blowup'
     index: int  # cut vertex (orbit) or replaced face (lens), in the old cone
-    diagnostics: Tuple[str, ...] = ()
 
 
 def cone_hash(cone: GoodCone) -> str:
@@ -373,13 +372,15 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
     wz = delzant_witness(cone.normal(i - 1), cone.normal(i))
     if w is None or wz is None:
         return None
-    base = mat_from_columns(w, n_next2, n_next)
-    if det3(w, n_next2, n_next) == -1:
-        base = mat_from_columns((-w[0], -w[1], -w[2]), n_next2, n_next)
-    u = mat_inverse_unimodular(base)
-    x = mat_vec(u, cone.normal(i - 1))
-    y = mat_vec(u, cone.normal(i))
-    z = mat_vec(u, wz)
+    # det3(w, n^{i+2}, n^{i+1}) = -det3(n^{i+1}, n^{i+2}, w) = -1, so the
+    # chart (-w, n^{i+2}, n^{i+1}) has determinant 1 and Cramer rows for
+    # its inverse.
+    chart = ((-w[0], -w[1], -w[2]), n_next2, n_next)
+    base = mat_from_columns(*chart)
+    rows = cramer_rows(*chart)
+    x = tuple([dot(r, cone.normal(i - 1)) for r in rows])
+    y = tuple([dot(r, cone.normal(i)) for r in rows])
+    z = tuple([dot(r, wz) for r in rows])
     minor12 = y[0] * x[1] - x[0] * y[1]
     minor13 = y[0] * x[2] - x[0] * y[2]
     if minor12 == 0 or minor13 == 0 or (x[0] == 0 and y[0] == 0):

@@ -21,6 +21,22 @@ from goodcones.surgery import CutSpec, SurgeryRejected, cut
 SIMPLICIAL = GoodCone(((1, 0, 0), (0, 1, 0), (0, 0, 1)))
 
 
+# Test-local 3x3 matrix helpers (tuples of rows), independent of the package.
+def mat_from_columns(c1, c2, c3):
+    return tuple(zip(c1, c2, c3))
+
+
+def mat_columns(m):
+    return tuple(zip(*m))
+
+
+def mat_mul(a, b):
+    return tuple(
+        tuple(sum(a[i][k] * b[k][j] for k in range(3)) for j in range(3))
+        for i in range(3)
+    )
+
+
 def random_sl3(rnd, shears=5):
     m = ((1, 0, 0), (0, 1, 0), (0, 0, 1))
     for _ in range(shears):

@@ -19,13 +19,16 @@ from goodcones.exactnum import (
     det3,
     dot,
     is_delzant_pair,
-    mat_columns,
-    mat_from_columns,
-    mat_mul,
     primitive_part,
 )
 
-from conftest import SIMPLICIAL, random_good_cone
+from conftest import (
+    SIMPLICIAL,
+    mat_columns,
+    mat_from_columns,
+    mat_mul,
+    random_good_cone,
+)
 
 FAMILY2 = load_cone([(1, 0, 1), (1, 1, 1), (1, 2, 3), (1, 3, 7), (1, 1, 4)])
 FAMILY3 = load_cone([(1, 0, 1), (1, 1, 1), (1, 2, 3), (1, 3, 7), (1, 4, 13), (1, 1, 5)])

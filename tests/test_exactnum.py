@@ -9,18 +9,16 @@ from hypothesis import strategies as st
 
 from goodcones.exactnum import (
     DegenerateInput,
-    NoProgression,
     QuadNumber,
     cross_primitive,
     delzant_witness,
     det3,
     dot,
     is_prime,
-    lattice_complement,
     plane_lattice_basis,
-    prime_in_progression,
     primitive_part,
     quad,
+    solve_dot_one,
 )
 
 ints = st.integers(min_value=-30, max_value=30)
@@ -151,7 +149,7 @@ def test_lattice_complement(rnd):
             v0 = primitive_part(v0)
         except DegenerateInput:
             continue
-        m = lattice_complement(v0)
+        m = solve_dot_one(v0)
         assert dot(v0, m) == 1
 
 
@@ -164,31 +162,6 @@ def trial_division_prime(n):
             return False
         f += 1
     return True
-
-
-def test_prime_in_progression_examples():
-    assert prime_in_progression(1, 4, 10) == 13
-    assert prime_in_progression(1, 1, 2) == 2
-    assert prime_in_progression(3, 10, 100) == 103
-    with pytest.raises(NoProgression):
-        prime_in_progression(2, 4, 10)
-
-
-def test_prime_in_progression_oracle(rnd):
-    for _ in range(40):
-        m = rnd.randint(1, 30)
-        a = rnd.randint(0, m * 3)
-        if math.gcd(a, m) != 1:
-            continue
-        lower = rnd.randint(2, 500)
-        p = prime_in_progression(a, m, lower)
-        assert trial_division_prime(p)
-        assert p >= lower and (p - a) % m == 0
-        # minimality
-        c = lower + ((a - lower) % m)
-        while c < p:
-            assert not trial_division_prime(c) or c < 2
-            c += m
 
 
 def test_is_prime_against_trial_division():

@@ -23,9 +23,9 @@ from goodcones.exactnum import (
     det3,
     dot,
     is_delzant_pair,
-    lattice_complement,
     quad,
     quad_sign,
+    solve_dot_one,
 )
 from goodcones.reeb import (
     _clear,
@@ -166,7 +166,7 @@ def old_widths(cone, R, profile, ybar, i):
     third = tuple(c_lo * rc - y for rc, y in zip(rq, ybar))
     num = det3(lift(n_prev, R.d), lift(n_next, R.d), third)
     formula = num / (quad(s, 0, R.d) * det_g(profile, R, ybar))
-    m = lattice_complement(profile.v0)
+    m = solve_dot_one(profile.v0)
     chord = sum(m[j] * (p_hi[j] - p_lo[j]) for j in range(3))
     return (
         formula if old_sign(formula) >= 0 else -formula,
@@ -175,7 +175,7 @@ def old_widths(cone, R, profile, ybar, i):
 
 
 def old_face_slope(profile, R, ybar, n):
-    m = lattice_complement(profile.v0)
+    m = solve_dot_one(profile.v0)
     rq = tuple(QuadNumber(R.p[j], R.q[j], R.d) for j in range(3))
     return det3(lift(n, R.d), rq, lift(m, R.d)) / det3(lift(n, R.d), rq, lift(ybar, R.d))
 
