@@ -15,6 +15,7 @@ import math
 import os
 import sys
 
+from functools import cache
 from typing import List, Optional, Sequence
 
 from . import construct
@@ -26,7 +27,7 @@ from .cone import (
     validate,
 )
 from .euler import ChainDataError, verify_global_identity
-from .exactnum import DegenerateInput, SearchExhausted
+from .exactnum import DegenerateInput, SearchExhausted, _is_square_free
 from .graph import (
     GraphAssemblyError,
     count_nontrivial_chains,
@@ -49,6 +50,7 @@ from .serial import (
     document_from_json,
     document_to_json,
     graph_to_json,
+    is_integer_triples,
 )
 from .surgery import (
     CutSpec,
@@ -69,7 +71,6 @@ DOMAIN_ERRORS = (
     ChainDataError,
     GraphAssemblyError,
     DegenerateInput,
-    DocumentError,
 )
 
 
@@ -79,6 +80,10 @@ def _load_json(path: str):
             return json.load(fh)
     except FileNotFoundError:
         raise UsageError(f"no such file: {path}")
+    except OSError as exc:
+        raise UsageError(f"cannot read {path}: {exc.strerror}") from None
+    except UnicodeDecodeError:
+        raise UsageError(f"{path} is not UTF-8 text") from None
     except json.JSONDecodeError as exc:
         raise UsageError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
@@ -181,8 +186,11 @@ def render_svg(doc: Document, out_path: str) -> None:
             f'<circle cx="{sx(p):.6f}" cy="{sy(p):.6f}" r="3" fill="#233"/>'
         )
     lines.append("</svg>")
-    with open(out_path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    try:
+        with open(out_path, "w", encoding="utf-8") as fh:
+            fh.write("\n".join(lines) + "\n")
+    except OSError as exc:
+        raise UsageError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 # ---------------------------------------------------------------------------
@@ -370,6 +378,10 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    if args.k < 2:
+        raise UsageError(f"--k must be at least 2, got {args.k}")
+    if not _is_square_free(args.d):
+        raise UsageError(f"--d must be a square-free integer >= 2, got {args.d}")
     if args.family == "example":
         cone, reeb = construct.example_family(args.k, d=args.d)
     elif args.family == "obstructed":
@@ -387,10 +399,7 @@ def _cmd_construct(args) -> int:
 
 def _parse_chain(normals, path: str):
     """A chain is a JSON list of normals, each a list of three integers."""
-    if not isinstance(normals, list) or not all(
-        isinstance(n, list) and len(n) == 3 and all(type(x) is int for x in n)
-        for n in normals
-    ):
+    if not is_integer_triples(normals):
         raise UsageError(f"{path}: 'normals' must be a list of integer triples")
     return [tuple(n) for n in normals]
 
@@ -425,24 +434,30 @@ def _cmd_render(args) -> int:
     return 0
 
 
-def _cmd_catalog(args) -> int:
-    if args.action == "add":
-        if not args.file:
-            raise UsageError("catalog add needs a document file")
-        doc = _load_document(args.file)
-        require_valid(doc.cone)
-        digest = catalog_add(args.store, doc)
-        _emit({"hash": digest})
-        return 0
-    if args.action == "list":
-        _emit(catalog_list(args.store))
-        return 0
-    if args.action == "get":
-        if not args.file:
-            raise UsageError("catalog get needs a document hash")
-        _emit(catalog_get(args.store, args.file))
-        return 0
-    raise UsageError(f"unknown catalog action {args.action!r}")
+def _catalog_store(action, store: str, *args):
+    """Run a catalog action; a store path that cannot be used is a usage
+    error."""
+    try:
+        return action(store, *args)
+    except OSError as exc:
+        raise UsageError(f"cannot use catalog store {store}: {exc.strerror}") from None
+
+
+def _cmd_catalog_add(args) -> int:
+    doc = _load_document(args.file)
+    require_valid(doc.cone)
+    _emit({"hash": _catalog_store(catalog_add, args.store, doc)})
+    return 0
+
+
+def _cmd_catalog_list(args) -> int:
+    _emit(_catalog_store(catalog_list, args.store))
+    return 0
+
+
+def _cmd_catalog_get(args) -> int:
+    _emit(_catalog_store(catalog_get, args.store, args.hash))
+    return 0
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -515,23 +530,38 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_render)
 
     p = sub.add_parser("catalog", help="content-addressed document store")
-    p.add_argument("action", choices=("add", "list", "get"))
-    p.add_argument("--store", required=True)
-    p.add_argument("file", nargs="?", default=None, help="document file or hash")
-    p.set_defaults(func=_cmd_catalog)
+    actions = p.add_subparsers(dest="action", required=True)
+    # --store belongs to each action, so it may come before or after the
+    # positional argument.
+    for action, positional, func, help_text in (
+        ("add", "file", _cmd_catalog_add, "store a document"),
+        ("list", None, _cmd_catalog_list, "list stored documents"),
+        ("get", "hash", _cmd_catalog_get, "print a stored document"),
+    ):
+        a = actions.add_parser(action, help=help_text)
+        if positional:
+            a.add_argument(positional)
+        a.add_argument("--store", required=True)
+        a.set_defaults(func=func)
 
     return parser
 
 
+@cache
+def _parser() -> argparse.ArgumentParser:
+    """The parser of this process, built on the first `run` and reused:
+    parse_args keeps no state between calls."""
+    return build_parser()
+
+
 def run(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = _parser().parse_args(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:
         return args.func(args)
-    except UsageError as exc:
+    except (UsageError, DocumentError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
     except CatalogError as exc:

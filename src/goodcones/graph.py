@@ -24,6 +24,7 @@ from .exactnum import (
     DegenerateInput,
     QuadNumber,
     Vec3,
+    cramer_rows,
     cross,
     cross_primitive,
     det3,
@@ -38,7 +39,6 @@ from .reeb import (
     _pair_sign,
     _polygon,
     _profile_of,
-    lie_g_coords,
     reeb_lie_g_coords,
 )
 
@@ -73,33 +73,41 @@ class FiniteCyclicSubgroup:
         if any((self.order * x) % 1 != 0 for x in g):
             raise ValueError("generator order does not divide the stated order")
 
-    def canonical(self) -> "FiniteCyclicSubgroup":
+    def _residues(self) -> Tuple[int, int]:
+        """The generator as residues (a, b) mod the order n: it is (a, b)/n."""
         n = self.order
-        a, b = (x.numerator * (n // x.denominator) for x in self.generator)
-        e = math.gcd(a, b, n)
-        m = n // e
-        a, b = a // e, b // e
-        g = math.gcd(a, m)
-        h = m // g
-        j0 = pow(a // g, -1, h)
-        c = j0 * b % h
-        q = (j0 * b % m - c) // h
-        b_inv = pow(b, -1, g)
-        # j = j0 + h*t reaches second coordinate c + h*r for t = (r - q)/b mod g
-        r = 0
-        while math.gcd(j0 + h * ((r - q) * b_inv % g), m) != 1:
-            r += 1
-        return FiniteCyclicSubgroup(n, (Fraction(g % m, m), Fraction(c + h * r, m)))
+        return tuple(x.numerator * (n // x.denominator) for x in self.generator)
+
+    def canonical(self) -> "FiniteCyclicSubgroup":
+        return _canonical_subgroup(self.order, *self._residues())
 
     def transformed(self, a) -> "FiniteCyclicSubgroup":
-        g = self.generator
-        return FiniteCyclicSubgroup(
-            self.order,
-            (
-                (a[0][0] * g[0] + a[0][1] * g[1]) % 1,
-                (a[1][0] * g[0] + a[1][1] * g[1]) % 1,
-            ),
-        ).canonical()
+        n = self.order
+        x, y = self._residues()
+        return _canonical_subgroup(
+            n,
+            (a[0][0] * x + a[0][1] * y) % n,
+            (a[1][0] * x + a[1][1] * y) % n,
+        )
+
+
+def _canonical_subgroup(n: int, a: int, b: int) -> FiniteCyclicSubgroup:
+    """Canonical form of the subgroup of order n generated by (a, b)/n, for
+    residues 0 <= a, b < n, computed in integers (see FiniteCyclicSubgroup)."""
+    e = math.gcd(a, b, n)
+    m = n // e
+    a, b = a // e, b // e
+    g = math.gcd(a, m)
+    h = m // g
+    j0 = pow(a // g, -1, h)
+    c = j0 * b % h
+    q = (j0 * b % m - c) // h
+    b_inv = pow(b, -1, g)
+    # j = j0 + h*t reaches second coordinate c + h*r for t = (r - q)/b mod g
+    r = 0
+    while math.gcd(j0 + h * ((r - q) * b_inv % g), m) != 1:
+        r += 1
+    return FiniteCyclicSubgroup(n, (Fraction(g % m, m), Fraction(c + h * r, m)))
 
 
 @dataclass(frozen=True)
@@ -184,19 +192,30 @@ def _canonical_sign(v: Tuple[int, int]) -> Tuple[int, int]:
     raise DegenerateInput("zero direction")
 
 
+def _lie_g_integers(profile, v: Vec3) -> Tuple[int, int]:
+    """`lie_g_coords` of a lattice vector of the Lie(G) plane, whose
+    coordinates are integers because (u1, u2) is a lattice basis: the
+    Cramer rows of the frame (u1, u2, v0), divided exactly."""
+    u1, u2 = profile.lieG_basis
+    row_a, row_b, _ = cramer_rows(u1, u2, profile.v0)
+    den = dot(u1, row_a)
+    a, rem_a = divmod(dot(row_a, v), den)
+    b, rem_b = divmod(dot(row_b, v), den)
+    assert rem_a == 0 and rem_b == 0, "not a lattice vector of Lie(G)"
+    return a, b
+
+
 def _edge_isotropy(profile, normals, face: int) -> FiniteCyclicSubgroup:
     """Subgroup of T^2 cut out by the face's lens space: generated by
     (1/k) n - sigma m in Lie(G), with m the lattice complement of v0 and
-    sigma the sign of v0 . n."""
+    sigma the sign of s = v0 . n, so k sigma = s.  Its residues mod k are
+    the integer coordinates of the lattice vector n - s m of Lie(G)."""
     n = normals[face % len(normals)]
     s = dot(profile.v0, n)
     k = abs(s)
-    sigma = 1 if s > 0 else -1
     m = solve_dot_one(profile.v0)
-    g_vec = tuple(Fraction(n[j], k) - sigma * m[j] for j in range(3))
-    return FiniteCyclicSubgroup(
-        order=k, generator=lie_g_coords(profile, g_vec)
-    ).canonical()
+    a, b = _lie_g_integers(profile, tuple(n[j] - s * m[j] for j in range(3)))
+    return _canonical_subgroup(k, a % k, b % k)
 
 
 def _vertex_direction(profile, normals, vertex: int) -> Tuple[int, int]:
@@ -205,9 +224,7 @@ def _vertex_direction(profile, normals, vertex: int) -> Tuple[int, int]:
     m = len(normals)
     edge = cross_primitive(normals[vertex % m], normals[(vertex + 1) % m])
     y = cross_primitive(profile.v0, edge)
-    a, b = lie_g_coords(profile, y)
-    assert a.denominator == 1 and b.denominator == 1
-    return _canonical_sign((int(a), int(b)))
+    return _canonical_sign(_lie_g_integers(profile, y))
 
 
 def reversed_euler_residue(cone: GoodCone, face: int) -> int:
@@ -230,9 +247,7 @@ def reversed_euler_residue(cone: GoodCone, face: int) -> int:
 
 def _fat_vertex(profile, cone: GoodCone, face: int) -> FatVertex:
     k = len(cone)
-    n = cone.normal(face)
-    a, b = lie_g_coords(profile, n)
-    direction = _canonical_sign((int(a), int(b)))
+    direction = _canonical_sign(_lie_g_integers(profile, cone.normal(face)))
     k_lo = profile.k[(face - 1) % k]
     k_hi = profile.k[(face + 1) % k]
     inv = face_invariants(cone, face)

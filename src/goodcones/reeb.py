@@ -36,6 +36,7 @@ from .exactnum import (
     DegenerateInput,
     QuadNumber,
     Vec3,
+    _is_square_free,
     cramer_rows,
     cross,
     det3,
@@ -72,6 +73,8 @@ class ReebVector:
         object.__setattr__(self, "q", tuple(Fraction(x) for x in self.q))
         if all(x == 0 for x in self.p) and all(x == 0 for x in self.q):
             raise DegenerateInput("zero Reeb vector")
+        if not _is_square_free(self.d):
+            raise ValueError(f"discriminant must be square-free >= 2, got {self.d}")
 
     def coords(self) -> Tuple[QuadNumber, QuadNumber, QuadNumber]:
         return tuple(QuadNumber(self.p[i], self.q[i], self.d) for i in range(3))

@@ -1,6 +1,11 @@
 """JSON (de)serialization for cones, Reeb vectors, documents, graphs and
 plans.  All domain numbers are exact: integers stay integers, rationals
 serialize as strings "p/q", quadratic numbers as {"rat","irr","d"}.
+
+The loaders check the shape and the types of what they read and raise
+`DocumentError` for anything else: a cone's normals are JSON integers
+(not floats or booleans), a Reeb vector's entries are integers or "p/q"
+strings, and its d is a square-free integer >= 2.
 """
 
 from __future__ import annotations
@@ -10,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cone import GoodCone, load_cone
-from .exactnum import QuadNumber
+from .exactnum import QuadNumber, _is_square_free
 from .graph import EdgeItem, FatVertex, IsotropyGraph, canonical_form
 from .reeb import ReebVector
 
@@ -24,11 +29,22 @@ def frac_str(x: Fraction) -> str:
 
 
 def parse_frac(value) -> Fraction:
-    if isinstance(value, int):
+    if type(value) is int:
         return Fraction(value)
     if isinstance(value, str):
-        return Fraction(value)
+        try:
+            return Fraction(value)
+        except (ValueError, ZeroDivisionError):
+            pass
     raise DocumentError(f"expected integer or 'p/q' string, got {value!r}")
+
+
+def is_integer_triples(value) -> bool:
+    """A JSON list of lists of three integers each (booleans excluded)."""
+    return isinstance(value, list) and all(
+        isinstance(v, list) and len(v) == 3 and all(type(x) is int for x in v)
+        for v in value
+    )
 
 
 def quad_to_json(x: QuadNumber) -> dict:
@@ -40,8 +56,10 @@ def cone_to_json(cone: GoodCone) -> dict:
 
 
 def cone_from_json(obj) -> GoodCone:
-    if "normals" not in obj:
+    if not isinstance(obj, dict) or "normals" not in obj:
         raise DocumentError("cone JSON needs a 'normals' field")
+    if not is_integer_triples(obj["normals"]):
+        raise DocumentError("'normals' must be a list of integer triples")
     return load_cone(obj["normals"])
 
 
@@ -54,11 +72,15 @@ def reeb_to_json(r: ReebVector) -> dict:
 
 
 def reeb_from_json(obj) -> ReebVector:
-    return ReebVector(
-        tuple(parse_frac(x) for x in obj["p"]),
-        tuple(parse_frac(x) for x in obj["q"]),
-        int(obj.get("d", 2)),
-    )
+    if not isinstance(obj, dict) or "p" not in obj or "q" not in obj:
+        raise DocumentError("reeb JSON needs 'p' and 'q' fields")
+    p, q = obj["p"], obj["q"]
+    if not (isinstance(p, list) and len(p) == 3 and isinstance(q, list) and len(q) == 3):
+        raise DocumentError("reeb 'p' and 'q' must be lists of three numbers")
+    d = obj.get("d", 2)
+    if type(d) is not int or not _is_square_free(d):
+        raise DocumentError(f"discriminant must be square-free >= 2, got {d!r}")
+    return ReebVector(tuple(parse_frac(x) for x in p), tuple(parse_frac(x) for x in q), d)
 
 
 @dataclass(frozen=True)
@@ -77,15 +99,20 @@ def document_to_json(doc: Document) -> dict:
 def document_from_json(obj) -> Document:
     """Deserialize a document or a bare cone file.  The cone is not checked
     for goodness here; the operation that uses it validates it."""
+    if not isinstance(obj, dict):
+        raise DocumentError("a document must be a JSON object")
     if "normals" in obj:  # bare cone file
-        cone = cone_from_json(obj)
-        reeb = None
-        meta = {}
-    else:
-        cone = cone_from_json(obj["cone"])
-        reeb = reeb_from_json(obj["reeb"]) if obj.get("reeb") else None
-        meta = dict(obj.get("metadata", {}))
-    return Document(cone=cone, reeb=reeb, metadata=meta)
+        return Document(cone=cone_from_json(obj))
+    if "cone" not in obj:
+        raise DocumentError("a document needs a 'cone' field, or 'normals' for a bare cone")
+    meta = obj.get("metadata") or {}
+    if not isinstance(meta, dict):
+        raise DocumentError("'metadata' must be a JSON object")
+    return Document(
+        cone=cone_from_json(obj["cone"]),
+        reeb=reeb_from_json(obj["reeb"]) if obj.get("reeb") else None,
+        metadata=dict(meta),
+    )
 
 
 def graph_to_json(g: IsotropyGraph) -> dict:

@@ -1,0 +1,230 @@
+"""The CLI in one process: `run` builds its parser once and reuses it, so a
+sequence of calls must print what each call prints alone.  Also the exit
+codes of bad input: malformed documents, bad `construct` options and
+unusable paths exit 2 with a one-line JSON error and no traceback, and
+`catalog` takes its options before or after the positional argument."""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+from goodcones import cli
+from goodcones.construct import example_family, obstructed_family
+from goodcones.reeb import ReebVector
+from goodcones.serial import Document, DocumentError, document_from_json, document_to_json
+
+from malformed_documents import malformed_documents
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+@pytest.fixture
+def fresh_parser():
+    cli._parser.cache_clear()
+    yield
+    cli._parser.cache_clear()
+
+
+def write_doc(tmp_path, name, cone, reeb):
+    path = tmp_path / f"{name}.json"
+    path.write_text(json.dumps(document_to_json(Document(cone=cone, reeb=reeb))))
+    return str(path)
+
+
+def call(capsys, argv):
+    code = cli.run(argv)
+    out, err = capsys.readouterr()
+    return code, out, err
+
+
+def alone(capsys, argv):
+    """The call as the first `run` of a process: with a newly built parser."""
+    cli._parser.cache_clear()
+    return call(capsys, argv)
+
+
+@pytest.fixture
+def ex6(tmp_path):
+    return write_doc(tmp_path, "ex6", *example_family(6))
+
+
+def assert_sequence_matches_alone(capsys, argvs):
+    expected = [alone(capsys, argv) for argv in argvs]
+    cli._parser.cache_clear()
+    got = [call(capsys, argv) for argv in argvs]
+    assert got == expected
+
+
+def test_euler_check_with_then_without_ybar(capsys, fresh_parser, ex6):
+    with_ybar = ["euler-check", ex6, "--ybar", "3,-1,-3"]
+    without = ["euler-check", ex6]
+    assert alone(capsys, with_ybar)[1] != alone(capsys, without)[1]
+    assert_sequence_matches_alone(capsys, [with_ybar, without, with_ybar, without])
+
+
+def test_construct_with_then_without_seed(capsys, fresh_parser):
+    seeded = ["construct", "--family", "obstructed", "--k", "3", "--seed", "5"]
+    default = ["construct", "--family", "obstructed", "--k", "3"]
+    assert alone(capsys, seeded)[1] != alone(capsys, default)[1]
+    assert_sequence_matches_alone(capsys, [seeded, default, seeded])
+
+
+def test_usage_and_domain_errors_then_good_calls(capsys, fresh_parser, ex6, tmp_path):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps({"normals": [[1, 0, 0], [0, 1, 0], [1, 1, 0]]}))
+    argvs = [
+        ["invariants", ex6, "--face", "x"],
+        ["invariants", ex6, "--face", "1"],
+        ["no-such-command"],
+        ["graph", ex6],
+        ["validate", str(bad)],
+        ["validate", ex6],
+        ["construct", "--family", "example", "--k", "0"],
+        ["construct", "--family", "example", "--k", "2"],
+    ]
+    assert_sequence_matches_alone(capsys, argvs)
+    codes = [call(capsys, argv)[0] for argv in argvs]
+    assert codes == [2, 0, 2, 0, 1, 0, 2, 0]
+
+
+def test_parser_is_built_once_across_calls(capsys, fresh_parser, monkeypatch, ex6):
+    built = []
+    real = cli.build_parser
+
+    def counting():
+        built.append(1)
+        return real()
+
+    monkeypatch.setattr(cli, "build_parser", counting)
+    for argv in (["validate", ex6], ["profile", ex6], ["rank", ex6], ["nope"]) * 5:
+        call(capsys, argv)
+    assert len(built) == 1
+
+
+def test_import_does_not_build_the_parser():
+    code = "import goodcones.cli as c; assert c._parser.cache_info().currsize == 0"
+    subprocess.run([sys.executable, "-c", code], env={**os.environ, "PYTHONPATH": SRC}, check=True)
+
+
+# ---------------------------------------------------------------------------
+# Malformed documents.
+# ---------------------------------------------------------------------------
+
+MALFORMED = malformed_documents()
+
+
+def assert_json_usage_error(code, out, err):
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+def test_malformed_document_raises_document_error(name):
+    with pytest.raises(DocumentError):
+        document_from_json(MALFORMED[name])
+
+
+@pytest.mark.parametrize("name", sorted(MALFORMED))
+@pytest.mark.parametrize("command", ["validate", "profile", "graph"])
+def test_malformed_document_exits_2(capsys, tmp_path, name, command):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(MALFORMED[name]))
+    assert_json_usage_error(*call(capsys, [command, str(path)]))
+
+
+def test_malformed_document_exits_2_in_a_subprocess(tmp_path):
+    path = tmp_path / "m.json"
+    path.write_text(json.dumps(MALFORMED["p-entry-zero-denominator"]))
+    proc = subprocess.run(
+        [sys.executable, "-m", "goodcones.cli", "profile", str(path)],
+        env={**os.environ, "PYTHONPATH": SRC},
+        capture_output=True,
+        text=True,
+    )
+    assert_json_usage_error(proc.returncode, proc.stdout, proc.stderr)
+
+
+def test_non_integer_normals_are_not_truncated():
+    doc = {"normals": [[1, 0, 1], [1, 1, 1], [1, 2, 3.0]]}
+    with pytest.raises(DocumentError):
+        document_from_json(doc)
+
+
+def test_unreadable_document_exits_2(capsys, tmp_path):
+    assert_json_usage_error(*call(capsys, ["validate", str(tmp_path)]))
+    binary = tmp_path / "b.json"
+    binary.write_bytes(b"\xff\xfe\x00")
+    assert_json_usage_error(*call(capsys, ["validate", str(binary)]))
+
+
+# ---------------------------------------------------------------------------
+# construct options.
+# ---------------------------------------------------------------------------
+
+
+@pytest.mark.parametrize("family", ["example", "obstructed"])
+@pytest.mark.parametrize("k", [0, 1, -2])
+def test_construct_rejects_small_k(capsys, family, k):
+    assert_json_usage_error(*call(capsys, ["construct", "--family", family, "--k", str(k)]))
+
+
+@pytest.mark.parametrize("d", [4, 0, 1, 9, -3])
+def test_construct_rejects_non_square_free_d(capsys, d):
+    argv = ["construct", "--family", "example", "--k", "2", "--d", str(d)]
+    assert_json_usage_error(*call(capsys, argv))
+
+
+@pytest.mark.parametrize("d", [4, 0, 1, 9, -3])
+def test_reeb_vector_rejects_non_square_free_d(d):
+    with pytest.raises(ValueError, match=f"discriminant must be square-free >= 2, got {d}"):
+        ReebVector((1, 0, 1), (1, 3, 7), d)
+
+
+def test_construct_accepts_square_free_d(capsys):
+    code, out, _ = call(capsys, ["construct", "--family", "example", "--k", "2", "--d", "6"])
+    assert code == 0 and json.loads(out)["reeb"]["d"] == 6
+
+
+# ---------------------------------------------------------------------------
+# Paths and the catalog.
+# ---------------------------------------------------------------------------
+
+
+def test_render_to_missing_directory_exits_2(capsys, ex6, tmp_path):
+    out = str(tmp_path / "missing" / "x.svg")
+    assert_json_usage_error(*call(capsys, ["render", ex6, "--out", out]))
+
+
+def test_catalog_store_that_is_a_file_exits_2(capsys, ex6, tmp_path):
+    store = tmp_path / "store"
+    store.write_text("")
+    assert_json_usage_error(*call(capsys, ["catalog", "add", ex6, "--store", str(store)]))
+
+
+def test_catalog_accepts_options_in_either_position(capsys, tmp_path):
+    doc = write_doc(tmp_path, "obs", *obstructed_family(3, seed=5))
+    store = str(tmp_path / "store")
+    code, out, _ = call(capsys, ["catalog", "add", "--store", store, doc])
+    assert code == 0
+    digest = json.loads(out)["hash"]
+    code, again, _ = call(capsys, ["catalog", "add", doc, "--store", store])
+    assert code == 0 and json.loads(again)["hash"] == digest
+    code, listing, _ = call(capsys, ["catalog", "list", "--store", store])
+    assert code == 0 and [e["hash"] for e in json.loads(listing)] == [digest]
+    before = call(capsys, ["catalog", "get", "--store", store, digest])
+    after = call(capsys, ["catalog", "get", digest, "--store", store])
+    assert before == after and before[0] == 0
+    assert json.loads(before[1])["cone"] == json.loads(Path(doc).read_text())["cone"]
+
+
+@pytest.mark.parametrize("argv", [["catalog"], ["catalog", "add", "--store", "s"],
+                                  ["catalog", "get", "--store", "s"], ["catalog", "list"]])
+def test_catalog_usage_errors_exit_2(capsys, argv):
+    assert call(capsys, argv)[0] == 2

@@ -3,13 +3,16 @@
 adjacent triple without a mirrored cone.
 
 Test-local oracles keep the routes these replaced: the adjugate inverse of
-a unimodular frame, the per-call-site coordinate formulas, and the mirrored
-cone for the reversed reading.  Every value must agree on
+a unimodular frame, the per-call-site coordinate formulas, the mirrored
+cone for the reversed reading, and the Fraction arithmetic of edge isotropy
+subgroups and their GL(2,Z) images, which the graph layer now does on
+integer residues.  Every value must agree on
 `example_family(2..64)`, `obstructed_family(k <= 32, seeds 0-2)`, 300
 conftest random cones with rank-2 Reeb vectors, and an SL(3,Z) image of
 each pair.
 """
 
+import math
 import random
 from fractions import Fraction
 from itertools import permutations
@@ -129,6 +132,49 @@ def old_edge_isotropy(profile, normals, face):
     return FiniteCyclicSubgroup(order=k, generator=(a, b)).canonical()
 
 
+def old_canonical(sub):
+    """`FiniteCyclicSubgroup.canonical` as it read the Fraction generator and
+    built its result through the checked constructor."""
+    n = sub.order
+    a, b = (x.numerator * (n // x.denominator) for x in sub.generator)
+    e = math.gcd(a, b, n)
+    m = n // e
+    a, b = a // e, b // e
+    g = math.gcd(a, m)
+    h = m // g
+    j0 = pow(a // g, -1, h)
+    c = j0 * b % h
+    q = (j0 * b % m - c) // h
+    b_inv = pow(b, -1, g)
+    r = 0
+    while math.gcd(j0 + h * ((r - q) * b_inv % g), m) != 1:
+        r += 1
+    return FiniteCyclicSubgroup(n, (Fraction(g % m, m), Fraction(c + h * r, m)))
+
+
+def old_transformed(sub, a):
+    """`FiniteCyclicSubgroup.transformed` by Fraction arithmetic mod 1."""
+    g = sub.generator
+    image = (
+        (a[0][0] * g[0] + a[0][1] * g[1]) % 1,
+        (a[1][0] * g[0] + a[1][1] * g[1]) % 1,
+    )
+    return old_canonical(FiniteCyclicSubgroup(sub.order, image))
+
+
+def random_gl2(rnd, shears=6):
+    """A product of random integer shears, times a reflection half the time."""
+    a = ((1, 0), (0, 1)) if rnd.random() < 0.5 else ((0, 1), (1, 0))
+    for _ in range(shears):
+        t = rnd.randint(-40, 40)
+        e = ((1, t), (0, 1)) if rnd.random() < 0.5 else ((1, 0), (t, 1))
+        a = tuple(
+            tuple(sum(a[i][k] * e[k][j] for k in range(2)) for j in range(2))
+            for i in range(2)
+        )
+    return a
+
+
 # ---------------------------------------------------------------------------
 # Corpus.
 # ---------------------------------------------------------------------------
@@ -240,6 +286,37 @@ def test_lie_g_coords_and_edge_isotropy_match_oracles(pairs):
                 assert got == old_edge_isotropy(profile, cone.normals, i), (name, i)
                 edges += 1
     assert edges > 1000
+
+
+def test_integer_transformed_matches_fraction_route_on_edges(pairs):
+    rnd = random.Random(11)
+    edges = 0
+    for name, cone, reeb in pairs[::3]:
+        profile = isotropy_profile(cone, reeb)
+        for i in range(len(cone)):
+            if profile.k[i] >= 2:
+                sub = _edge_isotropy(profile, cone.normals, i)
+                a = random_gl2(rnd)
+                assert sub.transformed(a) == old_transformed(sub, a), (name, i, a)
+                edges += 1
+    assert edges > 300
+
+
+def test_integer_transformed_matches_fraction_route_on_random_subgroups():
+    rnd = random.Random(12)
+    for _ in range(400):
+        # n = e * m with a common factor e of both residues, so gcd(a, b, n) >= e
+        e = rnd.choice((1, 1, 2, 3, 4, 6, 12, 30))
+        m = rnd.choice((rnd.randint(1, 60), rnd.randint(2, 10**6), 2310, 30030))
+        n = e * m
+        x, y = rnd.randrange(m), rnd.randrange(m)
+        sub = FiniteCyclicSubgroup(n, (Fraction(e * x, n), Fraction(e * y, n)))
+        a = random_gl2(rnd)
+        got = sub.transformed(a)
+        assert got == old_transformed(sub, a), (n, e * x, e * y, a)
+        assert got.canonical() == got
+        assert all(isinstance(v, Fraction) and 0 <= v < 1 for v in got.generator)
+        assert sub.canonical() == old_canonical(sub), (n, e * x, e * y)
 
 
 # ---------------------------------------------------------------------------
