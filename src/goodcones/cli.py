@@ -207,6 +207,24 @@ class CatalogError(ValueError):
     pass
 
 
+def _read_index(store: str) -> dict:
+    """The store's index, {hash: {"name": name, "file": "<hash>.json"}}, or
+    {} when the store has none.  Anything else is malformed input, and so
+    is a stored file that is not JSON (see `_load_json`)."""
+    index_path = os.path.join(store, "index.json")
+    if not os.path.exists(index_path):
+        return {}
+    index = _load_json(index_path)
+    if not isinstance(index, dict) or not all(
+        isinstance(entry, dict)
+        and entry.get("file") == f"{digest}.json"
+        and isinstance(entry.get("name", ""), str)
+        for digest, entry in index.items()
+    ):
+        raise UsageError(f"malformed catalog index {index_path}")
+    return index
+
+
 def catalog_add(store: str, doc: Document) -> str:
     os.makedirs(store, exist_ok=True)
     index_path = os.path.join(store, "index.json")
@@ -216,18 +234,13 @@ def catalog_add(store: str, doc: Document) -> str:
     with open(lock_path, "a+") as lock:
         fcntl.flock(lock, fcntl.LOCK_EX)
         try:
-            index = {}
-            if os.path.exists(index_path):
-                with open(index_path) as fh:
-                    index = json.load(fh)
+            index = _read_index(store)
             digest = _doc_hash(doc)
             payload = document_to_json(doc)
             file_name = f"{digest}.json"
             target = os.path.join(store, file_name)
             if digest in index:
-                with open(target) as fh:
-                    existing = json.load(fh)
-                if existing != payload:
+                if _load_json(target) != payload:
                     raise CatalogError(f"hash collision with differing content: {digest}")
             else:
                 with open(target, "w") as fh:
@@ -244,27 +257,19 @@ def catalog_add(store: str, doc: Document) -> str:
 
 
 def catalog_list(store: str) -> list:
-    index_path = os.path.join(store, "index.json")
-    if not os.path.exists(index_path):
-        return []
-    with open(index_path) as fh:
-        index = json.load(fh)
     return [
         {"hash": digest, "name": entry.get("name", "")}
-        for digest, entry in sorted(index.items())
+        for digest, entry in sorted(_read_index(store).items())
     ]
 
 
 def catalog_get(store: str, digest: str) -> dict:
-    index_path = os.path.join(store, "index.json")
-    if not os.path.exists(index_path):
+    index = _read_index(store)
+    if not index:
         raise CatalogError("empty catalog")
-    with open(index_path) as fh:
-        index = json.load(fh)
     if digest not in index:
         raise CatalogError(f"no document with hash {digest}")
-    with open(os.path.join(store, index[digest]["file"])) as fh:
-        return json.load(fh)
+    return _load_json(os.path.join(store, index[digest]["file"]))
 
 
 # ---------------------------------------------------------------------------

@@ -13,14 +13,15 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .cone import GoodCone, InvalidCone
-from .exactnum import Vec3, cross_primitive, det3
+from .exactnum import Vec3, det3
 from .reeb import (
     ArcDecomposition,
     Extreme,
     IsotropyProfile,
     ReebVector,
     _arc_data,
-    lie_g_coords,
+    _lie_g_integers,
+    _vertex_circle,
 )
 
 
@@ -178,32 +179,29 @@ class IdentityData:
 
 
 def _vertex_intersection_weight(
-    data: IdentityData, face_lo: int, face_hi: int
+    data: IdentityData, ybar_g: Tuple[int, int], vertex: int
 ) -> int:
-    """a = I(rho_1, Sigma) at the vertex between two faces: the component
-    count gcd(k, k') times |det_2(Ybar, Y_Sigma)| in Lie(G)_Z coordinates,
-    where Y_Sigma generates span(n, n') ∩ Lie(G).  Cross-checked against the
-    direct determinant |det3(n, n', Ybar)|."""
-    cone, profile, ybar = data.cone, data.profile, data.ybar
-    n_lo, n_hi = cone.normal(face_lo), cone.normal(face_hi)
-    k_lo = data.k[face_lo % len(cone)]
-    k_hi = data.k[face_hi % len(cone)]
-    g = k_hi if k_lo == 0 else (k_lo if k_hi == 0 else math.gcd(k_lo, k_hi))
-    edge = cross_primitive(n_lo, n_hi)
-    y_sigma = cross_primitive(profile.v0, edge)
-    ys = lie_g_coords(profile, y_sigma)
-    yb = lie_g_coords(profile, ybar)
-    det2 = yb[0] * ys[1] - yb[1] * ys[0]
-    a = g * abs(det2)
-    if a.denominator != 1:
-        raise ChainDataError(f"non-integral intersection count {a}")
-    a = int(a)
-    direct = abs(det3(n_lo, n_hi, ybar))
-    if data.k == list(profile.k) and a != direct:
+    """a = I(rho_1, Sigma) at the polygon vertex between faces `vertex` and
+    `vertex`+1: the component count gcd(k, k') from the k-table times
+    |det_2(Ybar, Y_Sigma)| on integer Lie(G) coordinates, where Y_Sigma
+    generates span(n, n') ∩ Lie(G) and ybar_g are Ybar's coordinates.
+
+    Cross-checked exactly against the determinant route with the cone's
+    own vertex order: order * |det_2| = det3(n, n', Ybar), whose sign is
+    that of Ybar . e on the vertex's edge ray e, positive for a transverse
+    Ybar."""
+    cone, profile = data.cone, data.profile
+    m = len(cone)
+    y_sigma = _vertex_circle(profile, cone.normals, vertex)
+    det2 = abs(ybar_g[0] * y_sigma[1] - ybar_g[1] * y_sigma[0])
+    direct = det3(cone.normal(vertex), cone.normal(vertex + 1), data.ybar)
+    order = profile.vertex_orders[vertex % m]
+    if order * det2 != direct:
         raise ChainDataError(
-            f"intersection count mismatch: gcd*det2={a} vs |det3|={direct}"
+            f"intersection count mismatch at vertex {vertex}: "
+            f"gcd*det2={order * det2} vs det3={direct}"
         )
-    return a
+    return math.gcd(data.k[vertex % m], data.k[(vertex + 1) % m]) * det2
 
 
 def build_identity_data(
@@ -215,78 +213,58 @@ def build_identity_data(
     )
 
 
-def _arc_jump_sign(data: IdentityData, arc) -> int:
-    """Sign of det3(n_{i+1}, n_i, Ybar) along the arc's interior vertices
-    (constant on valid data; 0 when the arc has no interior vertex)."""
-    cone, ybar = data.cone, data.ybar
-    signs = set()
-    for lo, hi in zip(arc, arc[1:]):
-        d = det3(cone.normal(hi), cone.normal(lo), ybar)
-        signs.add(1 if d > 0 else (-1 if d < 0 else 0))
-    if not signs:
-        return 0
-    if len(signs) > 1 or 0 in signs:
-        raise ChainDataError(f"jump determinants change sign along arc {arc}")
-    return signs.pop()
-
-
 def evaluate_identity(data: IdentityData) -> EulerReport:
     """Exact lhs = e(H_max) - e(H_min) from boundary data versus the sum of
     interior critical jumps, with the per-chain integrality report.
 
-    The two boundary arcs play asymmetric roles ("chain 1" has positive
-    jump determinants det3(n_{i+1}, n_i, Ybar), "chain 2" negative ones);
-    this labeling realizes the orientation convention under which the
-    level-set Euler number increases through every critical value, and the
-    extreme values are the signed boundary determinants
+    The chains are labeled geometrically: chain 1 is the boundary arc that
+    leaves the minimum in the direction of decreasing face index, so it
+    starts at face v when the minimum is the vertex between faces v and
+    v+1, and at face f-1 when the minimum is the flat face f; chain 2 is
+    the other arc.  Each term lists its multiplicities as (chain 1,
+    chain 2) at the extremes and in arc order at the jumps.
 
-        e_min = -det3(n^1_bot, n^2_bot, Ybar)/(k k),
-        e_max = +det3(n^2_top, n^1_top, Ybar)/(k k).
+    A vertex extreme takes `euler_near_B_orbit(a, k, k', is_max)` and a
+    flat extreme f takes `euler_near_B_lens(n^{f+1}, n^{f-1}, Ybar, ...)`;
+    every jump is `critical_jump(a, k, k')`.  The weights a come from
+    `_vertex_intersection_weight`, whose determinant cross-check also pins
+    the sign of every vertex term.  A mutated k-table (a negative control)
+    changes the weights and the multiplicities but not the geometry.
     """
-    cone, arcs, ybar = data.cone, data.arcs, data.ybar
+    cone, arcs, ybar, k = data.cone, data.arcs, data.ybar, data.k
+    m = len(cone)
     terms: List[IdentityTerm] = []
     neg, pos = arcs.neg_arc, arcs.pos_arc
     if not neg or not pos:
         raise InvalidCone("degenerate arc decomposition")
-    s_neg = _arc_jump_sign(data, neg)
-    s_pos = _arc_jump_sign(data, pos)
-    if s_neg == s_pos == 0:
-        chain1, chain2 = neg, pos  # no jumps anywhere: labeling irrelevant
-    elif s_pos >= 0 and s_neg <= 0:
-        chain1, chain2 = pos, neg
-    elif s_neg >= 0 and s_pos <= 0:
-        chain1, chain2 = neg, pos
-    else:
-        raise ChainDataError("both arcs have positive jump determinants")
+    low = arcs.minimum
+    start = low.index if low.kind == "vertex" else (low.index - 1) % m
+    chain1, chain2 = (neg, pos) if neg[0] == start else (pos, neg)
+    ybar_g = _lie_g_integers(data.profile, ybar)
 
     def extreme_value(extreme: Extreme, is_max: bool) -> Fraction:
-        if is_max:
-            f1, f2 = chain1[-1], chain2[-1]
-            val = Fraction(
-                det3(cone.normal(f2), cone.normal(f1), ybar),
-                data.k[f1] * data.k[f2],
-            )
-        else:
-            f1, f2 = chain1[0], chain2[0]
-            val = -Fraction(
-                det3(cone.normal(f1), cone.normal(f2), ybar),
-                data.k[f1] * data.k[f2],
-            )
+        f1, f2 = (chain1[-1], chain2[-1]) if is_max else (chain1[0], chain2[0])
         a = None
         if extreme.kind == "vertex":
-            a = _vertex_intersection_weight(data, extreme.index, extreme.index + 1)
+            a = _vertex_intersection_weight(data, ybar_g, extreme.index)
+            val = euler_near_B_orbit(a, k[f1], k[f2], is_max)
+        else:
+            lo, hi = (extreme.index - 1) % m, (extreme.index + 1) % m
+            val = euler_near_B_lens(
+                cone.normal(hi), cone.normal(lo), ybar, k[hi], k[lo], is_max
+            )
         terms.append(
             IdentityTerm(
                 kind="extreme-max" if is_max else "extreme-min",
                 location=(extreme.index,),
                 a=a,
-                k=(data.k[f1], data.k[f2]),
+                k=(k[f1], k[f2]),
                 value=val,
             )
         )
         return val
 
-    e_min = extreme_value(arcs.minimum, False)
+    e_min = extreme_value(low, False)
     e_max = extreme_value(arcs.maximum, True)
     lhs = e_max - e_min
 
@@ -297,8 +275,10 @@ def evaluate_identity(data: IdentityData) -> EulerReport:
         jumps: List[Fraction] = []
         a_list: List[int] = []
         for lo, hi in zip(arc, arc[1:]):
-            a = _vertex_intersection_weight(data, lo, hi)
-            k1, k2 = data.k[lo], data.k[hi]
+            a = _vertex_intersection_weight(
+                data, ybar_g, lo if (lo + 1) % m == hi else hi
+            )
+            k1, k2 = k[lo], k[hi]
             if k1 < 1 or k2 < 1:
                 raise ChainDataError("interior face with k = 0")
             val = critical_jump(a, k1, k2)
@@ -311,16 +291,15 @@ def evaluate_identity(data: IdentityData) -> EulerReport:
             )
         rhs += sum(jumps, Fraction(0))
         if jumps:
+            lcm = math.lcm(k[arc[0]], k[arc[-1]])
             try:
-                total, d = chain_euler_sum(
-                    ChainDescriptor(
-                        k=tuple(data.k[f] for f in arc), a=tuple(a_list)
-                    )
+                _, d = chain_euler_sum(
+                    ChainDescriptor(k=tuple(k[f] for f in arc), a=tuple(a_list))
                 )
-                per_chain.append((idx, d, math.lcm(data.k[arc[0]], data.k[arc[-1]])))
+                per_chain.append((idx, d, lcm))
             except ChainDataError:
                 ok = False
-                per_chain.append((idx, 0, math.lcm(data.k[arc[0]], data.k[arc[-1]])))
+                per_chain.append((idx, 0, lcm))
     ok = ok and lhs == rhs and all(d >= 1 for _, d, _ in per_chain)
     return EulerReport(
         lhs=lhs, rhs=rhs, per_chain=tuple(per_chain), ok=ok, terms=tuple(terms)

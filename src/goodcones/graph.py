@@ -18,13 +18,12 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .cone import GoodCone, InvalidCone, face_invariants, validate
+from .cone import GoodCone, InvalidCone, validate
 from .construct import close_chain_normals
 from .exactnum import (
     DegenerateInput,
     QuadNumber,
     Vec3,
-    cramer_rows,
     cross,
     cross_primitive,
     det3,
@@ -36,9 +35,11 @@ from .reeb import (
     ReebVector,
     _arc_data,
     _clear,
+    _lie_g_integers,
     _pair_sign,
     _polygon,
     _profile_of,
+    _vertex_circle,
     reeb_lie_g_coords,
 )
 
@@ -192,19 +193,6 @@ def _canonical_sign(v: Tuple[int, int]) -> Tuple[int, int]:
     raise DegenerateInput("zero direction")
 
 
-def _lie_g_integers(profile, v: Vec3) -> Tuple[int, int]:
-    """`lie_g_coords` of a lattice vector of the Lie(G) plane, whose
-    coordinates are integers because (u1, u2) is a lattice basis: the
-    Cramer rows of the frame (u1, u2, v0), divided exactly."""
-    u1, u2 = profile.lieG_basis
-    row_a, row_b, _ = cramer_rows(u1, u2, profile.v0)
-    den = dot(u1, row_a)
-    a, rem_a = divmod(dot(row_a, v), den)
-    b, rem_b = divmod(dot(row_b, v), den)
-    assert rem_a == 0 and rem_b == 0, "not a lattice vector of Lie(G)"
-    return a, b
-
-
 def _edge_isotropy(profile, normals, face: int) -> FiniteCyclicSubgroup:
     """Subgroup of T^2 cut out by the face's lens space: generated by
     (1/k) n - sigma m in Lie(G), with m the lattice complement of v0 and
@@ -218,13 +206,19 @@ def _edge_isotropy(profile, normals, face: int) -> FiniteCyclicSubgroup:
     return _canonical_subgroup(k, a % k, b % k)
 
 
-def _vertex_direction(profile, normals, vertex: int) -> Tuple[int, int]:
-    """Primitive Lie(G)_Z direction of the isotropy circle at the polygon
-    vertex between faces `vertex` and `vertex`+1."""
-    m = len(normals)
-    edge = cross_primitive(normals[vertex % m], normals[(vertex + 1) % m])
-    y = cross_primitive(profile.v0, edge)
-    return _canonical_sign(_lie_g_integers(profile, y))
+def _normal_euler_residues(cone: GoodCone, face: int) -> Tuple[int, int, int]:
+    """(b, f, f_rev) of the face from its adjacent triple (n1, n2, n3) =
+    (n^{i-1}, n^i, n^{i+1}): b = det3(n1, n2, n3), and each residue is
+    det3(n1, n3, l) mod b for a witness l of one adjacent pair, l =
+    solve_dot_one(n2 x n3) for f (as in `face_invariants`) and l =
+    solve_dot_one(n1 x n2) for f_rev."""
+    n1, n2, n3 = cone.normal(face - 1), cone.normal(face), cone.normal(face + 1)
+    c = cross(n1, n2)
+    b = dot(c, n3)
+    if b <= 0:
+        raise InvalidCone(f"faces {face-1},{face},{face+1} are not a convex triple")
+    f, f_rev = (det3(n1, n3, solve_dot_one(w)) % b for w in (cross(n2, n3), c))
+    return b, f, f_rev
 
 
 def reversed_euler_residue(cone: GoodCone, face: int) -> int:
@@ -237,12 +231,7 @@ def reversed_euler_residue(cone: GoodCone, face: int) -> int:
     M n^{i-1}) for a reflection M, and M l witnesses the pair (M n^i,
     M n^{i-1}).  Another witness l + s n^{i-1} + t n^i moves the
     determinant by t det3(n^{i-1}, n^{i+1}, n^i) = -t b."""
-    n1, n2, n3 = cone.normal(face - 1), cone.normal(face), cone.normal(face + 1)
-    c = cross(n1, n2)
-    b = dot(c, n3)
-    if b <= 0:
-        raise InvalidCone(f"faces {face-1},{face},{face+1} are not a convex triple")
-    return det3(n1, n3, solve_dot_one(c)) % b
+    return _normal_euler_residues(cone, face)[2]
 
 
 def _fat_vertex(profile, cone: GoodCone, face: int) -> FatVertex:
@@ -250,15 +239,15 @@ def _fat_vertex(profile, cone: GoodCone, face: int) -> FatVertex:
     direction = _canonical_sign(_lie_g_integers(profile, cone.normal(face)))
     k_lo = profile.k[(face - 1) % k]
     k_hi = profile.k[(face + 1) % k]
-    inv = face_invariants(cone, face)
+    b, f, f_rev = _normal_euler_residues(cone, face)
     mults = tuple(sorted(x for x in (k_lo, k_hi) if x >= 2))
     return FatVertex(
         direction=direction,
         genus=0,
         multiplicities=mults,
-        orbifold_euler=Fraction(-inv.b, k_lo * k_hi),
-        normal_euler=(inv.b, inv.f),
-        normal_euler_rev=reversed_euler_residue(cone, face),
+        orbifold_euler=Fraction(-b, k_lo * k_hi),
+        normal_euler=(b, f),
+        normal_euler_rev=f_rev,
     )
 
 
@@ -280,7 +269,7 @@ def extract_graph(
         k2 = profile.k[(v + 1) % len(cone)]
         return RegularVertex(
             order=math.gcd(k1, k2),
-            direction=_vertex_direction(profile, cone.normals, v),
+            direction=_canonical_sign(_vertex_circle(profile, cone.normals, v)),
         )
 
     chains = tuple(
@@ -312,7 +301,7 @@ def _chain_items(profile, normals, faces) -> Tuple[ChainItem, ...]:
             items.append(
                 RegularVertex(
                     order=math.gcd(profile.k[face], profile.k[nxt]),
-                    direction=_vertex_direction(profile, normals, v),
+                    direction=_canonical_sign(_vertex_circle(profile, normals, v)),
                 )
             )
     return tuple(items)

@@ -39,6 +39,7 @@ from .exactnum import (
     _is_square_free,
     cramer_rows,
     cross,
+    cross_primitive,
     det3,
     dot,
     least_denominator,
@@ -268,6 +269,24 @@ def lie_g_coords(profile: IsotropyProfile, v: Vec3) -> Tuple[Fraction, Fraction]
     return Fraction(dot(row_a, v), den), Fraction(dot(row_b, v), den)
 
 
+def _lie_g_integers(profile: IsotropyProfile, v: Vec3) -> Tuple[int, int]:
+    """`lie_g_coords` of a lattice vector v of the Lie(G) plane, in integers:
+    its first two coordinates in the frame (u1, u2, m), v0 . m = 1, which
+    is unimodular (u1 x u2 = v0), so the Cramer rows need no division."""
+    u1, u2 = profile.lieG_basis
+    row_a, row_b, _ = cramer_rows(u1, u2, solve_dot_one(profile.v0))
+    return dot(row_a, v), dot(row_b, v)
+
+
+def _vertex_circle(profile: IsotropyProfile, normals, vertex: int) -> Tuple[int, int]:
+    """Integer Lie(G) coordinates of the primitive generator of
+    span(n, n') ∩ Lie(G) at the polygon vertex between faces `vertex` and
+    `vertex`+1: the isotropy circle of that closed orbit, up to sign."""
+    m = len(normals)
+    edge = cross_primitive(normals[vertex % m], normals[(vertex + 1) % m])
+    return _lie_g_integers(profile, cross_primitive(profile.v0, edge))
+
+
 def reeb_lie_g_coords(profile: IsotropyProfile, R: ReebVector):
     """R in the (u1, u2) basis, as a pair of QuadNumbers."""
     a_p, b_p = lie_g_coords(profile, R.p)
@@ -284,6 +303,21 @@ def det_g(profile: IsotropyProfile, x: ReebVector, y: Vec3) -> QuadNumber:
         Fraction(det3(x.q, y, profile.v0), den),
         x.d,
     )
+
+
+def _checked_ybar(profile: IsotropyProfile, rays, ybar: Vec3) -> None:
+    """The precondition on a caller-given transverse circle, which
+    `choose_transverse_circle` meets by construction: Ybar lies in Lie(G)
+    (v0 . Ybar = 0) and pairs positively with every edge ray."""
+    off = dot(profile.v0, ybar)
+    if off:
+        raise DegenerateInput(f"Ybar {tuple(ybar)} is not in Lie(G): v0 . Ybar = {off}")
+    for i, e in enumerate(rays):
+        y = dot(ybar, e)
+        if y <= 0:
+            raise DegenerateInput(
+                f"Ybar {tuple(ybar)} is not transverse: Ybar . e_{i} = {y}"
+            )
 
 
 def choose_transverse_circle(cone: GoodCone, R: ReebVector) -> Vec3:
@@ -341,7 +375,8 @@ def width_of_flat_face(
     (1) determinant formula
         w = |det3(n^{i-1}, n^{i+1}, c R - Ybar)|
             / |(v0.n^{i-1}) (v0.n^{i+1}) det_G(R, Ybar)|
-        with c the (constant) value of Ybar on the face segment;
+        with c the value of Ybar on the face segment, constant since Ybar,
+        R and n^i all lie in the plane Lie(G);
     (2) pr2-chord of the segment, pr2 = pairing with the lattice complement m
         of Lie(G) (well defined: the segment direction lies in Lie(G)).
 
@@ -354,17 +389,17 @@ def width_of_flat_face(
 
     with A + B sqrt(d) = den det3(n, n', R), D = det3(n, n', Ybar),
     G_P + sqrt(d) G_Q = den g det_G(R, Ybar) and g = det3(u1, u2, v0).
+
+    Ybar must be a transverse circle (`_checked_ybar`); any other vector
+    raises DegenerateInput.
     """
     rays, profile, z = _checked_profile(cone, R)
+    _checked_ybar(profile, rays, ybar)
     if i not in profile.flats:
         raise DegenerateInput(f"face {i} is not flat (k={profile.k[i % len(cone)]})")
     e_lo, e_hi = rays[(i - 1) % len(cone)], rays[i % len(cone)]
     d = z.d
     y, a, b = dot(ybar, e_hi), dot(z.P, e_hi), dot(z.Q, e_hi)
-    y_lo, a_lo, b_lo = dot(ybar, e_lo), dot(z.P, e_lo), dot(z.Q, e_lo)
-    assert y * a_lo == y_lo * a and y * b_lo == y_lo * b, (
-        "flat face is not in a Ybar level set"
-    )
 
     n_prev, n_next = cone.normal(i - 1), cone.normal(i + 1)
     s_prev, s_next = dot(profile.v0, n_prev), dot(profile.v0, n_next)
@@ -454,10 +489,13 @@ def arc_decomposition(
 
 def _arc_data(cone: GoodCone, R: ReebVector, ybar: Optional[Vec3]):
     """The start of every public call that walks the boundary chains:
-    (profile, Ybar, arcs) from one validation, with Ybar chosen when None."""
+    (profile, Ybar, arcs) from one validation, with Ybar chosen when None
+    and checked by `_checked_ybar` when given."""
     rays, profile, z = _checked_profile(cone, R)
     if ybar is None:
         ybar = _transverse_circle(profile, rays)
+    else:
+        _checked_ybar(profile, rays, ybar)
     k = len(cone)
     signs = profile.signed(cone)
     rank = _moment_ranks(z, ybar, rays)
@@ -476,23 +514,10 @@ def _arc_data(cone: GoodCone, R: ReebVector, ybar: Optional[Vec3]):
     minimum = extreme_at(lo)
     maximum = extreme_at(hi)
 
-    def member(face: int) -> bool:
-        if minimum.kind == "flat" and face == minimum.index:
-            return False
-        if maximum.kind == "flat" and face == maximum.index:
-            return False
-        return True
-
-    neg, pos = [], []
-    for face in range(k):
-        if not member(face):
-            continue
-        if signs[face] < 0:
-            neg.append(face)
-        elif signs[face] > 0:
-            pos.append(face)
-        else:
-            raise InvalidCone(f"non-extreme face {face} is flat")
+    # A flat face is a Ybar level segment, so for a transverse Ybar the flat
+    # faces are exactly the flat extremes, and each chain face has a sign.
+    neg = [face for face in range(k) if signs[face] < 0]
+    pos = [face for face in range(k) if signs[face] > 0]
 
     def face_level(face: int):
         lo_v, hi_v = rank[(face - 1) % k], rank[face]
@@ -541,7 +566,10 @@ def closure_identity_residual(
           (+1 for the negative arc, -1 for the positive arc)
           det(n^j_{i+1}, n^j_i, Y)/(k^j_{i+1} k^j_i)  =  0
 
-    with arcs ordered by increasing Ybar-moment (chain 1 = negative arc).
+    with arcs ordered by increasing Ybar-moment (chain 1 = negative arc;
+    these are sign labels, not the geometric labels of
+    `euler.evaluate_identity`).  Ybar must be a transverse circle
+    (`_checked_ybar`); any other vector raises DegenerateInput.
     """
     profile, ybar, arcs = _arc_data(cone, R, ybar)
     signs = profile.signed(cone)

@@ -251,6 +251,41 @@ def test_catalog_rejects_invalid(tmp_path, capsys):
     assert code == 1
 
 
+CORRUPT_INDEXES = {
+    "not-json": "{bad",
+    "not-an-object": "[1,2]",
+    "entry-not-an-object": '{"x": 1}',
+}
+
+
+@pytest.mark.parametrize("action", ["add", "list", "get"])
+@pytest.mark.parametrize("name", sorted(CORRUPT_INDEXES))
+def test_corrupt_catalog_index_exits_2(tmp_path, doc_path, capsys, name, action):
+    store = tmp_path / "store"
+    store.mkdir()
+    (store / "index.json").write_text(CORRUPT_INDEXES[name])
+    positional = {"add": [doc_path], "list": [], "get": ["x"]}[action]
+    code = run(["catalog", action, *positional, "--store", str(store)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "Traceback" not in err
+    lines = err.strip().splitlines()
+    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
+    assert (store / "index.json").read_text() == CORRUPT_INDEXES[name]
+
+
+def test_corrupt_stored_document_exits_2(tmp_path, doc_path, capsys):
+    store = str(tmp_path / "store")
+    code, out = run_json(capsys, ["catalog", "add", doc_path, "--store", store])
+    digest = out["hash"]
+    with open(os.path.join(store, f"{digest}.json"), "w") as fh:
+        fh.write("{bad")
+    for argv in (["get", digest], ["add", doc_path]):
+        code = run(["catalog", *argv, "--store", store])
+        out, err = capsys.readouterr()
+        assert code == 2 and out == "" and "Traceback" not in err
+        assert "malformed JSON" in json.loads(err)["error"]
+
+
 def test_malformed_json_exit2(tmp_path, capsys):
     path = tmp_path / "broken.json"
     path.write_text('{"normals": [[1,0,0],')

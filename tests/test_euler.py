@@ -1,4 +1,5 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
@@ -146,3 +147,43 @@ def test_report_serialization():
     assert d["ok"] is True
     assert d["lhs"] == "1/2" and d["rhs"] == "1/2"
     assert all({"kind", "location", "a", "k", "value"} <= set(t) for t in d["terms"])
+
+
+def identity_corpus():
+    """example_family(2..9), whose extremes are flat faces, and 300 seeded
+    conftest cones of 3 to 6 faces, whose extremes are vertices."""
+    for k in range(2, 10):
+        yield example_family(k)
+    rnd = random.Random(11)
+    for _ in range(300):
+        cone = random_good_cone(rnd, cuts=rnd.randint(0, 3))
+        yield cone, random_admissible_rank2_reeb(rnd, cone)
+
+
+def test_extreme_terms_are_the_exported_formulas():
+    """A vertex extreme is euler_near_B_orbit(a, k, k', is_max); a flat
+    extreme f is euler_near_B_lens(n^{f+1}, n^{f-1}, Ybar, ...), also on
+    cones without interior jumps, where the chain labels are geometric."""
+    sizes, vertex_terms, flat_terms = set(), 0, 0
+    for cone, reeb in identity_corpus():
+        data = build_identity_data(cone, reeb)
+        report = evaluate_identity(data)
+        assert report.ok
+        sizes.add(len(cone))
+        for term in report.terms:
+            if term.kind == "jump":
+                continue
+            is_max = term.kind == "extreme-max"
+            (f,) = term.location
+            if term.a is None:
+                lo, hi = (f - 1) % len(cone), (f + 1) % len(cone)
+                expected = euler_near_B_lens(
+                    cone.normal(hi), cone.normal(lo), data.ybar,
+                    data.k[hi], data.k[lo], is_max,
+                )
+                flat_terms += 1
+            else:
+                expected = euler_near_B_orbit(term.a, *term.k, is_max)
+                vertex_terms += 1
+            assert term.value == expected, (cone.normals, reeb, term)
+    assert {3, 4} <= sizes and vertex_terms > 500 and flat_terms >= 16

@@ -34,7 +34,12 @@ from goodcones.exactnum import (
     mat_vec,
     solve_dot_one,
 )
-from goodcones.graph import FiniteCyclicSubgroup, _edge_isotropy, reversed_euler_residue
+from goodcones.graph import (
+    FiniteCyclicSubgroup,
+    _edge_isotropy,
+    extract_graph,
+    reversed_euler_residue,
+)
 from goodcones.reeb import (
     isotropy_profile,
     lie_g_coords,
@@ -242,10 +247,33 @@ def test_reversed_euler_residue_builds_no_cone_and_scans_no_witness(monkeypatch)
         raise AssertionError("reversed_euler_residue left the adjacent triple")
 
     monkeypatch.setattr(GoodCone, "__post_init__", forbidden)
-    monkeypatch.setattr(graph_module, "face_invariants", forbidden)
+    forbid_witness_scans(monkeypatch, forbidden)
+    assert [reversed_euler_residue(cone, i) for i in range(len(cone))] == expected
+
+
+def forbid_witness_scans(monkeypatch, forbidden):
+    """Make `face_invariants` and `delzant_witness` raise wherever they are
+    bound; the graph module no longer imports `face_invariants`."""
+    monkeypatch.setattr(cone_module, "face_invariants", forbidden)
+    monkeypatch.setattr(graph_module, "face_invariants", forbidden, raising=False)
     monkeypatch.setattr(cone_module, "delzant_witness", forbidden)
     monkeypatch.setattr(exactnum_module, "delzant_witness", forbidden)
-    assert [reversed_euler_residue(cone, i) for i in range(len(cone))] == expected
+
+
+@pytest.mark.parametrize("k", [2, 5, 12])
+def test_fat_vertices_read_the_adjacent_triple_without_witness_scans(monkeypatch, k):
+    cone, reeb = example_family(k)
+    expected = extract_graph(cone, reeb)
+    flats = sorted(isotropy_profile(cone, reeb).flats)
+    assert [v.normal_euler for v in expected.fat_vertices] == [
+        (face_invariants(cone, f).b, face_invariants(cone, f).f) for f in flats
+    ]
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("a fat vertex scanned for a Delzant witness")
+
+    forbid_witness_scans(monkeypatch, forbidden)
+    assert extract_graph(cone, reeb) == expected
 
 
 def test_euler_residues_do_not_depend_on_the_witness(pairs):

@@ -4,15 +4,17 @@ from fractions import Fraction
 import pytest
 
 from goodcones.cone import edge_rays, load_cone
-from goodcones.construct import obstructed_family
-from goodcones.euler import verify_global_identity
+from goodcones.construct import example_family, obstructed_family
+from goodcones.euler import build_identity_data, verify_global_identity
 from goodcones.exactnum import (
+    DegenerateInput,
     det3,
     dot,
     least_denominator,
     mat_vec,
     quad,
 )
+from goodcones.graph import extract_graph
 from goodcones.reeb import (
     InadmissibleReeb,
     RankError,
@@ -205,6 +207,33 @@ def test_width_of_flat_faces_family():
     assert w3 == quad(Fraction(5, 6), 0)
     with pytest.raises(Exception):
         width_of_flat_face(FAMILY2, R_FAMILY2, y, 1)
+
+
+# Every entry that takes a caller-given Ybar, with face 0 (flat in
+# example_family) for the width, which used to fail an internal assert on
+# an off-plane Ybar.
+YBAR_ENTRIES = {
+    "arc_decomposition": arc_decomposition,
+    "extract_graph": extract_graph,
+    "build_identity_data": build_identity_data,
+    "verify_global_identity": verify_global_identity,
+    "closure_identity_residual": closure_identity_residual,
+    "width_of_flat_face": lambda c, r, y: width_of_flat_face(c, r, y, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(YBAR_ENTRIES))
+@pytest.mark.parametrize(
+    "k,ybar,message",
+    [
+        (2, (1, 0, 0), r"Ybar \(1, 0, 0\) is not in Lie\(G\): v0 . Ybar = 1"),
+        (6, (3, -1, -3), r"Ybar \(3, -1, -3\) is not transverse: Ybar . e_0 = -6"),
+    ],
+)
+def test_caller_ybar_must_be_a_transverse_circle(name, k, ybar, message):
+    cone, reeb = example_family(k)
+    with pytest.raises(DegenerateInput, match=f"^{message}$"):
+        YBAR_ENTRIES[name](cone, reeb, ybar)
 
 
 def test_width_on_random_instances(rnd):
