@@ -3,7 +3,10 @@
 A cone is stored as a cyclically ordered tuple of primitive inward normals
 (n^0, ..., n^k), oriented so det3(n^0, n^1, n^2) > 0.  Goodness means every
 triple det3(n^i, n^{i+1}, n^j) is positive (cyclic convexity / correct face
-order) and every adjacent pair extends to a Z-basis of Z^3.
+order) and every adjacent pair extends to a Z-basis of Z^3.  `_is_good`
+decides it in O(k): with c_i = n^i x n^{i+1} and h = sum c_i, (a) every c_i
+is primitive, (b) every det3(n^i, n^{i+1}, n^{i+2}) > 0, (c) every
+h . n^j > 0 and (d) the c_i wind exactly once around h.
 """
 
 from __future__ import annotations
@@ -91,14 +94,67 @@ def load_cone(normals) -> GoodCone:
 def validate(cone: GoodCone) -> ValidityReport:
     """Goodness check: positive convexity determinants for all cyclic triples
     (n^i, n^{i+1}, n^j) and a Delzant witness for every adjacent pair.
-
-    Zero determinants are reported as face-order failures (improper face
-    structure), negative ones as convexity failures.
+    `_is_good` decides it in O(k) by (a)-(d) of the module docstring; only a
+    cone that is not good pays for the O(k^2) report, in which zero
+    determinants are face-order failures (improper face structure) and
+    negative ones convexity failures.
     """
     normals = cone.normals
-    k = len(normals)
-    if k < 3:
+    if len(normals) < 3:
         raise DegenerateInput("a cone needs at least 3 normals")
+    if _is_good(normals):
+        return ValidityReport(is_good=True, failures=())
+    return _report(normals)
+
+
+def _is_good(normals: Tuple[Vec3, ...]) -> bool:
+    """(a)-(d) of the module docstring; they hold iff the cone is good.
+
+    (c) is necessary: in a good cone c_i pairs >= 0 with every normal and
+    > 0 off faces i, i+1.  Given (c), the central projection onto
+    {h . v = 1} keeps every det3 sign, so (b) makes every turn of the
+    projected polygon a left turn, and goodness says it is strictly convex.
+    The part of c_i orthogonal to h is edge i turned by a right angle, so
+    (d) says the turning number is 1; a closed polygon whose turns are all
+    left and whose turning number is 1 is strictly convex (Preparata-Shamos,
+    Computational Geometry, 1985).  (d) is counted in integers: each c_i is
+    upper (e2 . c > 0, or e2 . c = 0 < e1 . c) or lower, and every step
+    turns by less than pi, as det3(h, c_i, c_{i+1}) =
+    det3(n^i, n^{i+1}, n^{i+2}) (h . n^{i+1}) > 0, so the winding number is
+    the number of cyclic steps from lower to upper.
+    """
+    crosses = []
+    hx = hy = hz = 0
+    for (ax, ay, az), (bx, by, bz), (x, y, z) in zip(
+        normals, normals[1:] + normals[:1], normals[2:] + normals[:2]
+    ):
+        cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+        if cx * x + cy * y + cz * z <= 0 or math.gcd(cx, cy, cz) != 1:
+            return False
+        crosses.append((cx, cy, cz))
+        hx, hy, hz = hx + cx, hy + cy, hz + cz
+    if any(hx * x + hy * y + hz * z <= 0 for x, y, z in normals):
+        return False
+    ax, ay, az = abs(hx), abs(hy), abs(hz)
+    if ax <= ay and ax <= az:  # e1 = h x (the axis of least |h_j|), e2 = h x e1
+        ux, uy, uz = 0, hz, -hy
+    elif ay <= az:
+        ux, uy, uz = -hz, 0, hx
+    else:
+        ux, uy, uz = hy, -hx, 0
+    vx, vy, vz = hy * uz - hz * uy, hz * ux - hx * uz, hx * uy - hy * ux
+    wraps, was_upper = 0, True
+    for cx, cy, cz in crosses[-1:] + crosses:
+        s = vx * cx + vy * cy + vz * cz
+        upper = s > 0 or (s == 0 and ux * cx + uy * cy + uz * cz > 0)
+        wraps += upper and not was_upper
+        was_upper = upper
+    return wraps == 1
+
+
+def _report(normals: Tuple[Vec3, ...]) -> ValidityReport:
+    """In O(k^2): every failing triple, then every non-Delzant pair."""
+    k = len(normals)
     failures: List[Tuple[str, Tuple[int, ...]]] = []
     delzant: List[Tuple[str, Tuple[int, ...]]] = []
     for i in range(k):

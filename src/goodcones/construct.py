@@ -14,7 +14,7 @@ import math
 import random
 from typing import List, Sequence, Tuple
 
-from .cone import GoodCone, gluing_matrix, validate
+from .cone import GoodCone, gluing_matrix, require_valid, validate
 from .exactnum import (
     SearchExhausted,
     Vec3,
@@ -87,9 +87,7 @@ def obstructed_family(
         ls.append(l_new)
     closing = close_chain_normals(ns)
     cone = GoodCone(tuple(ns) + (closing,))
-    report = validate(cone)
-    if not report.is_good:
-        raise RuntimeError(f"obstructed family failed validation: {report.failures[:4]}")
+    require_valid(cone)
     reeb = reeb_from_vectors(ns[0], ns[k + 1], d)
     return cone, reeb
 
@@ -142,14 +140,10 @@ def close_chain_normals(chain: Sequence[Vec3]) -> Vec3:
 
 
 def close_chain(chain_normals: Sequence[Vec3]) -> Vec3:
-    """Closing normal making the chain a good cone (validated here)."""
+    """Closing normal making the chain a good cone (validated here: raises
+    InvalidCone with the report when the closed cone is not good)."""
     closing = close_chain_normals(chain_normals)
-    cone = GoodCone(tuple(tuple(int(x) for x in n) for n in chain_normals) + (closing,))
-    report = validate(cone)
-    if not report.is_good:
-        raise RuntimeError(
-            f"closing normal {closing} does not validate: {report.failures[:4]}"
-        )
+    require_valid(GoodCone(tuple(chain_normals) + (closing,)))
     return closing
 
 

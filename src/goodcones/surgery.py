@@ -3,11 +3,10 @@ normal deletion, range replacement, blow-down normal search (Dirichlet
 prime construction with a bounded lattice fallback), blow-down planning,
 and the local blow-up parameter solver.
 
-Every public surgery validates its input cone once.  An edit of a good
-cone can only break the triples and pairs that contain a new normal or a
-new adjacent pair, so the result is checked on those alone, in O(k); the
-full O(k^2) `validate` runs only when that check fails, to report why.
-Plans validate their input once and chain the unchecked edits.
+Every public surgery validates its input cone once and checks its result
+with the O(k) goodness predicate that `validate` runs first; the O(k^2)
+report is built only for a rejected result, to say why.  Plans validate
+their input once and chain the unchecked edits.
 """
 
 from __future__ import annotations
@@ -20,14 +19,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .cone import GoodCone, edge_rays, require_valid, validate
+from .cone import GoodCone, _is_good, edge_rays, require_valid, validate
 from .exactnum import (
     DegenerateInput,
     QuadNumber,
     SearchExhausted,
     Vec3,
     cramer_rows,
-    cross,
     delzant_witness,
     det3,
     dot,
@@ -93,7 +91,7 @@ def cut(cone: GoodCone, spec: CutSpec) -> SurgeryResult:
     face and nothing else is a lens blow-up (replace that face's normal by
     t, orbit count unchanged).  Anything else is rejected, as is a result
     that is not good.  The input is validated once; the result is checked
-    locally in O(k) (see `_edited`).
+    in O(k) (see `_edited`).
     """
     require_valid(cone)
     return _cut(cone, spec)
@@ -110,12 +108,7 @@ def _cut(cone: GoodCone, spec: CutSpec) -> SurgeryResult:
         v = negative[0]
         normals = list(cone.normals)
         normals.insert(v + 1, t)
-        result = _edited(
-            normals,
-            [v + 1],
-            [v, v + 1],
-            f"orbit cut at vertex {v} yields a non-good cone",
-        )
+        result = _edited(normals, f"orbit cut at vertex {v} yields a non-good cone")
         return SurgeryResult(cone=result, kind="orbit-blowup", index=v)
     if len(negative) == 2:
         a, b = negative
@@ -130,12 +123,7 @@ def _cut(cone: GoodCone, spec: CutSpec) -> SurgeryResult:
             )
         normals = list(cone.normals)
         normals[face] = t
-        result = _edited(
-            normals,
-            [face],
-            [face - 1, face],
-            f"lens cut at face {face} yields a non-good cone",
-        )
+        result = _edited(normals, f"lens cut at face {face} yields a non-good cone")
         return SurgeryResult(cone=result, kind="lens-blowup", index=face)
     raise SurgeryRejected(
         f"cut removes {len(negative)} edges ({negative}): not a modeled surgery"
@@ -146,7 +134,7 @@ def blowdown_delete(cone: GoodCone, i: int) -> GoodCone:
     """Remove normal i (inverse of an orbit blow-up).  Fails with the
     validation report when the remaining normals are not good, in particular
     when (n^{i-1}, n^{i+1}) is not a Delzant pair.  The input is validated
-    once; the result is checked locally in O(k)."""
+    once; the result is checked in O(k)."""
     require_valid(cone)
     return _delete(cone, i)
 
@@ -154,14 +142,14 @@ def blowdown_delete(cone: GoodCone, i: int) -> GoodCone:
 def _delete(cone: GoodCone, i: int) -> GoodCone:
     i %= len(cone)
     normals = [n for j, n in enumerate(cone.normals) if j != i]
-    return _edited(normals, [], [i - 1], f"cannot blow down face {i}")
+    return _edited(normals, f"cannot blow down face {i}")
 
 
 def replace_range(cone: GoodCone, rng: Sequence[int], t: Vec3) -> GoodCone:
     """Replace a contiguous run of normals by the single normal t.  The new
     half-space must contain the old cone (t pairs >= 0 with every old edge
     ray: attachment only enlarges), and the result must be good.  The input
-    is validated once; the result is checked locally in O(k)."""
+    is validated once; the result is checked in O(k)."""
     require_valid(cone)
     return _replace(cone, rng, t)
 
@@ -186,62 +174,24 @@ def _replace(cone: GoodCone, rng: Sequence[int], t: Vec3) -> GoodCone:
             raise SurgeryRejected(
                 f"replacement normal {t} cuts the cone (edge {e}): not an attachment"
             )
-    rng_set = set(rng)
-    normals = []
-    for j in range(k):
-        if j == rng[0]:
-            pos = len(normals)
-            normals.append(t)
-        elif j not in rng_set:
-            normals.append(cone.normals[j])
-    return _edited(
-        normals, [pos], [pos - 1, pos], f"replacement by {t} is not a good cone"
-    )
+    head, rest = rng[0], set(rng[1:])
+    normals = [t if j == head else n for j, n in enumerate(cone.normals) if j not in rest]
+    return _edited(normals, f"replacement by {t} is not a good cone")
 
 
-def _edited(
-    normals: List[Vec3], fresh: Sequence[int], pairs: Sequence[int], message: str
-) -> GoodCone:
+def _edited(normals: List[Vec3], message: str) -> GoodCone:
     """The cone left by an edit of a good cone, or SurgeryRejected.
 
-    `fresh` are the positions of the inserted or replaced normals and
-    `pairs` the positions p of the new adjacent pairs (p, p+1).  Every
-    triple and pair of `validate` that contains neither is one of the good
-    input's, so only these are checked.  When the check fails, or fewer
-    than 3 normals remain, the full `validate` gives the report (or raises
+    The result is checked with `_is_good`, in O(k).  When it is not good,
+    or fewer than 3 normals remain, `validate` gives the report (or raises
     DegenerateInput), exactly as validating the whole result would.
     """
     result = GoodCone(tuple(normals))
-    if len(normals) >= 3 and _locally_good(result.normals, fresh, pairs):
+    if len(normals) >= 3 and _is_good(result.normals):
         return result
     report = validate(result)
     assert not report.is_good
     raise SurgeryRejected(message, report)
-
-
-def _locally_good(
-    normals: Sequence[Vec3], fresh: Sequence[int], pairs: Sequence[int]
-) -> bool:
-    """det3(n^p, n^{p+1}, n^j) > 0 for p in `pairs` and every other j,
-    det3(n^i, n^{i+1}, n^f) > 0 for every other pair i and f in `fresh`
-    (f not in the pair), and Delzant on each pair in `pairs`."""
-    m = len(normals)
-    new = {p % m for p in pairs}
-    for p in new:
-        q = (p + 1) % m
-        if not is_delzant_pair(normals[p], normals[q]):
-            return False
-        c = cross(normals[p], normals[q])
-        if any(dot(c, n) <= 0 for j, n in enumerate(normals) if j != p and j != q):
-            return False
-    for f in fresh:
-        for i in range(m):
-            q = (i + 1) % m
-            if i in new or f == i or f == q:
-                continue
-            if det3(normals[i], normals[q], normals[f]) <= 0:
-                return False
-    return True
 
 
 # ---------------------------------------------------------------------------

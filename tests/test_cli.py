@@ -151,6 +151,17 @@ def test_close_malformed_chain_exits_2(capsys, tmp_path, chain, message):
     assert message in json.loads(captured.err)["error"]
 
 
+def test_close_non_good_closure_exits_1(capsys, tmp_path):
+    path = tmp_path / "chain.json"
+    chain = [[13, 0, 2], [2, 13, 2], [-13, 3, 2], [-5, -12, 3]]
+    path.write_text(json.dumps({"normals": chain}))
+    code = run(["close", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert "delzant-pair" in json.loads(captured.err)["error"]
+
+
 def test_closed_stdout_exits_quietly(doc_path):
     """A reader that closes the pipe first (`goodcones ... | head`) gets no
     traceback: the write fails with EPIPE and the CLI exits 1."""

@@ -4,6 +4,8 @@ import pytest
 
 from goodcones.cone import (
     GoodCone,
+    ValidityReport,
+    _is_good,
     can_blowdown_to_orbit,
     edge_ray,
     edge_rays,
@@ -12,6 +14,7 @@ from goodcones.cone import (
     load_cone,
     validate,
 )
+from goodcones.construct import example_family, obstructed_family
 from goodcones.exactnum import (
     DegenerateInput,
     cross,
@@ -19,6 +22,7 @@ from goodcones.exactnum import (
     det3,
     dot,
     is_delzant_pair,
+    is_primitive,
     primitive_part,
 )
 
@@ -95,11 +99,62 @@ def oracle_is_good(cone):
     return all(is_delzant_pair(normals[i], normals[(i + 1) % k]) for i in range(k))
 
 
+def quadratic_report(cone):
+    """The former O(k^2) `validate`: every failing triple (n^i, n^{i+1},
+    n^j) in order, then every adjacent pair that is not Delzant."""
+    normals = cone.normals
+    k = len(normals)
+    failures, delzant = [], []
+    for i in range(k):
+        c = cross(normals[i], normals[(i + 1) % k])
+        for j, n in enumerate(normals):
+            d = dot(c, n)
+            if d <= 0 and j not in (i, (i + 1) % k):
+                failures.append(("face-order" if d == 0 else "convexity-det", (i, j)))
+        if not is_primitive(c):
+            delzant.append(("delzant-pair", (i,)))
+    failures += delzant
+    return ValidityReport(is_good=not failures, failures=tuple(failures))
+
+
+# Star polygons {5/2}, {7/2}, {7/3} and {9/2} on the plane z = 1: every
+# adjacent pair is Delzant, every consecutive triple is convex and h . n^j > 0
+# for h the sum of the n^i x n^{i+1}, but those wind around h 2 or 3 times.
+STARS = [
+    [(2, 1, 1), (-2, 0, 1), (1, -2, 1), (0, 2, 1), (-1, -1, 1)],
+    [(4, 3, 1), (-4, 2, 1), (-1, -5, 1), (5, 0, 1), (-1, 5, 1), (-4, -2, 1), (3, -4, 1)],
+    [(1, 1, 1), (-2, -1, 1), (2, 0, 1), (-2, 1, 1), (1, -1, 1), (0, 2, 1), (-1, -2, 1)],
+    [
+        (4, 4, 1), (-3, 5, 1), (-6, -2, 1), (1, -6, 1), (6, 0, 1),
+        (1, 6, 1), (-6, 2, 1), (-3, -5, 1), (5, -4, 1),
+    ],
+]
+
+
+# (a) and (b) hold and the c_i cross from lower to upper once, but some
+# h . n^j <= 0: without (c) these would pass.
+NO_POSITIVE_H = [
+    [(-2, -1, -2), (1, 3, 0), (1, 0, -1), (1, 3, -2), (2, -3, 3)],
+    [(5, 3, -5), (3, -1, 0), (-1, 0, 0), (-2, -5, -2), (-5, -4, 2)],
+    [(4, -5, 5), (-1, -5, -3), (1, 0, -5), (2, -1, 3), (3, -3, 1), (-2, 5, -2)],
+    [(1, 0, 0), (-2, 1, 0), (-1, 0, 1), (2, 1, -1), (-1, 2, 1)],
+]
+
+
 def test_validate_agrees_with_face_lattice_oracle(rnd):
     corpus = [SIMPLICIAL, FAMILY2, FAMILY3]
     for _ in range(25):
         corpus.append(random_good_cone(rnd, cuts=rnd.randint(0, 2)))
-    mutated = []
+    corpus += [example_family(k)[0] for k in (2, 5, 9)]
+    corpus += [obstructed_family(k, seed)[0] for k, seed in ((2, 0), (3, 1), (4, 2))]
+    for star in STARS:
+        k = len(star)
+        pairs = [(star[i], star[(i + 1) % k]) for i in range(k)]
+        assert all(is_delzant_pair(a, b) for a, b in pairs)
+        assert all(det3(a, b, star[(i + 2) % k]) > 0 for i, (a, b) in enumerate(pairs))
+        h = tuple(map(sum, zip(*[cross(a, b) for a, b in pairs])))
+        assert all(dot(h, n) > 0 for n in star)
+    mutated = [GoodCone(tuple(normals)) for normals in STARS + NO_POSITIVE_H]
     for cone in corpus[:15]:
         normals = list(cone.normals)
         which = rnd.randrange(3)
@@ -114,10 +169,25 @@ def test_validate_agrees_with_face_lattice_oracle(rnd):
             mutated.append(GoodCone(tuple(normals)))
         except DegenerateInput:
             continue
+    for cone in corpus:
+        normals = list(cone.normals)
+        shuffled = normals[:]
+        rnd.shuffle(shuffled)
+        deleted = normals[:]
+        del deleted[rnd.randrange(len(deleted))]
+        swapped = normals[:]
+        i, j = rnd.sample(range(len(swapped)), 2)
+        swapped[i], swapped[j] = swapped[j], swapped[i]
+        # doubled: (a)-(c) hold and the c_i wind twice
+        for variant in (normals * 2, shuffled, normals[::-1], deleted, swapped):
+            mutated.append(GoodCone(tuple(variant)))
     for cone in corpus + mutated:
         if len(cone) < 3:
             continue
-        assert validate(cone).is_good == oracle_is_good(cone), cone.normals
+        report = validate(cone)
+        assert report.is_good == oracle_is_good(cone), cone.normals
+        assert report == quadratic_report(cone), cone.normals
+        assert _is_good(cone.normals) == report.is_good, cone.normals
 
 
 def test_edge_ray_examples():

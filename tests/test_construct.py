@@ -3,6 +3,7 @@ import time
 import pytest
 
 from goodcones.cone import (
+    InvalidCone,
     can_blowdown_to_orbit,
     face_invariants,
     gluing_matrix,
@@ -107,6 +108,13 @@ def test_close_chain_example_family_prefix():
 def test_close_chain_rejects_nonconvex():
     with pytest.raises(ValueError):
         close_chain([(0, 1, 0), (0, 1, 1), (0, 0, 1)])  # coplanar triple
+
+
+def test_close_chain_raises_invalid_cone_when_the_closure_is_not_good():
+    # The chain is convex, but its own pair (n^1, n^2) is not Delzant.
+    with pytest.raises(InvalidCone) as info:
+        close_chain([(13, 0, 2), (2, 13, 2), (-13, 3, 2), (-5, -12, 3)])
+    assert info.value.report.failures == (("delzant-pair", (1,)),)
 
 
 def test_alternate_discriminant():

@@ -1,8 +1,8 @@
 """The surgery write path against its reference implementations.
 
-* Each edit checks its result only on the triples and pairs it can break.
-  Every public edit is run twice: as is, and with that local check swapped
-  for the full `validate` of the result.  Acceptance, the returned cone and
+* Each edit checks its result with the O(k) goodness predicate `_is_good`.
+  Every public edit is run twice: as is, and with that predicate swapped
+  for the full O(k^2) validation loop.  Acceptance, the returned cone and
   the `SurgeryRejected` report (or the `DegenerateInput`) must agree.
 * The blow-down search scans only the points of Theta(i).  Test-local
   copies of the former scans, which filter the whole (2r+1)^3 box and the
@@ -13,7 +13,7 @@
 import itertools
 
 import goodcones.surgery as surgery
-from goodcones.cone import GoodCone, edge_rays, validate
+from goodcones.cone import GoodCone, _report, edge_rays
 from goodcones.exactnum import (
     DegenerateInput,
     dot,
@@ -42,12 +42,12 @@ from conftest import SIMPLICIAL, orbit_cut_normal, random_good_cone
 
 
 # ---------------------------------------------------------------------------
-# Local result check versus the full validate.
+# The goodness predicate versus the full validation loop.
 # ---------------------------------------------------------------------------
 
 
-def _full_check(normals, fresh, pairs):
-    return validate(GoodCone(tuple(normals))).is_good
+def _full_check(normals):
+    return _report(normals).is_good
 
 
 def _outcome(op, *args):
@@ -77,7 +77,7 @@ class Differential:
     def __call__(self, label, op, *args):
         local = _outcome(op, *args)
         with self.monkeypatch.context() as m:
-            m.setattr(surgery, "_locally_good", _full_check)
+            m.setattr(surgery, "_is_good", _full_check)
             full = _outcome(op, *args)
         assert local == full, (label, args)
         self.seen.setdefault(label, set()).add(local[0])

@@ -1,7 +1,8 @@
 """Each public entry of the Reeb, Euler, graph and surgery layers, the
 CLI's SVG renderer and the CLI commands that read a document validate the
 cone exactly once and hand what they computed to unchecked helpers.  A
-surgery that succeeds checks its result locally, without `validate`."""
+surgery that succeeds checks its result with the O(k) goodness predicate
+`_is_good`, without `validate`.  No good cone reaches the O(k^2) report."""
 
 import json
 import os
@@ -13,7 +14,8 @@ import goodcones.cone
 import goodcones.serial
 import goodcones.surgery
 from goodcones.cli import render_svg, run
-from goodcones.construct import example_family
+from goodcones.cone import require_valid, validate
+from goodcones.construct import example_family, obstructed_family
 from goodcones.euler import build_identity_data, verify_global_identity
 from goodcones.graph import extract_graph
 from goodcones.reeb import (
@@ -35,6 +37,8 @@ from goodcones.surgery import (
     replace_range,
     replay,
 )
+
+from conftest import orbit_cut_normal
 
 CONE, REEB = example_family(3)
 YBAR = choose_transverse_circle(CONE, REEB)
@@ -105,3 +109,21 @@ def test_cli_command_validates_once(monkeypatch, tmp_path, capsys, command):
     assert run([command, str(path), *CLI_COMMANDS[command]]) == 0
     capsys.readouterr()
     assert len(calls) == 1
+
+
+def test_good_cones_never_reach_the_quadratic_report(monkeypatch):
+    def quadratic_report(normals):
+        raise AssertionError(f"O(k^2) report built for {len(normals)} normals")
+
+    monkeypatch.setattr(goodcones.cone, "_report", quadratic_report)
+    for cone, _ in (example_family(4096), obstructed_family(96)):
+        assert validate(cone).is_good
+        require_valid(cone)
+    cone, _ = example_family(64)
+    k = len(cone)
+    for v in (0, 31, k - 1):
+        blown = cut(cone, CutSpec(orbit_cut_normal(cone, v, 1, 1)))
+        assert blown.kind == "orbit-blowup"
+        assert blowdown_delete(blown.cone, v + 1) == cone
+        assert replace_range(blown.cone, [v, v + 1], cone.normal(v)) == cone
+    plan_blowdown_sequence(cone, [0, k - 2, k - 1])
