@@ -22,6 +22,7 @@ from .exactnum import (
     cross,
     cross_primitive,
     det3,
+    dot,
     plane_lattice_basis,
     solve_dot_one,
     vec_add,
@@ -100,7 +101,11 @@ def close_chain_normals(chain: Sequence[Vec3]) -> Vec3:
     """Closing normal for the chain (first, ..., last): satisfies
     det3(last, t, m^j) > 0 for all j < last and det3(t, first, m^j) > 0 for
     all j > first, with Delzant pairs (last, t) and (t, first) guaranteed by
-    the slice construction."""
+    the slice construction.
+
+    Every candidate is t0 + s (first + last) + j1 u1 + j2 u2 with v0 . t0 = 1
+    and the other three terms in the plane v0 . x = 0, so v0 . t = 1 and t
+    is primitive without a gcd test."""
     chain = [tuple(int(x) for x in n) for n in chain]
     if len(chain) < 2:
         raise ChainError("need at least two chain normals")
@@ -114,9 +119,6 @@ def close_chain_normals(chain: Sequence[Vec3]) -> Vec3:
     drift = vec_add(first, last)  # in the slice's lattice plane
 
     def feasible(t: Vec3) -> bool:
-        g = math.gcd(math.gcd(abs(t[0]), abs(t[1])), abs(t[2]))
-        if g != 1:
-            return False
         for j in range(len(chain) - 1):
             if det3(last, t, chain[j]) <= 0:
                 return False
@@ -132,6 +134,7 @@ def close_chain_normals(chain: Sequence[Vec3]) -> Vec3:
             for j2 in range(-3, 4):
                 cand = vec_add(base, vec_add(vec_scale(j1, u1), vec_scale(j2, u2)))
                 if feasible(cand):
+                    assert dot(v0, cand) == 1
                     return cand
         s = s + 1 if s < 64 else s * 2
     raise SearchExhausted(

@@ -24,11 +24,11 @@ from .exactnum import (
     DegenerateInput,
     QuadNumber,
     Vec3,
+    _xgcd,
     cross,
     cross_primitive,
     det3,
     dot,
-    is_delzant_pair,
     solve_dot_one,
 )
 from .reeb import (
@@ -173,16 +173,6 @@ class IsotropyGraph:
             item for ch in self.chains for item in ch if isinstance(item, EdgeItem)
         )
 
-    @property
-    def regular_vertices(self) -> Tuple[RegularVertex, ...]:
-        interior = tuple(
-            item for ch in self.chains for item in ch if isinstance(item, RegularVertex)
-        )
-        ends = tuple(
-            v for v in (self.minimum, self.maximum) if isinstance(v, RegularVertex)
-        )
-        return ends + interior
-
 
 def _canonical_sign(v: Tuple[int, int]) -> Tuple[int, int]:
     for x in v:
@@ -201,7 +191,7 @@ def _edge_isotropy(profile, normals, face: int) -> FiniteCyclicSubgroup:
     n = normals[face % len(normals)]
     s = dot(profile.v0, n)
     k = abs(s)
-    m = solve_dot_one(profile.v0)
+    m = profile.complement
     a, b = _lie_g_integers(profile, tuple(n[j] - s * m[j] for j in range(3)))
     return _canonical_subgroup(k, a % k, b % k)
 
@@ -234,20 +224,29 @@ def reversed_euler_residue(cone: GoodCone, face: int) -> int:
     return _normal_euler_residues(cone, face)[2]
 
 
-def _fat_vertex(profile, cone: GoodCone, face: int) -> FatVertex:
-    k = len(cone)
-    direction = _canonical_sign(_lie_g_integers(profile, cone.normal(face)))
-    k_lo = profile.k[(face - 1) % k]
-    k_hi = profile.k[(face + 1) % k]
-    b, f, f_rev = _normal_euler_residues(cone, face)
-    mults = tuple(sorted(x for x in (k_lo, k_hi) if x >= 2))
+def _fat(
+    direction, genus: int, ends: Sequence[int], b: int, f: int, f_rev: int
+) -> FatVertex:
+    """The one builder of fat vertices, for closed cones and germs alike:
+    `ends` are the isotropy orders of the faces next to the flat face, one
+    per chain leaving it; those >= 2 are the exceptional multiplicities, and
+    the orbifold Euler number is -b over their product."""
     return FatVertex(
-        direction=direction,
-        genus=0,
-        multiplicities=mults,
-        orbifold_euler=Fraction(-b, k_lo * k_hi),
+        direction=_canonical_sign(tuple(direction)),
+        genus=genus,
+        multiplicities=tuple(sorted(x for x in ends if x >= 2)),
+        orbifold_euler=Fraction(-b, math.prod(ends)),
         normal_euler=(b, f),
         normal_euler_rev=f_rev,
+    )
+
+
+def _regular_vertex(profile, normals, v: int) -> RegularVertex:
+    """The one builder of regular vertices: the closed orbit at the polygon
+    vertex between faces v and v+1, of order gcd(k_v, k_{v+1})."""
+    return RegularVertex(
+        order=profile.vertex_orders[v % len(normals)],
+        direction=_canonical_sign(_vertex_circle(profile, normals, v)),
     )
 
 
@@ -262,15 +261,15 @@ def extract_graph(
     profile, _, arcs = _arc_data(cone, R, ybar)
 
     def extreme(ext) -> Extreme:
+        i = ext.index
         if ext.kind == "flat":
-            return _fat_vertex(profile, cone, ext.index)
-        v = ext.index
-        k1 = profile.k[v % len(cone)]
-        k2 = profile.k[(v + 1) % len(cone)]
-        return RegularVertex(
-            order=math.gcd(k1, k2),
-            direction=_canonical_sign(_vertex_circle(profile, cone.normals, v)),
-        )
+            return _fat(
+                _lie_g_integers(profile, cone.normal(i)),
+                0,
+                (profile.k[(i - 1) % len(cone)], profile.k[(i + 1) % len(cone)]),
+                *_normal_euler_residues(cone, i),
+            )
+        return _regular_vertex(profile, cone.normals, i)
 
     chains = tuple(
         _chain_items(profile, cone.normals, arc) for arc in (arcs.neg_arc, arcs.pos_arc)
@@ -298,12 +297,7 @@ def _chain_items(profile, normals, faces) -> Tuple[ChainItem, ...]:
             nxt = faces[pos + 1]
             # interior vertex between consecutive chain faces
             v = face if (face + 1) % len(normals) == nxt else nxt
-            items.append(
-                RegularVertex(
-                    order=math.gcd(profile.k[face], profile.k[nxt]),
-                    direction=_canonical_sign(_vertex_circle(profile, normals, v)),
-                )
-            )
+            items.append(_regular_vertex(profile, normals, v))
     return tuple(items)
 
 
@@ -321,37 +315,23 @@ def count_nontrivial_chains(g: IsotropyGraph) -> int:
 def _hnf_2x2(m: Tuple[Tuple[int, int], Tuple[int, int]]):
     """Column-style Hermite form: unique U in GL(2,Z) with M U = H,
     H = [[h00, 0], [h10, h11]], h00 > 0, h11 > 0, 0 <= h10 < h11.
-    Returns (H, U); M must be nonsingular."""
-    # Every column operation acts on M and U alike, so it is applied once
-    # to the stacked 4x2 matrix [M; U] (rows 0-1 are M, rows 2-3 are U).
-    stacked = (tuple(m[0]), tuple(m[1]), (1, 0), (0, 1))
+    Returns (H, U); M must be nonsingular.
 
-    def column_op(e):
-        # stacked <- stacked . e, e in GL(2, Z)
-        nonlocal stacked
-        stacked = tuple(
-            (r[0] * e[0][0] + r[1] * e[1][0], r[0] * e[0][1] + r[1] * e[1][1])
-            for r in stacked
-        )
-
-    # eliminate the top-right entry (Euclid on the first row)
-    while stacked[0][1] != 0:
-        a, b = stacked[0]
-        if a == 0 or abs(b) < abs(a):
-            column_op(((0, 1), (1, 0)))
-        else:
-            # |b| >= |a| > 0, so q = b // a is nonzero
-            column_op(((1, -(b // a)), (0, 1)))
-    if stacked[0][0] < 0:
-        column_op(((-1, 0), (0, 1)))
-    if stacked[1][1] < 0:
-        column_op(((1, 0), (0, -1)))
-    if stacked[1][1] == 0:
+    In closed form from the first row (a, b): with x a + y b = g = gcd(a, b),
+    U0 = [[x, -b/g], [y, a/g]] has det 1 and M U0 = [[g, 0], [h10, det M / g]];
+    then column 1 takes the sign of det M and column 0 drops h10 // h11
+    copies of it.  H is unique for nonsingular M, so U = M^-1 H is too."""
+    (a, b), (c, d) = m
+    det = a * d - b * c
+    if det == 0:
         raise DegenerateInput("singular matrix in HNF")
-    q = stacked[1][0] // stacked[1][1]
-    if q:
-        column_op(((1, 0), (-q, 1)))
-    return stacked[:2], stacked[2:]
+    g, x, y = _xgcd(a, b)
+    sign = 1 if det > 0 else -1
+    u01, u11 = -sign * b // g, sign * a // g
+    h10, h11 = c * x + d * y, c * u01 + d * u11
+    q = h10 // h11
+    u00, u10 = x - q * u01, y - q * u11
+    return ((g, 0), (h10 - q * h11, h11)), ((u00, u01), (u10, u11))
 
 
 def reeb_frame_matrix(g: IsotropyGraph):
@@ -559,26 +539,17 @@ def germ_profile(germ: GermOfChain):
         ends.append(ray if pairing > 0 else tuple(-x for x in ray))
     u1, u2 = profile.lieG_basis
     moment = [(dot(p, u1), dot(p, u2)) for p in _polygon(z, ends).vertices]
-    return {
-        "profile": profile,
-        "v0": profile.v0,
-        "k": k,
-        "basis": profile.lieG_basis,
-        "moment_min": moment[0],
-        "moment_max": moment[1],
-    }
+    return {"profile": profile, "moment_min": moment[0], "moment_max": moment[1]}
 
 
 def validate_germ(germ: GermOfChain) -> None:
-    """Realizability: consecutive triples convex, adjacent pairs Delzant,
-    and the chain closes to a good cone (close_chain search)."""
+    """Realizability: consecutive triples convex, and the chain closes to a
+    good cone (close_chain search); `validate` of the closed cone decides the
+    adjacent pairs' Delzant condition with the rest of goodness."""
     ns = germ.normals
     for a, b, c in zip(ns, ns[1:], ns[2:]):
         if det3(a, b, c) <= 0:
             raise GraphAssemblyError(f"germ triple {a},{b},{c} is not convex")
-    for a, b in zip(ns, ns[1:]):
-        if not is_delzant_pair(a, b):
-            raise GraphAssemblyError(f"germ pair {a},{b} is not Delzant")
     closing = close_chain_normals(ns)
     closed = GoodCone(tuple(ns) + (closing,))
     rep = validate(closed)
@@ -593,11 +564,9 @@ def assemble_fiber_sum(
     genus and the union of the germs' end multiplicities, one chain per
     germ.  Germs must have flat ends and fibers matching the bundle (same
     Reeb class and extreme moment values, exactly)."""
-    mults_min: List[int] = []
-    mults_max: List[int] = []
+    ends_min: List[int] = []
+    ends_max: List[int] = []
     chains: List[Tuple[ChainItem, ...]] = []
-    prod_min = 1
-    prod_max = 1
     for germ in germs:
         validate_germ(germ)
         prof = germ_profile(germ)
@@ -607,37 +576,17 @@ def assemble_fiber_sum(
         if prof["moment_min"] != bundle.moment_min or prof["moment_max"] != bundle.moment_max:
             raise GraphAssemblyError("germ extreme moment values do not match the bundle")
         k = profile.k
-        end_lo, end_hi = k[1], k[-2]
-        prod_min *= end_lo
-        prod_max *= end_hi
-        if end_lo >= 2:
-            mults_min.append(end_lo)
-        if end_hi >= 2:
-            mults_max.append(end_hi)
-        interior = range(1, len(k) - 1)
-        chains.append(_chain_items(profile, germ.normals, interior))
+        ends_min.append(k[1])
+        ends_max.append(k[-2])
+        chains.append(_chain_items(profile, germ.normals, range(1, len(k) - 1)))
 
-    b_min, f_min = bundle.fat_min[1]
-    b_max, f_max = bundle.fat_max[1]
-    minimum = FatVertex(
-        direction=_canonical_sign(tuple(bundle.fat_min[0])),
-        genus=bundle.genus,
-        multiplicities=tuple(sorted(mults_min)),
-        orbifold_euler=Fraction(-b_min, prod_min),
-        normal_euler=(b_min, f_min),
-        normal_euler_rev=bundle.fat_min[2],
-    )
-    maximum = FatVertex(
-        direction=_canonical_sign(tuple(bundle.fat_max[0])),
-        genus=bundle.genus,
-        multiplicities=tuple(sorted(mults_max)),
-        orbifold_euler=Fraction(-b_max, prod_max),
-        normal_euler=(b_max, f_max),
-        normal_euler_rev=bundle.fat_max[2],
-    )
+    def fat(data, ends) -> FatVertex:
+        direction, (b, f), f_rev = data
+        return _fat(direction, bundle.genus, ends, b, f, f_rev)
+
     return IsotropyGraph(
         reeb_class=bundle.reeb_class,
-        minimum=minimum,
-        maximum=maximum,
+        minimum=fat(bundle.fat_min, ends_min),
+        maximum=fat(bundle.fat_max, ends_max),
         chains=tuple(ch for ch in chains if ch),
     )

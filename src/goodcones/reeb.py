@@ -155,10 +155,6 @@ class MomentPolygon:
 
     vertices: Tuple[Tuple[QuadNumber, QuadNumber, QuadNumber], ...]
 
-    def face_segment(self, i: int):
-        n = len(self.vertices)
-        return self.vertices[(i - 1) % n], self.vertices[i % n]
-
 
 def moment_polygon(cone: GoodCone, R: ReebVector) -> MomentPolygon:
     require_valid(cone)
@@ -202,14 +198,17 @@ def _integer_span_normal(z: _Cleared) -> Vec3:
 class IsotropyProfile:
     """Rank-2 combinatorics of (cone, R): the Lie(G) normal v0, the face
     isotropy magnitudes k_i = |v0 . n^i|, the flat faces (k_i = 0), the
-    vertex orders gcd(k_i, k_{i+1}) with gcd(0, k) = k, and the oriented
-    lattice basis of Lie(G) ∩ Z^3."""
+    vertex orders gcd(k_i, k_{i+1}) with gcd(0, k) = k, the oriented
+    lattice basis of Lie(G) ∩ Z^3, and the lattice complement
+    m = solve_dot_one(v0) of Lie(G), the one every frame (u1, u2, m) and
+    every pr2 = pairing with m uses."""
 
     v0: Vec3
     k: Tuple[int, ...]
     flats: frozenset
     vertex_orders: Tuple[int, ...]
     lieG_basis: Tuple[Vec3, Vec3]
+    complement: Vec3
 
     def signed(self, cone: GoodCone) -> Tuple[int, ...]:
         return tuple(dot(self.v0, n) for n in cone.normals)
@@ -257,6 +256,7 @@ def _profile_of(z: _Cleared, normals) -> IsotropyProfile:
         flats=flats,
         vertex_orders=tuple(orders),
         lieG_basis=(u1, u2),
+        complement=solve_dot_one(v0),
     )
 
 
@@ -274,7 +274,7 @@ def _lie_g_integers(profile: IsotropyProfile, v: Vec3) -> Tuple[int, int]:
     its first two coordinates in the frame (u1, u2, m), v0 . m = 1, which
     is unimodular (u1 x u2 = v0), so the Cramer rows need no division."""
     u1, u2 = profile.lieG_basis
-    row_a, row_b, _ = cramer_rows(u1, u2, solve_dot_one(profile.v0))
+    row_a, row_b, _ = cramer_rows(u1, u2, profile.complement)
     return dot(row_a, v), dot(row_b, v)
 
 
@@ -418,7 +418,7 @@ def width_of_flat_face(
         w_formula = -w_formula
 
     p_lo, p_hi = _vertex(z, e_lo), _vertex(z, e_hi)
-    m = solve_dot_one(profile.v0)
+    m = profile.complement
     chord = sum(m[j] * (p_hi[j] - p_lo[j]) for j in range(3))
     if chord.sign() < 0:
         chord = -chord
@@ -430,9 +430,8 @@ def face_slope(profile: IsotropyProfile, R: ReebVector, ybar: Vec3, n: Vec3):
     """Slope d(pr2)/d(pi) of the face line {n . v = 0} in the slice; only
     defined for non-flat faces (det3(n, R, Ybar) != 0).  Both determinants
     are linear in R, and den cancels from their ratio."""
-    m = solve_dot_one(profile.v0)
     z = _clear(R)
-    num = _det_r(z, m, n)  # det3(n, R, m) = det3(m, n, R)
+    num = _det_r(z, profile.complement, n)  # det3(n, R, m) = det3(m, n, R)
     den = _det_r(z, ybar, n)
     if den == (0, 0):
         raise DegenerateInput("slope undefined on a flat face")

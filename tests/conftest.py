@@ -56,6 +56,13 @@ def random_gl3(rnd, shears=5):
     return m
 
 
+def sl3_image(u, cone, reeb):
+    """The pair moved by u in SL(3, Z), normals and Reeb vector alike; edge
+    rays move by u^{-T}, so goodness and admissibility are kept."""
+    image = GoodCone(tuple(mat_vec(u, n) for n in cone.normals))
+    return image, reeb_from_vectors(mat_vec(u, reeb.p), mat_vec(u, reeb.q), reeb.d)
+
+
 def orbit_cut_normal(cone, v, a, b):
     """t = a n^v + b n^{v+1} - witness: cuts exactly the edge between faces
     v and v+1 once a, b are large enough; Delzant adjacency is automatic."""

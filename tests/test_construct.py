@@ -1,3 +1,5 @@
+import math
+import random
 import time
 
 import pytest
@@ -11,14 +13,17 @@ from goodcones.cone import (
 )
 from goodcones.construct import (
     close_chain,
+    close_chain_normals,
     example_family,
     obstructed_family,
     verify_obstructed_conditions,
     weighted_homogeneous_check,
 )
 from goodcones.cone import GoodCone
-from goodcones.exactnum import is_delzant_pair
+from goodcones.exactnum import cross_primitive, dot, is_delzant_pair
 from goodcones.reeb import is_admissible, isotropy_profile, rank_of
+
+from conftest import random_good_cone
 
 
 def test_example_family_k2_matches_listing():
@@ -103,6 +108,18 @@ def test_close_chain_example_family_prefix():
         t = close_chain(chain)
         closed = GoodCone(tuple(chain) + (t,))
         assert validate(closed).is_good
+
+
+def test_closing_normal_is_primitive_with_unit_pairing():
+    # No gcd test filters the candidates: v0 . t = 1 makes each primitive.
+    rnd = random.Random(7)
+    chains = [obstructed_family(k, seed=k)[0].normals[:-1] for k in range(2, 49)]
+    chains += [example_family(k)[0].normals[:-1] for k in range(2, 9)]
+    chains += [random_good_cone(rnd, cuts=n % 5).normals[:-1] for n in range(60)]
+    for chain in chains:
+        t = close_chain_normals(chain)
+        assert dot(cross_primitive(chain[0], chain[-1]), t) == 1, chain
+        assert math.gcd(*t) == 1, chain
 
 
 def test_close_chain_rejects_nonconvex():

@@ -31,7 +31,6 @@ from goodcones.exactnum import (
     delzant_witness,
     det3,
     dot,
-    mat_vec,
     solve_dot_one,
 )
 from goodcones.graph import (
@@ -43,7 +42,6 @@ from goodcones.graph import (
 from goodcones.reeb import (
     isotropy_profile,
     lie_g_coords,
-    reeb_from_vectors,
     reeb_lie_g_coords,
 )
 
@@ -53,6 +51,7 @@ from conftest import (
     random_admissible_rank2_reeb,
     random_good_cone,
     random_sl3,
+    sl3_image,
 )
 
 # ---------------------------------------------------------------------------
@@ -185,13 +184,6 @@ def random_gl2(rnd, shears=6):
 # ---------------------------------------------------------------------------
 
 
-def sl3_image(u, cone, reeb):
-    """The pair moved by u in SL(3, Z), normals and Reeb vector alike; edge
-    rays move by u^{-T}, so goodness and admissibility are kept."""
-    image = GoodCone(tuple(mat_vec(u, n) for n in cone.normals))
-    return image, reeb_from_vectors(mat_vec(u, reeb.p), mat_vec(u, reeb.q), reeb.d)
-
-
 def _pairs():
     rnd = random.Random(20261018)
     pairs = [(f"example-{k}", *example_family(k)) for k in range(2, 65)]
@@ -303,6 +295,8 @@ def test_lie_g_coords_and_edge_isotropy_match_oracles(pairs):
     edges = 0
     for name, cone, reeb in pairs:
         profile = isotropy_profile(cone, reeb)
+        # face_slope and the pr2 width route depend on which complement is used
+        assert profile.complement == solve_dot_one(profile.v0), name
         assert reeb_lie_g_coords(profile, reeb) == old_reeb_lie_g_coords(profile, reeb)
         for i in range(len(cone)):
             n = cone.normal(i)

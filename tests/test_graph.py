@@ -1,10 +1,13 @@
 import math
+import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from goodcones.cone import face_invariants, load_cone
-from goodcones.exactnum import mat_vec
+from goodcones.exactnum import DegenerateInput, mat_vec
 from goodcones.construct import example_family, obstructed_family
 from goodcones.graph import (
     FatVertex,
@@ -13,6 +16,7 @@ from goodcones.graph import (
     GraphAssemblyError,
     IsotropyGraph,
     RegularVertex,
+    _hnf_2x2,
     assemble_fiber_sum,
     canonical_form,
     count_nontrivial_chains,
@@ -21,6 +25,7 @@ from goodcones.graph import (
     isomorphic,
     toric_condition_check,
     transform_graph,
+    validate_germ,
 )
 from goodcones.reeb import (
     isotropy_profile,
@@ -33,6 +38,7 @@ from conftest import (
     random_gl3,
     random_good_cone,
     random_sl3,
+    sl3_image,
 )
 
 FAMILY2, R_FAMILY2 = example_family(2)
@@ -209,6 +215,26 @@ def test_fiber_sum_zero_one_two_germs():
         assert count_nontrivial_chains(g2) == 2
 
 
+@pytest.mark.parametrize("d", [2, 3, 5])
+def test_one_germ_fiber_sum_matches_extract_graph_on_sl3_images(d):
+    # The images move the fat vertices' directions off the coordinate axes,
+    # so both paths through the shared vertex builders see nontrivial data.
+    rnd = random.Random(d)
+    for k in range(2, 9):
+        cone, reeb = sl3_image(random_sl3(rnd), *example_family(k, d))
+        germ = GermOfChain(normals=cone.normals[: k + 2], reeb=reeb)
+        bundle = bundle_from_cone(cone, reeb, 0, k + 1, germ)
+        assert isomorphic(assemble_fiber_sum(bundle, [germ]), extract_graph(cone, reeb)), k
+
+
+def test_germ_with_non_delzant_pair_is_rejected_by_validate():
+    # Convex, and closes, but the pair (n^1, n^2) is not Delzant.
+    normals = ((13, 0, 2), (2, 13, 2), (-13, 3, 2), (-5, -12, 3))
+    germ = GermOfChain(normals=normals, reeb=reeb_from_vectors((1, 0, 0), (0, 1, 0)))
+    with pytest.raises(GraphAssemblyError, match=r"\('delzant-pair', \(1,\)\)"):
+        validate_germ(germ)
+
+
 def test_fiber_sum_rejects_mismatched_fiber():
     cone, reeb = example_family(2)
     germ = GermOfChain(normals=cone.normals[:4], reeb=reeb)
@@ -281,3 +307,56 @@ def test_obstructed_16_graph_canonical_form_is_sl3_invariant(rnd):
     cone2 = load_cone([mat_vec(u, n) for n in cone.normals])
     r2 = reeb_from_vectors(mat_vec(u, tuple(reeb.p)), mat_vec(u, tuple(reeb.q)))
     assert canonical_form(extract_graph(cone2, r2)) == canonical_form(g)
+
+
+def _hnf_2x2_euclid(m):
+    """The column Hermite form by a Euclid loop of column operations on the
+    stacked [M; U], as `_hnf_2x2` computed it before its closed form."""
+    stacked = (tuple(m[0]), tuple(m[1]), (1, 0), (0, 1))
+
+    def column_op(e):
+        nonlocal stacked
+        stacked = tuple(
+            (r[0] * e[0][0] + r[1] * e[1][0], r[0] * e[0][1] + r[1] * e[1][1])
+            for r in stacked
+        )
+
+    while stacked[0][1] != 0:
+        a, b = stacked[0]
+        if a == 0 or abs(b) < abs(a):
+            column_op(((0, 1), (1, 0)))
+        else:
+            column_op(((1, -(b // a)), (0, 1)))
+    if stacked[0][0] < 0:
+        column_op(((-1, 0), (0, 1)))
+    if stacked[1][1] < 0:
+        column_op(((1, 0), (0, -1)))
+    q = stacked[1][0] // stacked[1][1]
+    if q:
+        column_op(((1, 0), (-q, 1)))
+    return stacked[:2], stacked[2:]
+
+
+_entries = st.one_of(st.sampled_from([0, 1, -1]), st.integers(-10**6, 10**6))
+
+
+# Zero entries, +-1 rows and negative determinants, always tried.
+@given(_entries, _entries, _entries, _entries)
+@example(0, 1, 1, 0)
+@example(0, -1, 1, 0)
+@example(1, 0, 0, -1)
+@example(-1, 1, 1, 1)
+@example(0, 7, -3, 5)
+@example(4, 0, 9, -2)
+@example(-6, 10, 15, -24)
+@example(0, 0, 1, 1)
+@settings(max_examples=500)
+def test_hnf_closed_form_matches_euclid_loop(a, b, c, d):
+    m = ((a, b), (c, d))
+    if a * d - b * c == 0:
+        with pytest.raises(DegenerateInput):
+            _hnf_2x2(m)
+        return
+    h, u = _hnf_2x2(m)
+    assert (h, u) == _hnf_2x2_euclid(m)
+    assert h[0][0] > 0 and h[0][1] == 0 and 0 <= h[1][0] < h[1][1]

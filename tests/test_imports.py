@@ -7,7 +7,9 @@ import` must be read somewhere in the same module.  The package
 `__all__`, as is `from __future__ import annotations`.  A top-level `def`
 or `class` of the package must be read (as a name or an attribute)
 somewhere in the package or the test suite outside its own definition;
-a re-export in `__init__.py` does not count."""
+a re-export in `__init__.py` does not count.  So must every method or
+property of a top-level class whose name is not a dunder: outside its own
+definition, in its own module, or in another."""
 
 import ast
 from pathlib import Path
@@ -57,25 +59,44 @@ def _names_read(node):
     }
 
 
+def _is_dunder(name):
+    return name.startswith("__") and name.endswith("__")
+
+
 def unreferenced_definitions(package, others):
-    """(module, name) of each top-level def/class in the `package` sources
-    that no code reads outside its own definition; `others` are further
-    sources whose reads count.  Both map a module name to its source."""
+    """(module, name) of each top-level def/class in the `package` sources,
+    and (module, "Class.name") of each non-dunder method or property of a
+    top-level class there, that no code reads outside its own definition;
+    `others` are further sources whose reads count.  Both map a module name
+    to its source."""
     trees = {m: ast.parse(src) for m, src in {**others, **package}.items()}
     # Names read by each top-level statement, and by each whole module.
     per_stmt = {m: [_names_read(n) for n in t.body] for m, t in trees.items()}
     whole = {m: set().union(*stmts) for m, stmts in per_stmt.items()}
     found = []
     for m in package:
+        elsewhere = set().union(*(w for o, w in whole.items() if o != m))
         for pos, node in enumerate(trees[m].body):
             if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
                 continue
-            elsewhere = any(node.name in w for o, w in whole.items() if o != m)
-            in_module = any(
-                node.name in names for j, names in enumerate(per_stmt[m]) if j != pos
+            outside = elsewhere.union(
+                *(names for j, names in enumerate(per_stmt[m]) if j != pos)
             )
-            if not (elsewhere or in_module):
+            if node.name not in outside:
                 found.append((m, node.name))
+            if not isinstance(node, ast.ClassDef):
+                continue
+            for k, member in enumerate(node.body):
+                if not isinstance(member, ast.FunctionDef) or _is_dunder(member.name):
+                    continue
+                # the rest of the class, and the member's own decorators
+                # (@x.setter reads x)
+                in_class = outside.union(
+                    *(_names_read(other) for j, other in enumerate(node.body) if j != k),
+                    *(_names_read(dec) for dec in member.decorator_list),
+                )
+                if member.name not in in_class:
+                    found.append((m, f"{node.name}.{member.name}"))
     return found
 
 
@@ -90,6 +111,16 @@ def test_definition_scan_flags_unreferenced():
     package = {
         "a": "def used():\n    pass\n\ndef lonely():\n    return lonely()\n",
         "b": "class Kept:\n    pass\n\nx = Kept\n",
+        "c": (
+            "class Host:\n"
+            "    def __init__(self):\n        self.helper()\n\n"
+            "    def helper(self):\n        pass\n\n"
+            "    @property\n    def size(self):\n        return 1\n\n"
+            "    def planted(self):\n        return self.planted()\n"
+        ),
     }
-    others = {"t": "import a\na.used()\n"}
-    assert unreferenced_definitions(package, others) == [("a", "lonely")]
+    others = {"t": "import a, c\na.used()\nc.Host().size\n"}
+    assert unreferenced_definitions(package, others) == [
+        ("a", "lonely"),
+        ("c", "Host.planted"),
+    ]
