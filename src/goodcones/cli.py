@@ -27,7 +27,12 @@ from .cone import (
     validate,
 )
 from .euler import ChainDataError, verify_global_identity
-from .exactnum import DegenerateInput, SearchExhausted, _is_square_free
+from .exactnum import (
+    DISCRIMINANT_BOUND,
+    DegenerateInput,
+    SearchExhausted,
+    _discriminant_fault,
+)
 from .graph import (
     GraphAssemblyError,
     count_nontrivial_chains,
@@ -385,7 +390,9 @@ def _cmd_plan(args) -> int:
 def _cmd_construct(args) -> int:
     if args.k < 2:
         raise UsageError(f"--k must be at least 2, got {args.k}")
-    if not _is_square_free(args.d):
+    if args.d >= DISCRIMINANT_BOUND:
+        raise UsageError(f"--d must be below 2**63, got {args.d}")
+    if _discriminant_fault(args.d):
         raise UsageError(f"--d must be a square-free integer >= 2, got {args.d}")
     if args.family == "example":
         cone, reeb = construct.example_family(args.k, d=args.d)

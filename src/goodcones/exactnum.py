@@ -6,6 +6,7 @@ Everything here is pure and exact; floats never enter any decision.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -26,14 +27,32 @@ class SearchExhausted(RuntimeError):
 
 
 def _is_square_free(d: int) -> bool:
+    """Whether d >= 2 has no square factor > 1, in about cbrt(d) steps: trial
+    division removes each prime k while k**3 <= the cofactor left, which is
+    then 1, p, pq or p**2 for primes p, q > k, and an isqrt tells p**2."""
     if d < 2:
         return False
     k = 2
-    while k * k <= d:
-        if d % (k * k) == 0:
-            return False
+    while k * k * k <= d:
+        if d % k == 0:
+            d //= k
+            if d % k == 0:
+                return False
         k += 1
-    return True
+    return d == 1 or math.isqrt(d) ** 2 != d
+
+
+DISCRIMINANT_BOUND = 1 << 63  # keeps the trial division of _is_square_free short
+
+
+@functools.cache
+def _discriminant_fault(d: int) -> Optional[str]:
+    """The error message for an unusable discriminant, decided once per d;
+    None for a square-free integer with 2 <= d < 2**63."""
+    if d >= DISCRIMINANT_BOUND:
+        return f"discriminant must be below 2**63, got {d}"
+    if not _is_square_free(d):
+        return f"discriminant must be square-free >= 2, got {d}"
 
 
 @dataclass(frozen=True)
@@ -53,8 +72,8 @@ class QuadNumber:
             object.__setattr__(self, "rat", Fraction(self.rat))
         if not isinstance(self.irr, Fraction):
             object.__setattr__(self, "irr", Fraction(self.irr))
-        if not _is_square_free(self.d):
-            raise ValueError(f"discriminant must be square-free >= 2, got {self.d}")
+        if fault := _discriminant_fault(self.d):
+            raise ValueError(fault)
 
     def _coerce(self, other) -> "QuadNumber":
         if isinstance(other, QuadNumber):
@@ -408,7 +427,11 @@ _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
 
 def is_prime(n: int) -> bool:
-    """Deterministic Miller-Rabin for desk-scale integers (< 3.3e24)."""
+    """Miller-Rabin on the twelve prime bases up to 37: deterministic below
+    3.3e24, and a strong-probable-prime test above it, where blow-down plans
+    feed it numbers of hundreds of bits.  `surgery._prime_construction`
+    re-checks every candidate with `admissible`, so a pseudoprime can change
+    which normal is found but never make it invalid."""
     if n < 2:
         return False
     for p in _MR_BASES:

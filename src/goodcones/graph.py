@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -50,46 +50,41 @@ class GraphAssemblyError(ValueError):
 
 @dataclass(frozen=True)
 class FiniteCyclicSubgroup:
-    """Finite cyclic subgroup of T^2 = (Q/Z)^2, stored by its order and the
-    lexicographically smallest generator of exact order.
+    """Finite cyclic subgroup of T^2 = (Q/Z)^2 generated by (a, b)/order,
+    stored by its order and the integer residues (a, b) mod the order.
 
-    `canonical` finds that generator in closed form rather than by scanning
-    the units j mod the order.  Write the generator as (a, b)/m with m its
-    exact order, so gcd(a, b, m) = 1.  Units mod m surject onto units mod
-    any divisor, so the least first coordinate over j*(a, b) is
-    g = gcd(a, m), reached exactly when j = j0 mod h, with h = m/g and
-    j0 = (a/g)^-1 mod h.  Those j give second coordinates c + h*r, with
-    c = j0*b mod h, and each r in 0..g-1 comes from one j mod m, because
-    gcd(b, g) = 1.  The least r whose j is a unit wins; the r skipped are
-    bounded by Jacobsthal's function of m."""
+    `canonical` finds the lexicographically smallest generator of exact
+    order in closed form rather than by scanning the units j mod the order.
+    Write it as (a, b)/m with m its exact order, so gcd(a, b, m) = 1.  Units
+    mod m surject onto units mod any divisor, so the least first coordinate
+    over j*(a, b) is g = gcd(a, m), reached exactly when j = j0 mod h, with
+    h = m/g and j0 = (a/g)^-1 mod h.  Those j give second coordinates
+    c + h*r, with c = j0*b mod h, and each r in 0..g-1 comes from one j mod
+    m, because gcd(b, g) = 1.  The least r whose j is a unit wins; the r
+    skipped are bounded by Jacobsthal's function of m."""
 
     order: int
-    generator: Tuple[Fraction, Fraction]
+    residues: Tuple[int, int]
 
     def __post_init__(self):
-        g = tuple(Fraction(x) % 1 for x in self.generator)
-        object.__setattr__(self, "generator", g)
-        if self.order < 1:
+        n, (a, b) = self.order, self.residues
+        if type(n) is not int or type(a) is not int or type(b) is not int:
+            raise TypeError(f"order and residues must be int, got {n!r}, {a!r}, {b!r}")
+        if n < 1:
             raise ValueError("order must be positive")
-        if any((self.order * x) % 1 != 0 for x in g):
-            raise ValueError("generator order does not divide the stated order")
+        object.__setattr__(self, "residues", (a % n, b % n))
 
-    def _residues(self) -> Tuple[int, int]:
-        """The generator as residues (a, b) mod the order n: it is (a, b)/n."""
-        n = self.order
-        return tuple(x.numerator * (n // x.denominator) for x in self.generator)
+    @property
+    def generator(self) -> Tuple[Fraction, Fraction]:
+        """The generator (a, b)/order as two Fractions in [0, 1)."""
+        return tuple(Fraction(x, self.order) for x in self.residues)
 
     def canonical(self) -> "FiniteCyclicSubgroup":
-        return _canonical_subgroup(self.order, *self._residues())
+        return _canonical_subgroup(self.order, *self.residues)
 
     def transformed(self, a) -> "FiniteCyclicSubgroup":
         n = self.order
-        x, y = self._residues()
-        return _canonical_subgroup(
-            n,
-            (a[0][0] * x + a[0][1] * y) % n,
-            (a[1][0] * x + a[1][1] * y) % n,
-        )
+        return _canonical_subgroup(n, *(x % n for x in _apply_matrix(a, self.residues)))
 
 
 def _canonical_subgroup(n: int, a: int, b: int) -> FiniteCyclicSubgroup:
@@ -108,7 +103,7 @@ def _canonical_subgroup(n: int, a: int, b: int) -> FiniteCyclicSubgroup:
     r = 0
     while math.gcd(j0 + h * ((r - q) * b_inv % g), m) != 1:
         r += 1
-    return FiniteCyclicSubgroup(n, (Fraction(g % m, m), Fraction(c + h * r, m)))
+    return FiniteCyclicSubgroup(n, ((g % m) * e, (c + h * r) * e))
 
 
 @dataclass(frozen=True)
@@ -340,20 +335,13 @@ def reeb_frame_matrix(g: IsotropyGraph):
     composite of their frame matrices since a rank-2 Reeb class has trivial
     GL(2,Z) stabilizer."""
     r1, r2 = g.reeb_class
-    p = (r1.rat, r2.rat)
-    q = (r1.irr, r2.irr)
-    den = 1
-    for x in (*p, *q):
-        den = den * x.denominator // math.gcd(den, x.denominator)
     # Let P have columns p and q; we want A with A P in (left) Hermite
-    # form, i.e. P^T U in column Hermite form and A = U^T.  m below is P^T.
-    m = (
-        (int(p[0] * den), int(p[1] * den)),
-        (int(q[0] * den), int(q[1] * den)),
-    )
-    _, u = _hnf_2x2(m)
-    a = ((u[0][0], u[1][0]), (u[0][1], u[1][1]))  # A = U^T
-    return a
+    # form, i.e. P^T U in column Hermite form and A = U^T.  The rows of
+    # P^T, the rational and the irrational parts, are cleared to integers.
+    rows = ((r1.rat, r2.rat), (r1.irr, r2.irr))
+    den = math.lcm(*(x.denominator for row in rows for x in row))
+    _, u = _hnf_2x2(tuple(tuple(int(x * den) for x in row) for row in rows))
+    return ((u[0][0], u[1][0]), (u[0][1], u[1][1]))
 
 
 def _apply_matrix(a, v):
@@ -365,26 +353,14 @@ def transform_graph(g: IsotropyGraph, a) -> IsotropyGraph:
     """Image of the graph under A in GL(2,Z) acting on all torus data."""
 
     def tr_extreme(v):
+        direction = _canonical_sign(_apply_matrix(a, v.direction))
         if isinstance(v, FatVertex):
-            return FatVertex(
-                direction=_canonical_sign(_apply_matrix(a, v.direction)),
-                genus=v.genus,
-                multiplicities=v.multiplicities,
-                orbifold_euler=v.orbifold_euler,
-                normal_euler=v.normal_euler,
-                normal_euler_rev=v.normal_euler_rev,
-            )
-        return RegularVertex(
-            order=v.order,
-            direction=_canonical_sign(_apply_matrix(a, v.direction)),
-        )
+            return replace(v, direction=direction)
+        return RegularVertex(order=v.order, direction=direction)
 
     def tr_item(item):
         if isinstance(item, EdgeItem):
-            return EdgeItem(
-                multiplicity=item.multiplicity,
-                isotropy=item.isotropy.transformed(a),
-            )
+            return EdgeItem(item.multiplicity, item.isotropy.transformed(a))
         return tr_extreme(item)
 
     return IsotropyGraph(

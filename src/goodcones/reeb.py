@@ -36,7 +36,7 @@ from .exactnum import (
     DegenerateInput,
     QuadNumber,
     Vec3,
-    _is_square_free,
+    _discriminant_fault,
     cramer_rows,
     cross,
     cross_primitive,
@@ -74,8 +74,8 @@ class ReebVector:
         object.__setattr__(self, "q", tuple(Fraction(x) for x in self.q))
         if all(x == 0 for x in self.p) and all(x == 0 for x in self.q):
             raise DegenerateInput("zero Reeb vector")
-        if not _is_square_free(self.d):
-            raise ValueError(f"discriminant must be square-free >= 2, got {self.d}")
+        if fault := _discriminant_fault(self.d):
+            raise ValueError(fault)
 
     def coords(self) -> Tuple[QuadNumber, QuadNumber, QuadNumber]:
         return tuple(QuadNumber(self.p[i], self.q[i], self.d) for i in range(3))
@@ -88,9 +88,7 @@ def reeb_from_vectors(p, q, d: int = 2) -> ReebVector:
 def rank_of(R: ReebVector) -> int:
     """1 if R is a real multiple of a rational vector (p and q parallel),
     2 otherwise.  The quadratic-field representation bounds the rank by 2."""
-    if cross(R.p, R.q) == (Fraction(0), Fraction(0), Fraction(0)):
-        return 1
-    return 2
+    return 1 if cross(R.p, R.q) == (0, 0, 0) else 2
 
 
 class _Cleared(NamedTuple):
@@ -260,19 +258,10 @@ def _profile_of(z: _Cleared, normals) -> IsotropyProfile:
     )
 
 
-def lie_g_coords(profile: IsotropyProfile, v: Vec3) -> Tuple[Fraction, Fraction]:
-    """Coefficients of a vector of the Lie(G) plane in the (u1, u2) basis:
-    its first two coordinates in the frame (u1, u2, v0)."""
-    u1, u2 = profile.lieG_basis
-    row_a, row_b, _ = cramer_rows(u1, u2, profile.v0)
-    den = dot(u1, row_a)
-    return Fraction(dot(row_a, v), den), Fraction(dot(row_b, v), den)
-
-
 def _lie_g_integers(profile: IsotropyProfile, v: Vec3) -> Tuple[int, int]:
-    """`lie_g_coords` of a lattice vector v of the Lie(G) plane, in integers:
-    its first two coordinates in the frame (u1, u2, m), v0 . m = 1, which
-    is unimodular (u1 x u2 = v0), so the Cramer rows need no division."""
+    """Coordinates in the (u1, u2) basis of a vector v of the Lie(G) plane,
+    integers for a lattice vector: its first two in the frame (u1, u2, m),
+    v0 . m = 1, unimodular (u1 x u2 = v0), so Cramer needs no division."""
     u1, u2 = profile.lieG_basis
     row_a, row_b, _ = cramer_rows(u1, u2, profile.complement)
     return dot(row_a, v), dot(row_b, v)
@@ -288,9 +277,9 @@ def _vertex_circle(profile: IsotropyProfile, normals, vertex: int) -> Tuple[int,
 
 
 def reeb_lie_g_coords(profile: IsotropyProfile, R: ReebVector):
-    """R in the (u1, u2) basis, as a pair of QuadNumbers."""
-    a_p, b_p = lie_g_coords(profile, R.p)
-    a_q, b_q = lie_g_coords(profile, R.q)
+    """R in the (u1, u2) basis, as a pair of QuadNumbers: p and q span
+    Lie(G), so `_lie_g_integers` reads their coordinates."""
+    (a_p, b_p), (a_q, b_q) = (_lie_g_integers(profile, v) for v in (R.p, R.q))
     return QuadNumber(a_p, a_q, R.d), QuadNumber(b_p, b_q, R.d)
 
 
@@ -352,11 +341,11 @@ def _transverse_circle(profile: IsotropyProfile, rays) -> Vec3:
                     if alpha <= 0:
                         break
                     continue
-                end = Fraction(-alpha, beta)
-                if beta > 0 and end >= lo:
-                    lo, lo_open = end, True
-                elif beta < 0 and end <= hi:
-                    hi, hi_open = end, True
+                # -alpha / beta against a bound, cross-multiplied in Z
+                if beta > 0 and -alpha * lo.denominator >= lo.numerator * beta:
+                    lo, lo_open = Fraction(-alpha, beta), True
+                elif beta < 0 and -alpha * hi.denominator >= hi.numerator * beta:
+                    hi, hi_open = Fraction(-alpha, beta), True
             else:
                 q = least_denominator(lo, lo_open, hi, hi_open)
                 if q is not None:
@@ -395,9 +384,10 @@ def width_of_flat_face(
     """
     rays, profile, z = _checked_profile(cone, R)
     _checked_ybar(profile, rays, ybar)
+    i %= len(cone)
     if i not in profile.flats:
-        raise DegenerateInput(f"face {i} is not flat (k={profile.k[i % len(cone)]})")
-    e_lo, e_hi = rays[(i - 1) % len(cone)], rays[i % len(cone)]
+        raise DegenerateInput(f"face {i} is not flat (k={profile.k[i]})")
+    e_lo, e_hi = rays[i - 1], rays[i]
     d = z.d
     y, a, b = dot(ybar, e_hi), dot(z.P, e_hi), dot(z.Q, e_hi)
 

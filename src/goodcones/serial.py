@@ -5,7 +5,7 @@ serialize as strings "p/q", quadratic numbers as {"rat","irr","d"}.
 The loaders check the shape and the types of what they read and raise
 `DocumentError` for anything else: a cone's normals are JSON integers
 (not floats or booleans), a Reeb vector's entries are integers or "p/q"
-strings, and its d is a square-free integer >= 2.
+strings, and its d is a square-free integer with 2 <= d < 2**63.
 """
 
 from __future__ import annotations
@@ -15,7 +15,7 @@ from fractions import Fraction
 from typing import Optional
 
 from .cone import GoodCone, load_cone
-from .exactnum import QuadNumber, _is_square_free
+from .exactnum import QuadNumber, _discriminant_fault
 from .graph import EdgeItem, FatVertex, IsotropyGraph, canonical_form
 from .reeb import ReebVector
 
@@ -78,8 +78,10 @@ def reeb_from_json(obj) -> ReebVector:
     if not (isinstance(p, list) and len(p) == 3 and isinstance(q, list) and len(q) == 3):
         raise DocumentError("reeb 'p' and 'q' must be lists of three numbers")
     d = obj.get("d", 2)
-    if type(d) is not int or not _is_square_free(d):
+    if type(d) is not int:
         raise DocumentError(f"discriminant must be square-free >= 2, got {d!r}")
+    if fault := _discriminant_fault(d):
+        raise DocumentError(fault)
     return ReebVector(tuple(parse_frac(x) for x in p), tuple(parse_frac(x) for x in q), d)
 
 

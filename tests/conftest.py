@@ -10,8 +10,8 @@ from goodcones.cone import GoodCone, face_invariants, load_cone, validate
 from goodcones.exactnum import delzant_witness, mat_vec, vec_add, vec_scale
 from goodcones.graph import LensBundleDescriptor, germ_profile, reversed_euler_residue
 from goodcones.reeb import (
+    _lie_g_integers,
     isotropy_profile,
-    lie_g_coords,
     rank_of,
     reeb_from_vectors,
     reeb_lie_g_coords,
@@ -142,8 +142,7 @@ def bundle_from_cone(cone, reeb, flat_lo, flat_hi, germ):
 
     def fat(face):
         inv = face_invariants(cone, face)
-        a, b = lie_g_coords(prof, cone.normal(face))
-        d = (int(a), int(b))
+        d = _lie_g_integers(prof, cone.normal(face))
         if d < (0, 0) or (d[0] == 0 and d[1] < 0) or d[0] < 0:
             d = (-d[0], -d[1])
         return (d, (inv.b, inv.f), reversed_euler_residue(cone, face))

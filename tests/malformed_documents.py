@@ -36,6 +36,7 @@ def malformed_documents() -> dict:
         "d-not-an-integer": _edited(lambda d: d["reeb"].update(d="two")),
         "d-not-square-free": _edited(lambda d: d["reeb"].update(d=4)),
         "d-one": _edited(lambda d: d["reeb"].update(d=1)),
+        "d-beyond-2-63": _edited(lambda d: d["reeb"].update(d=2**63 + 1)),
         "d-boolean": _edited(lambda d: d["reeb"].update(d=True)),
         "top-level-list": [good_document()],
         "top-level-number": 7,

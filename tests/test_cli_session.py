@@ -6,13 +6,14 @@ unusable paths exit 2 with a one-line JSON error and no traceback, and
 
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
-from goodcones import cli
+from goodcones import cli, exactnum
 from goodcones.construct import example_family, obstructed_family
 from goodcones.reeb import ReebVector
 from goodcones.serial import Document, DocumentError, document_from_json, document_to_json
@@ -185,6 +186,46 @@ def test_construct_rejects_non_square_free_d(capsys, d):
 def test_reeb_vector_rejects_non_square_free_d(d):
     with pytest.raises(ValueError, match=f"discriminant must be square-free >= 2, got {d}"):
         ReebVector((1, 0, 1), (1, 3, 7), d)
+
+
+@pytest.mark.parametrize("d", [2**63, 2**63 + 1])
+def test_construct_rejects_d_beyond_2_63(capsys, d):
+    argv = ["construct", "--family", "example", "--k", "2", "--d", str(d)]
+    code, out, err = call(capsys, argv)
+    assert_json_usage_error(code, out, err)
+    assert json.loads(err)["error"] == f"--d must be below 2**63, got {d}"
+
+
+def test_documents_and_reeb_vectors_reject_d_beyond_2_63(capsys, tmp_path):
+    d = 2**63 + 1
+    message = f"discriminant must be below 2**63, got {d}"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        ReebVector((1, 0, 1), (1, 3, 7), d)
+    path = tmp_path / "big-d.json"
+    path.write_text(json.dumps(MALFORMED["d-beyond-2-63"]))
+    for argv in (["graph", str(path)], ["render", str(path), "--out", str(tmp_path / "x.svg")]):
+        code, out, err = call(capsys, argv)
+        assert_json_usage_error(code, out, err)
+        assert json.loads(err)["error"] == message
+
+
+def test_large_square_free_d_is_decided_once(capsys, tmp_path, monkeypatch):
+    """With d = 10**12 + 39, trial division to sqrt(d) for every QuadNumber
+    took seconds per command; now square-freeness is decided once per d."""
+    d = 10**12 + 39
+    path = write_doc(tmp_path, "ex6-big-d", *example_family(6, d=d))
+    calls = []
+    decide = exactnum._is_square_free
+    monkeypatch.setattr(exactnum, "_is_square_free", lambda x: calls.append(x) or decide(x))
+    exactnum._discriminant_fault.cache_clear()
+    try:
+        svg = str(tmp_path / "ex6.svg")
+        for argv in (["graph", path], ["render", path, "--out", svg], ["graph", path]):
+            code, out, err = call(capsys, argv)
+            assert code == 0 and err == "", (argv, err)
+    finally:
+        exactnum._discriminant_fault.cache_clear()
+    assert calls == [d]
 
 
 def test_construct_accepts_square_free_d(capsys):

@@ -1,5 +1,6 @@
 import math
 import random
+import re
 from decimal import Decimal, getcontext
 from fractions import Fraction
 
@@ -7,9 +8,12 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import goodcones.exactnum as exactnum_module
 from goodcones.exactnum import (
     DegenerateInput,
     QuadNumber,
+    _discriminant_fault,
+    _is_square_free,
     cross_primitive,
     delzant_witness,
     det3,
@@ -227,3 +231,67 @@ def test_quadnumber_discriminants_do_not_mix():
         quad(1, 1, 2) + quad(1, 1, 3)
     with pytest.raises(ValueError):
         quad(1, 1, 4)
+
+
+def old_is_square_free(d):
+    """The trial division to sqrt(d) that `_is_square_free` replaced."""
+    if d < 2:
+        return False
+    k = 2
+    while k * k <= d:
+        if d % (k * k) == 0:
+            return False
+        k += 1
+    return True
+
+
+def test_is_square_free_matches_the_old_loop():
+    n = 200_000
+    # a sieve of square factors for every d < n, checked against the old loop
+    # on the start of the range and on a random sample of the rest
+    square_free = [True] * n
+    for k in range(2, math.isqrt(n) + 1):
+        square_free[k * k :: k * k] = [False] * len(square_free[k * k :: k * k])
+    for d in range(3000):
+        assert old_is_square_free(d) == (d >= 2 and square_free[d]), d
+    rnd = random.Random(41)
+    for d in rnd.sample(range(n), 300):
+        assert old_is_square_free(d) == (d >= 2 and square_free[d]), d
+    for d in range(n):
+        assert _is_square_free(d) == (d >= 2 and square_free[d]), d
+    for _ in range(100):
+        d = rnd.randrange(10**9)
+        assert _is_square_free(d) == old_is_square_free(d), d
+
+
+def test_is_square_free_on_cofactors_of_one_or_two_large_primes():
+    p, q = 1_000_003, 999_983
+    for d, expected in ((p, True), (p * q, True), (p * p, False), (6 * p * q, True),
+                        (12 * p, False), ((2**31 - 1) ** 2, False), (2**61 - 1, True)):
+        assert _is_square_free(d) == expected, d
+
+
+@pytest.mark.parametrize("d", [2**63, 2**63 + 1, 2**64 + 3])
+def test_discriminants_are_bounded_by_2_63(d):
+    message = f"discriminant must be below 2**63, got {d}"
+    assert _discriminant_fault(d) == message
+    with pytest.raises(ValueError, match=re.escape(message)):
+        QuadNumber(1, 1, d)
+
+
+def test_discriminant_is_decided_once_per_d(monkeypatch):
+    calls = []
+
+    def counting(d):
+        calls.append(d)
+        return old_is_square_free(d)
+
+    monkeypatch.setattr(exactnum_module, "_is_square_free", counting)
+    _discriminant_fault.cache_clear()
+    d = 10**12 + 39
+    try:
+        values = [QuadNumber(j, 1, d) for j in range(50)]
+        assert sum(values, QuadNumber(0, 0, d)).irr == 50
+    finally:
+        _discriminant_fault.cache_clear()
+    assert calls.count(d) == 1

@@ -40,8 +40,8 @@ from goodcones.graph import (
     reversed_euler_residue,
 )
 from goodcones.reeb import (
+    _lie_g_integers,
     isotropy_profile,
-    lie_g_coords,
     reeb_lie_g_coords,
 )
 
@@ -133,7 +133,14 @@ def old_edge_isotropy(profile, normals, face):
     den = det3(u1, u2, profile.v0)
     a = Fraction(det3(g_vec, u2, profile.v0), den)
     b = Fraction(det3(u1, g_vec, profile.v0), den)
-    return FiniteCyclicSubgroup(order=k, generator=(a, b)).canonical()
+    return subgroup_from_fractions(k, (a, b)).canonical()
+
+
+def subgroup_from_fractions(n, generator):
+    """The subgroup of order n generated by a pair of Fractions whose
+    denominators divide n, built from its integer residues."""
+    assert all(n % x.denominator == 0 for x in generator)
+    return FiniteCyclicSubgroup(n, tuple(x.numerator * (n // x.denominator) for x in generator))
 
 
 def old_canonical(sub):
@@ -153,7 +160,7 @@ def old_canonical(sub):
     r = 0
     while math.gcd(j0 + h * ((r - q) * b_inv % g), m) != 1:
         r += 1
-    return FiniteCyclicSubgroup(n, (Fraction(g % m, m), Fraction(c + h * r, m)))
+    return subgroup_from_fractions(n, (Fraction(g % m, m), Fraction(c + h * r, m)))
 
 
 def old_transformed(sub, a):
@@ -163,7 +170,7 @@ def old_transformed(sub, a):
         (a[0][0] * g[0] + a[0][1] * g[1]) % 1,
         (a[1][0] * g[0] + a[1][1] * g[1]) % 1,
     )
-    return old_canonical(FiniteCyclicSubgroup(sub.order, image))
+    return old_canonical(subgroup_from_fractions(sub.order, image))
 
 
 def random_gl2(rnd, shears=6):
@@ -292,7 +299,7 @@ def test_euler_residues_do_not_depend_on_the_witness(pairs):
 
 
 def test_lie_g_coords_and_edge_isotropy_match_oracles(pairs):
-    edges = 0
+    edges = flats = 0
     for name, cone, reeb in pairs:
         profile = isotropy_profile(cone, reeb)
         # face_slope and the pr2 width route depend on which complement is used
@@ -300,14 +307,17 @@ def test_lie_g_coords_and_edge_isotropy_match_oracles(pairs):
         assert reeb_lie_g_coords(profile, reeb) == old_reeb_lie_g_coords(profile, reeb)
         for i in range(len(cone)):
             n = cone.normal(i)
-            assert lie_g_coords(profile, n) == old_lie_g_coords(profile, n), (name, i)
+            # Lie(G) vectors: the vertex circles and the flat normals
             y = cross_primitive(profile.v0, cross_primitive(n, cone.normal(i + 1)))
-            assert lie_g_coords(profile, y) == old_lie_g_coords(profile, y), (name, i)
+            assert _lie_g_integers(profile, y) == old_lie_g_coords(profile, y), (name, i)
+            if i in profile.flats:
+                assert _lie_g_integers(profile, n) == old_lie_g_coords(profile, n), (name, i)
+                flats += 1
             if profile.k[i] >= 2:
                 got = _edge_isotropy(profile, cone.normals, i)
                 assert got == old_edge_isotropy(profile, cone.normals, i), (name, i)
                 edges += 1
-    assert edges > 1000
+    assert edges > 1000 and flats > 500
 
 
 def test_integer_transformed_matches_fraction_route_on_edges(pairs):
@@ -326,19 +336,23 @@ def test_integer_transformed_matches_fraction_route_on_edges(pairs):
 
 def test_integer_transformed_matches_fraction_route_on_random_subgroups():
     rnd = random.Random(12)
+    nontrivial = 0
     for _ in range(400):
         # n = e * m with a common factor e of both residues, so gcd(a, b, n) >= e
         e = rnd.choice((1, 1, 2, 3, 4, 6, 12, 30))
         m = rnd.choice((rnd.randint(1, 60), rnd.randint(2, 10**6), 2310, 30030))
         n = e * m
         x, y = rnd.randrange(m), rnd.randrange(m)
-        sub = FiniteCyclicSubgroup(n, (Fraction(e * x, n), Fraction(e * y, n)))
+        sub = FiniteCyclicSubgroup(n, (e * x, e * y))
         a = random_gl2(rnd)
         got = sub.transformed(a)
         assert got == old_transformed(sub, a), (n, e * x, e * y, a)
         assert got.canonical() == got
         assert all(isinstance(v, Fraction) and 0 <= v < 1 for v in got.generator)
         assert sub.canonical() == old_canonical(sub), (n, e * x, e * y)
+        nontrivial += got.residues != (0, 0)
+    # a constructor that lost the residues would make every subgroup trivial
+    assert nontrivial > 350
 
 
 # ---------------------------------------------------------------------------

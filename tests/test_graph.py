@@ -262,7 +262,33 @@ def _lexmin_scan(n, a, b):
 
 
 def _subgroup(n, a, b):
-    return FiniteCyclicSubgroup(n, (Fraction(a, n), Fraction(b, n)))
+    return FiniteCyclicSubgroup(n, (a, b))
+
+
+@pytest.mark.parametrize("bad", [Fraction(1, 2), Fraction(3), 0.5, 3.0, True])
+def test_subgroup_constructor_takes_only_int(bad):
+    for order, residues in ((4, (bad, 1)), (4, (1, bad)), (bad, (1, 1))):
+        with pytest.raises(TypeError):
+            FiniteCyclicSubgroup(order, residues)
+
+
+@pytest.mark.parametrize("order", [0, -3])
+def test_subgroup_constructor_needs_positive_order(order):
+    with pytest.raises(ValueError, match="order must be positive"):
+        FiniteCyclicSubgroup(order, (1, 1))
+
+
+def test_subgroup_constructor_reduces_residues():
+    sub = FiniteCyclicSubgroup(6, (7, -1))
+    assert sub.residues == (1, 5) and sub == FiniteCyclicSubgroup(6, (1, 5))
+    assert sub.generator == (Fraction(1, 6), Fraction(5, 6))
+    for n in range(1, 30):
+        for a, b in ((-n - 1, 3 * n + 2), (n, -1), (0, 0)):
+            gen = FiniteCyclicSubgroup(n, (a, b)).generator
+            assert all(isinstance(x, Fraction) and 0 <= x < 1 for x in gen)
+            assert gen == (Fraction(a, n) % 1, Fraction(b, n) % 1)
+    with pytest.raises(AttributeError):
+        sub.generator = (Fraction(0), Fraction(0))
 
 
 def test_canonical_matches_lexmin_scan_for_small_orders():

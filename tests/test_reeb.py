@@ -209,6 +209,18 @@ def test_width_of_flat_faces_family():
         width_of_flat_face(FAMILY2, R_FAMILY2, y, 1)
 
 
+def test_width_of_flat_face_reduces_the_index():
+    cone, reeb = example_family(4)
+    y = choose_transverse_circle(cone, reeb)
+    assert isotropy_profile(cone, reeb).flats == {0, 5}
+    for flat in (0, 5):
+        w = width_of_flat_face(cone, reeb, y, flat)
+        assert width_of_flat_face(cone, reeb, y, flat - len(cone)) == w
+        assert width_of_flat_face(cone, reeb, y, flat + 2 * len(cone)) == w
+    with pytest.raises(DegenerateInput, match="face 1 is not flat"):
+        width_of_flat_face(cone, reeb, y, 1 - len(cone))
+
+
 # Every entry that takes a caller-given Ybar, with face 0 (flat in
 # example_family) for the width, which used to fail an internal assert on
 # an off-plane Ybar.

@@ -4,7 +4,8 @@ from fractions import Fraction
 import pytest
 
 from goodcones.cone import GoodCone, load_cone, validate
-from goodcones.construct import example_family
+import goodcones.surgery as surgery_module
+from goodcones.construct import example_family, obstructed_family
 from goodcones.exactnum import (
     SearchExhausted,
     content,
@@ -198,6 +199,30 @@ def test_find_blowdown_normal_basic():
     assert det3(n_prev, n_next, t) < 0
     assert is_delzant_pair(n_prev, t) and is_delzant_pair(t, n_next)
     assert validate(replace_range(SIMPLICIAL, [1], t)).is_good
+
+
+def test_pseudoprimes_never_make_a_blowdown_normal_invalid(monkeypatch):
+    """`is_prime` is only a strong-probable-prime test above 3.3e24, but the
+    prime construction re-checks every candidate: with a primality test that
+    accepts every n >= 2, each normal found is still valid."""
+    cones = [example_family(k)[0] for k in range(2, 13)]
+    cones += [obstructed_family(k, seed=s)[0] for k in range(2, 9) for s in (0, 1)]
+    honest = [[find_blowdown_normal(c, i) for i in range(len(c))] for c in cones]
+    monkeypatch.setattr(surgery_module, "is_prime", lambda n: n >= 2)
+    found = changed = 0
+    for cone, expected in zip(cones, honest):
+        for i in range(len(cone)):
+            t = find_blowdown_normal(cone, i)
+            if t is None:
+                continue
+            n_prev, n_i, n_next = cone.normal(i - 1), cone.normal(i), cone.normal(i + 1)
+            assert content(t) == 1, (cone, i, t)
+            assert det3(n_prev, n_i, t) > 0 and det3(n_i, n_next, t) > 0, (cone, i, t)
+            assert det3(n_prev, n_next, t) < 0, (cone, i, t)
+            assert is_delzant_pair(n_prev, t) and is_delzant_pair(t, n_next), (cone, i, t)
+            found += 1
+            changed += t != expected[i]
+    assert found > 200 and changed > 0
 
 
 def test_find_blowdown_normal_constrained_after_reduction():
