@@ -255,11 +255,8 @@ def cramer_rows(a1: Vec3, a2: Vec3, a3: Vec3) -> Tuple[Vec3, Vec3, Vec3]:
 
 
 def content(u: Sequence[int]) -> int:
-    """gcd of the coordinates (0 for the zero vector)."""
-    g = 0
-    for x in u:
-        g = math.gcd(g, abs(x))
-    return g
+    """gcd of the coordinates, >= 0 (0 for the zero vector)."""
+    return math.gcd(*u)
 
 
 def is_primitive(u: Sequence[int]) -> bool:
@@ -370,11 +367,29 @@ def is_delzant_pair(n: Vec3, np: Vec3) -> bool:
     return content(c) == 1
 
 
+def _round_half_even(p: int, q: int) -> int:
+    """The integer nearest p / q for q > 0, ties to the even one: equal to
+    round(Fraction(p, q))."""
+    f, r = divmod(p, q)
+    r *= 2
+    if r < q or (r == q and not f & 1):
+        return f
+    return f + 1
+
+
 def delzant_witness(n: Vec3, np: Vec3) -> Optional[Vec3]:
     """Integer l with det3(n, np, l) = 1, or None when the pair is not
-    Delzant.  From l0 = solve_dot_one(n x np), the least point by (norm,
-    lexicographic order) of l0 - a n - b np over the 5x5 window of (a, b)
-    around the rounded coordinates of l0 in the (n, np, n x np) frame.
+    Delzant.
+
+    From l0 = solve_dot_one(n x np), the least point by (norm, lexicographic
+    order) of l0 - a n - b np over the 5x5 window of (a, b) around (a0, b0),
+    the coordinates of l0 along n and np in the (n, np, n x np) frame, each
+    rounded half to even as round(Fraction) does.  With the Gram matrix
+    G = ((n.n, n.np), (n.np, np.np)), whose determinant is |n x np|^2, those
+    coordinates are G^-1 (n.l0, np.l0).  The 25 squared norms of
+    x - da n - db np, for the reduced base x = l0 - a0 n - b0 np, are read off
+    x.x, x.n, x.np and G; vectors are built only for the points of least
+    norm, and ties go to the lexicographically least vector.
     This is a canonical choice, not the least-norm witness modulo
     span(n, np): a shorter one can lie outside the window."""
     if not (is_primitive(n) and is_primitive(np)):
@@ -385,21 +400,38 @@ def delzant_witness(n: Vec3, np: Vec3) -> Optional[Vec3]:
     if content(c) != 1:
         return None
     l0 = solve_dot_one(c)
-    # Reduce l0 modulo span_Z(n, np): solve the real coefficients of l0 in
-    # the (n, np, c)-frame, whose determinant is c . c, and scan a small
-    # neighborhood of the rounding.
-    row_a, row_b, _ = cramer_rows(n, np, c)
-    denom = dot(c, c)
-    a0 = round(Fraction(dot(row_a, l0), denom))
-    b0 = round(Fraction(dot(row_b, l0), denom))
-    best = None
-    for da in range(-2, 3):
-        for db in range(-2, 3):
-            cand = vec_sub(l0, vec_add(vec_scale(a0 + da, n), vec_scale(b0 + db, np)))
-            key = (dot(cand, cand), cand)
-            if best is None or key < best[0]:
-                best = (key, cand)
-    l = best[1]
+    n0, n1, n2 = n
+    m0, m1, m2 = np
+    nn = n0 * n0 + n1 * n1 + n2 * n2
+    nm = n0 * m0 + n1 * m1 + n2 * m2
+    mm = m0 * m0 + m1 * m1 + m2 * m2
+    p = n0 * l0[0] + n1 * l0[1] + n2 * l0[2]
+    q = m0 * l0[0] + m1 * l0[1] + m2 * l0[2]
+    gram = nn * mm - nm * nm  # = c . c
+    a0 = _round_half_even(mm * p - nm * q, gram)
+    b0 = _round_half_even(nn * q - nm * p, gram)
+    x0 = l0[0] - a0 * n0 - b0 * m0
+    x1 = l0[1] - a0 * n1 - b0 * m1
+    x2 = l0[2] - a0 * n2 - b0 * m2
+    xn = p - a0 * nn - b0 * nm  # = x . n
+    xm = q - a0 * nm - b0 * mm  # = x . np
+    xx = x0 * x0 + x1 * x1 + x2 * x2
+    # |x - da n - db np|^2 = xx - 2 da xn + da^2 nn + db (db mm + 2 (da nm - xm))
+    best, argbest = xx, [(0, 0)]
+    for da in (-2, -1, 0, 1, 2):
+        row = xx - da * (2 * xn - da * nn)
+        lin = 2 * (da * nm - xm)
+        for db in (-2, -1, 0, 1, 2):
+            norm = row + db * (db * mm + lin)
+            if norm <= best:
+                if norm < best:
+                    best, argbest = norm, [(da, db)]
+                elif da or db:  # the centre is already in argbest
+                    argbest.append((da, db))
+    l = min(
+        [(x0 - da * n0 - db * m0, x1 - da * n1 - db * m1, x2 - da * n2 - db * m2)
+         for da, db in argbest]
+    )
     assert det3(n, np, l) == 1
     return l
 

@@ -9,11 +9,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import goodcones.exactnum as exactnum_module
+from goodcones.construct import example_family, obstructed_family
 from goodcones.exactnum import (
     DegenerateInput,
     QuadNumber,
     _discriminant_fault,
     _is_square_free,
+    _round_half_even,
+    content,
+    cramer_rows,
+    cross,
     cross_primitive,
     delzant_witness,
     det3,
@@ -23,6 +28,9 @@ from goodcones.exactnum import (
     primitive_part,
     quad,
     solve_dot_one,
+    vec_add,
+    vec_scale,
+    vec_sub,
 )
 
 ints = st.integers(min_value=-30, max_value=30)
@@ -95,8 +103,6 @@ def test_delzant_witness_random(rnd):
             n, m = primitive_part(n), primitive_part(m)
         except DegenerateInput:
             continue
-        from goodcones.exactnum import cross, content
-
         c = cross(n, m)
         if c == (0, 0, 0):
             continue
@@ -120,6 +126,107 @@ def test_delzant_witness_deterministic_and_reduced():
             other = tuple(w1[j] + a * n[j] + b * m[j] for j in range(3))
             assert det3(n, m, other) == 1
             assert dot(other, other) >= dot(w1, w1)
+
+
+def old_window_witness(n, np):
+    """The window scan that the integer kernel of `delzant_witness` replaced:
+    Fraction rounding and tuple arithmetic.  Returns (l, half, tie): half
+    when a rounded coordinate was an exact half, tie when two window points
+    share the least norm."""
+    c = cross(n, np)
+    l0 = solve_dot_one(c)
+    row_a, row_b, _ = cramer_rows(n, np, c)
+    denom = dot(c, c)
+    fa = Fraction(dot(row_a, l0), denom)
+    fb = Fraction(dot(row_b, l0), denom)
+    half = fa.denominator == 2 or fb.denominator == 2
+    a0, b0 = round(fa), round(fb)
+    best = None
+    norms = []
+    for da in range(-2, 3):
+        for db in range(-2, 3):
+            cand = vec_sub(l0, vec_add(vec_scale(a0 + da, n), vec_scale(b0 + db, np)))
+            key = (dot(cand, cand), cand)
+            norms.append(key[0])
+            if best is None or key < best[0]:
+                best = (key, cand)
+    return best[1], half, norms.count(min(norms)) > 1
+
+
+def random_primitive_pairs(rnd, bound, count):
+    """`count` random pairs of primitive vectors with entries in [-bound,
+    bound] whose minors are coprime."""
+    pairs = []
+    while len(pairs) < count:
+        n = tuple(rnd.randint(-bound, bound) for _ in range(3))
+        m = tuple(rnd.randint(-bound, bound) for _ in range(3))
+        if content(n) == 1 and content(m) == 1 and content(cross(n, m)) == 1:
+            pairs.append((n, m))
+    return pairs
+
+
+def family_adjacent_pairs():
+    cones = [example_family(k)[0] for k in range(2, 60)]
+    cones += [obstructed_family(k)[0] for k in range(3, 40)]
+    return [(cone.normal(i), cone.normal(i + 1)) for cone in cones for i in range(len(cone))]
+
+
+def test_delzant_witness_equals_the_old_window_scan(rnd):
+    pairs = family_adjacent_pairs()
+    for bound, count in ((6, 4000), (10**3, 1500), (10**20, 800), (2**800, 200)):
+        pairs += random_primitive_pairs(rnd, bound, count)
+    halves = ties = 0
+    for n, m in pairs:
+        expected, half, tie = old_window_witness(n, m)
+        assert delzant_witness(n, m) == expected, (n, m)
+        halves += half
+        ties += tie
+    # both the ties-to-even rounding and the lexicographic tie rule are hit
+    assert halves > 50 and ties > 50, (halves, ties)
+
+
+def test_round_half_even_matches_fraction_round(rnd):
+    for p in range(-60, 61):
+        for q in range(1, 31):
+            assert _round_half_even(p, q) == round(Fraction(p, q)), (p, q)
+    for _ in range(2000):
+        q = rnd.randint(1, 2 ** rnd.randint(1, 400))
+        p = rnd.randint(-(2**400), 2**400)
+        if rnd.random() < 0.25:  # an exact half, or one off it
+            p = (2 * rnd.randint(-(2**300), 2**300) + 1) * q + rnd.randint(-1, 1)
+            q *= 2
+        assert _round_half_even(p, q) == round(Fraction(p, q)), (p, q)
+
+
+def test_delzant_witness_degenerate_inputs():
+    # primitive, not parallel, but the minors (0, -2, 0) share the factor 2
+    assert delzant_witness((1, 0, 1), (1, 0, -1)) is None
+    assert delzant_witness((1, 0, 0), (-1, 0, 2)) is None
+    for n, m in (((2, 0, 0), (0, 1, 0)), ((1, 0, 0), (0, 3, 6)), ((0, 0, 0), (0, 1, 0))):
+        with pytest.raises(DegenerateInput, match="^delzant_witness requires primitive inputs$"):
+            delzant_witness(n, m)
+    for n, m in (((1, 2, 3), (1, 2, 3)), ((1, 2, 3), (-1, -2, -3))):
+        with pytest.raises(DegenerateInput, match=re.escape(f"parallel normals {n}, {m}")):
+            delzant_witness(n, m)
+
+
+def old_content(u):
+    """The gcd loop that `content` replaced."""
+    g = 0
+    for x in u:
+        g = math.gcd(g, abs(x))
+    return g
+
+
+def test_content_matches_the_old_loop(rnd):
+    assert content(()) == old_content(()) == 0
+    for length in range(5):
+        assert content((0,) * length) == 0
+        for _ in range(400):
+            bound = rnd.choice((1, 6, 10**6, 2**200))
+            scale = rnd.choice((1, 1, 2, 6, 2**64 + 13))
+            u = tuple(scale * rnd.choice((0, rnd.randint(-bound, bound))) for _ in range(length))
+            assert content(u) == old_content(u) >= 0, u
 
 
 def test_plane_lattice_basis_examples_and_saturation(rnd):
