@@ -576,10 +576,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, DocumentError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    except CatalogError as exc:
-        print(json.dumps({"error": str(exc)}), file=sys.stderr)
-        return 1
-    except DOMAIN_ERRORS as exc:
+    except (CatalogError, *DOMAIN_ERRORS) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

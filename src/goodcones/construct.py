@@ -2,14 +2,17 @@
 obstructed family built by the coprimality-breaking induction, chain
 closing, and the weighted-homogeneity checker.
 
-The chain-closing search runs on the affine lattice slice {v0 . t = 1}, v0
-the primitive normal of the plane spanned by the first and last chain
-normals (any point of the slice is automatically Delzant-paired with both
-ends), translating along first+last into the feasible cone.
+Chain closing works on the affine lattice slice {v0 . t = 1}, v0 the
+primitive normal of the plane spanned by the first and last chain normals
+(any point of the slice is automatically Delzant-paired with both ends).
+Each convexity constraint on the closing normal is linear in the step s
+taken along first + last, so the first feasible candidate is read off in
+closed form, and a chain cut from a good cone always closes.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 from typing import List, Sequence, Tuple
@@ -56,7 +59,7 @@ def obstructed_family(
     with c = 2, a negative odd and e positive even of seed-derived
     magnitudes grown until the two slope inequalities hold; each step's
     witness l^s keeps det3(n^s, n^{s+1}, l^s) = 1 while gcd(c, e) = 2 blocks
-    the blow-down.  The chain is closed by the slice search."""
+    the blow-down.  The chain is closed by `close_chain_normals`."""
     if k < 2:
         raise ValueError("k must be at least 2")
     rng = random.Random(seed)
@@ -93,19 +96,38 @@ def obstructed_family(
     return cone, reeb
 
 
-# Last drift step of the closing-normal search: steps 0..64, then doubling.
-_MAX_DRIFT_STEPS = 1 << 20
-
-
 def close_chain_normals(chain: Sequence[Vec3]) -> Vec3:
     """Closing normal for the chain (first, ..., last): satisfies
-    det3(last, t, m^j) > 0 for all j < last and det3(t, first, m^j) > 0 for
-    all j > first, with Delzant pairs (last, t) and (t, first) guaranteed by
-    the slice construction.
+    det3(last, t, m) > 0 for every m before last and det3(t, first, m) > 0
+    for every m after first, with Delzant pairs (last, t) and (t, first)
+    guaranteed by the slice construction.
 
-    Every candidate is t0 + s (first + last) + j1 u1 + j2 u2 with v0 . t0 = 1
-    and the other three terms in the plane v0 . x = 0, so v0 . t = 1 and t
-    is primitive without a gcd test."""
+    The candidates are t = t0 + s (first + last) + j1 u1 + j2 u2 with
+    v0 . t0 = 1 for v0 the primitive normal of first x last, (u1, u2) a basis
+    of the lattice plane v0 . x = 0, j1 and j2 in [-3, 3] and s in the
+    schedule 0, 1, ..., 64, 128, 256, ...  Every candidate has v0 . t = 1,
+    so it is primitive without a gcd test.  The answer is the first feasible
+    candidate in (s, j1, j2) order.
+
+    Each constraint is one row w . t > 0, with w = m x last or w = first x m.
+    At a window offset put e = w . (t0 + j1 u1 + j2 u2) and
+    beta = w . (first + last), so the row reads e + s beta > 0.  A row with
+    beta > 0 holds exactly for s >= lo = (-e) // beta + 1, and the least
+    schedule step at or above lo is lo when lo <= 64 and the next power of
+    two otherwise.  A row with beta <= 0 only loses ground as s grows.  So
+    the offset's first feasible step is the least schedule step meeting
+    every rising row, if the other rows hold there, and none otherwise.  The
+    offsets are visited in order, each abandoned once its step reaches the
+    best step found (ties go to the earlier offset).
+
+    Why an answer exists for a chain cut from a good cone: for both kinds of
+    row beta = det3(first, m, last).  The rows of m = first and of m = last
+    read w = first x last, whose dot with every candidate is the positive
+    constant gcd(first x last).  Every other m is interior, and three
+    normals of a strictly convex cone in cyclic order have det3 > 0, so
+    det3(first, m, last) > 0 and offset (0, 0) is feasible for all large s.
+    Hence SearchExhausted is raised only when some interior m has
+    det3(first, m, last) <= 0, and no good cone closes such a chain."""
     chain = [tuple(int(x) for x in n) for n in chain]
     if len(chain) < 2:
         raise ChainError("need at least two chain normals")
@@ -117,29 +139,43 @@ def close_chain_normals(chain: Sequence[Vec3]) -> Vec3:
     t0 = solve_dot_one(v0)
     u1, u2 = plane_lattice_basis(v0)
     drift = vec_add(first, last)  # in the slice's lattice plane
-
-    def feasible(t: Vec3) -> bool:
-        for j in range(len(chain) - 1):
-            if det3(last, t, chain[j]) <= 0:
-                return False
-        for j in range(1, len(chain)):
-            if det3(t, first, chain[j]) <= 0:
-                return False
-        return True
-
-    s = 0
-    while s <= _MAX_DRIFT_STEPS:
-        base = vec_add(t0, vec_scale(s, drift))
-        for j1 in range(-3, 4):
-            for j2 in range(-3, 4):
-                cand = vec_add(base, vec_add(vec_scale(j1, u1), vec_scale(j2, u2)))
-                if feasible(cand):
-                    assert dot(v0, cand) == 1
-                    return cand
-        s = s + 1 if s < 64 else s * 2
-    raise SearchExhausted(
-        f"no closing normal found within {_MAX_DRIFT_STEPS} translation steps"
+    # One row (w . t0, w . u1, w . u2, w . drift) per constraint w . t > 0;
+    # a row whose w . drift is not positive cannot gain from a larger s.
+    rising, rest = [], []
+    for w in [cross(m, last) for m in chain[:-1]] + [cross(first, m) for m in chain[1:]]:
+        row = (dot(w, t0), dot(w, u1), dot(w, u2), dot(w, drift))
+        (rising if row[3] > 0 else rest).append(row)
+    best_s, best = math.inf, None
+    for j1, j2 in itertools.product(range(-3, 4), repeat=2):
+        s = 0
+        for a, b1, b2, beta in rising:
+            e = a + j1 * b1 + j2 * b2
+            if e + s * beta <= 0:
+                lo = -e // beta + 1
+                s = lo if lo <= 64 else 1 << (lo - 1).bit_length()
+                if s >= best_s:
+                    break
+        else:
+            if all(a + j1 * b1 + j2 * b2 + s * beta > 0 for a, b1, b2, beta in rest):
+                best_s, best = s, (j1, j2)
+                if s == 0:
+                    break
+    if best is None:
+        m, value = next(
+            (m, det3(first, m, last)) for m in chain[1:-1] if det3(first, m, last) <= 0
+        )
+        raise SearchExhausted(
+            f"no good cone closes the chain: interior normal m = {m} has "
+            f"det3(first, m, last) = {value} <= 0"
+        )
+    t = vec_add(
+        vec_add(t0, vec_scale(best_s, drift)),
+        vec_add(vec_scale(best[0], u1), vec_scale(best[1], u2)),
     )
+    assert dot(v0, t) == 1
+    assert all(det3(last, t, m) > 0 for m in chain[:-1])
+    assert all(det3(t, first, m) > 0 for m in chain[1:])
+    return t
 
 
 def close_chain(chain_normals: Sequence[Vec3]) -> Vec3:

@@ -23,7 +23,8 @@ class DegenerateInput(ValueError):
 
 
 class SearchExhausted(RuntimeError):
-    """A bounded lattice search ran out of candidates."""
+    """A lattice point the caller asked for does not exist: no admissible
+    candidate satisfies the constraints."""
 
 
 def _is_square_free(d: int) -> bool:

@@ -520,7 +520,7 @@ def germ_profile(germ: GermOfChain):
 
 def validate_germ(germ: GermOfChain) -> None:
     """Realizability: consecutive triples convex, and the chain closes to a
-    good cone (close_chain search); `validate` of the closed cone decides the
+    good cone (`close_chain_normals`); `validate` of the closed cone decides the
     adjacent pairs' Delzant condition with the rest of goodness."""
     ns = germ.normals
     for a, b, c in zip(ns, ns[1:], ns[2:]):

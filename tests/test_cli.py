@@ -162,6 +162,35 @@ def test_close_non_good_closure_exits_1(capsys, tmp_path):
     assert "delzant-pair" in json.loads(captured.err)["error"]
 
 
+def test_close_a_chain_the_drift_search_gave_up_on(capsys, tmp_path):
+    # Cut from the good 4-face cone that the blow-down plan keeping faces 0,
+    # 17 and 18 of example_family(16) reaches; (1, 0, 1) closes it.
+    path = tmp_path / "chain.json"
+    chain = [[1864592969467, 346291621978, 2396528159766], [1, 17, 273], [1, 1, 18]]
+    path.write_text(json.dumps({"normals": chain}))
+    code, out = run_json(capsys, ["close", str(path)])
+    assert code == 0 and out["cone"]["normals"][:3] == chain
+    closed = tmp_path / "closed.json"
+    closed.write_text(json.dumps(out["cone"]))
+    code, out = run_json(capsys, ["validate", str(closed)])
+    assert code == 0 and out["is_good"] is True
+
+
+def test_close_a_chain_no_good_cone_closes_exits_1(capsys, tmp_path):
+    # The chain winds twice; its interior normal (0, 0, 1) equals the last.
+    path = tmp_path / "chain.json"
+    chain = [[1, 0, -1], [2, 1, -1], [0, 0, 1], [4, -1, -2], [1, 0, -1], [2, 1, -1], [0, 0, 1]]
+    path.write_text(json.dumps({"normals": chain}))
+    code = run(["close", str(path)])
+    captured = capsys.readouterr()
+    assert code == 1 and captured.out == "" and "Traceback" not in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert json.loads(captured.err)["error"] == (
+        "no good cone closes the chain: interior normal m = (0, 0, 1) has "
+        "det3(first, m, last) = 0 <= 0"
+    )
+
+
 def test_closed_stdout_exits_quietly(doc_path):
     """A reader that closes the pipe first (`goodcones ... | head`) gets no
     traceback: the write fails with EPIPE and the CLI exits 1."""

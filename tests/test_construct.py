@@ -20,8 +20,18 @@ from goodcones.construct import (
     weighted_homogeneous_check,
 )
 from goodcones.cone import GoodCone
-from goodcones.exactnum import cross_primitive, dot, is_delzant_pair
+from goodcones.exactnum import (
+    cross_primitive,
+    det3,
+    dot,
+    is_delzant_pair,
+    plane_lattice_basis,
+    solve_dot_one,
+    vec_add,
+    vec_scale,
+)
 from goodcones.reeb import is_admissible, isotropy_profile, rank_of
+from goodcones.surgery import plan_blowdown_sequence, replay
 
 from conftest import random_good_cone
 
@@ -120,6 +130,114 @@ def test_closing_normal_is_primitive_with_unit_pairing():
         t = close_chain_normals(chain)
         assert dot(cross_primitive(chain[0], chain[-1]), t) == 1, chain
         assert math.gcd(*t) == 1, chain
+
+
+# The drift search that close_chain_normals replaced: steps 0..64, then
+# doubling, up to 2**20, each scanning a 7x7 window of the slice plane.
+_OLD_MAX_DRIFT_STEPS = 1 << 20
+
+
+def drift_loop_closing_normal(chain):
+    """(t, s) of the first feasible candidate in (s, j1, j2) order, or
+    (None, None) when no step up to 2**20 has one."""
+    chain = [tuple(n) for n in chain]
+    first, last = chain[0], chain[-1]
+    v0 = cross_primitive(first, last)
+    t0 = solve_dot_one(v0)
+    u1, u2 = plane_lattice_basis(v0)
+    drift = vec_add(first, last)
+
+    def feasible(t):
+        return all(det3(last, t, m) > 0 for m in chain[:-1]) and all(
+            det3(t, first, m) > 0 for m in chain[1:]
+        )
+
+    s = 0
+    while s <= _OLD_MAX_DRIFT_STEPS:
+        base = vec_add(t0, vec_scale(s, drift))
+        for j1 in range(-3, 4):
+            for j2 in range(-3, 4):
+                cand = vec_add(base, vec_add(vec_scale(j1, u1), vec_scale(j2, u2)))
+                if feasible(cand):
+                    return cand, s
+        s = s + 1 if s < 64 else s * 2
+    return None, None
+
+
+def chains_cut_from(cone_normals, faces=None):
+    """The chain left by dropping each listed face (all by default), read
+    cyclically from the face after it."""
+    ns = tuple(cone_normals)
+    faces = range(len(ns)) if faces is None else faces
+    return [ns[i + 1:] + ns[:i] for i in faces]
+
+
+def plan_cone(k):
+    """The 4-face cone that the blow-down plan keeping faces 0, k+1 and k+2
+    of example_family(k) reaches."""
+    cone, _ = example_family(k)
+    return replay(plan_blowdown_sequence(cone, [0, k + 1, k + 2]), cone)
+
+
+def test_close_chain_normals_equals_the_drift_loop():
+    chains = []
+    for k in range(2, 129):
+        for seed in range(3):
+            ns = obstructed_family(k, seed=seed)[0].normals
+            chains += [ns[:-1], ns[1:]]
+    for k in range(2, 60):
+        chains += chains_cut_from(example_family(k)[0].normals, (0, 1, k + 2))
+    rnd = random.Random(1)  # reaches two drift steps above 64
+    for n in range(300):
+        normals = random_good_cone(rnd, cuts=n % 5).normals
+        chains += chains_cut_from(normals, [rnd.randrange(len(normals))])
+    # Convex triples whose first feasible step is a power of two above 64
+    # that one row asks for exactly (128, 512, 128 and 128).
+    chains += [
+        [(12, -1, 26), (-23, -19, -14), (19, 18, -20)],
+        [(29, -21, 18), (-12, 19, -20), (13, 4, 15)],
+        [(3, -6, -22), (-4, 3, -25), (12, 17, -20)],
+        [(18, -1, -9), (28, 24, 18), (1, -18, -15)],
+    ]
+    branches = {"s = 0": 0, "1 <= s <= 64": 0, "64 < s <= 2**20": 0, "s > 2**20": 0}
+    for chain in chains:
+        t = close_chain_normals(chain)
+        expected, s = drift_loop_closing_normal(chain)
+        if expected is None:
+            # No step up to 2**20 has a feasible candidate, so t lies beyond.
+            branches["s > 2**20"] += 1
+            assert all(det3(chain[-1], t, m) > 0 for m in chain[:-1]), chain
+            assert all(det3(t, chain[0], m) > 0 for m in chain[1:]), chain
+            continue
+        assert t == expected, chain
+        if s == 0:
+            branches["s = 0"] += 1
+        elif s <= 64:
+            branches["1 <= s <= 64"] += 1
+        else:
+            branches["64 < s <= 2**20"] += 1
+    assert all(branches.values()), branches
+
+
+def test_close_chain_closes_every_chain_cut_from_a_good_cone():
+    # Strict convexity puts det3(first, m, last) > 0 for each interior m of
+    # such a chain, so a closing normal exists and close_chain finds it.
+    rnd = random.Random(5)
+    cones = [random_good_cone(rnd, cuts=n % 5).normals for n in range(40)]
+    cones += [obstructed_family(k)[0].normals for k in range(2, 65)]
+    chains = [chain for normals in cones for chain in chains_cut_from(normals)]
+    plan_chains = [
+        chain for k in (16, 24, 32, 64, 96) for chain in chains_cut_from(plan_cone(k).normals)
+    ]
+    # The drift loop gave up on nine plan chains: face 0 dropped for each k,
+    # and face 2 for k = 16, 24, 64 and 96.  It gave up on the three
+    # obstructed chains added below as well.
+    assert sum(drift_loop_closing_normal(chain)[0] is None for chain in plan_chains) == 9
+    chains += plan_chains
+    chains += [obstructed_family(k, seed=2)[0].normals[1:] for k in (41, 47, 101)]
+    for chain in chains:
+        t = close_chain(chain)
+        assert validate(GoodCone(tuple(chain) + (t,))).is_good, chain
 
 
 def test_close_chain_rejects_nonconvex():
