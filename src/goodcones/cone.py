@@ -28,6 +28,7 @@ from .exactnum import (
     det3,
     dot,
     is_primitive,
+    solve_dot_one,
 )
 
 
@@ -203,6 +204,31 @@ def _frame_change(left, right) -> Mat3:
     return tuple([tuple([d * dot(r, c) for c in right]) for r in rows])
 
 
+def _adjacent_triple(cone: GoodCone, i: int) -> Tuple[Vec3, Vec3, Vec3]:
+    """(n^{i-1}, n^i, n^{i+1}), the normals around face i."""
+    return cone.normal(i - 1), cone.normal(i), cone.normal(i + 1)
+
+
+def _convex_order(i: int, n1: Vec3, n2: Vec3, n3: Vec3) -> int:
+    """The convexity check of face i's adjacent triple: b = det3(n1, n2, n3),
+    which must be positive."""
+    b = det3(n1, n2, n3)
+    if b <= 0:
+        raise InvalidCone(f"faces {i-1},{i},{i+1} are not a convex triple")
+    return b
+
+
+def _face_witnesses(i: int, n1: Vec3, n2: Vec3, n3: Vec3) -> Tuple[Vec3, Vec3]:
+    """The canonical witnesses (l1, l2) of face i's adjacent pairs:
+    det3(n1, n2, l1) = 1 and det3(n2, n3, l2) = 1 (`delzant_witness`).
+    It does not check convexity: `gluing_matrix` reads it on any triple."""
+    l2 = delzant_witness(n2, n3)
+    l1 = delzant_witness(n1, n2)
+    if l2 is None or l1 is None:
+        raise InvalidCone(f"adjacent pair at face {i} has no Delzant witness")
+    return l1, l2
+
+
 def face_invariants(cone: GoodCone, i: int) -> FaceInvariants:
     """Invariants of the lens space over face i, from the adjacent triple
     (n^{i-1}, n^i, n^{i+1}) in the roles (n1, n2, n3):
@@ -214,18 +240,13 @@ def face_invariants(cone: GoodCone, i: int) -> FaceInvariants:
     b and f depend on the triple alone: any other witness l2 + s n2 + t n3
     moves det3(n1, n3, l2) by s det3(n1, n3, n2) = -s b.  The gluing is one
     frame change between the frames of the canonical witnesses
-    (`delzant_witness`), both of determinant -1.
+    (`_face_witnesses`), both of determinant -1.
     b equals |gluing[0][1]| and f ≡ gluing[2][1] (mod b); the upper-left 2x2
     block of the gluing matrix is a Heegaard attaching map of determinant -1.
     """
-    n1, n2, n3 = cone.normal(i - 1), cone.normal(i), cone.normal(i + 1)
-    b = det3(n1, n2, n3)
-    if b <= 0:
-        raise InvalidCone(f"faces {i-1},{i},{i+1} are not a convex triple")
-    l2 = delzant_witness(n2, n3)
-    l1 = delzant_witness(n1, n2)
-    if l2 is None or l1 is None:
-        raise InvalidCone(f"adjacent pair at face {i} has no Delzant witness")
+    n1, n2, n3 = _adjacent_triple(cone, i)
+    b = _convex_order(i, n1, n2, n3)
+    l1, l2 = _face_witnesses(i, n1, n2, n3)
     # det3(n2, n3, l2) = 1 gives det3(n3, l2, n2) = 1 by cyclic permutation,
     # and det3(n1, n2, l1) = 1 gives det3(l1, n1, n2) = 1.
     f = det3(n1, n3, l2) % b
@@ -234,6 +255,18 @@ def face_invariants(cone: GoodCone, i: int) -> FaceInvariants:
     heegaard = gluing[0][0] * gluing[1][1] - gluing[0][1] * gluing[1][0]
     assert heegaard == -1
     return FaceInvariants(b=b, f=f, gluing=gluing)
+
+
+def _normal_euler_residues(cone: GoodCone, i: int) -> Tuple[int, int, int]:
+    """(b, f, f_rev) of face i without a canonical witness: with (n1, n2, n3)
+    its adjacent triple and b = det3(n1, n2, n3), each residue is
+    det3(n1, n3, l) mod b for the witness l = solve_dot_one(n2 x n3) of
+    (n2, n3) for f (the f of `face_invariants`, which any witness gives) and
+    l = solve_dot_one(n1 x n2) of (n1, n2) for f_rev."""
+    n1, n2, n3 = _adjacent_triple(cone, i)
+    b = _convex_order(i, n1, n2, n3)
+    f, f_rev = (det3(n1, n3, solve_dot_one(w)) % b for w in (cross(n2, n3), cross(n1, n2)))
+    return b, f, f_rev
 
 
 def can_blowdown_to_orbit(cone: GoodCone, i: int) -> bool:
@@ -248,15 +281,13 @@ def gluing_matrix(cone: GoodCone, i: int) -> Mat3:
 
         (n^{i+2}, l^{i+1}, n^{i+1}) = (n^i, l^i, n^{i+1}) T
 
-    with l^j the canonical witness of the pair (n^j, n^{j+1}).  T is integer
-    with third column (0, 0, 1); its (2,1) and (3,1) entries are the c_i, e_i
-    whose common factor obstructs deleting face i+1 (gcd(c_i, e_i) is
-    independent of the witness choices)."""
-    ni, ni1, ni2 = cone.normal(i), cone.normal(i + 1), cone.normal(i + 2)
-    li = delzant_witness(ni, ni1)
-    li1 = delzant_witness(ni1, ni2)
-    if li is None or li1 is None:
-        raise InvalidCone(f"faces {i}, {i+1}, {i+2} are not Delzant-adjacent")
+    with l^j the canonical witness of the pair (n^j, n^{j+1}), so l^i and
+    l^{i+1} are the witnesses (l1, l2) of face i+1; the triple need not be
+    convex.  T is integer with third column (0, 0, 1); its (2,1) and (3,1)
+    entries are the c_i, e_i whose common factor obstructs deleting face i+1
+    (gcd(c_i, e_i) is independent of the witness choices)."""
+    ni, ni1, ni2 = _adjacent_triple(cone, i + 1)
+    li, li1 = _face_witnesses(i + 1, ni, ni1, ni2)
     t = _frame_change((ni, li, ni1), (ni2, li1, ni1))
     assert tuple(row[2] for row in t) == (0, 0, 1)
     return t

@@ -21,6 +21,7 @@ from .reeb import (
     ReebVector,
     _arc_data,
     _lie_g_integers,
+    _vertex_between,
     _vertex_circle,
 )
 
@@ -275,9 +276,7 @@ def evaluate_identity(data: IdentityData) -> EulerReport:
         jumps: List[Fraction] = []
         a_list: List[int] = []
         for lo, hi in zip(arc, arc[1:]):
-            a = _vertex_intersection_weight(
-                data, ybar_g, lo if (lo + 1) % m == hi else hi
-            )
+            a = _vertex_intersection_weight(data, ybar_g, _vertex_between(lo, hi, m))
             k1, k2 = k[lo], k[hi]
             if k1 < 1 or k2 < 1:
                 raise ChainDataError("interior face with k = 0")

@@ -18,18 +18,16 @@ from dataclasses import dataclass, replace
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
-from .cone import GoodCone, InvalidCone, validate
+from .cone import GoodCone, _normal_euler_residues, validate
 from .construct import close_chain_normals
 from .exactnum import (
     DegenerateInput,
     QuadNumber,
     Vec3,
     _xgcd,
-    cross,
     cross_primitive,
     det3,
     dot,
-    solve_dot_one,
 )
 from .reeb import (
     ReebVector,
@@ -39,6 +37,7 @@ from .reeb import (
     _pair_sign,
     _polygon,
     _profile_of,
+    _vertex_between,
     _vertex_circle,
     reeb_lie_g_coords,
 )
@@ -191,21 +190,6 @@ def _edge_isotropy(profile, normals, face: int) -> FiniteCyclicSubgroup:
     return _canonical_subgroup(k, a % k, b % k)
 
 
-def _normal_euler_residues(cone: GoodCone, face: int) -> Tuple[int, int, int]:
-    """(b, f, f_rev) of the face from its adjacent triple (n1, n2, n3) =
-    (n^{i-1}, n^i, n^{i+1}): b = det3(n1, n2, n3), and each residue is
-    det3(n1, n3, l) mod b for a witness l of one adjacent pair, l =
-    solve_dot_one(n2 x n3) for f (as in `face_invariants`) and l =
-    solve_dot_one(n1 x n2) for f_rev."""
-    n1, n2, n3 = cone.normal(face - 1), cone.normal(face), cone.normal(face + 1)
-    c = cross(n1, n2)
-    b = dot(c, n3)
-    if b <= 0:
-        raise InvalidCone(f"faces {face-1},{face},{face+1} are not a convex triple")
-    f, f_rev = (det3(n1, n3, solve_dot_one(w)) % b for w in (cross(n2, n3), c))
-    return b, f, f_rev
-
-
 def reversed_euler_residue(cone: GoodCone, face: int) -> int:
     """The face's normal Euler class read against the reversed cyclic
     orientation, det3(n^{i-1}, n^{i+1}, l) mod b for any witness l of the
@@ -215,7 +199,8 @@ def reversed_euler_residue(cone: GoodCone, face: int) -> int:
     the cone, where face i has the adjacent triple (M n^{i+1}, M n^i,
     M n^{i-1}) for a reflection M, and M l witnesses the pair (M n^i,
     M n^{i-1}).  Another witness l + s n^{i-1} + t n^i moves the
-    determinant by t det3(n^{i-1}, n^{i+1}, n^i) = -t b."""
+    determinant by t det3(n^{i-1}, n^{i+1}, n^i) = -t b.  Read, like the
+    fat vertices' (b, f), from `cone._normal_euler_residues`."""
     return _normal_euler_residues(cone, face)[2]
 
 
@@ -289,9 +274,7 @@ def _chain_items(profile, normals, faces) -> Tuple[ChainItem, ...]:
                 EdgeItem(multiplicity=kf, isotropy=_edge_isotropy(profile, normals, face))
             )
         if pos + 1 < len(faces):
-            nxt = faces[pos + 1]
-            # interior vertex between consecutive chain faces
-            v = face if (face + 1) % len(normals) == nxt else nxt
+            v = _vertex_between(face, faces[pos + 1], len(normals))
             items.append(_regular_vertex(profile, normals, v))
     return tuple(items)
 

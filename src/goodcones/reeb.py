@@ -285,13 +285,18 @@ def reeb_lie_g_coords(profile: IsotropyProfile, R: ReebVector):
 
 def det_g(profile: IsotropyProfile, x: ReebVector, y: Vec3) -> QuadNumber:
     """det of (x, y) in the Lie(G) lattice frame, x a Reeb vector, y integer."""
+    z = _clear(x)
+    g, g_p, g_q = _det_g_parts(profile, z, y)
+    return QuadNumber(Fraction(g_p, z.den * g), Fraction(g_q, z.den * g), z.d)
+
+
+def _det_g_parts(profile: IsotropyProfile, z: _Cleared, y: Vec3) -> Tuple[int, int, int]:
+    """det_G(R, y) in integers, as (g, G_P, G_Q) with g = det3(u1, u2, v0),
+    G_P = det3(P, y, v0) and G_Q = det3(Q, y, v0), so that
+    det_G(R, y) = (G_P + sqrt(d) G_Q) / (den g)."""
+    v0 = profile.v0
     u1, u2 = profile.lieG_basis
-    den = det3(u1, u2, profile.v0)
-    return QuadNumber(
-        Fraction(det3(x.p, y, profile.v0), den),
-        Fraction(det3(x.q, y, profile.v0), den),
-        x.d,
-    )
+    return det3(u1, u2, v0), det3(z.P, y, v0), det3(z.Q, y, v0)
 
 
 def _checked_ybar(profile: IsotropyProfile, rays, ybar: Vec3) -> None:
@@ -395,9 +400,7 @@ def width_of_flat_face(
     s_prev, s_next = dot(profile.v0, n_prev), dot(profile.v0, n_next)
     big_a, big_b = _det_r(z, n_prev, n_next)
     big_d = det3(n_prev, n_next, ybar)
-    u1, u2 = profile.lieG_basis
-    g = det3(u1, u2, profile.v0)
-    g_p, g_q = det3(z.P, ybar, profile.v0), det3(z.Q, ybar, profile.v0)
+    g, g_p, g_q = _det_g_parts(profile, z, ybar)
     scale = z.den * g
     w_formula = _quotient(
         (scale * (y * big_a - big_d * a), scale * (y * big_b - big_d * b)),
@@ -434,14 +437,10 @@ def slope_change(profile: IsotropyProfile, R: ReebVector, ybar: Vec3, n: Vec3, n
     det_G(R, Ybar) = (det3(P, Ybar, v0) + sqrt(d) det3(Q, Ybar, v0)) / (den g)
     with g = det3(u1, u2, v0), so den cancels."""
     z = _clear(R)
-    v0 = profile.v0
-    u1, u2 = profile.lieG_basis
-    g = det3(u1, u2, v0)
+    g, g_p, g_q = _det_g_parts(profile, z, ybar)
     a, b = _det_r(z, n, np)
-    s = dot(v0, n) * dot(v0, np)
-    return _quotient(
-        (g * a, g * b), (s * det3(z.P, ybar, v0), s * det3(z.Q, ybar, v0)), z.d
-    )
+    s = dot(profile.v0, n) * dot(profile.v0, np)
+    return _quotient((g * a, g * b), (s * g_p, s * g_q), z.d)
 
 
 # ---------------------------------------------------------------------------
@@ -468,6 +467,12 @@ class ArcDecomposition:
     maximum: Extreme
     neg_arc: Tuple[int, ...]
     pos_arc: Tuple[int, ...]
+
+
+def _vertex_between(face: int, nxt: int, k: int) -> int:
+    """The polygon vertex between two consecutive faces of an arc, listed in
+    either order: the vertex between faces v and v+1 (mod k) is v."""
+    return face if (face + 1) % k == nxt else nxt
 
 
 def arc_decomposition(

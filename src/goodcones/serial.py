@@ -1,6 +1,9 @@
-"""JSON (de)serialization for cones, Reeb vectors, documents, graphs and
-plans.  All domain numbers are exact: integers stay integers, rationals
-serialize as strings "p/q", quadratic numbers as {"rat","irr","d"}.
+"""JSON (de)serialization for cones, Reeb vectors and documents, and the
+JSON encoding of isotropy graphs, which are written but never read back.
+Surgery plans are not handled here: `SurgeryPlan.to_json` in `surgery.py`
+writes them, and nothing loads them.  All domain numbers are exact:
+integers stay integers, rationals serialize as strings "p/q", quadratic
+numbers as {"rat","irr","d"}.
 
 The loaders check the shape and the types of what they read and raise
 `DocumentError` for anything else: a cone's normals are JSON integers

@@ -10,6 +10,11 @@ integer residues.  Every value must agree on
 `example_family(2..64)`, `obstructed_family(k <= 32, seeds 0-2)`, 300
 conftest random cones with rank-2 Reeb vectors, and an SL(3,Z) image of
 each pair.
+
+All reads of a face's adjacent triple go through `cone.py`, whose
+convexity check and witness fetch are separate steps.  On cones that are
+not good, every public face reader must return or raise exactly as the
+parent routes did: `gluing_matrix` never checks convexity.
 """
 
 import math
@@ -22,11 +27,19 @@ import pytest
 import goodcones.cone as cone_module
 import goodcones.exactnum as exactnum_module
 import goodcones.graph as graph_module
-from goodcones.cone import GoodCone, face_invariants, gluing_matrix
+from goodcones.cone import (
+    GoodCone,
+    InvalidCone,
+    can_blowdown_to_orbit,
+    face_invariants,
+    gluing_matrix,
+)
 from goodcones.construct import example_family, obstructed_family
 from goodcones.exactnum import (
+    DegenerateInput,
     QuadNumber,
     cramer_rows,
+    cross,
     cross_primitive,
     delzant_witness,
     det3,
@@ -225,8 +238,10 @@ def test_face_invariants_and_gluing_match_adjugate_oracle(pairs):
     for name, cone, _ in pairs:
         for i in range(len(cone)):
             inv = face_invariants(cone, i)
-            assert (inv.b, inv.f, inv.gluing) == old_face_invariants(cone, i), (name, i)
+            b, f, gluing = old_face_invariants(cone, i)
+            assert (inv.b, inv.f, inv.gluing) == (b, f, gluing), (name, i)
             assert gluing_matrix(cone, i) == old_gluing_matrix(cone, i), (name, i)
+            assert can_blowdown_to_orbit(cone, i) == (math.gcd(b, f) == 1), (name, i)
             faces += 1
     assert faces > 5000
 
@@ -291,6 +306,104 @@ def test_euler_residues_do_not_depend_on_the_witness(pairs):
                 assert det3(n2, n3, fwd) == 1 and det3(n1, n2, rev) == 1
                 assert det3(n1, n3, fwd) % b == f, (name, i)
                 assert det3(n1, n3, rev) % b == f_rev, (name, i)
+
+
+# ---------------------------------------------------------------------------
+# Error parity on cones that are not good.
+# ---------------------------------------------------------------------------
+
+# Every face of each cone fails goodness somewhere: a zero convexity
+# determinant (faces 1 and 2), a non-Delzant pair (n^0, n^1) next to
+# non-convex triples, and a non-Delzant pair (n^1, n^2) with every triple
+# convex.
+NOT_GOOD = {
+    "non-convex": GoodCone(((1, 0, 0), (0, 1, 0), (1, 1, 0), (0, 0, 1))),
+    "non-delzant": GoodCone(((1, 0, 0), (-1, 0, 2), (0, 1, 0), (0, 0, 1))),
+    "convex-non-delzant": GoodCone(((1, 0, 0), (0, 1, 0), (2, 1, 2))),
+}
+
+
+def parent_face_invariants(cone, i):
+    """`face_invariants` with the checks it made before the face builder:
+    convexity first, then both witnesses, then their None test."""
+    n1, n2, n3 = cone.normal(i - 1), cone.normal(i), cone.normal(i + 1)
+    if det3(n1, n2, n3) <= 0:
+        raise InvalidCone("not a convex triple")
+    witnesses = (delzant_witness(n2, n3), delzant_witness(n1, n2))
+    if None in witnesses:
+        raise InvalidCone("no Delzant witness")
+    return old_face_invariants(cone, i)
+
+
+def parent_gluing_matrix(cone, i):
+    """`gluing_matrix` as it was: both witnesses, no convexity check."""
+    ni, ni1, ni2 = cone.normal(i), cone.normal(i + 1), cone.normal(i + 2)
+    if None in (delzant_witness(ni, ni1), delzant_witness(ni1, ni2)):
+        raise InvalidCone("not Delzant-adjacent")
+    return old_gluing_matrix(cone, i)
+
+
+def parent_can_blowdown_to_orbit(cone, i):
+    b, f, _ = parent_face_invariants(cone, i)
+    return math.gcd(b, f) == 1
+
+
+def parent_reversed_euler_residue(cone, i):
+    """The graph module's own triple reading: b from n1 x n2, then f and
+    f_rev from `solve_dot_one` witnesses, in that order."""
+    n1, n2, n3 = cone.normal(i - 1), cone.normal(i), cone.normal(i + 1)
+    c = cross(n1, n2)
+    b = dot(c, n3)
+    if b <= 0:
+        raise InvalidCone("not a convex triple")
+    _, f_rev = (det3(n1, n3, solve_dot_one(w)) % b for w in (cross(n2, n3), c))
+    return f_rev
+
+
+def outcome(fn, cone, i):
+    """What the call returns, or the type of the exception it raises."""
+    try:
+        return "returns", fn(cone, i)
+    except Exception as exc:  # the type is the observable compared
+        return "raises", type(exc)
+
+
+def face_triple(inv):
+    return (inv.b, inv.f, inv.gluing)
+
+
+READERS = (
+    ("face_invariants", lambda c, i: face_triple(face_invariants(c, i)), parent_face_invariants),
+    ("gluing_matrix", gluing_matrix, parent_gluing_matrix),
+    ("can_blowdown_to_orbit", can_blowdown_to_orbit, parent_can_blowdown_to_orbit),
+    ("reversed_euler_residue", reversed_euler_residue, parent_reversed_euler_residue),
+)
+
+
+@pytest.mark.parametrize("name", sorted(NOT_GOOD))
+def test_face_readers_return_or_raise_as_the_parent_routes(name):
+    cone = NOT_GOOD[name]
+    for i in range(-1, len(cone) + 1):
+        for reader, got, parent in READERS:
+            assert outcome(got, cone, i) == outcome(parent, cone, i), (name, reader, i)
+
+
+def test_not_good_corpus_separates_convexity_from_witnesses():
+    """The corpus must tell the two checks apart: `gluing_matrix` returns
+    on a face whose successor fails convexity, and each failure type shows
+    up."""
+    seen = set()
+    gluing_on_non_convex = 0
+    for cone in NOT_GOOD.values():
+        for i in range(len(cone)):
+            for _, _, parent in READERS:
+                kind, value = outcome(parent, cone, i)
+                seen.add(value if kind == "raises" else kind)
+            b = det3(cone.normal(i), cone.normal(i + 1), cone.normal(i + 2))
+            if b <= 0 and outcome(parent_gluing_matrix, cone, i)[0] == "returns":
+                gluing_on_non_convex += 1
+    assert seen == {"returns", InvalidCone, DegenerateInput}
+    assert gluing_on_non_convex >= 2
 
 
 # ---------------------------------------------------------------------------
