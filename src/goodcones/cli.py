@@ -141,10 +141,11 @@ def render_svg(doc: Document, out_path: str) -> None:
     reeb = _need_reeb(doc)
     cone = doc.cone
     try:
-        rays, profile, z = _checked_profile(cone, reeb)
+        facts = _checked_profile(cone, reeb)
     except InadmissibleReeb:
         raise InadmissibleReeb("reeb vector is not admissible for this cone") from None
-    poly = _polygon(z, rays)
+    profile = facts.profile
+    poly = _polygon(facts.z, facts.rays)
     coords = [abs(float(c)) for c in reeb.coords()]
     drop = coords.index(max(coords))
     keep = [j for j in range(3) if j != drop]

@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import List, Tuple
+from typing import Dict, List, Tuple
 
 from .exactnum import (
     DegenerateInput,
@@ -218,15 +218,34 @@ def _convex_order(i: int, n1: Vec3, n2: Vec3, n3: Vec3) -> int:
     return b
 
 
-def _face_witnesses(i: int, n1: Vec3, n2: Vec3, n3: Vec3) -> Tuple[Vec3, Vec3]:
+# The canonical witnesses of the last cone whose faces were read: the cone
+# and a table whose entry j is the witness of the pair (n^j, n^{j+1}).  A
+# walk over all faces computes each pair once, and holding one cone bounds
+# the memory by one table.
+_witness_table: Tuple[object, Dict[int, Vec3]] = (None, {})
+
+
+def _face_witnesses(cone: GoodCone, i: int) -> Tuple[Vec3, Vec3]:
     """The canonical witnesses (l1, l2) of face i's adjacent pairs:
-    det3(n1, n2, l1) = 1 and det3(n2, n3, l2) = 1 (`delzant_witness`).
-    It does not check convexity: `gluing_matrix` reads it on any triple."""
-    l2 = delzant_witness(n2, n3)
-    l1 = delzant_witness(n1, n2)
-    if l2 is None or l1 is None:
-        raise InvalidCone(f"adjacent pair at face {i} has no Delzant witness")
-    return l1, l2
+    det3(n^{i-1}, n^i, l1) = 1 and det3(n^i, n^{i+1}, l2) = 1
+    (`delzant_witness`), read from the witness table of the cone, which is
+    keyed by its identity.  It does not check convexity: `gluing_matrix`
+    reads it on any triple."""
+    global _witness_table
+    owner, table = _witness_table
+    fresh = owner is not cone
+    if fresh:
+        table = {}
+    k = len(cone)
+    for j in (i % k, (i - 1) % k):
+        if j not in table:
+            w = delzant_witness(cone.normals[j], cone.normal(j + 1))
+            if w is None:
+                raise InvalidCone(f"adjacent pair at face {i} has no Delzant witness")
+            table[j] = w
+    if fresh:
+        _witness_table = (cone, table)
+    return table[(i - 1) % k], table[i % k]
 
 
 def face_invariants(cone: GoodCone, i: int) -> FaceInvariants:
@@ -246,7 +265,7 @@ def face_invariants(cone: GoodCone, i: int) -> FaceInvariants:
     """
     n1, n2, n3 = _adjacent_triple(cone, i)
     b = _convex_order(i, n1, n2, n3)
-    l1, l2 = _face_witnesses(i, n1, n2, n3)
+    l1, l2 = _face_witnesses(cone, i)
     # det3(n2, n3, l2) = 1 gives det3(n3, l2, n2) = 1 by cyclic permutation,
     # and det3(n1, n2, l1) = 1 gives det3(l1, n1, n2) = 1.
     f = det3(n1, n3, l2) % b
@@ -287,7 +306,7 @@ def gluing_matrix(cone: GoodCone, i: int) -> Mat3:
     entries are the c_i, e_i whose common factor obstructs deleting face i+1
     (gcd(c_i, e_i) is independent of the witness choices)."""
     ni, ni1, ni2 = _adjacent_triple(cone, i + 1)
-    li, li1 = _face_witnesses(i + 1, ni, ni1, ni2)
+    li, li1 = _face_witnesses(cone, i + 1)
     t = _frame_change((ni, li, ni1), (ni2, li1, ni1))
     assert tuple(row[2] for row in t) == (0, 0, 1)
     return t

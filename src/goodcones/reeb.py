@@ -14,13 +14,29 @@ out as quadratic-field determinant ratios normalized by det_G(R, Ybar),
 the frame determinant of R and Ybar in the (u1, u2) basis.
 
 Arithmetic.  Only R is irrational; normals, edge rays, Ybar and the
-isotropy data are integers.  Each public call clears R once to integer
-parts, R = (P + sqrt(d) Q) / den with den > 0, so that R . e is
+isotropy data are integers.  R is cleared to integer parts,
+R = (P + sqrt(d) Q) / den with den > 0, so that R . e is
 (P . e + sqrt(d) Q . e) / den.  Every sign and every order (admissibility,
 the ranking of vertices by Ybar-moment, the arcs) is then decided in Z by
 `quad_sign`, and a determinant against R is the pair of integer
 determinants against P and Q.  A QuadNumber is built only for a value that
 a public function returns: polygon vertices, widths, slopes, residuals.
+
+One slot.  The module keeps the checked facts of the last (cone, R) pair
+that a public call accepted: its edge rays, cleared R and profile, and,
+filled on first use, its chosen Ybar and its arcs for the last Ybar.  The
+slot is keyed by the identity of the two objects and holds them, so a pass
+of Reeb, Euler and graph calls on one pair validates the cone, clears R
+and builds the profile once.  It holds one pair, so its memory does not
+grow with the number of calls.  It is written only after every check has
+passed, so a raising call leaves it as it was, and the error order is
+that of a first call: `InvalidCone`, then `InadmissibleReeb`, then
+`RankError`, then `DegenerateInput` for a caller's Ybar or face, whose
+checks run on every call.  Every cached value is immutable, and callers
+that hand out a mutable value (`euler.IdentityData.k`) copy it.  The slot
+is read once per call and replaced by one assignment of a complete record,
+and a memo entry depends on its record alone, so threads racing on it can
+only repeat work.
 """
 
 from __future__ import annotations
@@ -91,6 +107,9 @@ def rank_of(R: ReebVector) -> int:
     return 1 if cross(R.p, R.q) == (0, 0, 0) else 2
 
 
+_RANK_2_ONLY = "v0 is only defined for rank-2 Reeb vectors"
+
+
 class _Cleared(NamedTuple):
     """R = (P + sqrt(d) Q) / den with integer 3-vectors P, Q and den > 0."""
 
@@ -135,12 +154,11 @@ def _quotient(num: Tuple[int, int], den: Tuple[int, int], d: int) -> QuadNumber:
 
 def is_admissible(cone: GoodCone, R: ReebVector) -> bool:
     """R lies in the dual cone interior: R . edge_ray(i) > 0 for every i."""
-    require_valid(cone)
-    return _admissible(_clear(R), edge_rays(cone))
-
-
-def _admissible(z: _Cleared, rays) -> bool:
-    return all(_pair_sign(z, e) > 0 for e in rays)
+    try:
+        _facts(cone, R)
+    except InadmissibleReeb:
+        return False
+    return True
 
 
 @dataclass(frozen=True)
@@ -155,13 +173,8 @@ class MomentPolygon:
 
 
 def moment_polygon(cone: GoodCone, R: ReebVector) -> MomentPolygon:
-    require_valid(cone)
-    rays = edge_rays(cone)
-    z = _clear(R)
-    for e in rays:
-        if _pair_sign(z, e) <= 0:
-            raise InadmissibleReeb(f"R pairs non-positively with edge {e}")
-    return _polygon(z, rays)
+    facts = _facts(cone, R)
+    return _polygon(facts.z, facts.rays)
 
 
 def _vertex(z: _Cleared, e: Vec3) -> Tuple[QuadNumber, QuadNumber, QuadNumber]:
@@ -184,7 +197,7 @@ def _integer_span_normal(z: _Cleared) -> Vec3:
     sign-canonicalized so the first nonzero coordinate is positive."""
     c = cross(z.P, z.Q)
     if c == (0, 0, 0):
-        raise RankError("v0 is only defined for rank-2 Reeb vectors")
+        raise RankError(_RANK_2_ONLY)
     c = primitive_part(c)
     for x in c:
         if x != 0:
@@ -213,26 +226,63 @@ class IsotropyProfile:
 
 
 def isotropy_profile(cone: GoodCone, R: ReebVector) -> IsotropyProfile:
-    return _checked_profile(cone, R)[1]
+    return _checked_profile(cone, R).profile
 
 
-def _checked_profile(cone: GoodCone, R: ReebVector):
-    """The start of every public call that needs a profile: the one
-    goodness check, the one clearing of R, the one admissibility check, then
-    the edge rays, the profile and the cleared R that the unchecked helpers
-    consume."""
+class _Facts(NamedTuple):
+    """The checked facts of one (cone, R) pair; `profile` is None when R has
+    rank 1.  `memo` holds the facts filled on first use: "ybar", the chosen
+    transverse circle, and "arcs", the pair (Ybar, arcs) of the last Ybar."""
+
+    cone: GoodCone
+    R: ReebVector
+    rays: Tuple[Vec3, ...]
+    z: _Cleared
+    profile: Optional[IsotropyProfile]
+    memo: dict
+
+
+_slot: Optional[_Facts] = None
+
+
+def _facts(cone: GoodCone, R: ReebVector) -> _Facts:
+    """The start of every public call on a (cone, R) pair: the slot when it
+    holds these two objects, else the one goodness check, the one clearing
+    of R, the one admissibility check and the profile, published as one
+    record once they have all passed and R has rank 2."""
+    global _slot
+    facts = _slot
+    if facts is not None and facts.cone is cone and facts.R is R:
+        return facts
     require_valid(cone)
     rays = edge_rays(cone)
     z = _clear(R)
-    if not _admissible(z, rays):
-        raise InadmissibleReeb("profile requires an admissible Reeb vector")
-    profile = _profile_of(z, cone.normals)
-    flats = sorted(profile.flats)
-    if len(flats) > 2:
+    for e in rays:
+        if _pair_sign(z, e) <= 0:
+            raise InadmissibleReeb(f"R pairs non-positively with edge {e}")
+    profile = None if cross(z.P, z.Q) == (0, 0, 0) else _profile_of(z, cone.normals)
+    if profile is not None and len(profile.flats) > 2:
         raise InvalidCone(
-            f"more than two flat faces {flats}: rank-2 data inconsistent"
+            f"more than two flat faces {sorted(profile.flats)}: rank-2 data inconsistent"
         )
-    return rays, profile, z
+    facts = _Facts(cone, R, rays, z, profile, {})
+    # A rank-1 pair is not kept: the calls that need a profile refuse it,
+    # and a refusing call must leave the slot as it was.
+    if profile is not None:
+        _slot = facts
+    return facts
+
+
+def _checked_profile(cone: GoodCone, R: ReebVector) -> _Facts:
+    """The facts of a pair whose profile a public call needs: R must be
+    admissible and of rank 2."""
+    try:
+        facts = _facts(cone, R)
+    except InadmissibleReeb:
+        raise InadmissibleReeb("profile requires an admissible Reeb vector") from None
+    if facts.profile is None:
+        raise RankError(_RANK_2_ONLY)
+    return facts
 
 
 def _profile_of(z: _Cleared, normals) -> IsotropyProfile:
@@ -323,8 +373,15 @@ def choose_transverse_circle(cone: GoodCone, R: ReebVector) -> Vec3:
     condition Ybar . e_i > 0 since R is admissible; R itself lies in the
     feasible cone, so it is never empty.
     """
-    rays, profile, _ = _checked_profile(cone, R)
-    return _transverse_circle(profile, rays)
+    return _chosen_ybar(_checked_profile(cone, R))
+
+
+def _chosen_ybar(facts: _Facts) -> Vec3:
+    """The pair's transverse circle, chosen on first use."""
+    ybar = facts.memo.get("ybar")
+    if ybar is None:
+        ybar = facts.memo["ybar"] = _transverse_circle(facts.profile, facts.rays)
+    return ybar
 
 
 def _transverse_circle(profile: IsotropyProfile, rays) -> Vec3:
@@ -387,7 +444,8 @@ def width_of_flat_face(
     Ybar must be a transverse circle (`_checked_ybar`); any other vector
     raises DegenerateInput.
     """
-    rays, profile, z = _checked_profile(cone, R)
+    facts = _checked_profile(cone, R)
+    rays, profile, z = facts.rays, facts.profile, facts.z
     _checked_ybar(profile, rays, ybar)
     i %= len(cone)
     if i not in profile.flats:
@@ -483,16 +541,29 @@ def arc_decomposition(
 
 def _arc_data(cone: GoodCone, R: ReebVector, ybar: Optional[Vec3]):
     """The start of every public call that walks the boundary chains:
-    (profile, Ybar, arcs) from one validation, with Ybar chosen when None
-    and checked by `_checked_ybar` when given."""
-    rays, profile, z = _checked_profile(cone, R)
+    (profile, Ybar, arcs) of the pair's facts, with Ybar chosen when None
+    and checked by `_checked_ybar` when given; the arcs of the last Ybar
+    are kept in the facts."""
+    facts = _checked_profile(cone, R)
+    profile = facts.profile
     if ybar is None:
-        ybar = _transverse_circle(profile, rays)
+        ybar = _chosen_ybar(facts)
     else:
-        _checked_ybar(profile, rays, ybar)
+        _checked_ybar(profile, facts.rays, ybar)
+    key = tuple(ybar)
+    last = facts.memo.get("arcs")
+    if last is None or last[0] != key:
+        last = facts.memo["arcs"] = (key, _arcs(facts, ybar))
+    return profile, ybar, last[1]
+
+
+def _arcs(facts: _Facts, ybar: Vec3) -> ArcDecomposition:
+    """The two boundary chains of the pair between the extremes of a
+    transverse Ybar."""
+    cone, profile = facts.cone, facts.profile
     k = len(cone)
     signs = profile.signed(cone)
-    rank = _moment_ranks(z, ybar, rays)
+    rank = _moment_ranks(facts.z, ybar, facts.rays)
 
     def extreme_at(argbest: int) -> Extreme:
         # A vertex incident to a flat face belongs to that 3-dim component.
@@ -519,10 +590,9 @@ def _arc_data(cone: GoodCone, R: ReebVector, ybar: Optional[Vec3]):
 
     neg.sort(key=face_level)
     pos.sort(key=face_level)
-    arcs = ArcDecomposition(
+    return ArcDecomposition(
         minimum=minimum, maximum=maximum, neg_arc=tuple(neg), pos_arc=tuple(pos)
     )
-    return profile, ybar, arcs
 
 
 def _moment_ranks(z: _Cleared, ybar: Vec3, rays) -> list:

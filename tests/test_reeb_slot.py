@@ -1,0 +1,424 @@
+"""The one-pair slot of `goodcones.reeb` and the witness table of
+`goodcones.cone`: reusing a (cone, R) pair's facts changes no output and no
+error.  Every read entry must give on a pair it has seen what it gives on
+fresh equal copies, in any interleaving of pairs and across threads; every
+error surfaces in the documented order (`InvalidCone`, `InadmissibleReeb`,
+`RankError`, `DegenerateInput`) on first and repeated calls; a raising call
+neither evicts nor poisons the slot; and a face walk computes each adjacent
+pair's Delzant witness once."""
+
+import random
+import sys
+import threading
+
+import pytest
+
+import goodcones.cone
+import goodcones.reeb
+from goodcones.cone import GoodCone, InvalidCone, face_invariants, gluing_matrix
+from goodcones.construct import example_family, obstructed_family
+from goodcones.euler import build_identity_data, evaluate_identity, verify_global_identity
+from goodcones.exactnum import DegenerateInput
+from goodcones.graph import canonical_form, extract_graph
+from goodcones.reeb import (
+    InadmissibleReeb,
+    RankError,
+    ReebVector,
+    arc_decomposition,
+    choose_transverse_circle,
+    closure_identity_residual,
+    is_admissible,
+    isotropy_profile,
+    moment_polygon,
+    reeb_from_vectors,
+    width_of_flat_face,
+)
+
+from conftest import random_admissible_rank2_reeb, random_good_cone, random_orbit_blowup
+
+
+def copies(cone, reeb):
+    """New objects equal to the pair, which no call has seen."""
+    return GoodCone(cone.normals), ReebVector(reeb.p, reeb.q, reeb.d)
+
+
+def reeb_pass(cone, reeb):
+    """The read entries in the order of one benchmark reeb pass, then the
+    ones that pass leaves out."""
+    out = {
+        "admissible": is_admissible(cone, reeb),
+        "profile": isotropy_profile(cone, reeb),
+        "polygon": moment_polygon(cone, reeb),
+        "ybar": choose_transverse_circle(cone, reeb),
+        "report": verify_global_identity(cone, reeb),
+    }
+    ybar = out["ybar"]
+    out["widths"] = [
+        width_of_flat_face(cone, reeb, ybar, i) for i in sorted(out["profile"].flats)
+    ]
+    out["residual"] = closure_identity_residual(cone, reeb, ybar)
+    out["invariants"] = [face_invariants(cone, i) for i in range(len(cone))]
+    out["gluing"] = [gluing_matrix(cone, i) for i in range(len(cone))]
+    out["arcs"] = arc_decomposition(cone, reeb)
+    out["arcs_given"] = arc_decomposition(cone, reeb, ybar)
+    out["data_k"] = build_identity_data(cone, reeb).k
+    out["graph"] = canonical_form(extract_graph(cone, reeb))
+    return out
+
+
+def fresh_pass(cone, reeb):
+    """`reeb_pass` with every entry on its own new copies of the pair."""
+    first = reeb_pass(*copies(cone, reeb))
+    ybar = first["ybar"]
+    flats = sorted(first["profile"].flats)
+
+    def fresh(call):
+        return call(*copies(cone, reeb))
+
+    return {
+        "admissible": fresh(is_admissible),
+        "profile": fresh(isotropy_profile),
+        "polygon": fresh(moment_polygon),
+        "ybar": fresh(choose_transverse_circle),
+        "report": fresh(verify_global_identity),
+        "widths": [fresh(lambda c, r: width_of_flat_face(c, r, ybar, i)) for i in flats],
+        "residual": fresh(lambda c, r: closure_identity_residual(c, r, ybar)),
+        "invariants": [fresh(lambda c, r: face_invariants(c, i)) for i in range(len(cone))],
+        "gluing": [fresh(lambda c, r: gluing_matrix(c, i)) for i in range(len(cone))],
+        "arcs": fresh(arc_decomposition),
+        "arcs_given": fresh(lambda c, r: arc_decomposition(c, r, ybar)),
+        "data_k": fresh(build_identity_data).k,
+        "graph": fresh(lambda c, r: canonical_form(extract_graph(c, r))),
+    }
+
+
+def corpus():
+    """Random cones, the example and obstructed ladders, and pairs that share
+    one object: the same cone with a second R, and the same R on a blow-up
+    of its cone, which keeps R admissible."""
+    rnd = random.Random(20240817)
+    pairs = []
+    for n in range(24):
+        cone = random_good_cone(rnd, cuts=n % 4)
+        reeb = random_admissible_rank2_reeb(rnd, cone, d=(2, 3, 5)[n % 3])
+        pairs.append((cone, reeb))
+        if n % 4 == 0:
+            pairs.append((cone, random_admissible_rank2_reeb(rnd, cone, d=3)))
+            pairs.append((random_orbit_blowup(rnd, cone).cone, reeb))
+    pairs += [example_family(k) for k in range(2, 65)]
+    pairs += [obstructed_family(k) for k in range(2, 17)]
+    return pairs
+
+
+CORPUS = corpus()
+EXPECTED = {}
+
+
+def expected(i):
+    """`fresh_pass` of CORPUS[i], computed once."""
+    if i not in EXPECTED:
+        EXPECTED[i] = fresh_pass(*CORPUS[i])
+    return EXPECTED[i]
+
+
+def count_validate(monkeypatch):
+    calls = []
+    original = goodcones.cone.validate
+    monkeypatch.setattr(
+        goodcones.cone, "validate", lambda cone: calls.append(cone) or original(cone)
+    )
+    return calls
+
+
+# ---------------------------------------------------------------------------
+# Differential: interleaved pairs against fresh copies.
+# ---------------------------------------------------------------------------
+
+
+def test_interleaved_passes_match_fresh_copies():
+    for i in range(len(CORPUS)):
+        j = (i + 1) % len(CORPUS)
+        for m in (i, j, i, j):
+            assert reeb_pass(*CORPUS[m]) == expected(m), CORPUS[m]
+
+
+def test_entry_by_entry_interleaving_matches_fresh_copies():
+    for i in range(0, len(CORPUS) - 1, 2):
+        a, b = CORPUS[i], CORPUS[i + 1]
+        passes = ({}, {})
+        # Every entry runs on A, then on B, then on A and B again, so each
+        # call finds the other pair in the slot.
+        for name, call in (
+            ("profile", isotropy_profile),
+            ("ybar", choose_transverse_circle),
+            ("arcs", arc_decomposition),
+            ("polygon", moment_polygon),
+            ("report", verify_global_identity),
+            ("admissible", is_admissible),
+        ):
+            for _ in range(2):
+                for out, pair in zip(passes, (a, b)):
+                    out[name] = call(*pair)
+        for out, m in zip(passes, (i, i + 1)):
+            assert out == {name: expected(m)[name] for name in out}
+
+
+def test_threads_alternating_their_own_pairs_get_fresh_results():
+    # Four threads on two cores, each alternating its own two pairs.  Pairs
+    # 0 and 1 share a cone, and pairs 0 and 2 share an R.
+    own = ((0, 1), (2, len(CORPUS) - 1), (3, 4), (5, 6))
+    for mine in own:
+        for m in mine:
+            expected(m)
+    failures = []
+
+    def worker(mine):
+        for step in range(200):
+            m = mine[step % 2]
+            if reeb_pass(*CORPUS[m]) != EXPECTED[m]:
+                failures.append((step, m))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(mine,)) for mine in own]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert failures == []
+
+
+# ---------------------------------------------------------------------------
+# Error order on first and repeated calls; a raising call keeps the slot.
+# ---------------------------------------------------------------------------
+
+CONE, REEB = example_family(6)
+YBAR = choose_transverse_circle(CONE, REEB)
+PROFILE = isotropy_profile(CONE, REEB)
+PROFILE_ENTRIES = {
+    "isotropy_profile": lambda c, r: isotropy_profile(c, r),
+    "choose_transverse_circle": lambda c, r: choose_transverse_circle(c, r),
+    "arc_decomposition": lambda c, r: arc_decomposition(c, r),
+    "width_of_flat_face": lambda c, r: width_of_flat_face(c, r, YBAR, 0),
+    "closure_identity_residual": lambda c, r: closure_identity_residual(c, r, YBAR),
+    "extract_graph": lambda c, r: extract_graph(c, r),
+    "build_identity_data": lambda c, r: build_identity_data(c, r),
+    "verify_global_identity": lambda c, r: verify_global_identity(c, r),
+}
+ENTRIES = {
+    **PROFILE_ENTRIES,
+    "is_admissible": lambda c, r: is_admissible(c, r),
+    "moment_polygon": lambda c, r: moment_polygon(c, r),
+}
+BAD_CONE = GoodCone(CONE.normals[1:2] + CONE.normals[:1] + CONE.normals[2:])
+INADMISSIBLE = reeb_from_vectors(
+    tuple(-x for x in REEB.p), tuple(-x for x in REEB.q), REEB.d
+)
+# R = sum of the normals pairs positively with every edge ray and has rank 1.
+RANK_ONE = reeb_from_vectors(tuple(sum(n[j] for n in CONE.normals) for j in range(3)), (0, 0, 0))
+
+
+def outcome(call, *args):
+    try:
+        return ("returned", call(*args))
+    except Exception as exc:  # the raised type and message are compared
+        return (type(exc).__name__, str(exc))
+
+
+def expected_outcome(name, cone, reeb):
+    if cone is BAD_CONE:
+        return "InvalidCone"
+    if reeb is INADMISSIBLE:
+        return {"is_admissible": "returned", "moment_polygon": "InadmissibleReeb"}.get(
+            name, "InadmissibleReeb"
+        )
+    if reeb is RANK_ONE:
+        return "returned" if name in ("is_admissible", "moment_polygon") else "RankError"
+    raise AssertionError("not an error case")
+
+
+def assert_slot_holds(monkeypatch, cone, reeb, expected_profile):
+    """The slot still answers for (cone, reeb): no validation, same value."""
+    calls = count_validate(monkeypatch)
+    assert isotropy_profile(cone, reeb) == expected_profile
+    assert calls == []
+    monkeypatch.undo()
+
+
+@pytest.mark.parametrize("name", sorted(ENTRIES))
+@pytest.mark.parametrize("case", ["bad-cone", "inadmissible", "rank-1"])
+def test_errors_are_the_same_on_first_and_repeated_calls(monkeypatch, name, case):
+    cone, reeb = {
+        "bad-cone": (BAD_CONE, INADMISSIBLE),
+        "inadmissible": (CONE, INADMISSIBLE),
+        "rank-1": (CONE, RANK_ONE),
+    }[case]
+    kept = copies(CONE, REEB)
+    isotropy_profile(*kept)
+    call = ENTRIES[name]
+    first = outcome(call, cone, reeb)
+    assert first[0] == expected_outcome(name, cone, reeb), first
+    if first[0] == "returned":
+        # is_admissible and moment_polygon accept a rank-1 R; the pair may
+        # take the slot, and gives the same value again.
+        if case == "inadmissible":
+            assert first[1] is False
+        assert outcome(call, cone, reeb) == first
+        return
+    assert_slot_holds(monkeypatch, *kept, PROFILE)
+    assert outcome(call, cone, reeb) == first
+    assert outcome(call, *copies(cone, reeb)) == first
+    assert_slot_holds(monkeypatch, *kept, PROFILE)
+
+
+def test_error_messages_name_the_failing_check():
+    assert outcome(isotropy_profile, CONE, INADMISSIBLE) == (
+        "InadmissibleReeb", "profile requires an admissible Reeb vector"
+    )
+    assert outcome(moment_polygon, CONE, INADMISSIBLE)[1].startswith(
+        "R pairs non-positively with edge"
+    )
+    assert outcome(isotropy_profile, CONE, RANK_ONE) == (
+        "RankError", "v0 is only defined for rank-2 Reeb vectors"
+    )
+    assert outcome(isotropy_profile, BAD_CONE, RANK_ONE)[0] == "InvalidCone"
+    assert is_admissible(CONE, RANK_ONE) is True
+    assert is_admissible(CONE, INADMISSIBLE) is False
+
+
+YBAR_ENTRIES = {
+    "arc_decomposition": arc_decomposition,
+    "extract_graph": extract_graph,
+    "build_identity_data": build_identity_data,
+    "verify_global_identity": verify_global_identity,
+    "closure_identity_residual": closure_identity_residual,
+    "width_of_flat_face": lambda c, r, y: width_of_flat_face(c, r, y, 0),
+}
+
+
+@pytest.mark.parametrize("name", sorted(YBAR_ENTRIES))
+@pytest.mark.parametrize(
+    "ybar,message",
+    [
+        ((1, 0, 0), r"Ybar \(1, 0, 0\) is not in Lie\(G\): v0 . Ybar = 1"),
+        ((3, -1, -3), r"Ybar \(3, -1, -3\) is not transverse: Ybar . e_0 = -6"),
+    ],
+)
+def test_caller_ybar_is_checked_on_a_filled_slot(monkeypatch, name, ybar, message):
+    cone, reeb = copies(CONE, REEB)
+    call = YBAR_ENTRIES[name]
+    with pytest.raises(DegenerateInput, match=f"^{message}$"):
+        call(cone, reeb, ybar)
+    good = call(cone, reeb, YBAR)  # fills the slot, the chosen Ybar and its arcs
+    for _ in range(2):
+        with pytest.raises(DegenerateInput, match=f"^{message}$"):
+            call(cone, reeb, ybar)
+    assert_slot_holds(monkeypatch, cone, reeb, PROFILE)
+    assert call(cone, reeb, YBAR) == good == call(*copies(CONE, REEB), YBAR)
+
+
+def test_flat_face_index_is_checked_on_a_filled_slot():
+    cone, reeb = copies(CONE, REEB)
+    assert width_of_flat_face(cone, reeb, YBAR, 0) == width_of_flat_face(cone, reeb, YBAR, 0)
+    for _ in range(2):
+        with pytest.raises(DegenerateInput, match=r"^face 1 is not flat \(k=\d+\)$"):
+            width_of_flat_face(cone, reeb, YBAR, 1)
+
+
+def test_bad_cone_after_a_good_one_is_refused():
+    good = copies(CONE, REEB)
+    isotropy_profile(*good)
+    with pytest.raises(InvalidCone):
+        isotropy_profile(BAD_CONE, good[1])
+    with pytest.raises(InadmissibleReeb):
+        isotropy_profile(good[0], INADMISSIBLE)
+    with pytest.raises(RankError):
+        isotropy_profile(good[0], RANK_ONE)
+    assert isotropy_profile(*good) == isotropy_profile(CONE, REEB)
+
+
+# ---------------------------------------------------------------------------
+# Cached values are immutable; mutable results are fresh per call.
+# ---------------------------------------------------------------------------
+
+
+def test_corrupted_identity_data_never_reaches_a_later_call():
+    cone, reeb = copies(*example_family(2))
+    clean = verify_global_identity(cone, reeb)
+    assert clean.ok
+    data = build_identity_data(cone, reeb)
+    data.k[1] = 5  # the negative control of tests/test_euler.py
+    assert not evaluate_identity(data).ok
+    assert build_identity_data(cone, reeb).k == list(isotropy_profile(cone, reeb).k)
+    assert verify_global_identity(cone, reeb) == clean
+    assert build_identity_data(cone, reeb).k is not build_identity_data(cone, reeb).k
+
+
+def test_every_cached_value_is_immutable():
+    for cone, reeb in CORPUS[::7]:
+        reeb_pass(cone, reeb)
+        facts = goodcones.reeb._slot
+        assert facts.cone is cone and facts.R is reeb
+        # Hashable means built from tuples, frozensets and frozen records.
+        hash((facts.rays, facts.z, facts.profile))
+        assert set(facts.memo) == {"ybar", "arcs"}
+        for value in facts.memo.values():
+            hash(value)
+
+
+# ---------------------------------------------------------------------------
+# The witness table: one delzant_witness per adjacent pair.
+# ---------------------------------------------------------------------------
+
+
+def test_face_walk_computes_each_witness_once(monkeypatch):
+    k = 256
+    cone = GoodCone(example_family(k)[0].normals)
+    expected = [
+        (face_invariants(GoodCone(cone.normals), i), gluing_matrix(GoodCone(cone.normals), i))
+        for i in range(len(cone))
+    ]
+    calls = []
+    original = goodcones.cone.delzant_witness
+    monkeypatch.setattr(
+        goodcones.cone, "delzant_witness", lambda n, m: calls.append((n, m)) or original(n, m)
+    )
+    walk = [(face_invariants(cone, i), gluing_matrix(cone, i)) for i in range(len(cone))]
+    assert walk == expected
+    assert len(calls) == k + 3 == len(set(calls))
+    # A second walk, and faces named out of range, compute none.
+    assert [face_invariants(cone, i) for i in range(-3, len(cone) + 3)] == [
+        expected[i % len(cone)][0] for i in range(-3, len(cone) + 3)
+    ]
+    assert len(calls) == k + 3
+
+
+def transverse_circles(cone, reeb, radius=3):
+    """The transverse circles a u1 + b u2 with |a|, |b| <= radius."""
+    profile = isotropy_profile(*copies(cone, reeb))
+    u1, u2 = profile.lieG_basis
+    rays = [tuple(edge) for edge in moment_polygon(*copies(cone, reeb)).vertices]
+    found = []
+    for a in range(-radius, radius + 1):
+        for b in range(-radius, radius + 1):
+            y = tuple(a * s + b * t for s, t in zip(u1, u2))
+            # Ybar is transverse when it is positive at every polygon vertex.
+            if all(sum(c * x for c, x in zip(y, v)).sign() > 0 for v in rays):
+                found.append(y)
+    return found
+
+
+def test_arcs_follow_the_callers_ybar_on_one_pair():
+    changed = 0
+    for cone, reeb in CORPUS[:40:3]:
+        chosen = arc_decomposition(cone, reeb)
+        for y in transverse_circles(cone, reeb):
+            fresh = arc_decomposition(*copies(cone, reeb), y)
+            assert arc_decomposition(cone, reeb, y) == fresh, y
+            assert arc_decomposition(cone, reeb) == chosen
+            changed += fresh != chosen
+    assert changed > 0

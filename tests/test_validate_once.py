@@ -1,8 +1,12 @@
 """Each public entry of the Reeb, Euler, graph and surgery layers, the
 CLI's SVG renderer and the CLI commands that read a document validate the
-cone exactly once and hand what they computed to unchecked helpers.  A
-surgery that succeeds checks its result with the O(k) goodness predicate
-`_is_good`, without `validate`.  No good cone reaches the O(k^2) report."""
+cone exactly once on a pair that no call has seen, and hand what they
+computed to unchecked helpers.  The Reeb-layer entries share the one-pair
+slot of `goodcones.reeb`: a repeated call on the same two objects
+validates 0 times, and a call on another pair evicts the slot, so A, B, A
+validates 3 times.  A surgery that succeeds checks its result with the
+O(k) goodness predicate `_is_good`, without `validate`.  No good cone
+reaches the O(k^2) report."""
 
 import json
 import os
@@ -14,11 +18,12 @@ import goodcones.cone
 import goodcones.serial
 import goodcones.surgery
 from goodcones.cli import render_svg, run
-from goodcones.cone import require_valid, validate
+from goodcones.cone import GoodCone, require_valid, validate
 from goodcones.construct import example_family, obstructed_family
 from goodcones.euler import build_identity_data, verify_global_identity
 from goodcones.graph import extract_graph
 from goodcones.reeb import (
+    ReebVector,
     arc_decomposition,
     choose_transverse_circle,
     closure_identity_residual,
@@ -48,24 +53,34 @@ ORBIT_CUT = CutSpec((2, 5, 9))
 BLOWN_UP = cut(CONE, ORBIT_CUT).cone
 PLAN = plan_blowdown_sequence(CONE, [0, 4, 5])
 
+
+def fresh_pair():
+    """Copies of CONE and REEB, equal to them but new objects."""
+    return GoodCone(CONE.normals), ReebVector(REEB.p, REEB.q, REEB.d)
+
+
+# The entries that read the (cone, R) slot.
+READ_ENTRIES = {
+    "isotropy_profile": lambda c, r: isotropy_profile(c, r),
+    "is_admissible": lambda c, r: is_admissible(c, r),
+    "moment_polygon": lambda c, r: moment_polygon(c, r),
+    "choose_transverse_circle": lambda c, r: choose_transverse_circle(c, r),
+    "arc_decomposition": lambda c, r: arc_decomposition(c, r),
+    "width_of_flat_face": lambda c, r: width_of_flat_face(c, r, YBAR, 0),
+    "closure_identity_residual": lambda c, r: closure_identity_residual(c, r, YBAR),
+    "extract_graph": lambda c, r: extract_graph(c, r),
+    "build_identity_data": lambda c, r: build_identity_data(c, r),
+    "verify_global_identity": lambda c, r: verify_global_identity(c, r),
+    "render_svg": lambda c, r: render_svg(Document(cone=c, reeb=r), os.devnull),
+}
 ENTRIES = {
-    "isotropy_profile": lambda: isotropy_profile(CONE, REEB),
-    "is_admissible": lambda: is_admissible(CONE, REEB),
-    "moment_polygon": lambda: moment_polygon(CONE, REEB),
-    "choose_transverse_circle": lambda: choose_transverse_circle(CONE, REEB),
-    "arc_decomposition": lambda: arc_decomposition(CONE, REEB),
-    "width_of_flat_face": lambda: width_of_flat_face(CONE, REEB, YBAR, 0),
-    "closure_identity_residual": lambda: closure_identity_residual(CONE, REEB, YBAR),
-    "extract_graph": lambda: extract_graph(CONE, REEB),
-    "build_identity_data": lambda: build_identity_data(CONE, REEB),
-    "verify_global_identity": lambda: verify_global_identity(CONE, REEB),
-    "render_svg": lambda: render_svg(Document(cone=CONE, reeb=REEB), os.devnull),
-    "cut": lambda: cut(CONE, ORBIT_CUT),
-    "blowdown_delete": lambda: blowdown_delete(BLOWN_UP, 3),
-    "replace_range": lambda: replace_range(CONE, [1], (3, 2, 4)),
-    "find_blowdown_normal": lambda: find_blowdown_normal(CONE, 1),
-    "plan_blowdown_sequence": lambda: plan_blowdown_sequence(CONE, [0, 4, 5]),
-    "replay": lambda: replay(PLAN, CONE),
+    **READ_ENTRIES,
+    "cut": lambda c, r: cut(c, ORBIT_CUT),
+    "blowdown_delete": lambda c, r: blowdown_delete(BLOWN_UP, 3),
+    "replace_range": lambda c, r: replace_range(c, [1], (3, 2, 4)),
+    "find_blowdown_normal": lambda c, r: find_blowdown_normal(c, 1),
+    "plan_blowdown_sequence": lambda c, r: plan_blowdown_sequence(c, [0, 4, 5]),
+    "replay": lambda c, r: replay(PLAN, c),
 }
 
 
@@ -97,8 +112,28 @@ def count_validate(monkeypatch):
 @pytest.mark.parametrize("name", sorted(ENTRIES))
 def test_public_entry_validates_once(monkeypatch, name):
     calls = count_validate(monkeypatch)
-    ENTRIES[name]()
+    ENTRIES[name](*fresh_pair())
     assert len(calls) == 1
+
+
+@pytest.mark.parametrize("name", sorted(READ_ENTRIES))
+def test_repeated_call_on_the_same_pair_validates_zero_times(monkeypatch, name):
+    pair = fresh_pair()
+    first = READ_ENTRIES[name](*pair)
+    calls = count_validate(monkeypatch)
+    assert READ_ENTRIES[name](*pair) == first
+    assert calls == []
+
+
+@pytest.mark.parametrize("name", sorted(READ_ENTRIES))
+def test_alternating_pairs_validate_on_every_switch(monkeypatch, name):
+    a, b = fresh_pair(), fresh_pair()
+    calls = count_validate(monkeypatch)
+    order = (a, b, a)
+    for pair in order:
+        READ_ENTRIES[name](*pair)
+    assert len(calls) == 3
+    assert all(cone is pair[0] for cone, pair in zip(calls, order))
 
 
 @pytest.mark.parametrize("command", sorted(CLI_COMMANDS))
