@@ -210,9 +210,10 @@ class IsotropyProfile:
     """Rank-2 combinatorics of (cone, R): the Lie(G) normal v0, the face
     isotropy magnitudes k_i = |v0 . n^i|, the flat faces (k_i = 0), the
     vertex orders gcd(k_i, k_{i+1}) with gcd(0, k) = k, the oriented
-    lattice basis of Lie(G) ∩ Z^3, and the lattice complement
+    lattice basis of Lie(G) ∩ Z^3, the lattice complement
     m = solve_dot_one(v0) of Lie(G), the one every frame (u1, u2, m) and
-    every pr2 = pairing with m uses."""
+    every pr2 = pairing with m uses, and the first two Cramer rows of that
+    frame, which read (u1, u2) coordinates off a vector."""
 
     v0: Vec3
     k: Tuple[int, ...]
@@ -220,6 +221,7 @@ class IsotropyProfile:
     vertex_orders: Tuple[int, ...]
     lieG_basis: Tuple[Vec3, Vec3]
     complement: Vec3
+    lieG_rows: Tuple[Vec3, Vec3]
 
     def signed(self, cone: GoodCone) -> Tuple[int, ...]:
         return tuple(dot(self.v0, n) for n in cone.normals)
@@ -298,13 +300,15 @@ def _profile_of(z: _Cleared, normals) -> IsotropyProfile:
         a, b = k[i], k[(i + 1) % m]
         orders.append(b if a == 0 else (a if b == 0 else math.gcd(a, b)))
     u1, u2 = plane_lattice_basis(v0)
+    complement = solve_dot_one(v0)
     return IsotropyProfile(
         v0=v0,
         k=k,
         flats=flats,
         vertex_orders=tuple(orders),
         lieG_basis=(u1, u2),
-        complement=solve_dot_one(v0),
+        complement=complement,
+        lieG_rows=cramer_rows(u1, u2, complement)[:2],
     )
 
 
@@ -312,8 +316,7 @@ def _lie_g_integers(profile: IsotropyProfile, v: Vec3) -> Tuple[int, int]:
     """Coordinates in the (u1, u2) basis of a vector v of the Lie(G) plane,
     integers for a lattice vector: its first two in the frame (u1, u2, m),
     v0 . m = 1, unimodular (u1 x u2 = v0), so Cramer needs no division."""
-    u1, u2 = profile.lieG_basis
-    row_a, row_b, _ = cramer_rows(u1, u2, profile.complement)
+    row_a, row_b = profile.lieG_rows
     return dot(row_a, v), dot(row_b, v)
 
 

@@ -454,13 +454,9 @@ def _planned(cone: GoodCone, keep: Sequence[int]) -> Tuple[SurgeryPlan, GoodCone
     removed = [i for i in range(k) if i not in keep_set]
     if not removed:
         return SurgeryPlan(steps=()), cone
-    starts = [
-        s
-        for s in removed
-        if all(((s + off) % k) in removed for off in range(len(removed)))
-        and ((s - 1) % k) not in removed
-    ]
-    if not starts:
+    # One removed face per run follows a kept face: one run, one start.
+    starts = [s for s in removed if (s - 1) % k in keep_set]
+    if len(starts) != 1:
         raise PlanningError(f"removed faces {removed} are not contiguous")
     run = [cone.normals[(starts[0] + off) % k] for off in range(len(removed))]
 

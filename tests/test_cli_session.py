@@ -9,6 +9,7 @@ import os
 import re
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -54,10 +55,16 @@ def ex6(tmp_path):
 
 
 def assert_sequence_matches_alone(capsys, argvs):
-    expected = [alone(capsys, argv) for argv in argvs]
+    """Each call of the sequence prints what it prints alone; returns the
+    sequence's (code, out, err) triples."""
+    expected = {}
+    for argv in argvs:
+        if tuple(argv) not in expected:
+            expected[tuple(argv)] = alone(capsys, argv)
     cli._parser.cache_clear()
     got = [call(capsys, argv) for argv in argvs]
-    assert got == expected
+    assert got == [expected[tuple(argv)] for argv in argvs]
+    return got
 
 
 def test_euler_check_with_then_without_ybar(capsys, fresh_parser, ex6):
@@ -77,6 +84,7 @@ def test_construct_with_then_without_seed(capsys, fresh_parser):
 def test_usage_and_domain_errors_then_good_calls(capsys, fresh_parser, ex6, tmp_path):
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"normals": [[1, 0, 0], [0, 1, 0], [1, 1, 0]]}))
+    ex2 = write_doc(tmp_path, "ex2", *example_family(2))
     argvs = [
         ["invariants", ex6, "--face", "x"],
         ["invariants", ex6, "--face", "1"],
@@ -86,10 +94,24 @@ def test_usage_and_domain_errors_then_good_calls(capsys, fresh_parser, ex6, tmp_
         ["validate", ex6],
         ["construct", "--family", "example", "--k", "0"],
         ["construct", "--family", "example", "--k", "2"],
+        ["euler-check", ex2, "--ybar", "1,0,0"],  # off the Lie(G) plane
+        ["euler-check", ex6, "--ybar", "3,-1,-3"],  # not transverse
     ]
-    assert_sequence_matches_alone(capsys, argvs)
-    codes = [call(capsys, argv)[0] for argv in argvs]
-    assert codes == [2, 0, 2, 0, 1, 0, 2, 0]
+    got = assert_sequence_matches_alone(capsys, argvs)
+    assert [code for code, _, _ in got] == [2, 0, 2, 0, 1, 0, 2, 0, 1, 1]
+    for code, out, err in got[-2:]:
+        assert out == "" and "Traceback" not in err
+        assert len(err.splitlines()) == 1 and set(json.loads(err)) == {"error"}
+
+
+@pytest.mark.parametrize(
+    "name,pair", [("example-64", example_family(64)), ("obstructed-16", obstructed_family(16))]
+)
+def test_each_command_twenty_times_matches_alone(capsys, fresh_parser, tmp_path, name, pair):
+    path = write_doc(tmp_path, name, *pair)
+    argvs = [[command, path] for command in ("validate", "profile", "euler-check", "graph")]
+    got = assert_sequence_matches_alone(capsys, [argv for argv in argvs for _ in range(20)])
+    assert {code for code, _, _ in got} == {0}
 
 
 def test_parser_is_built_once_across_calls(capsys, fresh_parser, monkeypatch, ex6):
@@ -211,7 +233,8 @@ def test_documents_and_reeb_vectors_reject_d_beyond_2_63(capsys, tmp_path):
 
 def test_large_square_free_d_is_decided_once(capsys, tmp_path, monkeypatch):
     """With d = 10**12 + 39, trial division to sqrt(d) for every QuadNumber
-    took seconds per command; now square-freeness is decided once per d."""
+    took seconds per command; now square-freeness is decided once per d, and
+    each command, the first included, ends within 2 s."""
     d = 10**12 + 39
     path = write_doc(tmp_path, "ex6-big-d", *example_family(6, d=d))
     calls = []
@@ -221,8 +244,10 @@ def test_large_square_free_d_is_decided_once(capsys, tmp_path, monkeypatch):
     try:
         svg = str(tmp_path / "ex6.svg")
         for argv in (["graph", path], ["render", path, "--out", svg], ["graph", path]):
+            start = time.perf_counter()
             code, out, err = call(capsys, argv)
             assert code == 0 and err == "", (argv, err)
+            assert time.perf_counter() - start < 2, argv
     finally:
         exactnum._discriminant_fault.cache_clear()
     assert calls == [d]

@@ -397,6 +397,25 @@ def test_face_walk_computes_each_witness_once(monkeypatch):
     assert len(calls) == k + 3
 
 
+def test_a_reeb_pass_computes_the_lie_g_rows_once_per_profile(monkeypatch):
+    """The Cramer rows of the frame (u1, u2, m) are a constant of the
+    profile: one `cramer_rows` call per profile, whatever reads coordinates."""
+    calls = {"_profile_of": 0, "cramer_rows": 0}
+    for name in calls:
+        original = getattr(goodcones.reeb, name)
+
+        def counting(*args, _name=name, _original=original):
+            calls[_name] += 1
+            return _original(*args)
+
+        monkeypatch.setattr(goodcones.reeb, name, counting)
+    for i in range(0, len(CORPUS), 7):
+        want = expected(i)
+        calls.update(_profile_of=0, cramer_rows=0)
+        assert reeb_pass(*copies(*CORPUS[i])) == want
+        assert calls == {"_profile_of": 1, "cramer_rows": 1}, CORPUS[i]
+
+
 def transverse_circles(cone, reeb, radius=3):
     """The transverse circles a u1 + b u2 with |a|, |b| <= radius."""
     profile = isotropy_profile(*copies(cone, reeb))

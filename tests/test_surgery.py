@@ -1,4 +1,5 @@
 import math
+import re
 from fractions import Fraction
 
 import pytest
@@ -268,9 +269,14 @@ def test_plan_family3(rnd):
     assert cone_hash(again) == cone_hash(final)
 
 
-def test_plan_noncontiguous_keep_fails():
-    with pytest.raises(PlanningError):
-        plan_blowdown_sequence(FAMILY2, [0, 2])
+@pytest.mark.parametrize(
+    "keep,removed",
+    [([0, 2], [1, 3, 4]), ([1, 3], [0, 2, 4]), ([0, 2, 4], [1, 3]), ([], [0, 1, 2, 3, 4])],
+)
+def test_plan_noncontiguous_keep_fails(keep, removed):
+    message = f"removed faces {removed} are not contiguous"
+    with pytest.raises(PlanningError, match=f"^{re.escape(message)}$"):
+        plan_blowdown_sequence(FAMILY2, keep)
 
 
 def test_solve_local_blowup_examples():
