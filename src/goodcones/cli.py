@@ -123,9 +123,56 @@ def _parse_vec(text: str, length: Optional[int] = 3):
         raise UsageError(f"expected {what}, got {text!r}") from None
 
 
+_encode_str = json.encoder.encode_basestring_ascii
+
+
+def _json_text(value, pad: str) -> str:
+    """The text of `json.dumps(value, indent=2)` for a value nested at the
+    indentation `pad`.  Str-keyed dicts, lists, tuples, strings, ints,
+    booleans and None are built here, as the json module's encoder builds
+    them; anything else (floats, dicts with other keys) goes through
+    `json.dumps` and is re-indented to its depth."""
+    kind = type(value)
+    if kind is str:
+        return _encode_str(value)
+    if kind is int:
+        return int.__repr__(value)
+    if kind is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = []
+        for key, v in value.items():
+            if type(key) is not str:
+                return _fallback_text(value, pad)
+            items.append(_encode_str(key) + ": " + _json_text(v, inner))
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if kind is list or kind is tuple:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        # A loop, not a comprehension: one stack frame per level of nesting,
+        # as deep as the json module's own encoder goes.
+        items = []
+        for v in value:
+            items.append(_json_text(v, inner))
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if value is None:
+        return "null"
+    return _fallback_text(value, pad)
+
+
+def _fallback_text(value, pad: str) -> str:
+    return json.dumps(value, indent=2).replace("\n", "\n" + pad)
+
+
 def _emit(obj) -> None:
-    json.dump(obj, sys.stdout, indent=2, sort_keys=False)
-    sys.stdout.write("\n")
+    """Print `obj` as `json.dumps(obj, indent=2)` and a newline, in one write."""
+    sys.stdout.write(_json_text(obj, "") + "\n")
 
 
 # ---------------------------------------------------------------------------

@@ -47,6 +47,15 @@ class GraphAssemblyError(ValueError):
     pass
 
 
+def ratio_text(a: int, n: int) -> str:
+    """`str(Fraction(a, n))` for integers 0 <= a < n, from one gcd: the text
+    of an isotropy generator's coordinate, "0" or "p/q" in lowest terms."""
+    if a == 0:
+        return "0"
+    g = math.gcd(a, n)
+    return f"{a // g}/{n // g}"
+
+
 @dataclass(frozen=True)
 class FiniteCyclicSubgroup:
     """Finite cyclic subgroup of T^2 = (Q/Z)^2 generated by (a, b)/order,
@@ -376,7 +385,8 @@ def _encode_item(item) -> list:
     # Edge isotropies are canonical here: transform_graph canonicalizes them.
     if isinstance(item, EdgeItem):
         iso = item.isotropy
-        return ["edge", item.multiplicity, iso.order, [str(x) for x in iso.generator]]
+        n = iso.order
+        return ["edge", item.multiplicity, n, [ratio_text(x, n) for x in iso.residues]]
     return ["vertex", item.order, list(item.direction)]
 
 

@@ -19,16 +19,12 @@ from typing import Optional
 
 from .cone import GoodCone, load_cone
 from .exactnum import QuadNumber, _discriminant_fault
-from .graph import EdgeItem, FatVertex, IsotropyGraph, canonical_form
+from .graph import EdgeItem, FatVertex, IsotropyGraph, canonical_form, ratio_text
 from .reeb import ReebVector
 
 
 class DocumentError(ValueError):
     pass
-
-
-def frac_str(x: Fraction) -> str:
-    return str(Fraction(x))
 
 
 def parse_frac(value) -> Fraction:
@@ -51,7 +47,7 @@ def is_integer_triples(value) -> bool:
 
 
 def quad_to_json(x: QuadNumber) -> dict:
-    return {"rat": frac_str(x.rat), "irr": frac_str(x.irr), "d": x.d}
+    return {"rat": str(x.rat), "irr": str(x.irr), "d": x.d}
 
 
 def cone_to_json(cone: GoodCone) -> dict:
@@ -68,8 +64,8 @@ def cone_from_json(obj) -> GoodCone:
 
 def reeb_to_json(r: ReebVector) -> dict:
     return {
-        "p": [frac_str(x) for x in r.p],
-        "q": [frac_str(x) for x in r.q],
+        "p": [str(x) for x in r.p],
+        "q": [str(x) for x in r.q],
         "d": r.d,
     }
 
@@ -128,7 +124,7 @@ def graph_to_json(g: IsotropyGraph) -> dict:
                 "direction": list(v.direction),
                 "genus": v.genus,
                 "multiplicities": list(v.multiplicities),
-                "orbifold_euler": frac_str(v.orbifold_euler),
+                "orbifold_euler": str(v.orbifold_euler),
                 "normal_euler": {
                     "b": v.normal_euler[0],
                     "f": v.normal_euler[1],
@@ -139,12 +135,13 @@ def graph_to_json(g: IsotropyGraph) -> dict:
 
     def enc_item(item):
         if isinstance(item, EdgeItem):
+            iso = item.isotropy
             return {
                 "kind": "edge",
                 "multiplicity": item.multiplicity,
                 "isotropy": {
-                    "order": item.isotropy.order,
-                    "generator": [frac_str(x) for x in item.isotropy.generator],
+                    "order": iso.order,
+                    "generator": [ratio_text(x, iso.order) for x in iso.residues],
                 },
             }
         return {"kind": "vertex", "order": item.order, "direction": list(item.direction)}
