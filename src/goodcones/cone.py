@@ -60,6 +60,7 @@ class FaceInvariants:
 @dataclass(frozen=True)
 class GoodCone:
     normals: Tuple[Vec3, ...]
+    _good = False  # set by `_verdict`; not a field, so outside ==, hash and repr
 
     def __post_init__(self):
         # tuple() of a list allocates once at the final length; tuple() of a
@@ -92,19 +93,22 @@ def load_cone(normals) -> GoodCone:
     return GoodCone(tuple(normals))
 
 
+_GOOD = ValidityReport(is_good=True, failures=())
+
+
 def validate(cone: GoodCone) -> ValidityReport:
     """Goodness check: positive convexity determinants for all cyclic triples
     (n^i, n^{i+1}, n^j) and a Delzant witness for every adjacent pair.
     `_is_good` decides it in O(k) by (a)-(d) of the module docstring; only a
     cone that is not good pays for the O(k^2) report, in which zero
     determinants are face-order failures (improper face structure) and
-    negative ones convexity failures.
+    negative ones convexity failures.  It records nothing on the cone.
     """
     normals = cone.normals
     if len(normals) < 3:
         raise DegenerateInput("a cone needs at least 3 normals")
     if _is_good(normals):
-        return ValidityReport(is_good=True, failures=())
+        return _GOOD
     return _report(normals)
 
 
@@ -175,9 +179,29 @@ def _report(normals: Tuple[Vec3, ...]) -> ValidityReport:
 
 
 def require_valid(cone: GoodCone) -> None:
-    report = validate(cone)
+    """Raise InvalidCone with `validate`'s report unless the cone is good."""
+    report = _verdict(cone, validate)
     if not report.is_good:
         raise InvalidCone(f"cone is not good: {report.failures[:4]}", report)
+
+
+def _verdict(cone: GoodCone, decide=None) -> ValidityReport:
+    """The validity report of a cone object; the one reader and writer of
+    its verdict.  A cone that carries a good verdict is reported good at
+    once.  Otherwise `decide` (`validate`) reports, or without it `_is_good`
+    decides and `validate` reports only a cone that is not good (or raises
+    DegenerateInput), as a surgery checks its result.  A good report is
+    recorded on the cone, so a cone object is validated once; a cone that
+    is not good is never recorded and is reported again on every call."""
+    if cone._good:
+        return _GOOD
+    if decide is None and len(cone.normals) >= 3 and _is_good(cone.normals):
+        report = _GOOD
+    else:
+        report = (decide or validate)(cone)
+    if report.is_good:
+        object.__setattr__(cone, "_good", True)
+    return report
 
 
 def edge_ray(cone: GoodCone, i: int) -> Vec3:
@@ -187,8 +211,7 @@ def edge_ray(cone: GoodCone, i: int) -> Vec3:
     primitive (the pair is Delzant), and convexity makes it pair
     positively with every other normal.
     """
-    ray = cross_primitive(cone.normal(i), cone.normal(i + 1))
-    return ray
+    return cross_primitive(cone.normal(i), cone.normal(i + 1))
 
 
 def edge_rays(cone: GoodCone) -> Tuple[Vec3, ...]:

@@ -32,7 +32,6 @@ from .exactnum import (
 from .reeb import (
     ReebVector,
     _arc_data,
-    _clear,
     _lie_g_integers,
     _pair_sign,
     _polygon,
@@ -491,8 +490,7 @@ def germ_profile(germ: GermOfChain):
     """Profile of a germ (v0, per-face isotropy magnitudes, the Lie(G)
     frame) and the two end moment values (constant on each flat end
     segment, computable from the inner vertices alone)."""
-    z = _clear(germ.reeb)
-    profile = _profile_of(z, germ.normals)
+    profile = _profile_of(germ.reeb, germ.normals)
     k = profile.k
     if k[0] != 0 or k[-1] != 0:
         raise GraphAssemblyError("germ ends must be flat (v0 . n = 0)")
@@ -502,12 +500,12 @@ def germ_profile(germ: GermOfChain):
     ends = []
     for face_a, face_b in ((0, 1), (len(k) - 2, len(k) - 1)):
         ray = cross_primitive(germ.normals[face_a], germ.normals[face_b])
-        pairing = _pair_sign(z, ray)
+        pairing = _pair_sign(germ.reeb, ray)
         if pairing == 0:
             raise GraphAssemblyError("Reeb pairs degenerately with a germ edge")
         ends.append(ray if pairing > 0 else tuple(-x for x in ray))
     u1, u2 = profile.lieG_basis
-    moment = [(dot(p, u1), dot(p, u2)) for p in _polygon(z, ends).vertices]
+    moment = [(dot(p, u1), dot(p, u2)) for p in _polygon(germ.reeb, ends).vertices]
     return {"profile": profile, "moment_min": moment[0], "moment_max": moment[1]}
 
 

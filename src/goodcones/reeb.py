@@ -14,35 +14,37 @@ out as quadratic-field determinant ratios normalized by det_G(R, Ybar),
 the frame determinant of R and Ybar in the (u1, u2) basis.
 
 Arithmetic.  Only R is irrational; normals, edge rays, Ybar and the
-isotropy data are integers.  R is cleared to integer parts,
-R = (P + sqrt(d) Q) / den with den > 0, so that R . e is
+isotropy data are integers.  A ReebVector carries R cleared to integer
+parts, R = (P + sqrt(d) Q) / den with den > 0, so that R . e is
 (P . e + sqrt(d) Q . e) / den.  Every sign and every order (admissibility,
 the ranking of vertices by Ybar-moment, the arcs) is then decided in Z by
 `quad_sign`, and a determinant against R is the pair of integer
 determinants against P and Q.  A QuadNumber is built only for a value that
 a public function returns: polygon vertices, widths, slopes, residuals.
 
-One slot.  The module keeps the checked facts of the last (cone, R) pair
-that a public call accepted: its edge rays, cleared R and profile, and,
-filled on first use, its chosen Ybar and its arcs for the last Ybar.  The
-slot is keyed by the identity of the two objects and holds them, so a pass
-of Reeb, Euler and graph calls on one pair validates the cone, clears R
-and builds the profile once.  It holds one pair, so its memory does not
-grow with the number of calls.  It is written only after every check has
-passed, so a raising call leaves it as it was, and the error order is
-that of a first call: `InvalidCone`, then `InadmissibleReeb`, then
-`RankError`, then `DegenerateInput` for a caller's Ybar or face, whose
-checks run on every call.  Every cached value is immutable, and callers
-that hand out a mutable value (`euler.IdentityData.k`) copy it.  The slot
-is read once per call and replaced by one assignment of a complete record,
-and a memo entry depends on its record alone, so threads racing on it can
+One slot.  A fact of one object lives on that object: a cone keeps its
+goodness verdict (`cone._verdict`) and R its cleared parts.  The module
+keeps only facts of a pair, those of the last (cone, R) pair that a public
+call accepted: its edge rays and profile, and, filled on first use, its
+chosen Ybar and its arcs for the last Ybar.  The slot is keyed by the
+identity of the two objects and holds them, so a pass of Reeb, Euler and
+graph calls on one pair builds the profile once.  It holds one pair, so
+its memory does not grow with the number of calls.  It is written only
+after every check has passed, so a raising call leaves it as it was, and
+the error order is that of a first call: `InvalidCone`, then
+`InadmissibleReeb`, then `RankError`, then `DegenerateInput` for a
+caller's Ybar or face, whose checks run on every call.  Every cached
+value is immutable, and callers that hand out a mutable value
+(`euler.IdentityData.k`) copy it.  The slot is read once per call and
+replaced by one assignment of a complete record, and a memo entry depends
+on its record alone, so threads racing on it (or on a cone's verdict) can
 only repeat work.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import NamedTuple, Optional, Tuple
@@ -79,19 +81,30 @@ class InadmissibleReeb(ValueError):
 
 @dataclass(frozen=True)
 class ReebVector:
-    """R = p + sqrt(d) q with rational parts p, q (3-tuples of Fractions)."""
+    """R = p + sqrt(d) q with rational parts p, q (3-tuples of Fractions),
+    also kept cleared as R = (P + sqrt(d) Q) / den with integer 3-vectors
+    P, Q and den > 0 (fields outside ==, hash and repr)."""
 
     p: Tuple[Fraction, Fraction, Fraction]
     q: Tuple[Fraction, Fraction, Fraction]
     d: int = 2
+    P: Vec3 = field(init=False, repr=False, compare=False)
+    Q: Vec3 = field(init=False, repr=False, compare=False)
+    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        object.__setattr__(self, "p", tuple(Fraction(x) for x in self.p))
-        object.__setattr__(self, "q", tuple(Fraction(x) for x in self.q))
-        if all(x == 0 for x in self.p) and all(x == 0 for x in self.q):
+        p = tuple(Fraction(x) for x in self.p)
+        q = tuple(Fraction(x) for x in self.q)
+        if all(x == 0 for x in p) and all(x == 0 for x in q):
             raise DegenerateInput("zero Reeb vector")
         if fault := _discriminant_fault(self.d):
             raise ValueError(fault)
+        den = math.lcm(*(x.denominator for x in p + q))
+        object.__setattr__(self, "p", p)
+        object.__setattr__(self, "q", q)
+        object.__setattr__(self, "P", tuple(x.numerator * (den // x.denominator) for x in p))
+        object.__setattr__(self, "Q", tuple(x.numerator * (den // x.denominator) for x in q))
+        object.__setattr__(self, "den", den)
 
     def coords(self) -> Tuple[QuadNumber, QuadNumber, QuadNumber]:
         return tuple(QuadNumber(self.p[i], self.q[i], self.d) for i in range(3))
@@ -110,34 +123,15 @@ def rank_of(R: ReebVector) -> int:
 _RANK_2_ONLY = "v0 is only defined for rank-2 Reeb vectors"
 
 
-class _Cleared(NamedTuple):
-    """R = (P + sqrt(d) Q) / den with integer 3-vectors P, Q and den > 0."""
-
-    P: Vec3
-    Q: Vec3
-    den: int
-    d: int
-
-
-def _clear(R: ReebVector) -> _Cleared:
-    den = math.lcm(*(x.denominator for x in R.p + R.q))
-    return _Cleared(
-        P=tuple(x.numerator * (den // x.denominator) for x in R.p),
-        Q=tuple(x.numerator * (den // x.denominator) for x in R.q),
-        den=den,
-        d=R.d,
-    )
-
-
-def _pair_sign(z: _Cleared, e: Vec3) -> int:
+def _pair_sign(R: ReebVector, e: Vec3) -> int:
     """Sign of R . e for an integer vector e."""
-    return quad_sign(dot(z.P, e), dot(z.Q, e), z.d)
+    return quad_sign(dot(R.P, e), dot(R.Q, e), R.d)
 
 
-def _det_r(z: _Cleared, a: Vec3, b: Vec3) -> Tuple[int, int]:
+def _det_r(R: ReebVector, a: Vec3, b: Vec3) -> Tuple[int, int]:
     """den * det3(a, b, R) as its integer parts (rational, irrational)."""
     c = cross(a, b)
-    return dot(c, z.P), dot(c, z.Q)
+    return dot(c, R.P), dot(c, R.Q)
 
 
 def _quotient(num: Tuple[int, int], den: Tuple[int, int], d: int) -> QuadNumber:
@@ -173,36 +167,33 @@ class MomentPolygon:
 
 
 def moment_polygon(cone: GoodCone, R: ReebVector) -> MomentPolygon:
-    facts = _facts(cone, R)
-    return _polygon(facts.z, facts.rays)
+    return _polygon(R, _facts(cone, R).rays)
 
 
-def _vertex(z: _Cleared, e: Vec3) -> Tuple[QuadNumber, QuadNumber, QuadNumber]:
+def _vertex(R: ReebVector, e: Vec3) -> Tuple[QuadNumber, QuadNumber, QuadNumber]:
     """The slice point e / (R . e) = den e / (P . e + sqrt(d) Q . e)."""
-    a, b = dot(z.P, e), dot(z.Q, e)
-    norm = a * a - z.d * b * b
+    a, b = dot(R.P, e), dot(R.Q, e)
+    norm = a * a - R.d * b * b
     return tuple(
-        QuadNumber(Fraction(z.den * c * a, norm), Fraction(-z.den * c * b, norm), z.d)
+        QuadNumber(Fraction(R.den * c * a, norm), Fraction(-R.den * c * b, norm), R.d)
         for c in e
     )
 
 
-def _polygon(z: _Cleared, rays) -> MomentPolygon:
+def _polygon(R: ReebVector, rays) -> MomentPolygon:
     """The polygon with vertices e / (R . e); R must be admissible."""
-    return MomentPolygon(vertices=tuple([_vertex(z, e) for e in rays]))
+    return MomentPolygon(vertices=tuple([_vertex(R, e) for e in rays]))
 
 
-def _integer_span_normal(z: _Cleared) -> Vec3:
+def _integer_span_normal(R: ReebVector) -> Vec3:
     """Primitive integer normal of the rational plane spanned by p and q,
     sign-canonicalized so the first nonzero coordinate is positive."""
-    c = cross(z.P, z.Q)
+    c = cross(R.P, R.Q)
     if c == (0, 0, 0):
         raise RankError(_RANK_2_ONLY)
     c = primitive_part(c)
-    for x in c:
-        if x != 0:
-            return c if x > 0 else tuple(-y for y in c)
-    raise DegenerateInput("unreachable: zero normal")
+    first = next(x for x in c if x != 0)
+    return c if first > 0 else tuple(-y for y in c)
 
 
 @dataclass(frozen=True)
@@ -239,7 +230,6 @@ class _Facts(NamedTuple):
     cone: GoodCone
     R: ReebVector
     rays: Tuple[Vec3, ...]
-    z: _Cleared
     profile: Optional[IsotropyProfile]
     memo: dict
 
@@ -249,25 +239,24 @@ _slot: Optional[_Facts] = None
 
 def _facts(cone: GoodCone, R: ReebVector) -> _Facts:
     """The start of every public call on a (cone, R) pair: the slot when it
-    holds these two objects, else the one goodness check, the one clearing
-    of R, the one admissibility check and the profile, published as one
-    record once they have all passed and R has rank 2."""
+    holds these two objects, else the goodness check (once per cone object,
+    `require_valid`), the one admissibility check and the profile,
+    published as one record once they have all passed and R has rank 2."""
     global _slot
     facts = _slot
     if facts is not None and facts.cone is cone and facts.R is R:
         return facts
     require_valid(cone)
     rays = edge_rays(cone)
-    z = _clear(R)
     for e in rays:
-        if _pair_sign(z, e) <= 0:
+        if _pair_sign(R, e) <= 0:
             raise InadmissibleReeb(f"R pairs non-positively with edge {e}")
-    profile = None if cross(z.P, z.Q) == (0, 0, 0) else _profile_of(z, cone.normals)
+    profile = None if cross(R.P, R.Q) == (0, 0, 0) else _profile_of(R, cone.normals)
     if profile is not None and len(profile.flats) > 2:
         raise InvalidCone(
             f"more than two flat faces {sorted(profile.flats)}: rank-2 data inconsistent"
         )
-    facts = _Facts(cone, R, rays, z, profile, {})
+    facts = _Facts(cone, R, rays, profile, {})
     # A rank-1 pair is not kept: the calls that need a profile refuse it,
     # and a refusing call must leave the slot as it was.
     if profile is not None:
@@ -287,11 +276,11 @@ def _checked_profile(cone: GoodCone, R: ReebVector) -> _Facts:
     return facts
 
 
-def _profile_of(z: _Cleared, normals) -> IsotropyProfile:
+def _profile_of(R: ReebVector, normals) -> IsotropyProfile:
     """Profile data of R against a cyclic list of normals (a cone's, or a
     germ's whose two ends are flat); checks neither goodness nor
     admissibility."""
-    v0 = _integer_span_normal(z)
+    v0 = _integer_span_normal(R)
     k = tuple(abs(dot(v0, n)) for n in normals)
     flats = frozenset(i for i, ki in enumerate(k) if ki == 0)
     orders = []
@@ -338,18 +327,17 @@ def reeb_lie_g_coords(profile: IsotropyProfile, R: ReebVector):
 
 def det_g(profile: IsotropyProfile, x: ReebVector, y: Vec3) -> QuadNumber:
     """det of (x, y) in the Lie(G) lattice frame, x a Reeb vector, y integer."""
-    z = _clear(x)
-    g, g_p, g_q = _det_g_parts(profile, z, y)
-    return QuadNumber(Fraction(g_p, z.den * g), Fraction(g_q, z.den * g), z.d)
+    g, g_p, g_q = _det_g_parts(profile, x, y)
+    return QuadNumber(Fraction(g_p, x.den * g), Fraction(g_q, x.den * g), x.d)
 
 
-def _det_g_parts(profile: IsotropyProfile, z: _Cleared, y: Vec3) -> Tuple[int, int, int]:
+def _det_g_parts(profile: IsotropyProfile, R: ReebVector, y: Vec3) -> Tuple[int, int, int]:
     """det_G(R, y) in integers, as (g, G_P, G_Q) with g = det3(u1, u2, v0),
     G_P = det3(P, y, v0) and G_Q = det3(Q, y, v0), so that
     det_G(R, y) = (G_P + sqrt(d) G_Q) / (den g)."""
     v0 = profile.v0
     u1, u2 = profile.lieG_basis
-    return det3(u1, u2, v0), det3(z.P, y, v0), det3(z.Q, y, v0)
+    return det3(u1, u2, v0), det3(R.P, y, v0), det3(R.Q, y, v0)
 
 
 def _checked_ybar(profile: IsotropyProfile, rays, ybar: Vec3) -> None:
@@ -448,21 +436,21 @@ def width_of_flat_face(
     raises DegenerateInput.
     """
     facts = _checked_profile(cone, R)
-    rays, profile, z = facts.rays, facts.profile, facts.z
+    rays, profile = facts.rays, facts.profile
     _checked_ybar(profile, rays, ybar)
     i %= len(cone)
     if i not in profile.flats:
         raise DegenerateInput(f"face {i} is not flat (k={profile.k[i]})")
     e_lo, e_hi = rays[i - 1], rays[i]
-    d = z.d
-    y, a, b = dot(ybar, e_hi), dot(z.P, e_hi), dot(z.Q, e_hi)
+    d = R.d
+    y, a, b = dot(ybar, e_hi), dot(R.P, e_hi), dot(R.Q, e_hi)
 
     n_prev, n_next = cone.normal(i - 1), cone.normal(i + 1)
     s_prev, s_next = dot(profile.v0, n_prev), dot(profile.v0, n_next)
-    big_a, big_b = _det_r(z, n_prev, n_next)
+    big_a, big_b = _det_r(R, n_prev, n_next)
     big_d = det3(n_prev, n_next, ybar)
-    g, g_p, g_q = _det_g_parts(profile, z, ybar)
-    scale = z.den * g
+    g, g_p, g_q = _det_g_parts(profile, R, ybar)
+    scale = R.den * g
     w_formula = _quotient(
         (scale * (y * big_a - big_d * a), scale * (y * big_b - big_d * b)),
         (s_prev * s_next * (a * g_p + d * b * g_q), s_prev * s_next * (a * g_q + b * g_p)),
@@ -471,7 +459,7 @@ def width_of_flat_face(
     if w_formula.sign() < 0:
         w_formula = -w_formula
 
-    p_lo, p_hi = _vertex(z, e_lo), _vertex(z, e_hi)
+    p_lo, p_hi = _vertex(R, e_lo), _vertex(R, e_hi)
     m = profile.complement
     chord = sum(m[j] * (p_hi[j] - p_lo[j]) for j in range(3))
     if chord.sign() < 0:
@@ -484,12 +472,11 @@ def face_slope(profile: IsotropyProfile, R: ReebVector, ybar: Vec3, n: Vec3):
     """Slope d(pr2)/d(pi) of the face line {n . v = 0} in the slice; only
     defined for non-flat faces (det3(n, R, Ybar) != 0).  Both determinants
     are linear in R, and den cancels from their ratio."""
-    z = _clear(R)
-    num = _det_r(z, profile.complement, n)  # det3(n, R, m) = det3(m, n, R)
-    den = _det_r(z, ybar, n)
+    num = _det_r(R, profile.complement, n)  # det3(n, R, m) = det3(m, n, R)
+    den = _det_r(R, ybar, n)
     if den == (0, 0):
         raise DegenerateInput("slope undefined on a flat face")
-    return _quotient(num, den, z.d)
+    return _quotient(num, den, R.d)
 
 
 def slope_change(profile: IsotropyProfile, R: ReebVector, ybar: Vec3, n: Vec3, np: Vec3):
@@ -497,11 +484,10 @@ def slope_change(profile: IsotropyProfile, R: ReebVector, ybar: Vec3, n: Vec3, n
     det3(n, np, R) / ((v0.n)(v0.np) det_G(R, Ybar)), where
     det_G(R, Ybar) = (det3(P, Ybar, v0) + sqrt(d) det3(Q, Ybar, v0)) / (den g)
     with g = det3(u1, u2, v0), so den cancels."""
-    z = _clear(R)
-    g, g_p, g_q = _det_g_parts(profile, z, ybar)
-    a, b = _det_r(z, n, np)
+    g, g_p, g_q = _det_g_parts(profile, R, ybar)
+    a, b = _det_r(R, n, np)
     s = dot(profile.v0, n) * dot(profile.v0, np)
-    return _quotient((g * a, g * b), (s * g_p, s * g_q), z.d)
+    return _quotient((g * a, g * b), (s * g_p, s * g_q), R.d)
 
 
 # ---------------------------------------------------------------------------
@@ -566,7 +552,7 @@ def _arcs(facts: _Facts, ybar: Vec3) -> ArcDecomposition:
     cone, profile = facts.cone, facts.profile
     k = len(cone)
     signs = profile.signed(cone)
-    rank = _moment_ranks(facts.z, ybar, facts.rays)
+    rank = _moment_ranks(facts.R, ybar, facts.rays)
 
     def extreme_at(argbest: int) -> Extreme:
         # A vertex incident to a flat face belongs to that 3-dim component.
@@ -598,14 +584,14 @@ def _arcs(facts: _Facts, ybar: Vec3) -> ArcDecomposition:
     )
 
 
-def _moment_ranks(z: _Cleared, ybar: Vec3, rays) -> list:
+def _moment_ranks(R: ReebVector, ybar: Vec3, rays) -> list:
     """Rank of each vertex e_i / (R . e_i) by its Ybar-moment
     pi_i = (Ybar . e_i) / (R . e_i), tied vertices ranked equal.  With
     y = Ybar . e, a = P . e and b = Q . e, every a + b sqrt(d) is positive
     (R is admissible), so pi_i < pi_j exactly when
     (y_i a_j - y_j a_i) + sqrt(d) (y_i b_j - y_j b_i) < 0."""
-    keys = [(dot(ybar, e), dot(z.P, e), dot(z.Q, e)) for e in rays]
-    d = z.d
+    keys = [(dot(ybar, e), dot(R.P, e), dot(R.Q, e)) for e in rays]
+    d = R.d
 
     def compare(i: int, j: int) -> int:
         yi, ai, bi = keys[i]

@@ -3,10 +3,12 @@ normal deletion, range replacement, blow-down normal search (Dirichlet
 prime construction with a bounded lattice fallback), blow-down planning,
 and the local blow-up parameter solver.
 
-Every public surgery validates its input cone once and checks its result
-with the O(k) goodness predicate that `validate` runs first; the O(k^2)
-report is built only for a rejected result, to say why.  Plans validate
-their input once and chain the unchecked edits.
+Every public surgery validates its input cone and checks its result with
+the O(k) goodness predicate that `validate` runs first; the O(k^2) report
+is built only for a rejected result, to say why.  A cone keeps a good
+verdict (`cone._verdict`), so a cone object is validated once: plans and
+replays chain the public edits, and each step starts from a result that
+carries its verdict.
 """
 
 from __future__ import annotations
@@ -19,7 +21,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .cone import GoodCone, _is_good, edge_rays, require_valid, validate
+from .cone import GoodCone, _verdict, edge_rays, require_valid
 from .exactnum import (
     DegenerateInput,
     QuadNumber,
@@ -94,10 +96,6 @@ def cut(cone: GoodCone, spec: CutSpec) -> SurgeryResult:
     in O(k) (see `_edited`).
     """
     require_valid(cone)
-    return _cut(cone, spec)
-
-
-def _cut(cone: GoodCone, spec: CutSpec) -> SurgeryResult:
     t = spec.t
     rays = edge_rays(cone)
     k = len(cone)
@@ -136,10 +134,6 @@ def blowdown_delete(cone: GoodCone, i: int) -> GoodCone:
     when (n^{i-1}, n^{i+1}) is not a Delzant pair.  The input is validated
     once; the result is checked in O(k)."""
     require_valid(cone)
-    return _delete(cone, i)
-
-
-def _delete(cone: GoodCone, i: int) -> GoodCone:
     i %= len(cone)
     normals = [n for j, n in enumerate(cone.normals) if j != i]
     return _edited(normals, f"cannot blow down face {i}")
@@ -151,10 +145,6 @@ def replace_range(cone: GoodCone, rng: Sequence[int], t: Vec3) -> GoodCone:
     ray: attachment only enlarges), and the result must be good.  The input
     is validated once; the result is checked in O(k)."""
     require_valid(cone)
-    return _replace(cone, rng, t)
-
-
-def _replace(cone: GoodCone, rng: Sequence[int], t: Vec3) -> GoodCone:
     t = tuple(int(x) for x in t)
     if not is_primitive(t):
         raise DegenerateInput(f"replacement normal {t} is not primitive")
@@ -182,16 +172,16 @@ def _replace(cone: GoodCone, rng: Sequence[int], t: Vec3) -> GoodCone:
 def _edited(normals: List[Vec3], message: str) -> GoodCone:
     """The cone left by an edit of a good cone, or SurgeryRejected.
 
-    The result is checked with `_is_good`, in O(k).  When it is not good,
-    or fewer than 3 normals remain, `validate` gives the report (or raises
-    DegenerateInput), exactly as validating the whole result would.
+    The result is checked with `_is_good`, in O(k), and a good result keeps
+    its verdict (`cone._verdict`).  When it is not good, or fewer than 3
+    normals remain, `validate` gives the report (or raises DegenerateInput),
+    exactly as validating the whole result would.
     """
     result = GoodCone(tuple(normals))
-    if len(normals) >= 3 and _is_good(result.normals):
-        return result
-    report = validate(result)
-    assert not report.is_good
-    raise SurgeryRejected(message, report)
+    report = _verdict(result)
+    if not report.is_good:
+        raise SurgeryRejected(message, report)
+    return result
 
 
 # ---------------------------------------------------------------------------
@@ -407,32 +397,26 @@ class SurgeryPlan:
 
 def replay(plan: SurgeryPlan, cone: GoodCone) -> GoodCone:
     """Apply the plan's steps to `cone`, verifying each step's pre- and
-    post-hash.  The cone is validated once, at the first step (after its
-    pre-hash and its op are checked); every later step starts from the
-    locally checked result of the one before."""
+    post-hash.  Each step checks its pre-hash, its op and its arguments
+    before the edit validates its cone; the cone is validated at the first
+    step, and every later step starts from the checked result of the one
+    before."""
     digest = cone_hash(cone)
-    for n, step in enumerate(plan.steps):
+    for step in plan.steps:
         if digest != step.pre:
             raise PlanningError(f"pre-hash mismatch at step {step.op}", step)
         if step.op == "delete":
-            edit, args = _delete, (step.params["i"],)
+            cone = blowdown_delete(cone, step.params["i"])
         elif step.op == "replace":
-            edit, args = _replace, (step.params["range"], tuple(step.params["t"]))
+            cone = replace_range(cone, step.params["range"], tuple(step.params["t"]))
         elif step.op == "cut":
-            edit, args = _cut_cone, (CutSpec(tuple(step.params["t"])),)
+            cone = cut(cone, CutSpec(tuple(step.params["t"]))).cone
         else:
             raise PlanningError(f"unknown op {step.op}", step)
-        if n == 0:
-            require_valid(cone)
-        cone = edit(cone, *args)
         digest = cone_hash(cone)
         if digest != step.post:
             raise PlanningError(f"post-hash mismatch at step {step.op}", step)
     return cone
-
-
-def _cut_cone(cone: GoodCone, spec: CutSpec) -> GoodCone:
-    return _cut(cone, spec).cone
 
 
 def plan_blowdown_sequence(cone: GoodCone, keep: Sequence[int]) -> SurgeryPlan:
@@ -467,12 +451,12 @@ def _planned(cone: GoodCone, keep: Sequence[int]) -> Tuple[SurgeryPlan, GoodCone
         placed = False
         for t in _blowdown_candidates(current, f, None):
             try:
-                c1 = _replace(current, [f], t)
+                c1 = replace_range(current, [f], t)
             except SurgeryRejected:
                 continue
             idx = c1.normals.index(run[1])
             try:
-                c2 = _delete(c1, idx)
+                c2 = blowdown_delete(c1, idx)
             except SurgeryRejected:
                 continue
             h1, h2 = cone_hash(c1), cone_hash(c2)

@@ -7,7 +7,9 @@ cones of conftest, on `example_family(k)` up to k = 256 and on
 checked against a Fraction bracket of sqrt(d), and `validate` against a
 copy of its old triple loop.  The vertex ranking, a private kernel, is
 checked directly: ties decide nothing on valid cones, where they come only
-from flat faces, so the arcs alone would not show a tie ranked apart."""
+from flat faces, so the arcs alone would not show a tie ranked apart.  The
+cleared parts a ReebVector carries are checked against a copy of the
+clearing function they replaced."""
 
 import math
 import random
@@ -28,7 +30,6 @@ from goodcones.exactnum import (
     solve_dot_one,
 )
 from goodcones.reeb import (
-    _clear,
     _moment_ranks,
     arc_decomposition,
     choose_transverse_circle,
@@ -72,6 +73,16 @@ def old_key(x: QuadNumber):
 
 def lift(v, d):
     return tuple(quad(x, 0, d) for x in v)
+
+
+def old_clear(R):
+    """(P, Q, den) with R = (P + sqrt(d) Q) / den, as `reeb._clear` gave it."""
+    den = math.lcm(*(x.denominator for x in R.p + R.q))
+    return (
+        tuple(x.numerator * (den // x.denominator) for x in R.p),
+        tuple(x.numerator * (den // x.denominator) for x in R.q),
+        den,
+    )
 
 
 def old_pair(R, v):
@@ -216,6 +227,16 @@ def rescaled(R, a, b):
     return reeb_from_vectors([a * x for x in R.p], [b * x for x in R.q], R.d)
 
 
+def test_cleared_parts_match_the_old_clearing():
+    scales = [(1, 1), (Fraction(3, 7), Fraction(5, 11)), (Fraction(-2, 9), 0), (0, Fraction(1, 6))]
+    dens = set()
+    for _, (_, R) in CASES:
+        for other in [rescaled(R, a, b) for a, b in scales]:
+            assert (other.P, other.Q, other.den) == old_clear(other), other
+            dens.add(other.den)
+    assert 1 in dens and max(dens) >= 77
+
+
 @pytest.mark.parametrize("cone, R", [c for _, c in CASES], ids=[n for n, _ in CASES])
 def test_admissibility_matches_quadratic_field_route(cone, R):
     flipped = [rescaled(R, 1, -1), rescaled(R, -1, 1), rescaled(R, -1, -1)]
@@ -233,7 +254,7 @@ def test_read_path_matches_quadratic_field_routes(cone, R, scale):
     ybar = choose_transverse_circle(cone, R)
 
     pi_vals = old_moments(cone, R, ybar)
-    rank = _moment_ranks(_clear(R), ybar, edge_rays(cone))
+    rank = _moment_ranks(R, ybar, edge_rays(cone))
     assert rank == old_ranks(pi_vals)
     # The two ends of a flat face lie in one Ybar-level set: a tie.
     k = len(cone)

@@ -364,7 +364,7 @@ def test_every_cached_value_is_immutable():
         facts = goodcones.reeb._slot
         assert facts.cone is cone and facts.R is reeb
         # Hashable means built from tuples, frozensets and frozen records.
-        hash((facts.rays, facts.z, facts.profile))
+        hash((facts.rays, facts.profile))
         assert set(facts.memo) == {"ybar", "arcs"}
         for value in facts.memo.values():
             hash(value)

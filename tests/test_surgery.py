@@ -269,6 +269,51 @@ def test_plan_family3(rnd):
     assert cone_hash(again) == cone_hash(final)
 
 
+def _replay_outcome(steps, cone):
+    try:
+        replay(surgery_module.SurgeryPlan(steps=tuple(steps)), cone)
+    except Exception as exc:
+        return type(exc).__name__, str(exc)
+    return "ok", ""
+
+
+def test_replay_checks_hash_op_and_arguments_before_validating():
+    bad = GoodCone(FAMILY2.normals[::-1])
+    digest = cone_hash(bad)
+    invalid = ("InvalidCone", f"cone is not good: {validate(bad).failures[:4]}")
+
+    def step(op, pre=digest, post="-", **params):
+        return surgery_module.PlanStep(op=op, params=params, pre=pre, post=post)
+
+    cases = [
+        (
+            step("replace", pre="-", range=[1], t=[1, 0, 0]),
+            ("PlanningError", "pre-hash mismatch at step replace"),
+        ),
+        (step("flip"), ("PlanningError", "unknown op flip")),
+        (step("delete"), ("KeyError", "'i'")),
+        (
+            step("cut", t=[2, 0, 0]),
+            ("DegenerateInput", "cutting normal (2, 0, 0) is not primitive"),
+        ),
+        (step("cut", t=[1, 0, 0]), invalid),
+        (step("replace", range=[1], t=[2, 0, 0]), invalid),
+        (step("delete", i=1), invalid),
+    ]
+    for s, expected in cases:
+        assert _replay_outcome([s], bad) == expected, s
+    # On a good cone: the first step runs, then the next step's checks.
+    first = plan_blowdown_sequence(FAMILY2, [0, 3, 4]).steps[0]
+    assert _replay_outcome([first, step("flip", pre=first.post)], FAMILY2) == (
+        "PlanningError",
+        "unknown op flip",
+    )
+    assert _replay_outcome([step(first.op, pre=first.pre, **first.params)], FAMILY2) == (
+        "PlanningError",
+        f"post-hash mismatch at step {first.op}",
+    )
+
+
 @pytest.mark.parametrize(
     "keep,removed",
     [([0, 2], [1, 3, 4]), ([1, 3], [0, 2, 4]), ([0, 2, 4], [1, 3]), ([], [0, 1, 2, 3, 4])],

@@ -2,7 +2,7 @@
 
 * Each edit checks its result with the O(k) goodness predicate `_is_good`.
   Every public edit is run twice: as is, and with that predicate swapped
-  for the full O(k^2) validation loop.  Acceptance, the returned cone and
+  in `goodcones.cone` for the full O(k^2) validation loop.  Acceptance, the returned cone and
   the `SurgeryRejected` report (or the `DegenerateInput`) must agree.
 * The blow-down search scans only the points of Theta(i).  Test-local
   copies of the former scans, which filter the whole (2r+1)^3 box and the
@@ -12,6 +12,7 @@
 
 import itertools
 
+import goodcones.cone
 import goodcones.surgery as surgery
 from goodcones.cone import GoodCone, _report, edge_rays
 from goodcones.exactnum import (
@@ -77,7 +78,7 @@ class Differential:
     def __call__(self, label, op, *args):
         local = _outcome(op, *args)
         with self.monkeypatch.context() as m:
-            m.setattr(surgery, "_is_good", _full_check)
+            m.setattr(goodcones.cone, "_is_good", _full_check)
             full = _outcome(op, *args)
         assert local == full, (label, args)
         self.seen.setdefault(label, set()).add(local[0])
