@@ -180,25 +180,20 @@ def _report(normals: Tuple[Vec3, ...]) -> ValidityReport:
 
 def require_valid(cone: GoodCone) -> None:
     """Raise InvalidCone with `validate`'s report unless the cone is good."""
-    report = _verdict(cone, validate)
+    report = _verdict(cone)
     if not report.is_good:
         raise InvalidCone(f"cone is not good: {report.failures[:4]}", report)
 
 
-def _verdict(cone: GoodCone, decide=None) -> ValidityReport:
+def _verdict(cone: GoodCone) -> ValidityReport:
     """The validity report of a cone object; the one reader and writer of
     its verdict.  A cone that carries a good verdict is reported good at
-    once.  Otherwise `decide` (`validate`) reports, or without it `_is_good`
-    decides and `validate` reports only a cone that is not good (or raises
-    DegenerateInput), as a surgery checks its result.  A good report is
-    recorded on the cone, so a cone object is validated once; a cone that
-    is not good is never recorded and is reported again on every call."""
+    once; otherwise `validate` reports, and a good report is recorded on
+    the cone, so a cone object is validated at most once.  A cone that is
+    not good is never recorded and is reported again on every call."""
     if cone._good:
         return _GOOD
-    if decide is None and len(cone.normals) >= 3 and _is_good(cone.normals):
-        report = _GOOD
-    else:
-        report = (decide or validate)(cone)
+    report = validate(cone)
     if report.is_good:
         object.__setattr__(cone, "_good", True)
     return report

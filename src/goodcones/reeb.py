@@ -44,7 +44,7 @@ only repeat work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from fractions import Fraction
 from functools import cmp_to_key
 from typing import NamedTuple, Optional, Tuple
@@ -83,14 +83,11 @@ class InadmissibleReeb(ValueError):
 class ReebVector:
     """R = p + sqrt(d) q with rational parts p, q (3-tuples of Fractions),
     also kept cleared as R = (P + sqrt(d) Q) / den with integer 3-vectors
-    P, Q and den > 0 (fields outside ==, hash and repr)."""
+    P, Q and den > 0 (attributes, not fields, so outside ==, hash and repr)."""
 
     p: Tuple[Fraction, Fraction, Fraction]
     q: Tuple[Fraction, Fraction, Fraction]
     d: int = 2
-    P: Vec3 = field(init=False, repr=False, compare=False)
-    Q: Vec3 = field(init=False, repr=False, compare=False)
-    den: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         p = tuple(Fraction(x) for x in self.p)

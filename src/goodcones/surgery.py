@@ -3,10 +3,10 @@ normal deletion, range replacement, blow-down normal search (Dirichlet
 prime construction with a bounded lattice fallback), blow-down planning,
 and the local blow-up parameter solver.
 
-Every public surgery validates its input cone and checks its result with
-the O(k) goodness predicate that `validate` runs first; the O(k^2) report
-is built only for a rejected result, to say why.  A cone keeps a good
-verdict (`cone._verdict`), so a cone object is validated once: plans and
+Every public surgery validates its input cone and its result; `validate`
+decides a good cone in O(k), and the O(k^2) report is built only for a
+rejected result, to say why.  A cone keeps a good verdict
+(`cone._verdict`), so a cone object is validated at most once: plans and
 replays chain the public edits, and each step starts from a result that
 carries its verdict.
 """
@@ -92,8 +92,8 @@ def cut(cone: GoodCone, spec: CutSpec) -> SurgeryResult:
     (insert t at that vertex, one more closed orbit); the two edges of one
     face and nothing else is a lens blow-up (replace that face's normal by
     t, orbit count unchanged).  Anything else is rejected, as is a result
-    that is not good.  The input is validated once; the result is checked
-    in O(k) (see `_edited`).
+    that is not good.  The input and the result are validated once each
+    (see `_edited`).
     """
     require_valid(cone)
     t = spec.t
@@ -143,7 +143,7 @@ def replace_range(cone: GoodCone, rng: Sequence[int], t: Vec3) -> GoodCone:
     """Replace a contiguous run of normals by the single normal t.  The new
     half-space must contain the old cone (t pairs >= 0 with every old edge
     ray: attachment only enlarges), and the result must be good.  The input
-    is validated once; the result is checked in O(k)."""
+    and the result are validated once each."""
     require_valid(cone)
     t = tuple(int(x) for x in t)
     if not is_primitive(t):
@@ -172,10 +172,9 @@ def replace_range(cone: GoodCone, rng: Sequence[int], t: Vec3) -> GoodCone:
 def _edited(normals: List[Vec3], message: str) -> GoodCone:
     """The cone left by an edit of a good cone, or SurgeryRejected.
 
-    The result is checked with `_is_good`, in O(k), and a good result keeps
-    its verdict (`cone._verdict`).  When it is not good, or fewer than 3
-    normals remain, `validate` gives the report (or raises DegenerateInput),
-    exactly as validating the whole result would.
+    The result is validated (`cone._verdict`), in O(k) when it is good, and
+    keeps its good verdict.  When it is not good the O(k^2) report says
+    why; fewer than 3 normals raise DegenerateInput.
     """
     result = GoodCone(tuple(normals))
     report = _verdict(result)
@@ -425,7 +424,7 @@ def plan_blowdown_sequence(cone: GoodCone, keep: Sequence[int]) -> SurgeryPlan:
     and orbit blow-downs (delete the next face of the run), peeling from the
     low end.  The final cone's normals are keep ∪ {one new closing normal}.
     Every emitted step records pre/post hashes; replay verifies them.  The
-    input is validated once; each step's result is checked locally."""
+    input and each step's result are validated once each."""
     return _planned(cone, keep)[0]
 
 

@@ -1,9 +1,10 @@
 """The surgery write path against its reference implementations.
 
-* Each edit checks its result with the O(k) goodness predicate `_is_good`.
-  Every public edit is run twice: as is, and with that predicate swapped
-  in `goodcones.cone` for the full O(k^2) validation loop.  Acceptance, the returned cone and
-  the `SurgeryRejected` report (or the `DegenerateInput`) must agree.
+* Each edit validates its result, and `validate` decides a good cone with
+  the O(k) goodness predicate `_is_good`.  Every public edit is run twice:
+  as is, and with that predicate swapped in `goodcones.cone` for the full
+  O(k^2) validation loop.  Acceptance, the returned cone and the
+  `SurgeryRejected` report (or the `DegenerateInput`) must agree.
 * The blow-down search scans only the points of Theta(i).  Test-local
   copies of the former scans, which filter the whole (2r+1)^3 box and the
   whole (2r+1)^2 square of the constraint slice, must give the same first

@@ -2,13 +2,13 @@
 Each public entry of the Reeb, Euler, graph and surgery layers, the CLI's
 SVG renderer and the CLI commands that read a document validate a cone
 that no call has seen exactly once, and a repeated call on the same
-objects validates 0 times.  The Reeb-layer entries share the one-pair slot
+objects does not validate them again.  The Reeb-layer entries share the one-pair slot
 of `goodcones.reeb`, which holds only facts of the pair: a call on another
 pair evicts it, so A, B, A validates 2 times and builds the profile 3
-times.  A surgery that succeeds checks its result with the O(k) goodness
-predicate `_is_good`, without `validate`, and the result keeps that
-verdict, so the next surgery on it validates 0 times.  A cone that is not
-good is never recorded.  No good cone reaches the O(k^2) report.
+times.  A surgery also validates each cone it builds once, in O(k) as the
+result is good, and the result keeps that verdict, so the next surgery on
+it validates 0 times.  A cone that is not good is never recorded.  No good
+cone reaches the O(k^2) report.
 
 The verdict and R's cleared parts are invisible: they take no part in ==,
 hash or repr, and they survive copies and pickling."""
@@ -96,6 +96,14 @@ ENTRIES = {
     "plan_blowdown_sequence": lambda c, r: plan_blowdown_sequence(c, [0, 4, 5]),
     "replay": lambda c, r: replay(PLAN, c),
 }
+# The cones each surgery entry builds, and so validates, besides its input.
+BUILT = {
+    "cut": 1,
+    "blowdown_delete": 1,
+    "replace_range": 1,
+    "plan_blowdown_sequence": 4,
+    "replay": 4,
+}
 
 
 CLI_COMMANDS = {
@@ -128,16 +136,19 @@ def test_public_entry_validates_once(monkeypatch, name):
     pair = fresh_pair(name)
     calls = count_validate(monkeypatch)
     ENTRIES[name](*pair)
-    assert calls == [pair[0]]
+    assert calls[0] is pair[0]
+    assert len(calls) == 1 + BUILT.get(name, 0)
+    assert len({id(c) for c in calls}) == len(calls)
 
 
 @pytest.mark.parametrize("name", sorted(ENTRIES))
-def test_repeated_call_on_the_same_objects_validates_zero_times(monkeypatch, name):
+def test_repeated_call_validates_only_the_cones_it_builds(monkeypatch, name):
     pair = fresh_pair(name)
     first = ENTRIES[name](*pair)
     calls = count_validate(monkeypatch)
     assert ENTRIES[name](*pair) == first
-    assert calls == []
+    assert len(calls) == BUILT.get(name, 0)
+    assert all(c is not pair[0] for c in calls)
 
 
 @pytest.mark.parametrize("name", sorted(READ_ENTRIES))
@@ -161,13 +172,14 @@ def test_surgery_results_are_not_validated_again(monkeypatch):
     calls = count_validate(monkeypatch)
     cone = GoodCone(CONE.normals)
     blown = cut(cone, ORBIT_CUT).cone
-    assert calls == [cone]
+    assert len(calls) == 2 and calls[0] is cone and calls[1] is blown
     assert blowdown_delete(blown, 3) == CONE
     assert replace_range(blown, [2, 3], CONE.normal(2)) == CONE
     assert find_blowdown_normal(blown, 3) is not None
     final = plan_blowdown_sequence(blown, [0, 5, 6])
     assert replay(final, blown) == replay(final, GoodCone(blown.normals))
-    assert len(calls) == 2 and calls[1] is not blown
+    assert [c for c in calls if c is cone or c is blown] == [cone, blown]
+    assert len({id(c) for c in calls}) == len(calls)
 
 
 def test_find_at_every_face_validates_once(monkeypatch):
@@ -209,7 +221,9 @@ def test_cli_command_validates_once(monkeypatch, tmp_path, capsys, command):
     calls = count_validate(monkeypatch)
     assert run([command, str(path), *CLI_COMMANDS[command]]) == 0
     capsys.readouterr()
-    assert len(calls) == 1
+    # `plan` also validates the four cones its steps build.
+    assert len(calls) == 1 + 4 * (command == "plan")
+    assert len({id(c) for c in calls}) == len(calls)
 
 
 def test_good_cones_never_reach_the_quadratic_report(monkeypatch):
@@ -246,6 +260,7 @@ def test_a_cone_with_a_verdict_equals_a_fresh_copy():
 def test_a_reeb_vector_equals_a_fresh_copy():
     R = ReebVector((Fraction(1, 2), Fraction(3, 4), 5), (0, Fraction(1, 3), Fraction(-2, 9)), 3)
     assert (R.P, R.Q, R.den) == ((18, 27, 180), (0, 12, -8), 36)
+    assert [f.name for f in fields(ReebVector)] == ["p", "q", "d"]
     fresh = ReebVector(R.p, R.q, R.d)
     assert repr(R) == f"ReebVector(p={R.p!r}, q={R.q!r}, d=3)"
     for twin in (fresh, copy.copy(R), pickle.loads(pickle.dumps(R))):
@@ -259,8 +274,8 @@ def test_recorded_verdicts_agree_with_validate(monkeypatch, rnd):
     seen = []
     original = goodcones.surgery._verdict
 
-    def recording(cone, *args):
-        report = original(cone, *args)
+    def recording(cone):
+        report = original(cone)
         seen.append(cone)
         return report
 
