@@ -2,7 +2,9 @@
 quotients and lens spaces, critical-level jumps, chain sums, and the global
 Euler-sum identity on a good cone with a rank-2 Reeb vector.
 
-All outputs are Fractions; nothing here touches floating point.
+All outputs are Fractions; nothing here touches floating point.  Chain
+sums run in Z over one running lcm denominator (`exactnum.ratio_sum`), and a
+Fraction, like a QuadNumber in `reeb`, is built only for a returned value.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .cone import GoodCone, InvalidCone
-from .exactnum import Vec3, det3
+from .exactnum import Vec3, det3, ratio_sum
 from .reeb import (
     ArcDecomposition,
     Extreme,
@@ -110,18 +112,18 @@ class ChainDescriptor:
 
 def chain_euler_sum(chain: ChainDescriptor) -> Tuple[Fraction, int]:
     """Sum of a_{i,i+1}/(k_i k_{i+1}) along the chain, together with the
-    positive integer d with sum = d / lcm(k_1, k_l)."""
-    total = sum(
-        (critical_jump(chain.a[i], chain.k[i], chain.k[i + 1]) for i in range(len(chain.a))),
-        Fraction(0),
-    )
-    lcm = math.lcm(chain.k[0], chain.k[-1])
-    d = total * lcm
-    if d.denominator != 1 or d <= 0:
+    positive integer d with sum = d / lcm(k_1, k_l).  The sum runs in Z over
+    the running lcm of the k_i k_{i+1} (`ratio_sum`); the Fraction is built
+    for the returned value only."""
+    k = chain.k
+    num, den = ratio_sum(zip(chain.a, [x * y for x, y in zip(k, k[1:])]))
+    lcm = math.lcm(k[0], k[-1])
+    d, rem = divmod(num * lcm, den)
+    if rem or d <= 0:
         raise ChainDataError(
-            f"chain sum {total} times lcm {lcm} is not a positive integer"
+            f"chain sum {Fraction(num, den)} times lcm {lcm} is not a positive integer"
         )
-    return total, int(d)
+    return Fraction(num, den), d
 
 
 # ---------------------------------------------------------------------------
@@ -288,17 +290,20 @@ def evaluate_identity(data: IdentityData) -> EulerReport:
                     kind="jump", location=(lo, hi), a=a, k=(k1, k2), value=val
                 )
             )
-        rhs += sum(jumps, Fraction(0))
         if jumps:
             lcm = math.lcm(k[arc[0]], k[arc[-1]])
             try:
-                _, d = chain_euler_sum(
+                total, d = chain_euler_sum(
                     ChainDescriptor(k=tuple(k[f] for f in arc), a=tuple(a_list))
                 )
                 per_chain.append((idx, d, lcm))
             except ChainDataError:
+                # A k-table that breaks integrality (a negative control) has
+                # no d, but its chain still adds its jumps to the rhs.
+                total = sum(jumps, Fraction(0))
                 ok = False
                 per_chain.append((idx, 0, lcm))
+            rhs += total
     ok = ok and lhs == rhs and all(d >= 1 for _, d, _ in per_chain)
     return EulerReport(
         lhs=lhs, rhs=rhs, per_chain=tuple(per_chain), ok=ok, terms=tuple(terms)

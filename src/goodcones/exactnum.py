@@ -60,8 +60,10 @@ def _discriminant_fault(d: int) -> Optional[str]:
 class QuadNumber:
     """Element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
 
-    d is a square-free integer >= 2, fixed per value; mixing discriminants
-    raises TypeError.  Signs are decided by `quad_sign` on integers.
+    d is a square-free integer >= 2, fixed per value; arithmetic and order
+    across discriminants raise TypeError, while == across them holds only
+    for equal rationals, as Q(sqrt(d1)) and Q(sqrt(d2)) meet in Q.  Signs
+    are decided by `quad_sign` on integers.
     """
 
     rat: Fraction
@@ -167,6 +169,9 @@ class QuadNumber:
         return (a + root) // den
 
     def __eq__(self, other):
+        if isinstance(other, QuadNumber) and other.d != self.d:
+            # only rationals agree, which keeps == in step with __hash__
+            return self.irr == 0 == other.irr and self.rat == other.rat
         o = self._coerce(other)
         if o is NotImplemented:
             return NotImplemented
@@ -178,16 +183,20 @@ class QuadNumber:
         return hash((self.rat, self.irr, self.d))
 
     def __lt__(self, other):
-        return (self - self._coerce(other)).sign() < 0
+        o = self._coerce(other)
+        return o if o is NotImplemented else (self - o).sign() < 0
 
     def __le__(self, other):
-        return (self - self._coerce(other)).sign() <= 0
+        o = self._coerce(other)
+        return o if o is NotImplemented else (self - o).sign() <= 0
 
     def __gt__(self, other):
-        return (self - self._coerce(other)).sign() > 0
+        o = self._coerce(other)
+        return o if o is NotImplemented else (self - o).sign() > 0
 
     def __ge__(self, other):
-        return (self - self._coerce(other)).sign() >= 0
+        o = self._coerce(other)
+        return o if o is NotImplemented else (self - o).sign() >= 0
 
     def __float__(self):
         # Presentation only (SVG coordinates); never used in decisions.
@@ -303,21 +312,38 @@ def least_denominator(lo, lo_open: bool, hi, hi_open: bool) -> Optional[int]:
     integer lies in (n, n + 1), and x -> 1 / (x - n) maps it onto one in
     (1, inf] whose least numerator is the least denominator sought; that
     least numerator is reached at the least integer of the last interval.
-    The steps are as many as the continued fraction of an end has terms."""
-    lo, hi = Fraction(lo), Fraction(hi)
-    if lo > hi or (lo == hi and (lo_open or hi_open)):
+    The steps are as many as the continued fraction of an end has terms.
+    The ends are carried as integer pairs (num, den), den > 0 except for an
+    infinite upper end (num > 0, den = 0), so the descent runs in Z."""
+    lo, hi = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (lo, hi))
+    a, b, c, e = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    if a * e > c * b or (a * e == c * b and (lo_open or hi_open)):
         return None
     # x = (A z + B) / (C z + D), unimodular, maps the current interval back
     # to the original, so the denominator of x is C z + D.
     C, D = 0, 1
     while True:
-        n = math.floor(lo)
-        z = n + 1 if lo_open or n < lo else n
-        if hi is None or z < hi or (z == hi and not hi_open):
+        n = a // b
+        z = n + 1 if lo_open or n * b < a else n
+        # An infinite upper end (c > 0, e = 0) passes the first test.
+        if z * e < c or (z * e == c and not hi_open):
             return C * z + D
         C, D = C * n + D, C
-        inv_lo = None if lo == n else 1 / (lo - n)
-        lo, lo_open, hi, hi_open = 1 / (hi - n), hi_open, inv_lo, lo_open
+        # The new ends 1 / (hi - n) and 1 / (lo - n), the latter (b, 0) with
+        # b > 0, an infinite end, when lo = n.
+        a, b, c, e = e, c - n * e, b, a - n * b
+        lo_open, hi_open = hi_open, lo_open
+
+
+def ratio_sum(terms) -> Tuple[int, int]:
+    """(num, den) with num / den the sum of a / b over the integer pairs
+    (a, b), b > 0, of `terms`, kept over the running lcm of the b: the sum
+    runs in Z, and num / den need not be in lowest terms."""
+    num, den = 0, 1
+    for a, b in terms:
+        g = math.gcd(den, b)
+        num, den = num * (b // g) + a * (den // g), den // g * b
+    return num, den
 
 
 def solve_dot_one(v: Vec3) -> Vec3:

@@ -19,8 +19,11 @@ parts, R = (P + sqrt(d) Q) / den with den > 0, so that R . e is
 (P . e + sqrt(d) Q . e) / den.  Every sign and every order (admissibility,
 the ranking of vertices by Ybar-moment, the arcs) is then decided in Z by
 `quad_sign`, and a determinant against R is the pair of integer
-determinants against P and Q.  A QuadNumber is built only for a value that
-a public function returns: polygon vertices, widths, slopes, residuals.
+determinants against P and Q; the rank is read off P x Q.  The
+transverse-circle descent and every intermediate sum also run in Z, the
+residual's over one running lcm denominator (`ratio_sum`).  A Fraction,
+like a QuadNumber, is built only for a value that a public function
+returns: polygon vertices, widths, slopes, residuals.
 
 One slot.  A fact of one object lives on that object: a cone keeps its
 goodness verdict (`cone._verdict`) and R its cleared parts.  The module
@@ -63,8 +66,8 @@ from .exactnum import (
     least_denominator,
     plane_lattice_basis,
     primitive_part,
-    quad,
     quad_sign,
+    ratio_sum,
     solve_dot_one,
     vec_add,
     vec_scale,
@@ -112,9 +115,11 @@ def reeb_from_vectors(p, q, d: int = 2) -> ReebVector:
 
 
 def rank_of(R: ReebVector) -> int:
-    """1 if R is a real multiple of a rational vector (p and q parallel),
-    2 otherwise.  The quadratic-field representation bounds the rank by 2."""
-    return 1 if cross(R.p, R.q) == (0, 0, 0) else 2
+    """1 if R is a real multiple of a rational vector, that is if the
+    cleared integer parts P = den p and Q = den q are parallel
+    (P x Q = 0), and 2 otherwise.  The quadratic-field representation
+    bounds the rank by 2."""
+    return 1 if cross(R.P, R.Q) == (0, 0, 0) else 2
 
 
 _RANK_2_ONLY = "v0 is only defined for rank-2 Reeb vectors"
@@ -376,15 +381,18 @@ def _transverse_circle(profile: IsotropyProfile, rays) -> Vec3:
     """On a side {(sigma r, t)} or {(t, sigma r)}, |t| <= r, of the square
     of radius r the constraints confine t / r to an interval, so the least
     r with a point on that side is the least denominator of a fraction in
-    it.  A point of least radius is primitive: dividing it by a common
-    factor would give a feasible point of smaller radius."""
+    it.  The bounds are kept as integer pairs, and each side hands its two
+    ends to `least_denominator` as Fractions.  A point of least radius is
+    primitive: dividing it by a common factor would give a feasible point
+    of smaller radius."""
     u1, u2 = profile.lieG_basis
     pairs = [(dot(u1, e), dot(u2, e)) for e in rays]
     found = []
     for sigma in (-1, 1):
         for first in (True, False):
-            # Each constraint reads alpha + beta x > 0 for x = t / r in [-1, 1].
-            lo, lo_open, hi, hi_open = Fraction(-1), False, Fraction(1), False
+            # Each constraint reads alpha + beta x > 0 for x = t / r in [-1, 1];
+            # x is bounded by lo = ln / ld and hi = hn / hd with ld, hd > 0.
+            ln, ld, lo_open, hn, hd, hi_open = -1, 1, False, 1, 1, False
             for c1, c2 in pairs:
                 alpha, beta = (sigma * c1, c2) if first else (sigma * c2, c1)
                 if beta == 0:
@@ -392,14 +400,15 @@ def _transverse_circle(profile: IsotropyProfile, rays) -> Vec3:
                         break
                     continue
                 # -alpha / beta against a bound, cross-multiplied in Z
-                if beta > 0 and -alpha * lo.denominator >= lo.numerator * beta:
-                    lo, lo_open = Fraction(-alpha, beta), True
-                elif beta < 0 and -alpha * hi.denominator >= hi.numerator * beta:
-                    hi, hi_open = Fraction(-alpha, beta), True
+                if beta > 0 and -alpha * ld >= ln * beta:
+                    ln, ld, lo_open = -alpha, beta, True
+                elif beta < 0 and -alpha * hd >= hn * beta:
+                    hn, hd, hi_open = alpha, -beta, True
             else:
-                q = least_denominator(lo, lo_open, hi, hi_open)
+                q = least_denominator(Fraction(ln, ld), lo_open, Fraction(hn, hd), hi_open)
                 if q is not None:
-                    t = math.floor(lo * q) + 1 if lo_open else math.ceil(lo * q)
+                    # the least t with t / q above lo; a closed lo is still -1
+                    t = ln * q // ld + 1 if lo_open else -q
                     found.append((q, (sigma * q, t) if first else (t, sigma * q)))
     _, (a, b) = min(found)
     return vec_add(vec_scale(a, u1), vec_scale(b, u2))
@@ -619,22 +628,20 @@ def closure_identity_residual(
     with arcs ordered by increasing Ybar-moment (chain 1 = negative arc;
     these are sign labels, not the geometric labels of
     `euler.evaluate_identity`).  Ybar must be a transverse circle
-    (`_checked_ybar`); any other vector raises DegenerateInput.
+    (`_checked_ybar`); any other vector raises DegenerateInput.  The terms
+    are summed in Z, and a Fraction is built only for the result.
     """
     profile, ybar, arcs = _arc_data(cone, R, ybar)
     signs = profile.signed(cone)
 
-    def term(f1, f2):
-        return Fraction(
-            det3(cone.normal(f1), cone.normal(f2), ybar),
-            abs(signs[f1]) * abs(signs[f2]),
-        )
+    def term(sgn, f1, f2):
+        det = det3(cone.normal(f1), cone.normal(f2), ybar)
+        return sgn * det, abs(signs[f1] * signs[f2])
 
     if not arcs.neg_arc or not arcs.pos_arc:
         raise InvalidCone("arc decomposition degenerate: empty boundary chain")
     c1, c2 = arcs.neg_arc, arcs.pos_arc
-    total = term(c2[-1], c1[-1]) + term(c1[0], c2[0])
-    for sgn, arc in ((1, c1), (-1, c2)):
-        for a, b in zip(arc, arc[1:]):
-            total -= sgn * term(b, a)
-    return quad(total, 0, R.d)
+    terms = [term(1, c2[-1], c1[-1]), term(1, c1[0], c2[0])]
+    for sgn, arc in ((-1, c1), (1, c2)):
+        terms += [term(sgn, b, a) for a, b in zip(arc, arc[1:])]
+    return QuadNumber(Fraction(*ratio_sum(terms)), Fraction(0), R.d)

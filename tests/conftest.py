@@ -3,11 +3,12 @@ blow-ups from unimodular images of the simplicial cone, random admissible
 rank-2 Reeb vectors, and random unimodular matrices."""
 
 import random
+import warnings
 
 import pytest
 
 from goodcones.cone import GoodCone, face_invariants, load_cone, validate
-from goodcones.exactnum import delzant_witness, mat_vec, vec_add, vec_scale
+from goodcones.exactnum import delzant_witness, det3, mat_vec, vec_add, vec_scale
 from goodcones.graph import LensBundleDescriptor, germ_profile, reversed_euler_residue
 from goodcones.reeb import (
     _lie_g_integers,
@@ -61,6 +62,20 @@ def sl3_image(u, cone, reeb):
     rays move by u^{-T}, so goodness and admissibility are kept."""
     image = GoodCone(tuple(mat_vec(u, n) for n in cone.normals))
     return image, reeb_from_vectors(mat_vec(u, reeb.p), mat_vec(u, reeb.q), reeb.d)
+
+
+def load_gl3_image(u, cone):
+    """`load_cone` of the normals moved by u in GL(3, Z).  The cone's own
+    normals follow the orientation convention, so `load_cone` reverses the
+    image's, with its warning, exactly when det u < 0: that warning is
+    asserted there, and any warning raises elsewhere."""
+    normals = [mat_vec(u, n) for n in cone.normals]
+    if det3(*u) < 0:
+        with pytest.warns(UserWarning, match="normals reversed"):
+            return load_cone(normals)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        return load_cone(normals)
 
 
 def orbit_cut_normal(cone, v, a, b):

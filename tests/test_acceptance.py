@@ -13,7 +13,6 @@ from goodcones.cone import (
     GoodCone,
     can_blowdown_to_orbit,
     face_invariants,
-    load_cone,
     validate,
 )
 from goodcones.construct import (
@@ -56,6 +55,7 @@ from goodcones.surgery import (
 
 from conftest import (
     lens_cut_normal,
+    load_gl3_image,
     random_admissible_rank2_reeb,
     random_gl3,
     random_good_cone,
@@ -236,7 +236,7 @@ def test_criterion_8_graph_invariances():
     g = extract_graph(cone, reeb)
     for trial in range(200):
         u = random_gl3(rnd)
-        cone2 = load_cone([mat_vec(u, n) for n in cone.normals])
+        cone2 = load_gl3_image(u, cone)
         reeb2 = reeb_from_vectors(mat_vec(u, tuple(reeb.p)), mat_vec(u, tuple(reeb.q)))
         assert isomorphic(g, extract_graph(cone2, reeb2)), trial
     instances = [(example_family(k)) for k in range(2, 6)]

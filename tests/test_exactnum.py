@@ -1,4 +1,5 @@
 import math
+import operator
 import random
 import re
 from decimal import Decimal, getcontext
@@ -338,6 +339,33 @@ def test_quadnumber_discriminants_do_not_mix():
         quad(1, 1, 2) + quad(1, 1, 3)
     with pytest.raises(ValueError):
         quad(1, 1, 4)
+
+
+@pytest.mark.parametrize(
+    "symbol, op", [("<", operator.lt), ("<=", operator.le), (">", operator.gt), (">=", operator.ge)]
+)
+def test_quadnumber_order_with_an_unsupported_operand(symbol, op):
+    # The standard "not supported" TypeError, from either side.
+    for left, right in ((quad(1), "a"), ("a", quad(1)), (quad(1, 1, 3), None)):
+        with pytest.raises(TypeError, match=f"'{symbol}' not supported"):
+            op(left, right)
+    with pytest.raises(TypeError, match="mixed discriminants"):
+        op(quad(1, 1, 2), quad(1, 1, 3))
+
+
+def test_quadnumber_equality_and_hash_across_discriminants():
+    mixed = [quad(1, 0, 2), quad(1, 0, 3), quad(Fraction(1, 2), 0, 5), Fraction(1, 2), 1,
+             quad(1, 1, 2), quad(1, 1, 3), quad(0, 1, 2), quad(0, 1, 3), quad(0, 0, 7), 0]
+    assert quad(1, 0, 2) == quad(1, 0, 3) and quad(0, 0, 2) == quad(0, 0, 5)
+    assert quad(1, 1, 2) != quad(1, 1, 3) and quad(1, 0, 2) != quad(2, 0, 3)
+    assert quad(0, 1, 2) != quad(0, 1, 3) and quad(1, 0, 2) != quad(1, 1, 3)
+    for x in mixed:
+        for y in mixed:
+            if x == y:
+                assert hash(x) == hash(y), (x, y)
+    # Rationals collapse to one element whatever their field.
+    assert {quad(1, 0, 2), quad(1, 0, 3), 1} == {1}
+    assert len(set(mixed)) == 7
 
 
 def old_is_square_free(d):

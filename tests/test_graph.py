@@ -34,6 +34,7 @@ from goodcones.reeb import (
 
 from conftest import (
     bundle_from_cone,
+    load_gl3_image,
     random_admissible_rank2_reeb,
     random_gl3,
     random_good_cone,
@@ -131,7 +132,7 @@ def test_extraction_equivariance_mixed_gl3(rnd):
     g = extract_graph(FAMILY2, R_FAMILY2)
     for trial in range(50):
         u = random_gl3(rnd)
-        cone2 = load_cone([mat_vec(u, n) for n in FAMILY2.normals])
+        cone2 = load_gl3_image(u, FAMILY2)
         r2 = reeb_from_vectors(
             mat_vec(u, tuple(R_FAMILY2.p)), mat_vec(u, tuple(R_FAMILY2.q))
         )

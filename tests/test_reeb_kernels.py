@@ -9,7 +9,12 @@ copy of its old triple loop.  The vertex ranking, a private kernel, is
 checked directly: ties decide nothing on valid cones, where they come only
 from flat faces, so the arcs alone would not show a tie ranked apart.  The
 cleared parts a ReebVector carries are checked against a copy of the
-clearing function they replaced."""
+clearing function they replaced.  The transverse circle, its
+least-denominator descent, the closure residual and the chain sums run on
+integer pairs; each is checked against a copy of its Fraction version on
+the same corpus, and the descent also on ends of up to 4096 bits.  A
+Fraction is built only for a returned value, so the number built does not
+grow with the number of faces."""
 
 import math
 import random
@@ -18,19 +23,35 @@ from functools import cmp_to_key
 
 import pytest
 
+import goodcones.euler as euler_module
+import goodcones.reeb as reeb_module
 from goodcones.cone import GoodCone, ValidityReport, edge_rays, validate
 from goodcones.construct import example_family, obstructed_family
+from goodcones.euler import (
+    ChainDataError,
+    ChainDescriptor,
+    build_identity_data,
+    chain_euler_sum,
+    critical_jump,
+    evaluate_identity,
+    verify_global_identity,
+)
 from goodcones.exactnum import (
     QuadNumber,
+    cross,
     det3,
     dot,
     is_delzant_pair,
+    least_denominator,
     quad,
     quad_sign,
     solve_dot_one,
+    vec_add,
+    vec_scale,
 )
 from goodcones.reeb import (
     _moment_ranks,
+    _transverse_circle,
     arc_decomposition,
     choose_transverse_circle,
     closure_identity_residual,
@@ -38,6 +59,7 @@ from goodcones.reeb import (
     face_slope,
     is_admissible,
     isotropy_profile,
+    rank_of,
     reeb_from_vectors,
     slope_change,
     width_of_flat_face,
@@ -198,6 +220,106 @@ def old_slope_change(profile, R, ybar, n, np):
     return num / (quad(s, 0, R.d) * det_g(profile, R, ybar))
 
 
+def old_least_denominator(lo, lo_open, hi, hi_open, infinite_steps=None):
+    """`least_denominator` on Fractions, as it was; each step at which the
+    upper end becomes infinite is appended to `infinite_steps`."""
+    lo, hi = Fraction(lo), Fraction(hi)
+    if lo > hi or (lo == hi and (lo_open or hi_open)):
+        return None
+    C, D = 0, 1
+    while True:
+        n = math.floor(lo)
+        z = n + 1 if lo_open or n < lo else n
+        if hi is None or z < hi or (z == hi and not hi_open):
+            return C * z + D
+        C, D = C * n + D, C
+        inv_lo = None if lo == n else 1 / (lo - n)
+        if inv_lo is None and infinite_steps is not None:
+            infinite_steps.append((lo, hi))
+        lo, lo_open, hi, hi_open = 1 / (hi - n), hi_open, inv_lo, lo_open
+
+
+def old_transverse_circle(profile, rays):
+    """`reeb._transverse_circle` with its bounds kept as Fractions."""
+    u1, u2 = profile.lieG_basis
+    pairs = [(dot(u1, e), dot(u2, e)) for e in rays]
+    found = []
+    for sigma in (-1, 1):
+        for first in (True, False):
+            lo, lo_open, hi, hi_open = Fraction(-1), False, Fraction(1), False
+            for c1, c2 in pairs:
+                alpha, beta = (sigma * c1, c2) if first else (sigma * c2, c1)
+                if beta == 0:
+                    if alpha <= 0:
+                        break
+                    continue
+                if beta > 0 and -alpha * lo.denominator >= lo.numerator * beta:
+                    lo, lo_open = Fraction(-alpha, beta), True
+                elif beta < 0 and -alpha * hi.denominator >= hi.numerator * beta:
+                    hi, hi_open = Fraction(-alpha, beta), True
+            else:
+                q = old_least_denominator(lo, lo_open, hi, hi_open)
+                if q is not None:
+                    t = math.floor(lo * q) + 1 if lo_open else math.ceil(lo * q)
+                    found.append((q, (sigma * q, t) if first else (t, sigma * q)))
+    _, (a, b) = min(found)
+    return vec_add(vec_scale(a, u1), vec_scale(b, u2))
+
+
+def old_fraction_residual(cone, R, profile, arcs, ybar):
+    """`closure_identity_residual` summing Fractions term by term."""
+    signs = profile.signed(cone)
+
+    def term(f1, f2):
+        return Fraction(
+            det3(cone.normal(f1), cone.normal(f2), ybar),
+            abs(signs[f1]) * abs(signs[f2]),
+        )
+
+    c1, c2 = arcs.neg_arc, arcs.pos_arc
+    total = term(c2[-1], c1[-1]) + term(c1[0], c2[0])
+    for sgn, arc in ((1, c1), (-1, c2)):
+        for a, b in zip(arc, arc[1:]):
+            total -= sgn * term(b, a)
+    return quad(total, 0, R.d)
+
+
+def old_chain_euler_sum(chain):
+    """`chain_euler_sum` summing the jump Fractions; returns (total, d), or
+    the message of the ChainDataError it raised."""
+    total = sum(
+        (critical_jump(chain.a[i], chain.k[i], chain.k[i + 1]) for i in range(len(chain.a))),
+        Fraction(0),
+    )
+    lcm = math.lcm(chain.k[0], chain.k[-1])
+    d = total * lcm
+    if d.denominator != 1 or d <= 0:
+        return f"chain sum {total} times lcm {lcm} is not a positive integer"
+    return total, int(d)
+
+
+def new_chain_euler_sum(chain):
+    try:
+        return chain_euler_sum(chain)
+    except ChainDataError as err:
+        return str(err)
+
+
+def report_chains(report):
+    """The chains of an Euler report, rebuilt from its jump terms: each chain
+    lists its jumps in arc order, and the two chains share no face."""
+    chains = []
+    for t in report.terms:
+        if t.kind != "jump":
+            continue
+        if chains and chains[-1][0][-1] == t.location[0]:
+            faces, k, a = chains[-1]
+            chains[-1] = (faces + [t.location[1]], k + [t.k[1]], a + [t.a])
+        else:
+            chains.append(([*t.location], [*t.k], [t.a]))
+    return [ChainDescriptor(k=tuple(k), a=tuple(a)) for _, k, a in chains]
+
+
 # ---------------------------------------------------------------------------
 # Corpus.
 # ---------------------------------------------------------------------------
@@ -233,6 +355,8 @@ def test_cleared_parts_match_the_old_clearing():
     for _, (_, R) in CASES:
         for other in [rescaled(R, a, b) for a, b in scales]:
             assert (other.P, other.Q, other.den) == old_clear(other), other
+            # rank_of reads the cleared parts; p x q is the rational route
+            assert rank_of(other) == (1 if cross(other.p, other.q) == (0, 0, 0) else 2)
             dens.add(other.den)
     assert 1 in dens and max(dens) >= 77
 
@@ -282,6 +406,125 @@ def test_read_path_matches_quadratic_field_routes(cone, R, scale):
             )
         if profile.k[i]:
             assert face_slope(profile, R, ybar, n) == old_face_slope(profile, R, ybar, n)
+
+
+@pytest.mark.parametrize("cone, R", [c for _, c in CASES], ids=[n for n, _ in CASES])
+@pytest.mark.parametrize("scale", [(1, 1), (Fraction(3, 7), Fraction(5, 11))], ids=["R", "scaled"])
+def test_integer_sums_match_fraction_routes(cone, R, scale):
+    R = rescaled(R, *scale)
+    profile = isotropy_profile(cone, R)
+    ybar = choose_transverse_circle(cone, R)
+    assert ybar == old_transverse_circle(profile, edge_rays(cone))
+
+    arcs = arc_decomposition(cone, R, ybar)
+    residual = closure_identity_residual(cone, R, ybar)
+    assert repr(residual) == repr(old_fraction_residual(cone, R, profile, arcs, ybar))
+    assert residual.is_zero()
+
+    report = verify_global_identity(cone, R)
+    chains = report_chains(report)
+    assert len(chains) == len(report.per_chain)
+    old = [old_chain_euler_sum(chain) for chain in chains]
+    assert [chain_euler_sum(chain) for chain in chains] == old
+    assert [d for _, d, _ in report.per_chain] == [d for _, d in old]
+    assert report.rhs == sum((total for total, _ in old), Fraction(0))
+
+
+def test_chain_sums_match_fraction_route_on_random_chains():
+    rnd = random.Random(5)
+    raised = 0
+    for _ in range(3000):
+        length = rnd.randint(1, 9)
+        top = rnd.choice((3, 30, 2**40))
+        k = tuple(rnd.randint(1, top) for _ in range(length))
+        a = tuple(rnd.randint(1, top) for _ in range(length - 1))
+        chain = ChainDescriptor(k=k, a=a)
+        got = new_chain_euler_sum(chain)
+        assert got == old_chain_euler_sum(chain), chain
+        raised += isinstance(got, str)
+    assert 300 < raised < 2700
+
+
+def test_mutated_k_tables_keep_the_fraction_rhs():
+    """A negative control that breaks a chain's integrality: the chain has
+    no d, but its jumps still count in the rhs."""
+    broken = 0
+    for _, (cone, R) in CASES:
+        data = build_identity_data(cone, R)
+        arc = max(data.arcs.neg_arc, data.arcs.pos_arc, key=len)
+        data.k[arc[len(arc) // 2]] = 2 * data.k[arc[len(arc) // 2]] + 1
+        report = evaluate_identity(data)
+        jumps = [t.value for t in report.terms if t.kind == "jump"]
+        assert report.rhs == sum(jumps, Fraction(0))
+        old = [old_chain_euler_sum(chain) for chain in report_chains(report)]
+        assert [d for _, d, _ in report.per_chain] == [
+            0 if isinstance(x, str) else x[1] for x in old
+        ]
+        broken += sum(isinstance(x, str) for x in old)
+        assert not report.ok or not any(isinstance(x, str) for x in old)
+    assert broken >= len(CASES) // 2
+
+
+def random_end(rnd, bits):
+    return Fraction(rnd.randint(-(2**bits), 2**bits), rnd.randint(1, 2**bits))
+
+
+def test_least_denominator_matches_fraction_descent_on_large_ends():
+    rnd = random.Random(13)
+    infinite_steps = []
+    for bits in (1, 8, 64, 512, 4096):
+        for _ in range(8 if bits == 4096 else 40):
+            lo = random_end(rnd, bits)
+            gap = Fraction(1, rnd.randint(1, 2 ** (2 * bits + 2)))
+            # Ends far apart, equal, reversed, and close enough that the
+            # descent follows lo's continued fraction to its last term.
+            for hi in (random_end(rnd, bits), lo, lo - gap, lo + gap, lo.numerator):
+                for lo_open in (False, True):
+                    for hi_open in (False, True):
+                        expected = old_least_denominator(lo, lo_open, hi, hi_open, infinite_steps)
+                        assert least_denominator(lo, lo_open, hi, hi_open) == expected, (
+                            lo, lo_open, hi, hi_open,
+                        )
+    # The step at which the upper end becomes infinite, on every size.
+    assert len(infinite_steps) > 100
+    assert max(max(lo.denominator, hi.denominator) for lo, hi in infinite_steps).bit_length() > 2048
+    assert least_denominator(1, True, Fraction(3, 2), False) == 2
+    assert least_denominator(Fraction(-7, 3), False, -2, True) == 3
+
+
+def counting_fractions(monkeypatch, module):
+    """Replace `Fraction` in a module by a wrapper that records each call."""
+    built = []
+
+    def counting(*args):
+        built.append(args)
+        return Fraction(*args)
+
+    monkeypatch.setattr(module, "Fraction", counting)
+    return built
+
+
+@pytest.mark.parametrize("k", [2, 128])
+def test_fractions_are_built_only_for_returned_values(monkeypatch, k):
+    cone, R = example_family(k)
+    profile = isotropy_profile(cone, R)
+    ybar = choose_transverse_circle(cone, R)
+    arc_decomposition(cone, R, ybar)
+    chain = ChainDescriptor(k=(1,) * k, a=(1,) * (k - 1))
+
+    built = counting_fractions(monkeypatch, reeb_module)
+    assert rank_of(R) == 2
+    assert built == []
+    assert closure_identity_residual(cone, R, ybar).is_zero()
+    assert len(built) == 2
+    del built[:]
+    assert _transverse_circle(profile, edge_rays(cone)) == ybar
+    # two rational ends for each side of the square that is searched
+    assert len(built) <= 8
+
+    built = counting_fractions(monkeypatch, euler_module)
+    assert chain_euler_sum(chain) == (k - 1, k - 1)
+    assert len(built) == 1
 
 
 def test_corpus_reaches_the_large_entries_and_the_flat_faces():
