@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from .exactnum import (
     DegenerateInput,
@@ -236,34 +236,43 @@ def _convex_order(i: int, n1: Vec3, n2: Vec3, n3: Vec3) -> int:
     return b
 
 
-# The canonical witnesses of the last cone whose faces were read: the cone
+# The canonical witnesses of the last cone whose pairs were read: the cone
 # and a table whose entry j is the witness of the pair (n^j, n^{j+1}).  A
-# walk over all faces computes each pair once, and holding one cone bounds
-# the memory by one table.
+# walk over all faces, by `face_invariants` or by the blow-down search,
+# computes each pair once, and holding one cone bounds the memory by one
+# table.
 _witness_table: Tuple[object, Dict[int, Vec3]] = (None, {})
+
+
+def _pair_witness(cone: GoodCone, j: int) -> Optional[Vec3]:
+    """The canonical witness l of the pair (n^j, n^{j+1}),
+    det3(n^j, n^{j+1}, l) = 1 (`delzant_witness`), or None when the pair
+    is not Delzant; the one reader and writer of the witness table, which
+    is keyed by the identity of the cone."""
+    global _witness_table
+    owner, table = _witness_table
+    if owner is not cone:
+        table = {}
+        _witness_table = (cone, table)
+    j %= len(cone)
+    w = table.get(j)
+    if w is None:
+        w = delzant_witness(cone.normals[j], cone.normal(j + 1))
+        if w is not None:
+            table[j] = w
+    return w
 
 
 def _face_witnesses(cone: GoodCone, i: int) -> Tuple[Vec3, Vec3]:
     """The canonical witnesses (l1, l2) of face i's adjacent pairs:
     det3(n^{i-1}, n^i, l1) = 1 and det3(n^i, n^{i+1}, l2) = 1
-    (`delzant_witness`), read from the witness table of the cone, which is
-    keyed by its identity.  It does not check convexity: `gluing_matrix`
-    reads it on any triple."""
-    global _witness_table
-    owner, table = _witness_table
-    fresh = owner is not cone
-    if fresh:
-        table = {}
-    k = len(cone)
-    for j in (i % k, (i - 1) % k):
-        if j not in table:
-            w = delzant_witness(cone.normals[j], cone.normal(j + 1))
-            if w is None:
-                raise InvalidCone(f"adjacent pair at face {i} has no Delzant witness")
-            table[j] = w
-    if fresh:
-        _witness_table = (cone, table)
-    return table[(i - 1) % k], table[i % k]
+    (`_pair_witness`).  It does not check convexity: `gluing_matrix` reads
+    it on any triple."""
+    l2 = _pair_witness(cone, i)
+    l1 = _pair_witness(cone, i - 1)
+    if l1 is None or l2 is None:
+        raise InvalidCone(f"adjacent pair at face {i} has no Delzant witness")
+    return l1, l2
 
 
 def face_invariants(cone: GoodCone, i: int) -> FaceInvariants:

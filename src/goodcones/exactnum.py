@@ -62,8 +62,9 @@ class QuadNumber:
 
     d is a square-free integer >= 2, fixed per value; arithmetic and order
     across discriminants raise TypeError, while == across them holds only
-    for equal rationals, as Q(sqrt(d1)) and Q(sqrt(d2)) meet in Q.  Signs
-    are decided by `quad_sign` on integers.
+    for equal rationals, as Q(sqrt(d1)) and Q(sqrt(d2)) meet in Q.  A float
+    equals a rational value as it equals a Fraction; order against a float
+    raises TypeError.  Signs are decided by `quad_sign` on integers.
     """
 
     rat: Fraction
@@ -169,6 +170,10 @@ class QuadNumber:
         return (a + root) // den
 
     def __eq__(self, other):
+        if isinstance(other, float):
+            # as Fraction compares with a float, which keeps == in step
+            # with __hash__; a float is never irrational
+            return self.irr == 0 and self.rat == other
         if isinstance(other, QuadNumber) and other.d != self.d:
             # only rationals agree, which keeps == in step with __hash__
             return self.irr == 0 == other.irr and self.rat == other.rat
@@ -306,7 +311,20 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
 
 def least_denominator(lo, lo_open: bool, hi, hi_open: bool) -> Optional[int]:
     """Least q >= 1 such that some p / q lies in the interval from lo to hi
-    (rational ends, each open or closed); None when it is empty.
+    (rational ends, each open or closed); None when it is empty.  The
+    descent is `least_denominator_of_pairs` on the ends' numerators and
+    denominators."""
+    lo, hi = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (lo, hi))
+    return least_denominator_of_pairs(
+        lo.numerator, lo.denominator, lo_open, hi.numerator, hi.denominator, hi_open
+    )
+
+
+def least_denominator_of_pairs(
+    a: int, b: int, lo_open: bool, c: int, e: int, hi_open: bool
+) -> Optional[int]:
+    """`least_denominator` of the interval from a / b to c / e, b, e > 0,
+    neither pair need be in lowest terms.
 
     Continued-fraction (Stern–Brocot) descent: an interval holding no
     integer lies in (n, n + 1), and x -> 1 / (x - n) maps it onto one in
@@ -314,9 +332,9 @@ def least_denominator(lo, lo_open: bool, hi, hi_open: bool) -> Optional[int]:
     least numerator is reached at the least integer of the last interval.
     The steps are as many as the continued fraction of an end has terms.
     The ends are carried as integer pairs (num, den), den > 0 except for an
-    infinite upper end (num > 0, den = 0), so the descent runs in Z."""
-    lo, hi = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (lo, hi))
-    a, b, c, e = lo.numerator, lo.denominator, hi.numerator, hi.denominator
+    infinite upper end (num > 0, den = 0), so the descent runs in Z; every
+    test compares cross products, so a common factor of a pair changes
+    nothing."""
     if a * e > c * b or (a * e == c * b and (lo_open or hi_open)):
         return None
     # x = (A z + B) / (C z + D), unimodular, maps the current interval back

@@ -63,7 +63,7 @@ from .exactnum import (
     cross_primitive,
     det3,
     dot,
-    least_denominator,
+    least_denominator_of_pairs,
     plane_lattice_basis,
     primitive_part,
     quad_sign,
@@ -381,8 +381,8 @@ def _transverse_circle(profile: IsotropyProfile, rays) -> Vec3:
     """On a side {(sigma r, t)} or {(t, sigma r)}, |t| <= r, of the square
     of radius r the constraints confine t / r to an interval, so the least
     r with a point on that side is the least denominator of a fraction in
-    it.  The bounds are kept as integer pairs, and each side hands its two
-    ends to `least_denominator` as Fractions.  A point of least radius is
+    it.  The bounds are kept as integer pairs, and each side hands them to
+    `least_denominator_of_pairs` as they are.  A point of least radius is
     primitive: dividing it by a common factor would give a feasible point
     of smaller radius."""
     u1, u2 = profile.lieG_basis
@@ -405,7 +405,7 @@ def _transverse_circle(profile: IsotropyProfile, rays) -> Vec3:
                 elif beta < 0 and -alpha * hd >= hn * beta:
                     hn, hd, hi_open = alpha, -beta, True
             else:
-                q = least_denominator(Fraction(ln, ld), lo_open, Fraction(hn, hd), hi_open)
+                q = least_denominator_of_pairs(ln, ld, lo_open, hn, hd, hi_open)
                 if q is not None:
                     # the least t with t / q above lo; a closed lo is still -1
                     t = ln * q // ld + 1 if lo_open else -q

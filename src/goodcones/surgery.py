@@ -15,20 +15,18 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
-from .cone import GoodCone, _verdict, edge_rays, require_valid
+from .cone import GoodCone, _pair_witness, _verdict, edge_rays, require_valid
 from .exactnum import (
     DegenerateInput,
     QuadNumber,
     SearchExhausted,
     Vec3,
     cramer_rows,
-    delzant_witness,
     det3,
     dot,
     is_delzant_pair,
@@ -77,11 +75,10 @@ class SurgeryResult:
 
 
 def cone_hash(cone: GoodCone) -> str:
-    payload = json.dumps(
-        {"normals": [list(n) for n in cone.normals]},
-        sort_keys=True,
-        separators=(",", ":"),
-    )
+    """SHA-256 of the cone's JSON text '{"normals":[[a,b,c],...]}', the
+    text `json.dumps` writes with sorted keys and no spaces, built
+    directly."""
+    payload = '{"normals":[' + ",".join([f"[{a},{b},{c}]" for a, b, c in cone.normals]) + "]}"
     return hashlib.sha256(payload.encode()).hexdigest()
 
 
@@ -305,15 +302,21 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
     set t = s1 x + s2 y + z (x = n^{i-1}, y = n^i, z a Delzant witness of
     (x, y)); pick s-parameters so t's first coordinate is (up to sign) a
     prime avoiding the two obstructing minors, then test the three listed
-    shifts."""
-    n_next, n_next2 = cone.normal(i + 1), cone.normal(i + 2)
-    w = delzant_witness(n_next, n_next2)
-    wz = delzant_witness(cone.normal(i - 1), cone.normal(i))
+    shifts.
+
+    The two witnesses, of the pairs (n^{i+1}, n^{i+2}) and (n^{i-1}, n^i),
+    are the canonical ones that `face_invariants` reads, from the same
+    witness table (`cone._pair_witness`), so a walk over every face computes
+    each pair's witness once.  The drift (s10, s20) is `_s_pair`'s, which
+    solves the case z0 = 0 instead of scanning it."""
+    w = _pair_witness(cone, i + 1)
+    wz = _pair_witness(cone, i - 1)
     if w is None or wz is None:
         return None
     # det3(w, n^{i+2}, n^{i+1}) = -det3(n^{i+1}, n^{i+2}, w) = -1, so the
     # chart (-w, n^{i+2}, n^{i+1}) has determinant 1 and Cramer rows for
     # its inverse.
+    n_next, n_next2 = cone.normal(i + 1), cone.normal(i + 2)
     chart = ((-w[0], -w[1], -w[2]), n_next2, n_next)
     base = mat_from_columns(*chart)
     rows = cramer_rows(*chart)
@@ -327,17 +330,10 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
     # coefficient of s1 in t.(y x e3) is x1 y2 - x2 y1; epsilon makes the
     # s1, s2 drift enter the target cone
     eps = 1 if -minor12 > 0 else -1
-    s10 = s20 = None
-    for s in range(2, 64):
-        for a in range(1, s):
-            b = s - a
-            if math.gcd(a * x[0] + b * y[0], z[0]) == 1 and a * x[0] + b * y[0] != 0:
-                s10, s20 = a, b
-                break
-        if s10 is not None:
-            break
-    if s10 is None:
+    pair = _s_pair(x[0], y[0], z[0])
+    if pair is None:
         return None
+    s10, s20 = pair
     step = eps * (s10 * x[0] + s20 * y[0])
     for c in range(1, 4096):
         t1 = c * step + z[0]
@@ -352,6 +348,32 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
             cand = mat_vec(base, cand_chart)
             if admissible(cand):
                 return cand
+    return None
+
+
+def _s_pair(x0: int, y0: int, z0: int) -> Optional[Tuple[int, int]]:
+    """(a, s - a) for the least (s, a), in that order, with 2 <= s < 64 and
+    1 <= a < s such that v = a x0 + (s - a) y0 is nonzero and coprime to
+    z0; None when there is none.
+
+    When z0 = 0, gcd(v, 0) = |v|, so v = a (x0 - y0) + s y0 must be +-1:
+    for each s, a = (+-1 - s y0) / (x0 - y0) leaves at most two candidates
+    in [1, s - 1], and none when x0 = y0.  Otherwise the pairs are scanned
+    in that order."""
+    if z0 == 0:
+        d = x0 - y0
+        if d == 0:
+            return None
+        for s in range(2, 64):
+            for a in sorted((e - s * y0) // d for e in (-1, 1) if (e - s * y0) % d == 0):
+                if 0 < a < s:
+                    return a, s - a
+        return None
+    for s in range(2, 64):
+        for a in range(1, s):
+            v = a * x0 + (s - a) * y0
+            if v != 0 and math.gcd(v, z0) == 1:
+                return a, s - a
     return None
 
 

@@ -368,6 +368,19 @@ def test_quadnumber_equality_and_hash_across_discriminants():
     assert len(set(mixed)) == 7
 
 
+def test_quadnumber_equality_and_hash_with_floats():
+    # As with Fraction: a float equals a rational value, never an
+    # irrational one, and hashes agree where == holds.
+    assert quad(1) == 1.0 and 1.0 == quad(1) and quad(Fraction(-1, 4)) == -0.25
+    assert quad(1, 0, 3) == 1.0 and Fraction(1) == 1.0
+    assert len({quad(1), 1.0}) == 1 == len({Fraction(1), 1.0})
+    assert quad(0, 1) != math.sqrt(2) and math.sqrt(2) != quad(0, 1)
+    assert quad(1) != float("nan") and quad(1) != float("inf") and quad(1, 1) != 1.0
+    for symbol, op in (("<", operator.lt), (">=", operator.ge)):
+        with pytest.raises(TypeError, match=f"'{symbol}' not supported"):
+            op(quad(1), 1.0)
+
+
 def old_is_square_free(d):
     """The trial division to sqrt(d) that `_is_square_free` replaced."""
     if d < 2:

@@ -11,6 +11,7 @@ from goodcones.exactnum import (
     det3,
     dot,
     least_denominator,
+    least_denominator_of_pairs,
     mat_vec,
     quad,
 )
@@ -184,6 +185,11 @@ def test_least_denominator_brute_force():
                 for hi_open in (False, True):
                     got = least_denominator(lo, lo_open, hi, hi_open)
                     assert got == brute(lo, lo_open, hi, hi_open), (lo, hi, lo_open, hi_open)
+                    # the descent on end pairs with a common factor each
+                    assert got == least_denominator_of_pairs(
+                        3 * lo.numerator, 3 * lo.denominator, lo_open,
+                        7 * hi.numerator, 7 * hi.denominator, hi_open,
+                    )
 
 
 def test_transverse_circle_beyond_old_search_radius():

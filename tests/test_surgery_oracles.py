@@ -9,18 +9,34 @@
   copies of the former scans, which filter the whole (2r+1)^3 box and the
   whole (2r+1)^2 square of the constraint slice, must give the same first
   candidates in the same order.
+* The prime construction solves its drift pair when z0 = 0 and reads its
+  witnesses from the witness table.  A test-local copy of the former
+  construction, which scanned every drift pair and computed both witnesses
+  on each call, must give the same normal on every face of a corpus; a
+  walk over every face computes each pair's witness once, and interleaved
+  face reads and searches on two cones give what fresh calls give.
+* `cone_hash` writes its JSON text itself: the text of `json.dumps`.
 """
 
+import hashlib
 import itertools
+import json
+import math
+import random
 
 import goodcones.cone
 import goodcones.surgery as surgery
-from goodcones.cone import GoodCone, _report, edge_rays
+from goodcones.cone import GoodCone, _report, edge_rays, face_invariants, gluing_matrix
+from goodcones.construct import example_family, obstructed_family
 from goodcones.exactnum import (
     DegenerateInput,
+    cramer_rows,
+    delzant_witness,
     dot,
     is_delzant_pair,
+    is_prime,
     is_primitive,
+    mat_vec,
     plane_lattice_basis,
     primitive_part,
     solve_dot_one,
@@ -33,14 +49,16 @@ from goodcones.surgery import (
     _blowdown_candidates,
     _positive_square_points,
     _prime_construction,
+    _s_pair,
     _theta_member,
     blowdown_delete,
+    cone_hash,
     cut,
     find_blowdown_normal,
     replace_range,
 )
 
-from conftest import SIMPLICIAL, orbit_cut_normal, random_good_cone
+from conftest import SIMPLICIAL, mat_from_columns, orbit_cut_normal, random_good_cone
 
 
 # ---------------------------------------------------------------------------
@@ -141,9 +159,9 @@ def test_local_check_matches_full_validate(rnd, monkeypatch):
 # ---------------------------------------------------------------------------
 
 
-def _old_box(cone, i, radius):
-    """Prime construction, then every point of the (2r+1)^3 shells up to
-    `radius` in lexicographic order, filtered by admissibility."""
+def _admissible_at(cone, i):
+    """A blow-down normal's test at face i: primitive, in Theta(i) and a
+    Delzant pair with both neighbours."""
     n_prev, n_i, n_next = cone.normal(i - 1), cone.normal(i), cone.normal(i + 1)
 
     def admissible(t):
@@ -153,6 +171,14 @@ def _old_box(cone, i, radius):
             return False
         return is_delzant_pair(n_prev, t) and is_delzant_pair(n_next, t)
 
+    return admissible
+
+
+def _old_box(cone, i, radius):
+    """Prime construction, then every point of the (2r+1)^3 shells up to
+    `radius` in lexicographic order, filtered by admissibility."""
+    n_prev, n_i, n_next = cone.normal(i - 1), cone.normal(i), cone.normal(i + 1)
+    admissible = _admissible_at(cone, i)
     out = []
     t = _prime_construction(cone, i, admissible)
     if t is not None and admissible(t):
@@ -251,3 +277,160 @@ def test_positive_square_points_match_filter(rnd):
         assert list(_positive_square_points(forms, radius)) == expected
         sizes.add(min(len(expected), 2))
     assert sizes == {0, 1, 2}
+
+
+# ---------------------------------------------------------------------------
+# The prime construction as it was: a scan over every drift pair, and both
+# witnesses computed on each call.
+# ---------------------------------------------------------------------------
+
+
+def _old_s_pair(x0, y0, z0):
+    """The drift pair's scan over every (s, a), as it was."""
+    for s in range(2, 64):
+        for a in range(1, s):
+            b = s - a
+            if math.gcd(a * x0 + b * y0, z0) == 1 and a * x0 + b * y0 != 0:
+                return a, b
+    return None
+
+
+def _old_prime_construction(cone, i, admissible):
+    """`surgery._prime_construction` as it was: the drift pair scanned and
+    both witnesses computed by `delzant_witness` on each call."""
+    n_next, n_next2 = cone.normal(i + 1), cone.normal(i + 2)
+    w = delzant_witness(n_next, n_next2)
+    wz = delzant_witness(cone.normal(i - 1), cone.normal(i))
+    if w is None or wz is None:
+        return None
+    chart = ((-w[0], -w[1], -w[2]), n_next2, n_next)
+    base = mat_from_columns(*chart)
+    rows = cramer_rows(*chart)
+    x = tuple(dot(r, cone.normal(i - 1)) for r in rows)
+    y = tuple(dot(r, cone.normal(i)) for r in rows)
+    z = tuple(dot(r, wz) for r in rows)
+    minor12 = y[0] * x[1] - x[0] * y[1]
+    minor13 = y[0] * x[2] - x[0] * y[2]
+    if minor12 == 0 or minor13 == 0 or (x[0] == 0 and y[0] == 0):
+        return None
+    eps = 1 if -minor12 > 0 else -1
+    pair = _old_s_pair(x[0], y[0], z[0])
+    if pair is None:
+        return None
+    s10, s20 = pair
+    step = eps * (s10 * x[0] + s20 * y[0])
+    for c in range(1, 4096):
+        t1 = c * step + z[0]
+        if abs(t1) < 2 or not is_prime(abs(t1)):
+            continue
+        if minor12 % abs(t1) == 0 or minor13 % abs(t1) == 0:
+            continue
+        for shift in range(3):
+            s1 = c * eps * s10 - shift * y[0]
+            s2 = c * eps * s20 + shift * x[0]
+            cand = mat_vec(base, tuple(s1 * x[j] + s2 * y[j] + z[j] for j in range(3)))
+            if admissible(cand):
+                return cand
+    return None
+
+
+def _corpus():
+    """4,276 faces: `example_family(2..48)`, `obstructed_family(2..32 even)`
+    with seeds 0-2, and 400 random cones of 3 to 7 faces."""
+    cones = [example_family(k)[0] for k in range(2, 49)]
+    cones += [obstructed_family(k, seed=seed)[0] for k in range(2, 33, 2) for seed in range(3)]
+    rnd = random.Random(20240817)
+    cones += [random_good_cone(rnd, cuts=n % 5) for n in range(400)]
+    return cones
+
+
+CORPUS = _corpus()
+
+
+def test_s_pair_matches_the_scan():
+    outcomes = set()
+    for x0, y0, z0 in itertools.product(range(-12, 13), range(-12, 13), range(-6, 7)):
+        pair = _s_pair(x0, y0, z0)
+        assert pair == _old_s_pair(x0, y0, z0), (x0, y0, z0)
+        outcomes.add((z0 == 0, pair is None))
+    # z0 = 0 finds a pair, as at (1, 0), and misses one, as at x0 = y0
+    assert outcomes == {(True, True), (True, False), (False, True), (False, False)}
+    assert _s_pair(1, 0, 0) == (1, 1) and _s_pair(5, 5, 0) is None
+    rnd = random.Random(5)
+    for _ in range(300):
+        x0, y0 = (rnd.randint(-10**6, 10**6) for _ in range(2))
+        z0 = rnd.choice((0, rnd.randint(-10**6, 10**6)))
+        assert _s_pair(x0, y0, z0) == _old_s_pair(x0, y0, z0), (x0, y0, z0)
+
+
+def test_prime_construction_matches_the_old_one_on_the_corpus():
+    faces = solved = 0
+    for cone in CORPUS:
+        for i in range(len(cone)):
+            admissible = _admissible_at(cone, i)
+            t = _prime_construction(cone, i, admissible)
+            assert t == _old_prime_construction(cone, i, admissible), (cone.normals, i)
+            faces += 1
+            solved += t is not None
+    assert faces == 4276 and 0 < solved < faces
+
+
+def _counting_witnesses(monkeypatch):
+    calls = []
+    original = goodcones.cone.delzant_witness
+    monkeypatch.setattr(
+        goodcones.cone, "delzant_witness", lambda n, m: calls.append((n, m)) or original(n, m)
+    )
+    return calls
+
+
+def test_a_search_at_every_face_computes_each_witness_once(monkeypatch):
+    calls = _counting_witnesses(monkeypatch)
+    for cone in CORPUS[::7]:
+        cone = GoodCone(cone.normals)  # a new object: its witnesses are not read yet
+        del calls[:]
+        normals = [find_blowdown_normal(cone, i) for i in range(len(cone))]
+        assert len(calls) == len(cone) == len(set(calls)), cone.normals
+        # the face reads that follow find every witness in the table
+        for i in range(len(cone)):
+            face_invariants(cone, i)
+        assert len(calls) == len(cone)
+        assert [find_blowdown_normal(cone, i) for i in range(len(cone))] == normals
+        assert len(calls) == len(cone)
+
+
+def test_interleaved_face_reads_and_searches_match_fresh_calls():
+    rnd = random.Random(11)
+    for _ in range(12):
+        a, b = rnd.sample(CORPUS, 2)
+        faces = [(rnd.randrange(len(a)), rnd.randrange(len(b))) for _ in range(10)]
+        # fresh copies: every call starts from an empty witness table
+        expected = [
+            (
+                face_invariants(GoodCone(a.normals), i),
+                gluing_matrix(GoodCone(a.normals), i),
+                find_blowdown_normal(GoodCone(b.normals), j),
+            )
+            for i, j in faces
+        ]
+        assert [
+            (face_invariants(a, i), gluing_matrix(a, i), find_blowdown_normal(b, j))
+            for i, j in faces
+        ] == expected
+
+
+def _json_hash(cone):
+    payload = json.dumps(
+        {"normals": [list(n) for n in cone.normals]}, sort_keys=True, separators=(",", ":")
+    )
+    return hashlib.sha256(payload.encode()).hexdigest()
+
+
+def test_cone_hash_is_the_hash_of_the_json_text():
+    big = 1 << 4095
+    shear = ((1, big, 0), (0, 1, -big), (0, 0, 1))
+    cones = CORPUS + [GoodCone(tuple(mat_vec(shear, n) for n in c.normals)) for c in CORPUS[:60]]
+    assert any(x < 0 for c in cones for n in c.normals for x in n)
+    assert max(abs(x) for c in cones for n in c.normals for x in n).bit_length() >= 4096
+    for cone in cones:
+        assert cone_hash(cone) == _json_hash(cone)
