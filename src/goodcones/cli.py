@@ -13,6 +13,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import sys
 
 from functools import cache
@@ -260,69 +261,54 @@ class CatalogError(ValueError):
     pass
 
 
-def _read_index(store: str) -> dict:
-    """The store's index, {hash: {"name": name, "file": "<hash>.json"}}, or
-    {} when the store has none.  Anything else is malformed input, and so
-    is a stored file that is not JSON (see `_load_json`)."""
-    index_path = os.path.join(store, "index.json")
-    if not os.path.exists(index_path):
-        return {}
-    index = _load_json(index_path)
-    if not isinstance(index, dict) or not all(
-        isinstance(entry, dict)
-        and entry.get("file") == f"{digest}.json"
-        and isinstance(entry.get("name", ""), str)
-        for digest, entry in index.items()
-    ):
-        raise UsageError(f"malformed catalog index {index_path}")
-    return index
+# A store is a directory of documents, each in the file "<sha256>.json"
+# named by its `_doc_hash`; any other file in it is ignored.
+_STORED_FILE = re.compile(r"[0-9a-f]{64}\.json")
 
 
 def catalog_add(store: str, doc: Document) -> str:
+    """Store the document as "<hash>.json" and return its hash.  The file is
+    written under a temporary name and moved into place, so a write cut
+    short leaves no document; a file already there must hold the same."""
+    digest = _doc_hash(doc)
+    payload = document_to_json(doc)
+    target = os.path.join(store, f"{digest}.json")
+    if os.path.exists(target):
+        if _load_json(target) != payload:
+            raise CatalogError(f"hash collision with differing content: {digest}")
+        return digest
     os.makedirs(store, exist_ok=True)
-    index_path = os.path.join(store, "index.json")
-    lock_path = os.path.join(store, "index.lock")
-    import fcntl
-
-    with open(lock_path, "a+") as lock:
-        fcntl.flock(lock, fcntl.LOCK_EX)
-        try:
-            index = _read_index(store)
-            digest = _doc_hash(doc)
-            payload = document_to_json(doc)
-            file_name = f"{digest}.json"
-            target = os.path.join(store, file_name)
-            if digest in index:
-                if _load_json(target) != payload:
-                    raise CatalogError(f"hash collision with differing content: {digest}")
-            else:
-                with open(target, "w") as fh:
-                    json.dump(payload, fh, sort_keys=True, indent=1)
-                index[digest] = {
-                    "name": doc.metadata.get("name", ""),
-                    "file": file_name,
-                }
-                with open(index_path, "w") as fh:
-                    json.dump(index, fh, sort_keys=True, indent=1)
-            return digest
-        finally:
-            fcntl.flock(lock, fcntl.LOCK_UN)
+    partial = os.path.join(store, f".{digest}.{os.urandom(8).hex()}.tmp")
+    try:
+        with open(partial, "x") as fh:
+            json.dump(payload, fh, sort_keys=True, indent=1)
+        os.replace(partial, target)
+    finally:
+        if os.path.exists(partial):
+            os.remove(partial)
+    return digest
 
 
 def catalog_list(store: str) -> list:
+    """[{"hash", "name"}] of the stored documents in hash order, each name
+    its document's metadata name or ""; a missing store holds none."""
+    try:
+        files = sorted(f for f in os.listdir(store) if _STORED_FILE.fullmatch(f))
+    except FileNotFoundError:
+        return []
     return [
-        {"hash": digest, "name": entry.get("name", "")}
-        for digest, entry in sorted(_read_index(store).items())
+        {"hash": f[:-5], "name": _load_document(os.path.join(store, f)).metadata.get("name", "")}
+        for f in files
     ]
 
 
 def catalog_get(store: str, digest: str) -> dict:
-    index = _read_index(store)
-    if not index:
-        raise CatalogError("empty catalog")
-    if digest not in index:
+    """The stored document of the hash; a hash that is not 64 lowercase hex
+    digits names no document, so nothing outside the store is read."""
+    path = os.path.join(store, f"{digest}.json")
+    if not _STORED_FILE.fullmatch(f"{digest}.json") or not os.path.exists(path):
         raise CatalogError(f"no document with hash {digest}")
-    return _load_json(os.path.join(store, index[digest]["file"]))
+    return _load_json(path)
 
 
 # ---------------------------------------------------------------------------

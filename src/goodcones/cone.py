@@ -14,7 +14,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 from .exactnum import (
     DegenerateInput,
@@ -27,6 +27,7 @@ from .exactnum import (
     delzant_witness,
     det3,
     dot,
+    int_triple,
     is_primitive,
     solve_dot_one,
 )
@@ -60,14 +61,17 @@ class FaceInvariants:
 @dataclass(frozen=True)
 class GoodCone:
     normals: Tuple[Vec3, ...]
-    _good = False  # set by `_verdict`; not a field, so outside ==, hash and repr
+    # Not fields, so outside ==, hash and repr: the good verdict set by
+    # `_verdict` and the pair witnesses that `_pair_witness` keeps.
+    _good = False
+    _witnesses = None
 
     def __post_init__(self):
         # tuple() of a list allocates once at the final length; tuple() of a
         # generator resizes as it grows, and on this hot path (every surgery
         # builds a cone) those resizes fragment the heap and peak RSS grows
         # with the number of cones built.
-        normals = tuple([tuple([int(x) for x in n]) for n in self.normals])
+        normals = tuple([int_triple(n) for n in self.normals])
         for n in normals:
             if not is_primitive(n):
                 raise DegenerateInput(f"normal {n} is not primitive")
@@ -84,13 +88,13 @@ def load_cone(normals) -> GoodCone:
     """Build a GoodCone from raw normal lists, enforcing primitivity and the
     orientation convention det3(n^0, n^1, n^2) > 0 (reversing with a warning
     when the input is oriented the other way)."""
-    normals = [tuple(int(x) for x in n) for n in normals]
-    if len(normals) < 3:
+    cone = GoodCone(tuple(normals))
+    if len(cone) < 3:
         raise DegenerateInput("a cone needs at least 3 normals")
-    if det3(normals[0], normals[1], normals[2]) < 0:
+    if det3(*cone.normals[:3]) < 0:
         warnings.warn("normals reversed to match the orientation convention")
-        normals = normals[::-1]
-    return GoodCone(tuple(normals))
+        cone = GoodCone(cone.normals[::-1])
+    return cone
 
 
 _GOOD = ValidityReport(is_good=True, failures=())
@@ -236,30 +240,21 @@ def _convex_order(i: int, n1: Vec3, n2: Vec3, n3: Vec3) -> int:
     return b
 
 
-# The canonical witnesses of the last cone whose pairs were read: the cone
-# and a table whose entry j is the witness of the pair (n^j, n^{j+1}).  A
-# walk over all faces, by `face_invariants` or by the blow-down search,
-# computes each pair once, and holding one cone bounds the memory by one
-# table.
-_witness_table: Tuple[object, Dict[int, Vec3]] = (None, {})
-
-
 def _pair_witness(cone: GoodCone, j: int) -> Optional[Vec3]:
     """The canonical witness l of the pair (n^j, n^{j+1}),
     det3(n^j, n^{j+1}, l) = 1 (`delzant_witness`), or None when the pair
-    is not Delzant; the one reader and writer of the witness table, which
-    is keyed by the identity of the cone."""
-    global _witness_table
-    owner, table = _witness_table
-    if owner is not cone:
-        table = {}
-        _witness_table = (cone, table)
+    is not Delzant; the one reader and writer of the cone's witness table,
+    whose entry j is that witness once it has been read.  A walk over all
+    faces, by `face_invariants` or by the blow-down search, computes each
+    pair once."""
+    table = cone._witnesses
+    if table is None:
+        table = [None] * len(cone)
+        object.__setattr__(cone, "_witnesses", table)
     j %= len(cone)
-    w = table.get(j)
+    w = table[j]
     if w is None:
-        w = delzant_witness(cone.normals[j], cone.normal(j + 1))
-        if w is not None:
-            table[j] = w
+        w = table[j] = delzant_witness(cone.normals[j], cone.normal(j + 1))
     return w
 
 

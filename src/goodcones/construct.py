@@ -26,6 +26,7 @@ from .exactnum import (
     cross_primitive,
     det3,
     dot,
+    int_triple,
     plane_lattice_basis,
     solve_dot_one,
     vec_add,
@@ -128,7 +129,7 @@ def close_chain_normals(chain: Sequence[Vec3]) -> Vec3:
     det3(first, m, last) > 0 and offset (0, 0) is feasible for all large s.
     Hence SearchExhausted is raised only when some interior m has
     det3(first, m, last) <= 0, and no good cone closes such a chain."""
-    chain = [tuple(int(x) for x in n) for n in chain]
+    chain = [int_triple(n) for n in chain]
     if len(chain) < 2:
         raise ChainError("need at least two chain normals")
     first, last = chain[0], chain[-1]
@@ -188,9 +189,12 @@ def close_chain(chain_normals: Sequence[Vec3]) -> Vec3:
 
 def verify_obstructed_conditions(cone: GoodCone, k: int) -> bool:
     """Independent re-check of the construction's six conditions on a
-    (k+3)-normal cone: cross-product and determinant positivity, Delzant
-    witnesses for all adjacent pairs (via validate), and the shared factor
-    of the transition-matrix entries c_i, e_i for every interior step."""
+    (k+3)-normal cone: (n^0 x n^i)_3 > 0, (n^i x n^{i+1})_3 > 0 and the
+    shared factor of the transition entries c_i, e_i of each interior step
+    are read here.  `validate` decides the three det3 > 0 conditions (on
+    adjacent triples and on triples through (n^{k+1}, n^{k+2}) and
+    (n^{k+2}, n^0): each pairs an adjacent pair with another normal) and
+    the Delzant witnesses of the adjacent pairs."""
     ns = cone.normals
     if len(ns) != k + 3:
         return False
@@ -199,15 +203,6 @@ def verify_obstructed_conditions(cone: GoodCone, k: int) -> bool:
             return False
     for i in range(0, k + 1):
         if cross(ns[i], ns[i + 1])[2] <= 0:
-            return False
-    for i in range(0, k):
-        if det3(ns[i], ns[i + 1], ns[i + 2]) <= 0:
-            return False
-    for j in range(0, k + 1):
-        if j not in (k + 1, k + 2) and det3(ns[k + 1], ns[k + 2], ns[j]) <= 0:
-            return False
-    for j in range(1, k + 2):
-        if det3(ns[k + 2], ns[0], ns[j]) <= 0:
             return False
     if not validate(cone).is_good:
         return False

@@ -274,6 +274,19 @@ def content(u: Sequence[int]) -> int:
     return math.gcd(*u)
 
 
+def int_triple(v: Sequence[int]) -> Tuple[int, int, int]:
+    """The integer vector v as a tuple of three ints (v itself when it is
+    one).  An entry that is not an int (a float, bool or Fraction) raises
+    TypeError rather than being truncated, and a vector without exactly
+    three entries raises DegenerateInput."""
+    if len(v) != 3:
+        raise DegenerateInput(f"vector {tuple(v)} does not have three entries")
+    a, b, c = v
+    if type(a) is not int or type(b) is not int or type(c) is not int:
+        raise TypeError(f"vector entries must be int, got {a!r}, {b!r}, {c!r}")
+    return v if type(v) is tuple else (a, b, c)
+
+
 def is_primitive(u: Sequence[int]) -> bool:
     return content(u) == 1
 

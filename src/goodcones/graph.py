@@ -28,6 +28,7 @@ from .exactnum import (
     cross_primitive,
     det3,
     dot,
+    int_triple,
 )
 from .reeb import (
     ReebVector,
@@ -464,9 +465,7 @@ class GermOfChain:
     reeb: ReebVector
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "normals", tuple(tuple(int(x) for x in n) for n in self.normals)
-        )
+        object.__setattr__(self, "normals", tuple([int_triple(n) for n in self.normals]))
         if len(self.normals) < 3:
             raise GraphAssemblyError("a germ needs flat ends and an interior")
 

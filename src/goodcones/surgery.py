@@ -29,6 +29,7 @@ from .exactnum import (
     cramer_rows,
     det3,
     dot,
+    int_triple,
     is_delzant_pair,
     is_prime,
     is_primitive,
@@ -61,7 +62,7 @@ class CutSpec:
     t: Vec3
 
     def __post_init__(self):
-        t = tuple(int(x) for x in self.t)
+        t = int_triple(self.t)
         if not is_primitive(t):
             raise DegenerateInput(f"cutting normal {t} is not primitive")
         object.__setattr__(self, "t", t)
@@ -142,7 +143,7 @@ def replace_range(cone: GoodCone, rng: Sequence[int], t: Vec3) -> GoodCone:
     ray: attachment only enlarges), and the result must be good.  The input
     and the result are validated once each."""
     require_valid(cone)
-    t = tuple(int(x) for x in t)
+    t = int_triple(t)
     if not is_primitive(t):
         raise DegenerateInput(f"replacement normal {t} is not primitive")
     k = len(cone)
@@ -306,9 +307,9 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
 
     The two witnesses, of the pairs (n^{i+1}, n^{i+2}) and (n^{i-1}, n^i),
     are the canonical ones that `face_invariants` reads, from the same
-    witness table (`cone._pair_witness`), so a walk over every face computes
-    each pair's witness once.  The drift (s10, s20) is `_s_pair`'s, which
-    solves the case z0 = 0 instead of scanning it."""
+    table on the cone (`cone._pair_witness`), so a walk over every face
+    computes each pair's witness once.  The drift (s10, s20) is
+    `_s_pair`'s, which solves the case z0 = 0 instead of scanning it."""
     w = _pair_witness(cone, i + 1)
     wz = _pair_witness(cone, i - 1)
     if w is None or wz is None:

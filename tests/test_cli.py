@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+import goodcones.cli as cli_module
 from goodcones.cli import run
 from goodcones.reeb import reeb_from_vectors
 from goodcones.serial import Document, document_from_json, document_to_json
@@ -291,26 +292,105 @@ def test_catalog_rejects_invalid(tmp_path, capsys):
     assert code == 1
 
 
-CORRUPT_INDEXES = {
+def add_named(tmp_path, capsys, store, name, k=2):
+    """Add example_family(k) with metadata name `name`; return its hash."""
+    cone, reeb = example_family(k)
+    path = tmp_path / f"doc-{k}.json"
+    path.write_text(json.dumps(document_to_json(Document(cone, reeb, {"name": name}))))
+    code, out = run_json(capsys, ["catalog", "add", str(path), "--store", str(store)])
+    assert code == 0
+    return out["hash"]
+
+
+def test_catalog_keeps_any_metadata_name(tmp_path, capsys):
+    """Each name is read from its stored document, whatever its JSON type,
+    and a later add, list or get still works."""
+    store = tmp_path / "store"
+    digest = add_named(tmp_path, capsys, store, 5)
+    other = add_named(tmp_path, capsys, store, "second", k=3)
+    code, listing = run_json(capsys, ["catalog", "list", "--store", str(store)])
+    assert code == 0
+    assert listing == sorted([{"hash": digest, "name": 5}, {"hash": other, "name": "second"}],
+                             key=lambda e: e["hash"])
+    code, got = run_json(capsys, ["catalog", "get", digest, "--store", str(store)])
+    assert code == 0 and got["metadata"] == {"name": 5}
+    assert add_named(tmp_path, capsys, store, 5) == digest
+
+
+def test_catalog_store_is_its_document_files(tmp_path, capsys):
+    store = tmp_path / "store"
+    code, out = run_json(capsys, ["catalog", "list", "--store", str(store)])
+    assert code == 0 and out == [] and not store.exists()
+    digest = add_named(tmp_path, capsys, store, "a")
+    other = add_named(tmp_path, capsys, store, "b", k=3)
+    assert sorted(os.listdir(store)) == sorted([f"{digest}.json", f"{other}.json"])
+    stored = json.loads((store / f"{digest}.json").read_text())
+    assert (store / f"{digest}.json").read_text() == json.dumps(stored, sort_keys=True, indent=1)
+
+
+def test_interrupted_catalog_add_leaves_no_document(tmp_path, doc_path, capsys, monkeypatch):
+    store = tmp_path / "store"
+
+    def cut_short(obj, fh, **kwargs):
+        fh.write('{"cone": ')
+        raise OSError(28, "No space left on device")
+
+    monkeypatch.setattr(json, "dump", cut_short)
+    code = run(["catalog", "add", doc_path, "--store", str(store)])
+    assert code == 2 and "Traceback" not in capsys.readouterr().err
+    assert os.listdir(store) == []
+    monkeypatch.undo()
+    code, out = run_json(capsys, ["catalog", "add", doc_path, "--store", str(store)])
+    assert code == 0 and os.listdir(store) == [f"{out['hash']}.json"]
+
+
+def test_catalog_get_reads_only_hashes(tmp_path, capsys, monkeypatch):
+    """A name that is not 64 lowercase hex digits is no hash, even when a
+    file of that name exists in or next to the store, and nothing is read."""
+    store = tmp_path / "store"
+    digest = add_named(tmp_path, capsys, store, "a")
+    text = (store / f"{digest}.json").read_text()
+    (tmp_path / "x.json").write_text(text)
+    (store / f"{digest.upper()}.json").write_text(text)
+    (store / f"{digest[:63]}.json").write_text(text)
+    monkeypatch.setattr(cli_module, "_load_json", lambda path: pytest.fail(f"read {path}"))
+    for name in ("../x", digest.upper(), digest[:63], digest + "0", "", f"{digest}\n"):
+        code = run(["catalog", "get", name, "--store", str(store)])
+        out, err = capsys.readouterr()
+        assert code == 1 and out == ""
+        assert json.loads(err) == {"error": f"no document with hash {name}"}
+
+
+OLDER_INDEXES = {
+    "valid": None,  # the index an older version wrote
     "not-json": "{bad",
     "not-an-object": "[1,2]",
     "entry-not-an-object": '{"x": 1}',
 }
 
 
-@pytest.mark.parametrize("action", ["add", "list", "get"])
-@pytest.mark.parametrize("name", sorted(CORRUPT_INDEXES))
-def test_corrupt_catalog_index_exits_2(tmp_path, doc_path, capsys, name, action):
+@pytest.mark.parametrize("name", sorted(OLDER_INDEXES))
+def test_older_store_index_and_lock_are_ignored(tmp_path, capsys, name):
+    """A store written by an older version holds index.json and index.lock
+    beside its documents; they are read by nothing, whatever they hold."""
     store = tmp_path / "store"
-    store.mkdir()
-    (store / "index.json").write_text(CORRUPT_INDEXES[name])
-    positional = {"add": [doc_path], "list": [], "get": ["x"]}[action]
-    code = run(["catalog", action, *positional, "--store", str(store)])
-    out, err = capsys.readouterr()
-    assert code == 2 and out == "" and "Traceback" not in err
-    lines = err.strip().splitlines()
-    assert len(lines) == 1 and set(json.loads(lines[0])) == {"error"}
-    assert (store / "index.json").read_text() == CORRUPT_INDEXES[name]
+    digests = {add_named(tmp_path, capsys, store, "a"): "a",
+               add_named(tmp_path, capsys, store, "b", k=3): "b"}
+    index = OLDER_INDEXES[name] or json.dumps(
+        {h: {"name": n, "file": f"{h}.json"} for h, n in digests.items()}, sort_keys=True, indent=1
+    )
+    (store / "index.json").write_text(index)
+    (store / "index.lock").write_text("")
+    code, listing = run_json(capsys, ["catalog", "list", "--store", str(store)])
+    assert code == 0
+    assert listing == [{"hash": h, "name": digests[h]} for h in sorted(digests)]
+    for digest in digests:
+        code, got = run_json(capsys, ["catalog", "get", digest, "--store", str(store)])
+        assert code == 0 and got["metadata"] == {"name": digests[digest]}
+    new = add_named(tmp_path, capsys, store, "c", k=4)
+    code, listing = run_json(capsys, ["catalog", "list", "--store", str(store)])
+    assert code == 0 and new in [e["hash"] for e in listing]
+    assert (store / "index.json").read_text() == index
 
 
 def test_corrupt_stored_document_exits_2(tmp_path, doc_path, capsys):
@@ -319,11 +399,16 @@ def test_corrupt_stored_document_exits_2(tmp_path, doc_path, capsys):
     digest = out["hash"]
     with open(os.path.join(store, f"{digest}.json"), "w") as fh:
         fh.write("{bad")
-    for argv in (["get", digest], ["add", doc_path]):
+    for argv in (["get", digest], ["add", doc_path], ["list"]):
         code = run(["catalog", *argv, "--store", store])
         out, err = capsys.readouterr()
         assert code == 2 and out == "" and "Traceback" not in err
         assert "malformed JSON" in json.loads(err)["error"]
+    with open(os.path.join(store, f"{digest}.json"), "w") as fh:
+        fh.write("[1, 2]")
+    code = run(["catalog", "list", "--store", store])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == "" and "Traceback" not in err
 
 
 def test_malformed_json_exit2(tmp_path, capsys):

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import pytest
 
@@ -14,7 +15,7 @@ from goodcones.cone import (
     load_cone,
     validate,
 )
-from goodcones.construct import example_family, obstructed_family
+from goodcones.construct import close_chain_normals, example_family, obstructed_family
 from goodcones.exactnum import (
     DegenerateInput,
     cross,
@@ -25,6 +26,9 @@ from goodcones.exactnum import (
     is_primitive,
     primitive_part,
 )
+
+from goodcones.graph import GermOfChain
+from goodcones.surgery import CutSpec, replace_range
 
 from conftest import (
     SIMPLICIAL,
@@ -61,6 +65,39 @@ def test_load_cone_reorients_with_warning():
 def test_constructor_rejects_non_primitive():
     with pytest.raises(DegenerateInput):
         GoodCone(((2, 0, 0), (0, 1, 0), (0, 0, 1)))
+
+
+# Each site that takes integer normals reads them with `exactnum.int_triple`;
+# `bad` goes where the site reads a normal.
+NORMAL_SITES = {
+    "GoodCone": lambda bad: GoodCone((bad, (0, 1, 0), (0, 0, 1))),
+    "load_cone": lambda bad: load_cone([bad, [0, 1, 0], [0, 0, 1]]),
+    "CutSpec": lambda bad: CutSpec(bad),
+    "replace_range": lambda bad: replace_range(SIMPLICIAL, [0], bad),
+    "GermOfChain": lambda bad: GermOfChain(
+        normals=(bad, (0, 1, 0), (0, 0, 1)), reeb=example_family(2)[1]
+    ),
+    "close_chain_normals": lambda bad: close_chain_normals([bad, (0, 1, 0)]),
+}
+
+
+@pytest.mark.parametrize("site", sorted(NORMAL_SITES))
+@pytest.mark.parametrize(
+    "bad", [(1.9, 0, 0), (1.5, 1, 1), (1.0, 0, 0), (True, 0, 0), (Fraction(1), 0, 0), [0, 0.5, 1]]
+)
+def test_normal_entries_must_be_int(site, bad):
+    """A float, bool or Fraction entry raises TypeError instead of being
+    truncated: (1.9, 0, 0) is not read as (1, 0, 0)."""
+    with pytest.raises(TypeError, match="must be int"):
+        NORMAL_SITES[site](bad)
+
+
+@pytest.mark.parametrize("site", sorted(NORMAL_SITES))
+@pytest.mark.parametrize("bad", [(1, 0), (1, 0, 0, 0), ()])
+def test_normals_must_have_three_entries(site, bad):
+    with pytest.raises(DegenerateInput, match="three entries"):
+        NORMAL_SITES[site](bad)
+
 
 
 def oracle_is_good(cone):

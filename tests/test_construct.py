@@ -21,6 +21,7 @@ from goodcones.construct import (
 )
 from goodcones.cone import GoodCone
 from goodcones.exactnum import (
+    cross,
     cross_primitive,
     det3,
     dot,
@@ -268,3 +269,52 @@ def test_weighted_homogeneous_check():
     assert not weighted_homogeneous_check([(3, 0), (0, 2)], (1, 1), 3)
     with pytest.raises(ValueError):
         weighted_homogeneous_check([], (1, 1), 1)
+
+
+def _old_verify_obstructed_conditions(cone, k):
+    """`verify_obstructed_conditions` as it was with its own det3 loops
+    over the triples that `validate` also decides."""
+    ns = cone.normals
+    if len(ns) != k + 3:
+        return False
+    if any(cross(ns[0], ns[i])[2] <= 0 for i in range(1, k + 2)):
+        return False
+    if any(cross(ns[i], ns[i + 1])[2] <= 0 for i in range(0, k + 1)):
+        return False
+    if any(det3(ns[i], ns[i + 1], ns[i + 2]) <= 0 for i in range(0, k)):
+        return False
+    if any(det3(ns[k + 1], ns[k + 2], ns[j]) <= 0 for j in range(0, k + 1)):
+        return False
+    if any(det3(ns[k + 2], ns[0], ns[j]) <= 0 for j in range(1, k + 2)):
+        return False
+    if not validate(cone).is_good:
+        return False
+    return all(
+        math.gcd(gluing_matrix(cone, i)[1][0], gluing_matrix(cone, i)[2][0]) != 1
+        for i in range(0, k)
+    )
+
+
+def test_obstructed_conditions_need_no_det3_loops_of_their_own():
+    """`validate` decides every triple the deleted det3 loops tested, so the
+    verdict is the old one: on obstructed cones, on the same cones with two
+    normals swapped, the order reversed or the closing normal replaced (the
+    cross-product conditions do not read it), and on random good cones read
+    at every k."""
+    rnd = random.Random(2024)
+    cones = []
+    for k in range(2, 9):
+        for seed in range(3):
+            cone, _ = obstructed_family(k, seed=seed)
+            ns = list(cone.normals)
+            i, j = rnd.sample(range(len(ns)), 2)
+            ns[i], ns[j] = ns[j], ns[i]
+            cones += [(cone, k), (GoodCone(tuple(ns)), k), (GoodCone(cone.normals[::-1]), k)]
+            while len(cones) % 8:
+                t = tuple(rnd.randint(-6, 6) for _ in range(3))
+                if math.gcd(*t) == 1:
+                    cones.append((GoodCone(cone.normals[:-1] + (t,)), k))
+    cones += [(cone, len(cone) - 3) for cone in (random_good_cone(rnd, cuts=4) for _ in range(60))]
+    verdicts = [verify_obstructed_conditions(cone, k) for cone, k in cones]
+    assert verdicts == [_old_verify_obstructed_conditions(cone, k) for cone, k in cones]
+    assert True in verdicts and False in verdicts

@@ -24,6 +24,7 @@ from goodcones.exactnum import (
     delzant_witness,
     det3,
     dot,
+    int_triple,
     is_prime,
     plane_lattice_basis,
     primitive_part,
@@ -443,3 +444,15 @@ def test_discriminant_is_decided_once_per_d(monkeypatch):
     finally:
         _discriminant_fault.cache_clear()
     assert calls.count(d) == 1
+
+
+def test_int_triple_reads_three_ints():
+    v = (3, -4, 2**70)
+    assert int_triple(v) is v
+    assert int_triple([3, -4, 2**70]) == v and type(int_triple([1, 2, 3])) is tuple
+    for entry in (1.0, 2.5, True, False, Fraction(1), Decimal(1), "1", None):
+        with pytest.raises(TypeError, match="must be int"):
+            int_triple((0, entry, 1))
+    for short_or_long in ((), (1,), (1, 2), [1, 2, 3, 4]):
+        with pytest.raises(DegenerateInput, match="three entries"):
+            int_triple(short_or_long)

@@ -124,3 +124,28 @@ def test_definition_scan_flags_unreferenced():
         ("a", "lonely"),
         ("c", "Host.planted"),
     ]
+
+
+def modules_with_global(sources):
+    """Names of the modules, among `sources` (name to source), that have a
+    `global` statement."""
+    return sorted(
+        m for m, src in sources.items()
+        if any(isinstance(n, ast.Global) for n in ast.walk(ast.parse(src)))
+    )
+
+
+def test_module_state_is_only_the_reeb_slot():
+    """Module-level state holds only facts of a (cone, R) pair, the slot of
+    `reeb.py`; a fact of one object is kept on that object."""
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert set(modules_with_global(sources)) <= {"reeb.py"}
+
+
+def test_global_scan_flags_global_statements():
+    sources = {
+        "a": "x = 1\n\ndef f():\n    global x\n    x = 2\n",
+        "b": "x = 1\n\ndef g():\n    y = x\n    return y\n",
+        "c": "class C:\n    def m(self):\n        global z\n",
+    }
+    assert modules_with_global(sources) == ["a", "c"]

@@ -1,15 +1,16 @@
-"""The one-pair slot of `goodcones.reeb` and the witness table of
-`goodcones.cone`: reusing a (cone, R) pair's facts changes no output and no
+"""The one-pair slot of `goodcones.reeb` and the witness table that a
+`GoodCone` keeps: reusing a (cone, R) pair's facts changes no output and no
 error.  Every read entry must give on a pair it has seen what it gives on
 fresh equal copies, in any interleaving of pairs and across threads; every
 error surfaces in the documented order (`InvalidCone`, `InadmissibleReeb`,
 `RankError`, `DegenerateInput`) on first and repeated calls; a raising call
 neither evicts nor poisons the slot; and a face walk computes each adjacent
-pair's Delzant witness once."""
+pair's Delzant witness once, also when walks over two cones interleave."""
 
 import random
 import sys
 import threading
+from dataclasses import fields
 
 import pytest
 
@@ -371,7 +372,7 @@ def test_every_cached_value_is_immutable():
 
 
 # ---------------------------------------------------------------------------
-# The witness table: one delzant_witness per adjacent pair.
+# The witness table on each cone: one delzant_witness per adjacent pair.
 # ---------------------------------------------------------------------------
 
 
@@ -395,6 +396,39 @@ def test_face_walk_computes_each_witness_once(monkeypatch):
         expected[i % len(cone)][0] for i in range(-3, len(cone) + 3)
     ]
     assert len(calls) == k + 3
+
+
+def test_interleaved_face_walks_compute_each_witness_once(monkeypatch):
+    """Walks over two cones, one face of each in turn: every adjacent pair
+    of each cone is computed once, and the results are those of fresh
+    cones.  A table kept for the last cone read only would compute two
+    witnesses per face."""
+    cones = [GoodCone(f(20)[0].normals) for f in (example_family, obstructed_family)]
+    assert [len(c) for c in cones] == [23, 23]
+    fresh = [[face_invariants(GoodCone(c.normals), i) for i in range(len(c))] for c in cones]
+    calls = []
+    original = goodcones.cone.delzant_witness
+    monkeypatch.setattr(
+        goodcones.cone, "delzant_witness", lambda n, m: calls.append((n, m)) or original(n, m)
+    )
+    walks = [[], []]
+    for i in range(23):
+        for cone, walk in zip(cones, walks):
+            walk.append(face_invariants(cone, i))
+    assert walks == fresh
+    assert len(calls) == 2 * 23
+
+
+def test_witnesses_stay_outside_fields_eq_hash_and_repr():
+    cone = GoodCone(obstructed_family(6, seed=2)[0].normals)
+    twin = GoodCone(cone.normals)
+    before = (fields(GoodCone), fields(cone), hash(cone), repr(cone))
+    for i in range(len(cone)):
+        face_invariants(cone, i)
+    assert cone._witnesses is not None and twin._witnesses is None
+    assert (fields(GoodCone), fields(cone), hash(cone), repr(cone)) == before
+    assert [f.name for f in fields(GoodCone)] == ["normals"]
+    assert cone == twin and hash(cone) == hash(twin) and repr(cone) == repr(twin)
 
 
 def test_a_reeb_pass_computes_the_lie_g_rows_once_per_profile(monkeypatch):
