@@ -193,7 +193,7 @@ def render_svg(doc: Document, out_path: str) -> None:
     except InadmissibleReeb:
         raise InadmissibleReeb("reeb vector is not admissible for this cone") from None
     profile = facts.profile
-    poly = _polygon(reeb, facts.rays)
+    poly = _polygon(reeb, facts.rays, facts.pairs)
     coords = [abs(float(c)) for c in reeb.coords()]
     drop = coords.index(max(coords))
     keep = [j for j in range(3) if j != drop]

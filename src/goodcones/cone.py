@@ -21,12 +21,9 @@ from .exactnum import (
     Mat3,
     Vec3,
     content,
-    cramer_rows,
     cross,
-    cross_primitive,
     delzant_witness,
     det3,
-    dot,
     int_triple,
     is_primitive,
     solve_dot_one,
@@ -62,9 +59,11 @@ class FaceInvariants:
 class GoodCone:
     normals: Tuple[Vec3, ...]
     # Not fields, so outside ==, hash and repr: the good verdict set by
-    # `_verdict` and the pair witnesses that `_pair_witness` keeps.
+    # `_verdict`, the pair witnesses that `_pair_witness` keeps and the edge
+    # rays that `edge_rays` keeps.
     _good = False
     _witnesses = None
+    _rays = None
 
     def __post_init__(self):
         # tuple() of a list allocates once at the final length; tuple() of a
@@ -204,26 +203,58 @@ def _verdict(cone: GoodCone) -> ValidityReport:
 
 
 def edge_ray(cone: GoodCone, i: int) -> Vec3:
-    """Primitive inward edge ray between faces i and i+1.
+    """Primitive inward edge ray between faces i and i+1 (`edge_rays`).
 
     For a good cone the cross product of an adjacent pair is itself
     primitive (the pair is Delzant), and convexity makes it pair
     positively with every other normal.
     """
-    return cross_primitive(cone.normal(i), cone.normal(i + 1))
+    rays = edge_rays(cone)
+    return rays[i % len(rays)]
 
 
 def edge_rays(cone: GoodCone) -> Tuple[Vec3, ...]:
-    return tuple([edge_ray(cone, i) for i in range(len(cone))])  # see GoodCone
+    """The edge rays of every adjacent pair, ray i between faces i and
+    i+1: the one reader and writer of the cone's own tuple, built by
+    `_ray_table` on the first call."""
+    rays = cone._rays
+    if rays is None:
+        rays = _ray_table(cone.normals)
+        object.__setattr__(cone, "_rays", rays)
+    return rays
+
+
+def _ray_table(normals: Tuple[Vec3, ...]) -> Tuple[Vec3, ...]:
+    """`cross_primitive` of each cyclically adjacent pair, in one integer
+    pass; a parallel pair raises its DegenerateInput."""
+    rays = []
+    for (ax, ay, az), (bx, by, bz) in zip(normals, normals[1:] + normals[:1]):
+        cx, cy, cz = ay * bz - az * by, az * bx - ax * bz, ax * by - ay * bx
+        g = math.gcd(cx, cy, cz)
+        if g == 0:
+            raise DegenerateInput(f"parallel vectors {(ax, ay, az)}, {(bx, by, bz)}")
+        rays.append((cx, cy, cz) if g == 1 else (cx // g, cy // g, cz // g))
+    return tuple(rays)
 
 
 def _frame_change(left, right) -> Mat3:
     """left^{-1} right for two frames given as column triples; left must be
-    unimodular, so its inverse is its Cramer rows times its determinant."""
-    rows = cramer_rows(*left)
-    d = dot(left[0], rows[0])
+    unimodular, so its inverse is its Cramer rows (a2 x a3, a3 x a1,
+    a1 x a2) times its determinant."""
+    (a0, a1, a2), (b0, b1, b2), (c0, c1, c2) = left
+    r0, r1, r2 = b1 * c2 - b2 * c1, b2 * c0 - b0 * c2, b0 * c1 - b1 * c0
+    s0, s1, s2 = c1 * a2 - c2 * a1, c2 * a0 - c0 * a2, c0 * a1 - c1 * a0
+    t0, t1, t2 = a1 * b2 - a2 * b1, a2 * b0 - a0 * b2, a0 * b1 - a1 * b0
+    d = a0 * r0 + a1 * r1 + a2 * r2
     assert d in (1, -1), f"frame determinant {d} is not +-1"
-    return tuple([tuple([d * dot(r, c) for c in right]) for r in rows])
+    if d < 0:
+        r0, r1, r2, s0, s1, s2, t0, t1, t2 = -r0, -r1, -r2, -s0, -s1, -s2, -t0, -t1, -t2
+    (x0, x1, x2), (y0, y1, y2), (z0, z1, z2) = right
+    return (
+        (r0 * x0 + r1 * x1 + r2 * x2, r0 * y0 + r1 * y1 + r2 * y2, r0 * z0 + r1 * z1 + r2 * z2),
+        (s0 * x0 + s1 * x1 + s2 * x2, s0 * y0 + s1 * y1 + s2 * y2, s0 * z0 + s1 * z1 + s2 * z2),
+        (t0 * x0 + t1 * x1 + t2 * x2, t0 * y0 + t1 * y1 + t2 * y2, t0 * z0 + t1 * z1 + t2 * z2),
+    )
 
 
 def _adjacent_triple(cone: GoodCone, i: int) -> Tuple[Vec3, Vec3, Vec3]:

@@ -19,6 +19,7 @@ from typing import List, Sequence, Tuple
 
 from .cone import GoodCone, gluing_matrix, require_valid, validate
 from .exactnum import (
+    DegenerateInput,
     SearchExhausted,
     Vec3,
     _xgcd,
@@ -218,9 +219,17 @@ def weighted_homogeneous_check(
     exponents: Sequence[Sequence[int]], w: Sequence[int], degree: int
 ) -> bool:
     """True iff every monomial exponent vector a satisfies w . a = degree
-    (the polynomial scales as lambda^degree under the weight-w action)."""
+    (the polynomial scales as lambda^degree under the weight-w action).
+    Every entry of w and of each a must be an int (TypeError otherwise, as
+    in `int_triple`), and each a must have len(w) entries (DegenerateInput
+    otherwise); every vector is checked before any sum is compared."""
     if not exponents:
         raise ValueError("empty exponent list")
-    return all(
-        sum(int(wi) * int(ai) for wi, ai in zip(w, a)) == degree for a in exponents
-    )
+    for vec in (w, *exponents):
+        if any(type(x) is not int for x in vec):
+            raise TypeError(f"weights and exponents must be int, got {tuple(vec)!r}")
+        if len(vec) != len(w):
+            raise DegenerateInput(
+                f"exponent vector {tuple(vec)} does not have {len(w)} entries"
+            )
+    return all(sum(wi * ai for wi, ai in zip(w, a)) == degree for a in exponents)

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .cone import GoodCone, InvalidCone
+from .cone import GoodCone, InvalidCone, edge_rays
 from .exactnum import Vec3, det3, ratio_sum
 from .reeb import (
     ArcDecomposition,
@@ -182,35 +182,39 @@ class IdentityData:
 
 
 def _vertex_intersection_weight(
-    data: IdentityData, ybar_g: Tuple[int, int], vertex: int
+    data: IdentityData, rays, ybar_g: Tuple[int, int], vertex: int
 ) -> int:
     """a = I(rho_1, Sigma) at the polygon vertex between faces `vertex` and
-    `vertex`+1: the component count gcd(k, k') from the k-table times
-    |det_2(Ybar, Y_Sigma)| on integer Lie(G) coordinates, where Y_Sigma
-    generates span(n, n') ∩ Lie(G) and ybar_g are Ybar's coordinates.
+    `vertex`+1, 0 <= vertex < k: the component count gcd(k, k') from the
+    k-table times |det_2(Ybar, Y_Sigma)| on integer Lie(G) coordinates,
+    where Y_Sigma generates span(n, n') ∩ Lie(G) (`_vertex_circle` of the
+    vertex's edge ray in `rays`) and ybar_g are Ybar's coordinates.
 
     Cross-checked exactly against the determinant route with the cone's
     own vertex order: order * |det_2| = det3(n, n', Ybar), whose sign is
     that of Ybar . e on the vertex's edge ray e, positive for a transverse
     Ybar."""
-    cone, profile = data.cone, data.profile
-    m = len(cone)
-    y_sigma = _vertex_circle(profile, cone.normals, vertex)
+    normals, k = data.cone.normals, data.k
+    nxt = (vertex + 1) % len(normals)
+    y_sigma = _vertex_circle(data.profile, rays[vertex])
     det2 = abs(ybar_g[0] * y_sigma[1] - ybar_g[1] * y_sigma[0])
-    direct = det3(cone.normal(vertex), cone.normal(vertex + 1), data.ybar)
-    order = profile.vertex_orders[vertex % m]
+    # det3(n, n', Ybar) = (n x n') . Ybar
+    (a0, a1, a2), (b0, b1, b2), (y0, y1, y2) = normals[vertex], normals[nxt], data.ybar
+    direct = y0 * (a1 * b2 - a2 * b1) + y1 * (a2 * b0 - a0 * b2) + y2 * (a0 * b1 - a1 * b0)
+    order = data.profile.vertex_orders[vertex]
     if order * det2 != direct:
         raise ChainDataError(
             f"intersection count mismatch at vertex {vertex}: "
             f"gcd*det2={order * det2} vs det3={direct}"
         )
-    return math.gcd(data.k[vertex % m], data.k[(vertex + 1) % m]) * det2
+    return math.gcd(k[vertex], k[nxt]) * det2
 
 
 def build_identity_data(
     cone: GoodCone, R: ReebVector, ybar: Optional[Vec3] = None
 ) -> IdentityData:
-    profile, ybar, arcs = _arc_data(cone, R, ybar)
+    facts, ybar, arcs = _arc_data(cone, R, ybar)
+    profile = facts.profile
     return IdentityData(
         cone=cone, profile=profile, arcs=arcs, ybar=ybar, k=list(profile.k)
     )
@@ -235,7 +239,8 @@ def evaluate_identity(data: IdentityData) -> EulerReport:
     changes the weights and the multiplicities but not the geometry.
     """
     cone, arcs, ybar, k = data.cone, data.arcs, data.ybar, data.k
-    m = len(cone)
+    normals, rays = cone.normals, edge_rays(cone)
+    m = len(normals)
     terms: List[IdentityTerm] = []
     neg, pos = arcs.neg_arc, arcs.pos_arc
     if not neg or not pos:
@@ -249,13 +254,11 @@ def evaluate_identity(data: IdentityData) -> EulerReport:
         f1, f2 = (chain1[-1], chain2[-1]) if is_max else (chain1[0], chain2[0])
         a = None
         if extreme.kind == "vertex":
-            a = _vertex_intersection_weight(data, ybar_g, extreme.index)
+            a = _vertex_intersection_weight(data, rays, ybar_g, extreme.index)
             val = euler_near_B_orbit(a, k[f1], k[f2], is_max)
         else:
             lo, hi = (extreme.index - 1) % m, (extreme.index + 1) % m
-            val = euler_near_B_lens(
-                cone.normal(hi), cone.normal(lo), ybar, k[hi], k[lo], is_max
-            )
+            val = euler_near_B_lens(normals[hi], normals[lo], ybar, k[hi], k[lo], is_max)
         terms.append(
             IdentityTerm(
                 kind="extreme-max" if is_max else "extreme-min",
@@ -278,7 +281,7 @@ def evaluate_identity(data: IdentityData) -> EulerReport:
         jumps: List[Fraction] = []
         a_list: List[int] = []
         for lo, hi in zip(arc, arc[1:]):
-            a = _vertex_intersection_weight(data, ybar_g, _vertex_between(lo, hi, m))
+            a = _vertex_intersection_weight(data, rays, ybar_g, _vertex_between(lo, hi, m))
             k1, k2 = k[lo], k[hi]
             if k1 < 1 or k2 < 1:
                 raise ChainDataError("interior face with k = 0")

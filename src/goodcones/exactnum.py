@@ -388,26 +388,46 @@ def solve_dot_one(v: Vec3) -> Vec3:
 
 def plane_lattice_basis(v0: Vec3) -> Tuple[Vec3, Vec3]:
     """Basis (u1, u2) of the rank-2 lattice Z^3 ∩ v0-perp, oriented so that
-    det3(u1, u2, v0) > 0.  v0 must be primitive and nonzero.
+    det3(u1, u2, v0) > 0.  v0 must be primitive and nonzero, and is read
+    by `int_triple`.
 
-    Hermite-style column reduction of the relation row (v0 . x = 0).
+    Hermite-style column reduction of the relation row (v0 . x = 0): while
+    two values are nonzero, the first other nonzero value is reduced
+    modulo the first of least magnitude, and its column with it.
     """
+    v0 = int_triple(v0)
     if v0 == (0, 0, 0):
         raise DegenerateInput("zero vector")
     if not is_primitive(v0):
         raise DegenerateInput(f"{v0} is not primitive")
-    cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
-    vals = [v0[0], v0[1], v0[2]]
-    while sum(1 for x in vals if x != 0) > 1:
-        nz = [i for i, x in enumerate(vals) if x != 0]
-        j = min(nz, key=lambda i: abs(vals[i]))
-        i = next(i for i in nz if i != j)
+    vals = list(v0)
+    cols = [[1, 0, 0], [0, 1, 0], [0, 0, 1]]
+    while True:
+        x0, x1, x2 = vals
+        # (i, j): reduce value i by value j
+        if not x0:
+            if not x1 or not x2:
+                break
+            i, j = (2, 1) if abs(x1) <= abs(x2) else (1, 2)
+        elif not x1:
+            if not x2:
+                break
+            i, j = (2, 0) if abs(x0) <= abs(x2) else (0, 2)
+        elif not x2:
+            i, j = (1, 0) if abs(x0) <= abs(x1) else (0, 1)
+        else:
+            a0, a1, a2 = abs(x0), abs(x1), abs(x2)
+            j = 0 if a0 <= a1 and a0 <= a2 else (1 if a1 <= a2 else 2)
+            i = 1 if j == 0 else 0
         q = vals[i] // vals[j]
         vals[i] -= q * vals[j]
-        cols[i] = vec_sub(cols[i], vec_scale(q, cols[j]))
-    pivot = next(i for i, x in enumerate(vals) if x != 0)
-    basis = [cols[i] for i in range(3) if i != pivot]
-    u1, u2 = basis
+        ci, cj = cols[i], cols[j]
+        ci[0] -= q * cj[0]
+        ci[1] -= q * cj[1]
+        ci[2] -= q * cj[2]
+    c0, c1, c2 = cols
+    u1, u2 = (c1, c2) if vals[0] else ((c0, c2) if vals[1] else (c0, c1))
+    u1, u2 = tuple(u1), tuple(u2)
     if det3(u1, u2, v0) < 0:
         u1, u2 = u2, u1
     return u1, u2

@@ -29,12 +29,13 @@ from .exactnum import (
     det3,
     dot,
     int_triple,
+    quad_sign,
 )
 from .reeb import (
     ReebVector,
     _arc_data,
     _lie_g_integers,
-    _pair_sign,
+    _pairings,
     _polygon,
     _profile_of,
     _vertex_between,
@@ -230,12 +231,13 @@ def _fat(
     )
 
 
-def _regular_vertex(profile, normals, v: int) -> RegularVertex:
+def _regular_vertex(profile, rays, v: int) -> RegularVertex:
     """The one builder of regular vertices: the closed orbit at the polygon
-    vertex between faces v and v+1, of order gcd(k_v, k_{v+1})."""
+    vertex between faces v and v+1, of order gcd(k_v, k_{v+1}), whose
+    circle is read off the vertex's edge ray rays[v] (`_vertex_circle`)."""
     return RegularVertex(
-        order=profile.vertex_orders[v % len(normals)],
-        direction=_canonical_sign(_vertex_circle(profile, normals, v)),
+        order=profile.vertex_orders[v],
+        direction=_canonical_sign(_vertex_circle(profile, rays[v])),
     )
 
 
@@ -247,7 +249,8 @@ def extract_graph(
     faces with isotropy order >= 2, chains ordered by the canonical
     transverse moment functional, and the Reeb class in Lie(G)_Z
     coordinates."""
-    profile, _, arcs = _arc_data(cone, R, ybar)
+    facts, _, arcs = _arc_data(cone, R, ybar)
+    profile, rays = facts.profile, facts.rays
 
     def extreme(ext) -> Extreme:
         i = ext.index
@@ -258,10 +261,10 @@ def extract_graph(
                 (profile.k[(i - 1) % len(cone)], profile.k[(i + 1) % len(cone)]),
                 *_normal_euler_residues(cone, i),
             )
-        return _regular_vertex(profile, cone.normals, i)
+        return _regular_vertex(profile, rays, i)
 
     chains = tuple(
-        _chain_items(profile, cone.normals, arc) for arc in (arcs.neg_arc, arcs.pos_arc)
+        _chain_items(profile, cone.normals, rays, arc) for arc in (arcs.neg_arc, arcs.pos_arc)
     )
     return IsotropyGraph(
         reeb_class=reeb_lie_g_coords(profile, R),
@@ -271,10 +274,11 @@ def extract_graph(
     )
 
 
-def _chain_items(profile, normals, faces) -> Tuple[ChainItem, ...]:
+def _chain_items(profile, normals, rays, faces) -> Tuple[ChainItem, ...]:
     """Edges (faces with isotropy order >= 2) and interior vertices of one
     boundary chain, whose faces are consecutive in the cyclic order and are
-    listed from the minimum to the maximum."""
+    listed from the minimum to the maximum; rays[v] is the edge ray
+    between faces v and v+1."""
     items: List[ChainItem] = []
     for pos, face in enumerate(faces):
         kf = profile.k[face]
@@ -284,7 +288,7 @@ def _chain_items(profile, normals, faces) -> Tuple[ChainItem, ...]:
             )
         if pos + 1 < len(faces):
             v = _vertex_between(face, faces[pos + 1], len(normals))
-            items.append(_regular_vertex(profile, normals, v))
+            items.append(_regular_vertex(profile, rays, v))
     return tuple(items)
 
 
@@ -489,22 +493,27 @@ def germ_profile(germ: GermOfChain):
     """Profile of a germ (v0, per-face isotropy magnitudes, the Lie(G)
     frame) and the two end moment values (constant on each flat end
     segment, computable from the inner vertices alone)."""
-    profile = _profile_of(germ.reeb, germ.normals)
+    R, ns = germ.reeb, germ.normals
+    profile, _ = _profile_of(R, ns)
     k = profile.k
     if k[0] != 0 or k[-1] != 0:
         raise GraphAssemblyError("germ ends must be flat (v0 . n = 0)")
     if any(x == 0 for x in k[1:-1]):
         raise GraphAssemblyError("germ interior must not contain flats")
     # The two end edge rays, oriented so that R pairs positively with them.
-    ends = []
-    for face_a, face_b in ((0, 1), (len(k) - 2, len(k) - 1)):
-        ray = cross_primitive(germ.normals[face_a], germ.normals[face_b])
-        pairing = _pair_sign(germ.reeb, ray)
-        if pairing == 0:
+    ends, pairs = [], []
+    for face in (0, len(k) - 2):
+        ray = cross_primitive(ns[face], ns[face + 1])
+        ((a, b),) = _pairings(R, (ray,))
+        sign = quad_sign(a, b, R.d)
+        if sign == 0:
             raise GraphAssemblyError("Reeb pairs degenerately with a germ edge")
-        ends.append(ray if pairing > 0 else tuple(-x for x in ray))
+        if sign < 0:
+            ray, a, b = tuple(-x for x in ray), -a, -b
+        ends.append(ray)
+        pairs.append((a, b))
     u1, u2 = profile.lieG_basis
-    moment = [(dot(p, u1), dot(p, u2)) for p in _polygon(germ.reeb, ends).vertices]
+    moment = [(dot(p, u1), dot(p, u2)) for p in _polygon(R, ends, pairs).vertices]
     return {"profile": profile, "moment_min": moment[0], "moment_max": moment[1]}
 
 
@@ -544,7 +553,9 @@ def assemble_fiber_sum(
         k = profile.k
         ends_min.append(k[1])
         ends_max.append(k[-2])
-        chains.append(_chain_items(profile, germ.normals, range(1, len(k) - 1)))
+        ns = germ.normals
+        rays = [cross_primitive(a, b) for a, b in zip(ns, ns[1:])]
+        chains.append(_chain_items(profile, ns, rays, range(1, len(k) - 1)))
 
     def fat(data, ends) -> FatVertex:
         direction, (b, f), f_rev = data

@@ -26,9 +26,13 @@ like a QuadNumber, is built only for a value that a public function
 returns: polygon vertices, widths, slopes, residuals.
 
 One slot.  A fact of one object lives on that object: a cone keeps its
-goodness verdict (`cone._verdict`) and R its cleared parts.  The module
-keeps only facts of a pair, those of the last (cone, R) pair that a public
-call accepted: its edge rays and profile, and, filled on first use, its
+goodness verdict (`cone._verdict`) and its edge rays (`cone.edge_rays`),
+and R its cleared parts.  The module keeps only facts of a pair, those of
+the last (cone, R) pair that a public call accepted: the cone's edge rays,
+their pairings (P . e_i, Q . e_i), which the admissibility check computes
+and the polygon, the vertex ranking, the widths and `cli.render_svg`
+read, the profile and the signed isotropies v0 . n^i, which the arcs, the
+widths and the closure residual read, and, filled on first use, its
 chosen Ybar and its arcs for the last Ybar.  The slot is keyed by the
 identity of the two objects and holds them, so a pass of Reeb, Euler and
 graph calls on one pair builds the profile once.  It holds one pair, so
@@ -40,8 +44,8 @@ caller's Ybar or face, whose checks run on every call.  Every cached
 value is immutable, and callers that hand out a mutable value
 (`euler.IdentityData.k`) copy it.  The slot is read once per call and
 replaced by one assignment of a complete record, and a memo entry depends
-on its record alone, so threads racing on it (or on a cone's verdict) can
-only repeat work.
+on its record alone, so threads racing on it (or on a cone's verdict, rays
+or witnesses) can only repeat work.
 """
 
 from __future__ import annotations
@@ -60,7 +64,6 @@ from .exactnum import (
     _discriminant_fault,
     cramer_rows,
     cross,
-    cross_primitive,
     det3,
     dot,
     least_denominator_of_pairs,
@@ -125,9 +128,12 @@ def rank_of(R: ReebVector) -> int:
 _RANK_2_ONLY = "v0 is only defined for rank-2 Reeb vectors"
 
 
-def _pair_sign(R: ReebVector, e: Vec3) -> int:
-    """Sign of R . e for an integer vector e."""
-    return quad_sign(dot(R.P, e), dot(R.Q, e), R.d)
+def _pairings(R: ReebVector, rays) -> Tuple[Tuple[int, int], ...]:
+    """(P . e, Q . e) for each integer vector e of `rays`: den R . e is
+    P . e + sqrt(d) Q . e."""
+    p0, p1, p2 = R.P
+    q0, q1, q2 = R.Q
+    return tuple([(p0 * x + p1 * y + p2 * z, q0 * x + q1 * y + q2 * z) for x, y, z in rays])
 
 
 def _det_r(R: ReebVector, a: Vec3, b: Vec3) -> Tuple[int, int]:
@@ -169,22 +175,23 @@ class MomentPolygon:
 
 
 def moment_polygon(cone: GoodCone, R: ReebVector) -> MomentPolygon:
-    return _polygon(R, _facts(cone, R).rays)
+    facts = _facts(cone, R)
+    return _polygon(R, facts.rays, facts.pairs)
 
 
-def _vertex(R: ReebVector, e: Vec3) -> Tuple[QuadNumber, QuadNumber, QuadNumber]:
-    """The slice point e / (R . e) = den e / (P . e + sqrt(d) Q . e)."""
-    a, b = dot(R.P, e), dot(R.Q, e)
-    norm = a * a - R.d * b * b
-    return tuple(
-        QuadNumber(Fraction(R.den * c * a, norm), Fraction(-R.den * c * b, norm), R.d)
-        for c in e
-    )
+def _vertex(R: ReebVector, e: Vec3, a: int, b: int) -> Tuple[QuadNumber, QuadNumber, QuadNumber]:
+    """The slice point e / (R . e) = den e / (a + sqrt(d) b), with
+    (a, b) = (P . e, Q . e)."""
+    d = R.d
+    norm = a * a - d * b * b
+    ra, rb = R.den * a, -R.den * b
+    return tuple([QuadNumber(Fraction(c * ra, norm), Fraction(c * rb, norm), d) for c in e])
 
 
-def _polygon(R: ReebVector, rays) -> MomentPolygon:
-    """The polygon with vertices e / (R . e); R must be admissible."""
-    return MomentPolygon(vertices=tuple([_vertex(R, e) for e in rays]))
+def _polygon(R: ReebVector, rays, pairs) -> MomentPolygon:
+    """The polygon with vertices e / (R . e), given each ray's pairing
+    (`_pairings`); R must be admissible."""
+    return MomentPolygon(vertices=tuple([_vertex(R, e, a, b) for e, (a, b) in zip(rays, pairs)]))
 
 
 def _integer_span_normal(R: ReebVector) -> Vec3:
@@ -225,14 +232,18 @@ def isotropy_profile(cone: GoodCone, R: ReebVector) -> IsotropyProfile:
 
 
 class _Facts(NamedTuple):
-    """The checked facts of one (cone, R) pair; `profile` is None when R has
+    """The checked facts of one (cone, R) pair: the cone's edge rays, their
+    pairings (P . e_i, Q . e_i) with R (`_pairings`), the profile and the
+    signed isotropies v0 . n^i; `profile` and `signs` are None when R has
     rank 1.  `memo` holds the facts filled on first use: "ybar", the chosen
     transverse circle, and "arcs", the pair (Ybar, arcs) of the last Ybar."""
 
     cone: GoodCone
     R: ReebVector
     rays: Tuple[Vec3, ...]
+    pairs: Tuple[Tuple[int, int], ...]
     profile: Optional[IsotropyProfile]
+    signs: Optional[Tuple[int, ...]]
     memo: dict
 
 
@@ -250,15 +261,19 @@ def _facts(cone: GoodCone, R: ReebVector) -> _Facts:
         return facts
     require_valid(cone)
     rays = edge_rays(cone)
-    for e in rays:
-        if _pair_sign(R, e) <= 0:
+    pairs = _pairings(R, rays)
+    d = R.d
+    for e, (a, b) in zip(rays, pairs):
+        if quad_sign(a, b, d) <= 0:
             raise InadmissibleReeb(f"R pairs non-positively with edge {e}")
-    profile = None if cross(R.P, R.Q) == (0, 0, 0) else _profile_of(R, cone.normals)
-    if profile is not None and len(profile.flats) > 2:
-        raise InvalidCone(
-            f"more than two flat faces {sorted(profile.flats)}: rank-2 data inconsistent"
-        )
-    facts = _Facts(cone, R, rays, profile, {})
+    profile = signs = None
+    if cross(R.P, R.Q) != (0, 0, 0):
+        profile, signs = _profile_of(R, cone.normals)
+        if len(profile.flats) > 2:
+            raise InvalidCone(
+                f"more than two flat faces {sorted(profile.flats)}: rank-2 data inconsistent"
+            )
+    facts = _Facts(cone, R, rays, pairs, profile, signs, {})
     # A rank-1 pair is not kept: the calls that need a profile refuse it,
     # and a refusing call must leave the slot as it was.
     if profile is not None:
@@ -278,12 +293,14 @@ def _checked_profile(cone: GoodCone, R: ReebVector) -> _Facts:
     return facts
 
 
-def _profile_of(R: ReebVector, normals) -> IsotropyProfile:
+def _profile_of(R: ReebVector, normals) -> Tuple[IsotropyProfile, Tuple[int, ...]]:
     """Profile data of R against a cyclic list of normals (a cone's, or a
-    germ's whose two ends are flat); checks neither goodness nor
-    admissibility."""
+    germ's whose two ends are flat), and the signed isotropies v0 . n;
+    checks neither goodness nor admissibility."""
     v0 = _integer_span_normal(R)
-    k = tuple(abs(dot(v0, n)) for n in normals)
+    x, y, z = v0
+    signs = tuple([x * a + y * b + z * c for a, b, c in normals])
+    k = tuple([abs(s) for s in signs])
     flats = frozenset(i for i, ki in enumerate(k) if ki == 0)
     orders = []
     m = len(k)
@@ -292,7 +309,7 @@ def _profile_of(R: ReebVector, normals) -> IsotropyProfile:
         orders.append(b if a == 0 else (a if b == 0 else math.gcd(a, b)))
     u1, u2 = plane_lattice_basis(v0)
     complement = solve_dot_one(v0)
-    return IsotropyProfile(
+    profile = IsotropyProfile(
         v0=v0,
         k=k,
         flats=flats,
@@ -301,6 +318,7 @@ def _profile_of(R: ReebVector, normals) -> IsotropyProfile:
         complement=complement,
         lieG_rows=cramer_rows(u1, u2, complement)[:2],
     )
+    return profile, signs
 
 
 def _lie_g_integers(profile: IsotropyProfile, v: Vec3) -> Tuple[int, int]:
@@ -311,13 +329,20 @@ def _lie_g_integers(profile: IsotropyProfile, v: Vec3) -> Tuple[int, int]:
     return dot(row_a, v), dot(row_b, v)
 
 
-def _vertex_circle(profile: IsotropyProfile, normals, vertex: int) -> Tuple[int, int]:
+def _vertex_circle(profile: IsotropyProfile, e: Vec3) -> Tuple[int, int]:
     """Integer Lie(G) coordinates of the primitive generator of
-    span(n, n') ∩ Lie(G) at the polygon vertex between faces `vertex` and
-    `vertex`+1: the isotropy circle of that closed orbit, up to sign."""
-    m = len(normals)
-    edge = cross_primitive(normals[vertex % m], normals[(vertex + 1) % m])
-    return _lie_g_integers(profile, cross_primitive(profile.v0, edge))
+    span(n, n') ∩ Lie(G) at the polygon vertex on the edge ray e = n x n'
+    of a Delzant pair (n, n'): the isotropy circle of that closed orbit,
+    up to sign.  That generator is primitive_part(v0 x e), whose
+    coordinates are those of v0 x e over their gcd, as (u1, u2) is a basis
+    of the lattice; with rows (u2 x m, m x u1) and v0 . m = 1,
+    u1 . v0 = u2 . v0 = 0, they are (-u2 . e, u1 . e).  e is never along
+    v0 on an admissible pair, whose R in Lie(G) pairs positively with e."""
+    (a0, a1, a2), (b0, b1, b2) = profile.lieG_basis
+    x, y, z = e
+    first, second = -(b0 * x + b1 * y + b2 * z), a0 * x + a1 * y + a2 * z
+    g = math.gcd(first, second)
+    return first // g, second // g
 
 
 def reeb_lie_g_coords(profile: IsotropyProfile, R: ReebVector):
@@ -426,7 +451,10 @@ def width_of_flat_face(
         with c the value of Ybar on the face segment, constant since Ybar,
         R and n^i all lie in the plane Lie(G);
     (2) pr2-chord of the segment, pr2 = pairing with the lattice complement m
-        of Lie(G) (well defined: the segment direction lies in Lie(G)).
+        of Lie(G) (well defined: the segment direction lies in Lie(G)): with
+        the face's end rays e, e' and (a, b), (a', b') their pairings, it is
+        den ((m . e) (a' + b' sqrt(d)) - (m . e') (a + b sqrt(d)))
+        / ((a + b sqrt(d)) (a' + b' sqrt(d))), one quotient of integers.
 
     In (1), c = den y / (a + b sqrt(d)) with y = Ybar . e, a = P . e and
     b = Q . e at an end ray e of the face, and by linearity
@@ -442,17 +470,19 @@ def width_of_flat_face(
     raises DegenerateInput.
     """
     facts = _checked_profile(cone, R)
-    rays, profile = facts.rays, facts.profile
+    rays, profile, pairs, signs = facts.rays, facts.profile, facts.pairs, facts.signs
     _checked_ybar(profile, rays, ybar)
-    i %= len(cone)
+    k = len(cone)
+    i %= k
     if i not in profile.flats:
         raise DegenerateInput(f"face {i} is not flat (k={profile.k[i]})")
     e_lo, e_hi = rays[i - 1], rays[i]
     d = R.d
-    y, a, b = dot(ybar, e_hi), dot(R.P, e_hi), dot(R.Q, e_hi)
+    (a_lo, b_lo), (a, b) = pairs[i - 1], pairs[i]
+    y = dot(ybar, e_hi)
 
-    n_prev, n_next = cone.normal(i - 1), cone.normal(i + 1)
-    s_prev, s_next = dot(profile.v0, n_prev), dot(profile.v0, n_next)
+    n_prev, n_next = cone.normals[i - 1], cone.normals[(i + 1) % k]
+    s_prev, s_next = signs[i - 1], signs[(i + 1) % k]
     big_a, big_b = _det_r(R, n_prev, n_next)
     big_d = det3(n_prev, n_next, ybar)
     g, g_p, g_q = _det_g_parts(profile, R, ybar)
@@ -465,9 +495,13 @@ def width_of_flat_face(
     if w_formula.sign() < 0:
         w_formula = -w_formula
 
-    p_lo, p_hi = _vertex(R, e_lo), _vertex(R, e_hi)
     m = profile.complement
-    chord = sum(m[j] * (p_hi[j] - p_lo[j]) for j in range(3))
+    m_lo, m_hi = dot(m, e_lo), dot(m, e_hi)
+    chord = _quotient(
+        (R.den * (m_hi * a_lo - m_lo * a), R.den * (m_hi * b_lo - m_lo * b)),
+        (a * a_lo + d * b * b_lo, a * b_lo + b * a_lo),
+        d,
+    )
     if chord.sign() < 0:
         chord = -chord
     assert (w_formula - chord).is_zero(), "width computations disagree"
@@ -536,29 +570,27 @@ def arc_decomposition(
 
 def _arc_data(cone: GoodCone, R: ReebVector, ybar: Optional[Vec3]):
     """The start of every public call that walks the boundary chains:
-    (profile, Ybar, arcs) of the pair's facts, with Ybar chosen when None
-    and checked by `_checked_ybar` when given; the arcs of the last Ybar
-    are kept in the facts."""
+    (facts, Ybar, arcs) of the pair, with Ybar chosen when None and checked
+    by `_checked_ybar` when given; the arcs of the last Ybar are kept in
+    the facts."""
     facts = _checked_profile(cone, R)
-    profile = facts.profile
     if ybar is None:
         ybar = _chosen_ybar(facts)
     else:
-        _checked_ybar(profile, facts.rays, ybar)
+        _checked_ybar(facts.profile, facts.rays, ybar)
     key = tuple(ybar)
     last = facts.memo.get("arcs")
     if last is None or last[0] != key:
         last = facts.memo["arcs"] = (key, _arcs(facts, ybar))
-    return profile, ybar, last[1]
+    return facts, ybar, last[1]
 
 
 def _arcs(facts: _Facts, ybar: Vec3) -> ArcDecomposition:
     """The two boundary chains of the pair between the extremes of a
     transverse Ybar."""
-    cone, profile = facts.cone, facts.profile
+    cone, profile, signs = facts.cone, facts.profile, facts.signs
     k = len(cone)
-    signs = profile.signed(cone)
-    rank = _moment_ranks(facts.R, ybar, facts.rays)
+    rank = _moment_ranks(facts, ybar)
 
     def extreme_at(argbest: int) -> Extreme:
         # A vertex incident to a flat face belongs to that 3-dim component.
@@ -590,14 +622,18 @@ def _arcs(facts: _Facts, ybar: Vec3) -> ArcDecomposition:
     )
 
 
-def _moment_ranks(R: ReebVector, ybar: Vec3, rays) -> list:
-    """Rank of each vertex e_i / (R . e_i) by its Ybar-moment
+def _moment_ranks(facts: _Facts, ybar: Vec3) -> list:
+    """Rank of each vertex e_i / (R . e_i) of the pair by its Ybar-moment
     pi_i = (Ybar . e_i) / (R . e_i), tied vertices ranked equal.  With
-    y = Ybar . e, a = P . e and b = Q . e, every a + b sqrt(d) is positive
-    (R is admissible), so pi_i < pi_j exactly when
+    y = Ybar . e and (a, b) = (P . e, Q . e) the pair's pairing, every
+    a + b sqrt(d) is positive (R is admissible), so pi_i < pi_j exactly when
     (y_i a_j - y_j a_i) + sqrt(d) (y_i b_j - y_j b_i) < 0."""
-    keys = [(dot(ybar, e), dot(R.P, e), dot(R.Q, e)) for e in rays]
-    d = R.d
+    y0, y1, y2 = ybar
+    keys = [
+        (y0 * e0 + y1 * e1 + y2 * e2, a, b)
+        for (e0, e1, e2), (a, b) in zip(facts.rays, facts.pairs)
+    ]
+    d = facts.R.d
 
     def compare(i: int, j: int) -> int:
         yi, ai, bi = keys[i]
@@ -631,11 +667,11 @@ def closure_identity_residual(
     (`_checked_ybar`); any other vector raises DegenerateInput.  The terms
     are summed in Z, and a Fraction is built only for the result.
     """
-    profile, ybar, arcs = _arc_data(cone, R, ybar)
-    signs = profile.signed(cone)
+    facts, ybar, arcs = _arc_data(cone, R, ybar)
+    signs, normals = facts.signs, cone.normals
 
     def term(sgn, f1, f2):
-        det = det3(cone.normal(f1), cone.normal(f2), ybar)
+        det = det3(normals[f1], normals[f2], ybar)
         return sgn * det, abs(signs[f1] * signs[f2])
 
     if not arcs.neg_arc or not arcs.pos_arc:

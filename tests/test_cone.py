@@ -1,11 +1,14 @@
 import math
+from dataclasses import fields
 from fractions import Fraction
 
 import pytest
 
+import goodcones.cone as cone_module
 from goodcones.cone import (
     GoodCone,
     ValidityReport,
+    _frame_change,
     _is_good,
     can_blowdown_to_orbit,
     edge_ray,
@@ -18,7 +21,9 @@ from goodcones.cone import (
 from goodcones.construct import close_chain_normals, example_family, obstructed_family
 from goodcones.exactnum import (
     DegenerateInput,
+    cramer_rows,
     cross,
+    cross_primitive,
     delzant_witness,
     det3,
     dot,
@@ -35,6 +40,7 @@ from conftest import (
     mat_columns,
     mat_from_columns,
     mat_mul,
+    random_gl3,
     random_good_cone,
 )
 
@@ -305,3 +311,82 @@ def test_gluing_matrix_shared_factor_family3():
     t = gluing_matrix(FAMILY3, 1)
     c1, e1 = t[1][0], t[2][0]
     assert math.gcd(abs(c1), abs(e1)) % 2 == 0
+
+
+# ---------------------------------------------------------------------------
+# Edge rays kept on the cone; the frame change on scalars.
+# ---------------------------------------------------------------------------
+
+
+def test_edge_rays_equal_cross_primitive_of_each_pair(rnd):
+    cones = [SIMPLICIAL, FAMILY2, FAMILY3] + [random_good_cone(rnd, cuts=n % 5) for n in range(40)]
+    cones += [example_family(k)[0] for k in (2, 7, 64)] + [obstructed_family(6)[0]]
+    for cone in cones:
+        fresh = GoodCone(cone.normals)
+        rays = edge_rays(fresh)
+        assert rays == tuple(
+            cross_primitive(cone.normal(i), cone.normal(i + 1)) for i in range(len(cone))
+        )
+        assert edge_rays(fresh) is rays  # the cone's own tuple
+        assert [edge_ray(fresh, i) for i in range(-2, len(cone) + 2)] == [
+            rays[i % len(cone)] for i in range(-2, len(cone) + 2)
+        ]
+
+
+def test_edge_rays_are_built_once_per_cone_across_interleaved_walks(monkeypatch):
+    cones = [GoodCone(f(12)[0].normals) for f in (example_family, obstructed_family)]
+    built = []
+    original = cone_module._ray_table
+    monkeypatch.setattr(
+        cone_module, "_ray_table", lambda normals: built.append(normals) or original(normals)
+    )
+    for i in range(15):
+        for cone in cones:
+            edge_ray(cone, i)
+            edge_rays(cone)
+    assert built == [cone.normals for cone in cones]
+
+
+def test_edge_rays_stay_outside_fields_eq_hash_and_repr():
+    cone = GoodCone(FAMILY3.normals)
+    twin = GoodCone(cone.normals)
+    before = (fields(GoodCone), fields(cone), hash(cone), repr(cone))
+    edge_rays(cone)
+    assert cone._rays is not None and twin._rays is None
+    assert (fields(GoodCone), fields(cone), hash(cone), repr(cone)) == before
+    assert [f.name for f in fields(GoodCone)] == ["normals"]
+    assert cone == twin and hash(cone) == hash(twin) and repr(cone) == repr(twin)
+
+
+def test_a_parallel_adjacent_pair_raises_and_keeps_nothing():
+    bad = GoodCone(((1, 0, 0), (0, 1, 0), (0, -1, 0), (0, 0, 1)))
+    with pytest.raises(DegenerateInput) as direct:
+        cross_primitive((0, 1, 0), (0, -1, 0))
+    for call in (lambda: edge_rays(bad), lambda: edge_ray(bad, 1)):
+        with pytest.raises(DegenerateInput) as kept:
+            call()
+        assert str(kept.value) == str(direct.value) == "parallel vectors (0, 1, 0), (0, -1, 0)"
+    assert bad._rays is None
+
+
+def old_frame_change(left, right):
+    """`_frame_change` as it was, from `cramer_rows` and dot products."""
+    rows = cramer_rows(*left)
+    d = dot(left[0], rows[0])
+    assert d in (1, -1), f"frame determinant {d} is not +-1"
+    return tuple([tuple([d * dot(r, c) for c in right]) for r in rows])
+
+
+def test_frame_change_matches_the_old_cramer_route(rnd):
+    for _ in range(500):
+        left = mat_columns(random_gl3(rnd, shears=rnd.randint(1, 12)))
+        right = tuple(
+            tuple(rnd.randint(-(1 << 70), 1 << 70) for _ in range(3)) for _ in range(3)
+        )
+        t = _frame_change(left, right)
+        assert t == old_frame_change(left, right)
+        assert mat_columns(mat_mul(mat_from_columns(*left), t)) == right
+    for left in (((2, 0, 0), (0, 1, 0), (0, 0, 1)), ((1, 2, 3), (2, 4, 6), (0, 0, 1))):
+        for route in (_frame_change, old_frame_change):
+            with pytest.raises(AssertionError, match="^frame determinant -?[02] is not"):
+                route(left, left)

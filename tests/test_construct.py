@@ -21,6 +21,7 @@ from goodcones.construct import (
 )
 from goodcones.cone import GoodCone
 from goodcones.exactnum import (
+    DegenerateInput,
     cross,
     cross_primitive,
     det3,
@@ -269,6 +270,24 @@ def test_weighted_homogeneous_check():
     assert not weighted_homogeneous_check([(3, 0), (0, 2)], (1, 1), 3)
     with pytest.raises(ValueError):
         weighted_homogeneous_check([], (1, 1), 1)
+
+
+@pytest.mark.parametrize(
+    "exponents, w, error",
+    [
+        ([[1.5, 0.9]], [1, 1], TypeError),  # int() truncated to (1, 0): w . a = 1
+        ([[1, 0]], [1.9, 1], TypeError),  # int() truncated the weight to 1
+        ([[1, 0, 5]], [1, 1], DegenerateInput),  # zip dropped the third exponent
+        ([[1, 0], [True, 0]], [1, 1], TypeError),
+        ([[1, 0], [1]], [1, 1], DegenerateInput),
+        ([[0, 1], [1, 0, 0]], [2, 1], DegenerateInput),  # checked before any sum
+    ],
+)
+def test_weighted_homogeneous_check_refuses_non_int_and_short_or_long_vectors(
+    exponents, w, error
+):
+    with pytest.raises(error):
+        weighted_homogeneous_check(exponents, w, 1)
 
 
 def _old_verify_obstructed_conditions(cone, k):

@@ -255,6 +255,62 @@ def test_plane_lattice_basis_examples_and_saturation(rnd):
                     assert a.denominator == 1 and b.denominator == 1
 
 
+def old_plane_lattice_basis(v0):
+    """`plane_lattice_basis` as it was before its reduction ran on scalars:
+    the same steps, picked with a list of nonzero indices, `min` and a
+    lambda."""
+    if v0 == (0, 0, 0):
+        raise DegenerateInput("zero vector")
+    if math.gcd(*v0) != 1:
+        raise DegenerateInput(f"{v0} is not primitive")
+    cols = [(1, 0, 0), (0, 1, 0), (0, 0, 1)]
+    vals = [v0[0], v0[1], v0[2]]
+    while sum(1 for x in vals if x != 0) > 1:
+        nz = [i for i, x in enumerate(vals) if x != 0]
+        j = min(nz, key=lambda i: abs(vals[i]))
+        i = next(i for i in nz if i != j)
+        q = vals[i] // vals[j]
+        vals[i] -= q * vals[j]
+        cols[i] = vec_sub(cols[i], vec_scale(q, cols[j]))
+    pivot = next(i for i, x in enumerate(vals) if x != 0)
+    u1, u2 = [cols[i] for i in range(3) if i != pivot]
+    if det3(u1, u2, v0) < 0:
+        u1, u2 = u2, u1
+    return u1, u2
+
+
+def test_plane_lattice_basis_matches_the_old_loop(rnd):
+    """Random primitive vectors with zero, negative, equal and 4,096-bit
+    entries give the basis of the old loop."""
+    checked = 0
+    for bits in (1, 2, 3, 8, 64, 301, 4096):
+        for _ in range(40 if bits == 4096 else 600):
+            v = [rnd.choice((0, 1)) * rnd.randint(-(1 << bits), 1 << bits) for _ in range(3)]
+            if rnd.random() < 0.1:
+                v[rnd.randrange(3)] = v[rnd.randrange(3)]
+            g = math.gcd(*v)
+            if g == 0:
+                continue
+            v0 = tuple(x // g for x in v)
+            assert plane_lattice_basis(v0) == old_plane_lattice_basis(v0), v0
+            checked += 1
+    assert checked > 3000
+
+
+def test_plane_lattice_basis_reads_v0_as_an_int_triple():
+    """A list and a tuple give the same basis and the same errors."""
+    assert plane_lattice_basis([2, -3, 5]) == plane_lattice_basis((2, -3, 5))
+    for bad, error, message in (
+        ([0, 0, 0], DegenerateInput, "^zero vector$"),
+        ([2, 4, 6], DegenerateInput, r"^\(2, 4, 6\) is not primitive$"),
+        ([1.0, 0, 0], TypeError, "^vector entries must be int"),
+        ([1, 0], DegenerateInput, "does not have three entries$"),
+    ):
+        for v0 in (bad, tuple(bad)):
+            with pytest.raises(error, match=message):
+                plane_lattice_basis(v0)
+
+
 def test_lattice_complement(rnd):
     for _ in range(50):
         v0 = tuple(rnd.randint(-7, 7) for _ in range(3))

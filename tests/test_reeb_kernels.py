@@ -378,7 +378,7 @@ def test_read_path_matches_quadratic_field_routes(cone, R, scale):
     ybar = choose_transverse_circle(cone, R)
 
     pi_vals = old_moments(cone, R, ybar)
-    rank = _moment_ranks(R, ybar, edge_rays(cone))
+    rank = _moment_ranks(reeb_module._facts(cone, R), ybar)
     assert rank == old_ranks(pi_vals)
     # The two ends of a flat face lie in one Ybar-level set: a tie.
     k = len(cone)

@@ -15,11 +15,16 @@ from dataclasses import fields
 import pytest
 
 import goodcones.cone
+import goodcones.construct
+import goodcones.euler
+import goodcones.exactnum
+import goodcones.graph
 import goodcones.reeb
+import goodcones.surgery
 from goodcones.cone import GoodCone, InvalidCone, face_invariants, gluing_matrix
 from goodcones.construct import example_family, obstructed_family
 from goodcones.euler import build_identity_data, evaluate_identity, verify_global_identity
-from goodcones.exactnum import DegenerateInput
+from goodcones.exactnum import DegenerateInput, cross_primitive, dot
 from goodcones.graph import canonical_form, extract_graph
 from goodcones.reeb import (
     InadmissibleReeb,
@@ -475,3 +480,89 @@ def test_arcs_follow_the_callers_ybar_on_one_pair():
             assert arc_decomposition(cone, reeb) == chosen
             changed += fresh != chosen
     assert changed > 0
+
+
+# ---------------------------------------------------------------------------
+# The slot's pairings and signs; a compute-once budget for one pass.
+# ---------------------------------------------------------------------------
+
+
+def test_the_slots_pairings_and_signs_are_direct_dot_products():
+    ladder = [example_family(k) for k in (80, 96, 128, 160, 192, 224, 256)]
+    for cone, reeb in CORPUS + ladder:
+        profile = isotropy_profile(cone, reeb)
+        facts = goodcones.reeb._slot
+        assert facts.cone is cone and facts.R is reeb and facts.profile is profile
+        k = len(cone)
+        rays = tuple(cross_primitive(cone.normal(i), cone.normal(i + 1)) for i in range(k))
+        assert facts.rays == rays
+        # den R . e = P . e + sqrt(d) Q . e, with P = den p and Q = den q
+        assert facts.pairs == tuple(
+            (reeb.den * dot(reeb.p, e), reeb.den * dot(reeb.q, e)) for e in rays
+        )
+        assert facts.signs == tuple(dot(profile.v0, n) for n in cone.normals)
+        assert profile.k == tuple(abs(s) for s in facts.signs)
+        hash((facts.pairs, facts.signs))
+
+
+BUDGETED = (
+    "plane_lattice_basis",
+    "_profile_of",
+    "delzant_witness",
+    "cross_primitive",
+    "_ray_table",
+    "_vertex_circle",
+)
+
+
+def budget_pairs():
+    rnd = random.Random(61)
+    pairs = [example_family(64)]
+    for cuts, d in ((1, 2), (2, 3), (4, 5)):
+        cone = random_good_cone(rnd, cuts=cuts)
+        pairs.append((cone, random_admissible_rank2_reeb(rnd, cone, d=d)))
+    return pairs
+
+
+def test_a_reeb_pass_keeps_to_its_compute_once_budget(monkeypatch):
+    """One `reeb_pass` on fresh copies of a pair builds the profile, the
+    Lie(G) basis and the edge rays once, computes one Delzant witness per
+    adjacent pair and reads each vertex circle once per reader (the Euler
+    identity and the graph), only at vertices between two faces that are
+    not flat.  Vertex circles come from the edge ray's pairings with the
+    Lie(G) basis and edge rays from `_ray_table`, so no `cross_primitive`
+    is left on the read path."""
+    calls = dict.fromkeys(BUDGETED, 0)
+    modules = (
+        goodcones.exactnum,
+        goodcones.cone,
+        goodcones.reeb,
+        goodcones.euler,
+        goodcones.graph,
+        goodcones.construct,
+        goodcones.surgery,
+    )
+    for module in modules:
+        for name in BUDGETED:
+            if hasattr(module, name):
+
+                def counting(*args, _name=name, _original=getattr(module, name)):
+                    calls[_name] += 1
+                    return _original(*args)
+
+                monkeypatch.setattr(module, name, counting)
+    for cone, reeb in budget_pairs():
+        cone, reeb = copies(cone, reeb)
+        for name in calls:
+            calls[name] = 0
+        out = reeb_pass(cone, reeb)
+        k = out["profile"].k
+        circles = sum(1 for v in range(len(k)) if k[v] and k[(v + 1) % len(k)])
+        assert calls == {
+            "plane_lattice_basis": 1,
+            "_profile_of": 1,
+            "delzant_witness": len(cone),
+            "cross_primitive": 0,
+            "_ray_table": 1,
+            "_vertex_circle": 2 * circles,
+        }, cone
