@@ -3,8 +3,10 @@ quotients and lens spaces, critical-level jumps, chain sums, and the global
 Euler-sum identity on a good cone with a rank-2 Reeb vector.
 
 All outputs are Fractions; nothing here touches floating point.  Chain
-sums run in Z over one running lcm denominator (`exactnum.ratio_sum`), and a
-Fraction, like a QuadNumber in `reeb`, is built only for a returned value.
+sums run in Z (`exactnum.ratio_sum`, whose running pair stays bounded), and
+a Fraction is built only for a returned value.  The intersection weights
+read the pair's vertex circles, which `reeb` computes once per (cone, R)
+pair for both this module and the graph.
 """
 
 from __future__ import annotations
@@ -14,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .cone import GoodCone, InvalidCone, edge_rays
+from .cone import GoodCone, InvalidCone
 from .exactnum import Vec3, det3, ratio_sum
 from .reeb import (
     ArcDecomposition,
@@ -23,8 +25,8 @@ from .reeb import (
     ReebVector,
     _arc_data,
     _lie_g_integers,
+    _pair_circles,
     _vertex_between,
-    _vertex_circle,
 )
 
 
@@ -172,23 +174,24 @@ class EulerReport:
 @dataclass
 class IdentityData:
     """Everything verify_global_identity needs, exposed so that negative
-    controls can mutate the k-table before evaluation."""
+    controls can mutate the k-table before evaluation.  circles[v] is the
+    isotropy circle at the polygon vertex v (`reeb._vertex_circles`), None
+    next to a flat face."""
 
     cone: GoodCone
     profile: IsotropyProfile
     arcs: ArcDecomposition
     ybar: Vec3
     k: List[int]
+    circles: Tuple[Optional[Tuple[int, int]], ...]
 
 
-def _vertex_intersection_weight(
-    data: IdentityData, rays, ybar_g: Tuple[int, int], vertex: int
-) -> int:
+def _vertex_intersection_weight(data: IdentityData, ybar_g: Tuple[int, int], vertex: int) -> int:
     """a = I(rho_1, Sigma) at the polygon vertex between faces `vertex` and
     `vertex`+1, 0 <= vertex < k: the component count gcd(k, k') from the
     k-table times |det_2(Ybar, Y_Sigma)| on integer Lie(G) coordinates,
-    where Y_Sigma generates span(n, n') ∩ Lie(G) (`_vertex_circle` of the
-    vertex's edge ray in `rays`) and ybar_g are Ybar's coordinates.
+    where Y_Sigma generates span(n, n') ∩ Lie(G) (the vertex's circle in
+    `data.circles`) and ybar_g are Ybar's coordinates.
 
     Cross-checked exactly against the determinant route with the cone's
     own vertex order: order * |det_2| = det3(n, n', Ybar), whose sign is
@@ -196,7 +199,7 @@ def _vertex_intersection_weight(
     Ybar."""
     normals, k = data.cone.normals, data.k
     nxt = (vertex + 1) % len(normals)
-    y_sigma = _vertex_circle(data.profile, rays[vertex])
+    y_sigma = data.circles[vertex]
     det2 = abs(ybar_g[0] * y_sigma[1] - ybar_g[1] * y_sigma[0])
     # det3(n, n', Ybar) = (n x n') . Ybar
     (a0, a1, a2), (b0, b1, b2), (y0, y1, y2) = normals[vertex], normals[nxt], data.ybar
@@ -216,7 +219,12 @@ def build_identity_data(
     facts, ybar, arcs = _arc_data(cone, R, ybar)
     profile = facts.profile
     return IdentityData(
-        cone=cone, profile=profile, arcs=arcs, ybar=ybar, k=list(profile.k)
+        cone=cone,
+        profile=profile,
+        arcs=arcs,
+        ybar=ybar,
+        k=list(profile.k),
+        circles=_pair_circles(facts),
     )
 
 
@@ -239,7 +247,7 @@ def evaluate_identity(data: IdentityData) -> EulerReport:
     changes the weights and the multiplicities but not the geometry.
     """
     cone, arcs, ybar, k = data.cone, data.arcs, data.ybar, data.k
-    normals, rays = cone.normals, edge_rays(cone)
+    normals = cone.normals
     m = len(normals)
     terms: List[IdentityTerm] = []
     neg, pos = arcs.neg_arc, arcs.pos_arc
@@ -254,7 +262,7 @@ def evaluate_identity(data: IdentityData) -> EulerReport:
         f1, f2 = (chain1[-1], chain2[-1]) if is_max else (chain1[0], chain2[0])
         a = None
         if extreme.kind == "vertex":
-            a = _vertex_intersection_weight(data, rays, ybar_g, extreme.index)
+            a = _vertex_intersection_weight(data, ybar_g, extreme.index)
             val = euler_near_B_orbit(a, k[f1], k[f2], is_max)
         else:
             lo, hi = (extreme.index - 1) % m, (extreme.index + 1) % m
@@ -281,7 +289,7 @@ def evaluate_identity(data: IdentityData) -> EulerReport:
         jumps: List[Fraction] = []
         a_list: List[int] = []
         for lo, hi in zip(arc, arc[1:]):
-            a = _vertex_intersection_weight(data, rays, ybar_g, _vertex_between(lo, hi, m))
+            a = _vertex_intersection_weight(data, ybar_g, _vertex_between(lo, hi, m))
             k1, k2 = k[lo], k[hi]
             if k1 < 1 or k2 < 1:
                 raise ChainDataError("interior face with k = 0")

@@ -8,8 +8,8 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 from typing import Optional, Sequence, Tuple, Union
 
 Scalar = Union[int, Fraction, "QuadNumber"]
@@ -56,159 +56,238 @@ def _discriminant_fault(d: int) -> Optional[str]:
         return f"discriminant must be square-free >= 2, got {d}"
 
 
-@dataclass(frozen=True)
 class QuadNumber:
-    """Element a + b*sqrt(d) of the real quadratic field Q(sqrt(d)).
+    """Element (a + b*sqrt(d)) / den of the real quadratic field Q(sqrt(d)),
+    stored as the integers a, b and den > 0 with gcd(a, b, den) = 1, so that
+    each value has one representation.
+
+    `QuadNumber(rat, irr, d, den)` is (rat + irr*sqrt(d)) / den: ints take a
+    fast path, any other number is read as a `Fraction`, and every value is
+    built through `__init__`.  `rat` and `irr`, the rational and irrational
+    parts, are `Fraction` properties; a, b, den and d are read-only.
+    Arithmetic, signs, floors and order run on the integers, without a
+    temporary value: `sign` is `quad_sign(a, b, d)`, `floor` one isqrt, and
+    an order one `quad_sign` of the cross-multiplied difference.
 
     d is a square-free integer >= 2, fixed per value; arithmetic and order
     across discriminants raise TypeError, while == across them holds only
     for equal rationals, as Q(sqrt(d1)) and Q(sqrt(d2)) meet in Q.  A float
     equals a rational value as it equals a Fraction; order against a float
-    raises TypeError.  Signs are decided by `quad_sign` on integers.
+    raises TypeError.  A rational value hashes as its Fraction does.
     """
 
-    rat: Fraction
-    irr: Fraction
-    d: int = DEFAULT_DISCRIMINANT
+    __slots__ = ("_a", "_b", "_den", "_d")
 
-    def __post_init__(self):
-        if not isinstance(self.rat, Fraction):
-            object.__setattr__(self, "rat", Fraction(self.rat))
-        if not isinstance(self.irr, Fraction):
-            object.__setattr__(self, "irr", Fraction(self.irr))
-        if fault := _discriminant_fault(self.d):
+    def __init__(self, rat, irr, d: int = DEFAULT_DISCRIMINANT, den=1):
+        if type(rat) is not int or type(irr) is not int or type(den) is not int:
+            rat, irr, den = _cleared(rat, irr, den)
+        if den != 1:
+            if den <= 0:
+                if not den:
+                    raise ZeroDivisionError("QuadNumber with zero denominator")
+                rat, irr, den = -rat, -irr, -den
+            g = math.gcd(rat, irr, den)
+            if g != 1:
+                rat, irr, den = rat // g, irr // g, den // g
+        if fault := _discriminant_fault(d):
             raise ValueError(fault)
+        self._a = rat
+        self._b = irr
+        self._den = den
+        self._d = d
 
-    def _coerce(self, other) -> "QuadNumber":
+    a = property(attrgetter("_a"))
+    b = property(attrgetter("_b"))
+    den = property(attrgetter("_den"))
+    d = property(attrgetter("_d"))
+
+    @property
+    def rat(self) -> Fraction:
+        return Fraction(self._a, self._den)
+
+    @property
+    def irr(self) -> Fraction:
+        return Fraction(self._b, self._den)
+
+    def __reduce__(self):
+        return QuadNumber, (self._a, self._b, self._d, self._den)
+
+    def _parts(self, other) -> Optional[Tuple[int, int, int]]:
+        """other as (a, b, den) in the field of self; None for a type that
+        is not a number of it."""
         if isinstance(other, QuadNumber):
-            if other.d != self.d:
-                raise TypeError(f"mixed discriminants {self.d} and {other.d}")
-            return other
-        if isinstance(other, (int, Fraction)):
-            return QuadNumber(Fraction(other), Fraction(0), self.d)
-        return NotImplemented
+            if other._d != self._d:
+                raise TypeError(f"mixed discriminants {self._d} and {other._d}")
+            return other._a, other._b, other._den
+        if isinstance(other, int):
+            return other, 0, 1
+        if isinstance(other, Fraction):
+            return other.numerator, 0, other.denominator
+        return None
 
     def __add__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadNumber(self.rat + o.rat, self.irr + o.irr, self.d)
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        a, b, n = o
+        m = self._den
+        if m == n:
+            return QuadNumber(self._a + a, self._b + b, self._d, n)
+        return QuadNumber(self._a * n + a * m, self._b * n + b * m, self._d, m * n)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return QuadNumber(-self.rat, -self.irr, self.d)
+        return QuadNumber(-self._a, -self._b, self._d, self._den)
 
     def __sub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadNumber(self.rat - o.rat, self.irr - o.irr, self.d)
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        a, b, n = o
+        m = self._den
+        return QuadNumber(self._a * n - a * m, self._b * n - b * m, self._d, m * n)
 
     def __rsub__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o - self
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        a, b, n = o
+        m = self._den
+        return QuadNumber(a * m - self._a * n, b * m - self._b * n, self._d, m * n)
 
     def __mul__(self, other):
-        if isinstance(other, (int, Fraction)):
-            return QuadNumber(self.rat * other, self.irr * other, self.d)
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return QuadNumber(
-            self.rat * o.rat + self.d * self.irr * o.irr,
-            self.rat * o.irr + self.irr * o.rat,
-            self.d,
-        )
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        a, b, n = o
+        x, y, d = self._a, self._b, self._d
+        return QuadNumber(x * a + d * y * b, x * b + y * a, d, self._den * n)
 
     __rmul__ = __mul__
 
     def inverse(self) -> "QuadNumber":
-        norm = self.rat * self.rat - self.d * self.irr * self.irr
-        if norm == 0:
-            raise ZeroDivisionError("zero has no inverse in Q(sqrt(d))")
-        return QuadNumber(self.rat / norm, -self.irr / norm, self.d)
+        return _quotient(1, 0, 1, self._a, self._b, self._den, self._d)
 
     def __truediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return self * o.inverse()
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return _quotient(self._a, self._b, self._den, *o, self._d)
 
     def __rtruediv__(self, other):
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return o
-        return o * self.inverse()
+        o = self._parts(other)
+        if o is None:
+            return NotImplemented
+        return _quotient(*o, self._a, self._b, self._den, self._d)
 
     def is_zero(self) -> bool:
-        return self.rat == 0 and self.irr == 0
+        return self._a == 0 and self._b == 0
 
     def is_rational(self) -> bool:
-        return self.irr == 0
+        return self._b == 0
 
     def sign(self) -> int:
-        """Exact sign: a = r/s and b = t/u with s, u > 0 give
-        a + b*sqrt(d) = (r*u + t*s*sqrt(d)) / (s*u)."""
-        a, b = self.rat, self.irr
-        return quad_sign(
-            a.numerator * b.denominator, b.numerator * a.denominator, self.d
-        )
+        return quad_sign(self._a, self._b, self._d)
 
     def __floor__(self) -> int:
-        """Exact floor: with a common denominator D, a + b*sqrt(d) is
-        (A + B*sqrt(d)) / D, and floor(N / D) = floor(floor(N) / D) for an
-        integer D > 0.  B*sqrt(d) is irrational unless B = 0, so its floor
-        is isqrt(B^2 d) for B >= 0 and -isqrt(B^2 d) - 1 for B < 0."""
-        den = math.lcm(self.rat.denominator, self.irr.denominator)
-        a, b = int(self.rat * den), int(self.irr * den)
-        root = math.isqrt(b * b * self.d)
+        """Exact floor: floor(N / den) = floor(floor(N) / den) for an integer
+        den > 0, and b*sqrt(d) is irrational unless b = 0, so its floor is
+        isqrt(b^2 d) for b >= 0 and -isqrt(b^2 d) - 1 for b < 0."""
+        b = self._b
+        root = math.isqrt(b * b * self._d)
         if b < 0:
             root = -root - 1
-        return (a + root) // den
+        return (self._a + root) // self._den
 
     def __eq__(self, other):
+        if isinstance(other, QuadNumber):
+            # across discriminants only rationals agree, which keeps == in
+            # step with __hash__
+            return (
+                self._a == other._a
+                and self._b == other._b
+                and self._den == other._den
+                and (self._d == other._d or self._b == 0)
+            )
+        if isinstance(other, int):
+            return self._b == 0 and self._den == 1 and self._a == other
+        if isinstance(other, Fraction):
+            return self._b == 0 and self._a == other.numerator and self._den == other.denominator
         if isinstance(other, float):
             # as Fraction compares with a float, which keeps == in step
             # with __hash__; a float is never irrational
-            return self.irr == 0 and self.rat == other
-        if isinstance(other, QuadNumber) and other.d != self.d:
-            # only rationals agree, which keeps == in step with __hash__
-            return self.irr == 0 == other.irr and self.rat == other.rat
-        o = self._coerce(other)
-        if o is NotImplemented:
-            return NotImplemented
-        return self.rat == o.rat and self.irr == o.irr
+            return self._b == 0 and Fraction(self._a, self._den) == other
+        return NotImplemented
 
     def __hash__(self):
-        if self.irr == 0:
-            return hash(self.rat)
-        return hash((self.rat, self.irr, self.d))
+        if self._b == 0:
+            return hash(self._a) if self._den == 1 else hash(Fraction(self._a, self._den))
+        return hash((self.rat, self.irr, self._d))
+
+    def _compare(self, other) -> Optional[int]:
+        """The sign of self - other, None for an unsupported type: with both
+        denominators positive, one quad_sign of the cross-multiplied
+        difference."""
+        o = self._parts(other)
+        if o is None:
+            return None
+        a, b, n = o
+        m = self._den
+        return quad_sign(self._a * n - a * m, self._b * n - b * m, self._d)
 
     def __lt__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else (self - o).sign() < 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s < 0
 
     def __le__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else (self - o).sign() <= 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s <= 0
 
     def __gt__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else (self - o).sign() > 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s > 0
 
     def __ge__(self, other):
-        o = self._coerce(other)
-        return o if o is NotImplemented else (self - o).sign() >= 0
+        s = self._compare(other)
+        return NotImplemented if s is None else s >= 0
 
     def __float__(self):
         # Presentation only (SVG coordinates); never used in decisions.
-        return float(self.rat) + float(self.irr) * math.sqrt(self.d)
+        # int / int rounds correctly, so each part is float() of its Fraction.
+        return self._a / self._den + self._b / self._den * math.sqrt(self._d)
 
     def __repr__(self):
-        return f"QuadNumber({self.rat} + {self.irr}*sqrt({self.d}))"
+        n = self._den
+        return f"QuadNumber({ratio_text(self._a, n)} + {ratio_text(self._b, n)}*sqrt({self._d}))"
+
+
+def _cleared(rat, irr, den) -> Tuple[int, int, int]:
+    """Integers (a, b, n) with (a + b sqrt(d)) / n = (rat + irr sqrt(d)) / den
+    for rational rat, irr and den, each read as a Fraction."""
+    r, s, t = (x if isinstance(x, Fraction) else Fraction(x) for x in (rat, irr, den))
+    q, u = r.denominator, s.denominator
+    lcm = q // math.gcd(q, u) * u
+    scale = t.denominator
+    return r.numerator * (lcm // q) * scale, s.numerator * (lcm // u) * scale, t.numerator * lcm
+
+
+def _quotient(a: int, b: int, m: int, x: int, y: int, n: int, d: int) -> QuadNumber:
+    """n (a + b sqrt(d)) / (m (x + y sqrt(d))) for integers, m, n != 0, as
+    one QuadNumber: multiply through by the conjugate x - y sqrt(d)."""
+    norm = x * x - d * y * y
+    if norm == 0:
+        raise ZeroDivisionError("zero has no inverse in Q(sqrt(d))")
+    return QuadNumber(n * (a * x - d * b * y), n * (b * x - a * y), d, m * norm)
+
+
+def ratio_text(p: int, q: int) -> str:
+    """`str(Fraction(p, q))` for integers p and q > 0, from one gcd: "p" or
+    "p/q" in lowest terms."""
+    g = math.gcd(p, q)
+    if g == q:
+        return str(p // g)
+    return f"{p // g}/{q // g}"
 
 
 def quad_sign(a: int, b: int, d: int) -> int:
@@ -225,7 +304,7 @@ def quad_sign(a: int, b: int, d: int) -> int:
 
 
 def quad(rat, irr=0, d: int = DEFAULT_DISCRIMINANT) -> QuadNumber:
-    return QuadNumber(Fraction(rat), Fraction(irr), d)
+    return QuadNumber(rat, irr, d)
 
 
 # ---------------------------------------------------------------------------
@@ -347,7 +426,14 @@ def least_denominator_of_pairs(
     The ends are carried as integer pairs (num, den), den > 0 except for an
     infinite upper end (num > 0, den = 0), so the descent runs in Z; every
     test compares cross products, so a common factor of a pair changes
-    nothing."""
+    nothing.
+
+    Sizes: past the first step the pairs are Euclid remainders.  That step
+    maps the ends to e / (c - n e) and b / (a - n b) with 0 <= a - n b < b
+    and 0 < c - n e <= e (hi <= n + 1, as neither n nor n + 1 was taken),
+    and each later step does the same to entries that never grow.  So no
+    entry exceeds max(b, e) after the first step's products n b and n e,
+    and C and D stay below the returned denominator C z + D."""
     if a * e > c * b or (a * e == c * b and (lo_open or hi_open)):
         return None
     # x = (A z + B) / (C z + D), unimodular, maps the current interval back
@@ -368,12 +454,23 @@ def least_denominator_of_pairs(
 
 def ratio_sum(terms) -> Tuple[int, int]:
     """(num, den) with num / den the sum of a / b over the integer pairs
-    (a, b), b > 0, of `terms`, kept over the running lcm of the b: the sum
-    runs in Z, and num / den need not be in lowest terms."""
-    num, den = 0, 1
+    (a, b), b > 0, of `terms`: the sum runs in Z, over the lcm of den and
+    each b, and num / den need not be in lowest terms.
+
+    Sizes: the pair is divided by gcd(num, den) whenever den exceeds the
+    largest b so far, so after each term den is at most that b or the
+    denominator of the partial sum in lowest terms, and an intermediate den
+    at most that times one b.  Without it, den grows to the lcm of every b,
+    about their product when they are nearly coprime."""
+    num, den, top = 0, 1, 1
     for a, b in terms:
         g = math.gcd(den, b)
         num, den = num * (b // g) + a * (den // g), den // g * b
+        if b > top:
+            top = b
+        if den > top:
+            g = math.gcd(num, den)
+            num, den = num // g, den // g
     return num, den
 
 

@@ -30,31 +30,24 @@ from .exactnum import (
     dot,
     int_triple,
     quad_sign,
+    ratio_text,
 )
 from .reeb import (
     ReebVector,
     _arc_data,
     _lie_g_integers,
+    _pair_circles,
     _pairings,
     _polygon,
     _profile_of,
     _vertex_between,
-    _vertex_circle,
+    _vertex_circles,
     reeb_lie_g_coords,
 )
 
 
 class GraphAssemblyError(ValueError):
     pass
-
-
-def ratio_text(a: int, n: int) -> str:
-    """`str(Fraction(a, n))` for integers 0 <= a < n, from one gcd: the text
-    of an isotropy generator's coordinate, "0" or "p/q" in lowest terms."""
-    if a == 0:
-        return "0"
-    g = math.gcd(a, n)
-    return f"{a // g}/{n // g}"
 
 
 @dataclass(frozen=True)
@@ -231,13 +224,13 @@ def _fat(
     )
 
 
-def _regular_vertex(profile, rays, v: int) -> RegularVertex:
+def _regular_vertex(profile, circles, v: int) -> RegularVertex:
     """The one builder of regular vertices: the closed orbit at the polygon
     vertex between faces v and v+1, of order gcd(k_v, k_{v+1}), whose
-    circle is read off the vertex's edge ray rays[v] (`_vertex_circle`)."""
+    circle is circles[v] (`reeb._vertex_circles`)."""
     return RegularVertex(
         order=profile.vertex_orders[v],
-        direction=_canonical_sign(_vertex_circle(profile, rays[v])),
+        direction=_canonical_sign(circles[v]),
     )
 
 
@@ -250,7 +243,7 @@ def extract_graph(
     transverse moment functional, and the Reeb class in Lie(G)_Z
     coordinates."""
     facts, _, arcs = _arc_data(cone, R, ybar)
-    profile, rays = facts.profile, facts.rays
+    profile, circles = facts.profile, _pair_circles(facts)
 
     def extreme(ext) -> Extreme:
         i = ext.index
@@ -261,10 +254,10 @@ def extract_graph(
                 (profile.k[(i - 1) % len(cone)], profile.k[(i + 1) % len(cone)]),
                 *_normal_euler_residues(cone, i),
             )
-        return _regular_vertex(profile, rays, i)
+        return _regular_vertex(profile, circles, i)
 
     chains = tuple(
-        _chain_items(profile, cone.normals, rays, arc) for arc in (arcs.neg_arc, arcs.pos_arc)
+        _chain_items(profile, cone.normals, circles, arc) for arc in (arcs.neg_arc, arcs.pos_arc)
     )
     return IsotropyGraph(
         reeb_class=reeb_lie_g_coords(profile, R),
@@ -274,11 +267,11 @@ def extract_graph(
     )
 
 
-def _chain_items(profile, normals, rays, faces) -> Tuple[ChainItem, ...]:
+def _chain_items(profile, normals, circles, faces) -> Tuple[ChainItem, ...]:
     """Edges (faces with isotropy order >= 2) and interior vertices of one
     boundary chain, whose faces are consecutive in the cyclic order and are
-    listed from the minimum to the maximum; rays[v] is the edge ray
-    between faces v and v+1."""
+    listed from the minimum to the maximum; circles[v] is the circle at
+    the vertex between faces v and v+1."""
     items: List[ChainItem] = []
     for pos, face in enumerate(faces):
         kf = profile.k[face]
@@ -288,7 +281,7 @@ def _chain_items(profile, normals, rays, faces) -> Tuple[ChainItem, ...]:
             )
         if pos + 1 < len(faces):
             v = _vertex_between(face, faces[pos + 1], len(normals))
-            items.append(_regular_vertex(profile, rays, v))
+            items.append(_regular_vertex(profile, circles, v))
     return tuple(items)
 
 
@@ -333,10 +326,12 @@ def reeb_frame_matrix(g: IsotropyGraph):
     r1, r2 = g.reeb_class
     # Let P have columns p and q; we want A with A P in (left) Hermite
     # form, i.e. P^T U in column Hermite form and A = U^T.  The rows of
-    # P^T, the rational and the irrational parts, are cleared to integers.
-    rows = ((r1.rat, r2.rat), (r1.irr, r2.irr))
-    den = math.lcm(*(x.denominator for row in rows for x in row))
-    _, u = _hnf_2x2(tuple(tuple(int(x * den) for x in row) for row in rows))
+    # P^T, the rational and the irrational parts, are the two values'
+    # integer parts over their common denominator.
+    n1, n2 = r1.den, r2.den
+    g = math.gcd(n1, n2)
+    s1, s2 = n2 // g, n1 // g
+    _, u = _hnf_2x2(((r1.a * s1, r2.a * s2), (r1.b * s1, r2.b * s2)))
     return ((u[0][0], u[1][0]), (u[0][1], u[1][1]))
 
 
@@ -368,7 +363,8 @@ def transform_graph(g: IsotropyGraph, a) -> IsotropyGraph:
 
 
 def _encode_quad(x: QuadNumber) -> str:
-    return f"{x.rat}|{x.irr}|{x.d}"
+    n = x.den
+    return f"{ratio_text(x.a, n)}|{ratio_text(x.b, n)}|{x.d}"
 
 
 def _encode_extreme(v, reversed_reading: bool = False) -> list:
@@ -504,7 +500,7 @@ def germ_profile(germ: GermOfChain):
     ends, pairs = [], []
     for face in (0, len(k) - 2):
         ray = cross_primitive(ns[face], ns[face + 1])
-        ((a, b),) = _pairings(R, (ray,))
+        ((a, b),) = _pairings(R.P, R.Q, (ray,))
         sign = quad_sign(a, b, R.d)
         if sign == 0:
             raise GraphAssemblyError("Reeb pairs degenerately with a germ edge")
@@ -555,7 +551,8 @@ def assemble_fiber_sum(
         ends_max.append(k[-2])
         ns = germ.normals
         rays = [cross_primitive(a, b) for a, b in zip(ns, ns[1:])]
-        chains.append(_chain_items(profile, ns, rays, range(1, len(k) - 1)))
+        circles = _vertex_circles(k, _pairings(*profile.lieG_basis, rays))
+        chains.append(_chain_items(profile, ns, circles, range(1, len(k) - 1)))
 
     def fat(data, ends) -> FatVertex:
         direction, (b, f), f_rev = data

@@ -21,9 +21,11 @@ the ranking of vertices by Ybar-moment, the arcs) is then decided in Z by
 `quad_sign`, and a determinant against R is the pair of integer
 determinants against P and Q; the rank is read off P x Q.  The
 transverse-circle descent and every intermediate sum also run in Z, the
-residual's over one running lcm denominator (`ratio_sum`).  A Fraction,
-like a QuadNumber, is built only for a value that a public function
-returns: polygon vertices, widths, slopes, residuals.
+residual's by `ratio_sum`, which keeps its running pair bounded.  A
+QuadNumber, which stores (a + b sqrt(d)) / den as integers, is built only
+for a value that a public function returns (polygon vertices, widths,
+slopes, residuals), straight from those integers; no Fraction is built on
+the way.
 
 One slot.  A fact of one object lives on that object: a cone keeps its
 goodness verdict (`cone._verdict`) and its edge rays (`cone.edge_rays`),
@@ -32,15 +34,17 @@ the last (cone, R) pair that a public call accepted: the cone's edge rays,
 their pairings (P . e_i, Q . e_i), which the admissibility check computes
 and the polygon, the vertex ranking, the widths and `cli.render_svg`
 read, the profile and the signed isotropies v0 . n^i, which the arcs, the
-widths and the closure residual read, and, filled on first use, its
-chosen Ybar and its arcs for the last Ybar.  The slot is keyed by the
-identity of the two objects and holds them, so a pass of Reeb, Euler and
-graph calls on one pair builds the profile once.  It holds one pair, so
-its memory does not grow with the number of calls.  It is written only
-after every check has passed, so a raising call leaves it as it was, and
-the error order is that of a first call: `InvalidCone`, then
-`InadmissibleReeb`, then `RankError`, then `DegenerateInput` for a
-caller's Ybar or face, whose checks run on every call.  Every cached
+widths and the closure residual read, and, filled on first use, the rays'
+Lie(G) pairings (u1 . e_i, u2 . e_i), its chosen Ybar, its vertex circles,
+which the Euler identity and the graph both read, and its arcs for the
+last Ybar.  The slot is keyed by the identity of the two objects and holds
+them, so a pass of Reeb, Euler and graph calls on one pair builds the
+profile once.  It holds one pair, so its memory does not grow with the
+number of calls.  It is written only after every check has passed, so a
+raising call leaves it as it was, and the error order is that of a first
+call: `InvalidCone`, then `InadmissibleReeb`, then `RankError`, then
+`DegenerateInput` for a caller's Ybar or face, whose checks run on every
+call.  Every cached
 value is immutable, and callers that hand out a mutable value
 (`euler.IdentityData.k`) copy it.  The slot is read once per call and
 replaced by one assignment of a complete record, and a memo entry depends
@@ -62,6 +66,7 @@ from .exactnum import (
     QuadNumber,
     Vec3,
     _discriminant_fault,
+    _quotient,
     cramer_rows,
     cross,
     det3,
@@ -110,7 +115,8 @@ class ReebVector:
         object.__setattr__(self, "den", den)
 
     def coords(self) -> Tuple[QuadNumber, QuadNumber, QuadNumber]:
-        return tuple(QuadNumber(self.p[i], self.q[i], self.d) for i in range(3))
+        d, den = self.d, self.den
+        return tuple([QuadNumber(x, y, d, den) for x, y in zip(self.P, self.Q)])
 
 
 def reeb_from_vectors(p, q, d: int = 2) -> ReebVector:
@@ -128,11 +134,11 @@ def rank_of(R: ReebVector) -> int:
 _RANK_2_ONLY = "v0 is only defined for rank-2 Reeb vectors"
 
 
-def _pairings(R: ReebVector, rays) -> Tuple[Tuple[int, int], ...]:
-    """(P . e, Q . e) for each integer vector e of `rays`: den R . e is
-    P . e + sqrt(d) Q . e."""
-    p0, p1, p2 = R.P
-    q0, q1, q2 = R.Q
+def _pairings(u: Vec3, v: Vec3, rays) -> Tuple[Tuple[int, int], ...]:
+    """(u . e, v . e) for each vector e of `rays`.  With (u, v) = (P, Q),
+    den R . e is P . e + sqrt(d) Q . e."""
+    p0, p1, p2 = u
+    q0, q1, q2 = v
     return tuple([(p0 * x + p1 * y + p2 * z, q0 * x + q1 * y + q2 * z) for x, y, z in rays])
 
 
@@ -140,18 +146,6 @@ def _det_r(R: ReebVector, a: Vec3, b: Vec3) -> Tuple[int, int]:
     """den * det3(a, b, R) as its integer parts (rational, irrational)."""
     c = cross(a, b)
     return dot(c, R.P), dot(c, R.Q)
-
-
-def _quotient(num: Tuple[int, int], den: Tuple[int, int], d: int) -> QuadNumber:
-    """(n1 + n2 sqrt(d)) / (m1 + m2 sqrt(d)) for integers, as one QuadNumber:
-    multiply through by the conjugate m1 - m2 sqrt(d)."""
-    (n1, n2), (m1, m2) = num, den
-    norm = m1 * m1 - d * m2 * m2
-    if norm == 0:
-        raise ZeroDivisionError("zero has no inverse in Q(sqrt(d))")
-    return QuadNumber(
-        Fraction(n1 * m1 - d * n2 * m2, norm), Fraction(n2 * m1 - n1 * m2, norm), d
-    )
 
 
 def is_admissible(cone: GoodCone, R: ReebVector) -> bool:
@@ -181,11 +175,11 @@ def moment_polygon(cone: GoodCone, R: ReebVector) -> MomentPolygon:
 
 def _vertex(R: ReebVector, e: Vec3, a: int, b: int) -> Tuple[QuadNumber, QuadNumber, QuadNumber]:
     """The slice point e / (R . e) = den e / (a + sqrt(d) b), with
-    (a, b) = (P . e, Q . e)."""
+    (a, b) = (P . e, Q . e), that is den e (a - sqrt(d) b) / (a^2 - d b^2)."""
     d = R.d
     norm = a * a - d * b * b
     ra, rb = R.den * a, -R.den * b
-    return tuple([QuadNumber(Fraction(c * ra, norm), Fraction(c * rb, norm), d) for c in e])
+    return tuple([QuadNumber(c * ra, c * rb, d, norm) for c in e])
 
 
 def _polygon(R: ReebVector, rays, pairs) -> MomentPolygon:
@@ -235,8 +229,10 @@ class _Facts(NamedTuple):
     """The checked facts of one (cone, R) pair: the cone's edge rays, their
     pairings (P . e_i, Q . e_i) with R (`_pairings`), the profile and the
     signed isotropies v0 . n^i; `profile` and `signs` are None when R has
-    rank 1.  `memo` holds the facts filled on first use: "ybar", the chosen
-    transverse circle, and "arcs", the pair (Ybar, arcs) of the last Ybar."""
+    rank 1.  `memo` holds the facts filled on first use: "lie", the rays'
+    Lie(G) pairings (u1 . e_i, u2 . e_i) (`_pair_lie`), "ybar", the chosen
+    transverse circle, "circles", the vertex circles (`_pair_circles`), and
+    "arcs", the pair (Ybar, arcs) of the last Ybar."""
 
     cone: GoodCone
     R: ReebVector
@@ -261,7 +257,7 @@ def _facts(cone: GoodCone, R: ReebVector) -> _Facts:
         return facts
     require_valid(cone)
     rays = edge_rays(cone)
-    pairs = _pairings(R, rays)
+    pairs = _pairings(R.P, R.Q, rays)
     d = R.d
     for e, (a, b) in zip(rays, pairs):
         if quad_sign(a, b, d) <= 0:
@@ -329,33 +325,61 @@ def _lie_g_integers(profile: IsotropyProfile, v: Vec3) -> Tuple[int, int]:
     return dot(row_a, v), dot(row_b, v)
 
 
-def _vertex_circle(profile: IsotropyProfile, e: Vec3) -> Tuple[int, int]:
+def _vertex_circle(u1_e: int, u2_e: int) -> Tuple[int, int]:
     """Integer Lie(G) coordinates of the primitive generator of
     span(n, n') ∩ Lie(G) at the polygon vertex on the edge ray e = n x n'
-    of a Delzant pair (n, n'): the isotropy circle of that closed orbit,
-    up to sign.  That generator is primitive_part(v0 x e), whose
-    coordinates are those of v0 x e over their gcd, as (u1, u2) is a basis
-    of the lattice; with rows (u2 x m, m x u1) and v0 . m = 1,
-    u1 . v0 = u2 . v0 = 0, they are (-u2 . e, u1 . e).  e is never along
-    v0 on an admissible pair, whose R in Lie(G) pairs positively with e."""
-    (a0, a1, a2), (b0, b1, b2) = profile.lieG_basis
-    x, y, z = e
-    first, second = -(b0 * x + b1 * y + b2 * z), a0 * x + a1 * y + a2 * z
-    g = math.gcd(first, second)
-    return first // g, second // g
+    of a Delzant pair (n, n'), from the ray's Lie(G) pairings
+    (u1 . e, u2 . e): the isotropy circle of that closed orbit, up to sign.
+    That generator is primitive_part(v0 x e), whose coordinates are those
+    of v0 x e over their gcd, as (u1, u2) is a basis of the lattice; with
+    rows (u2 x m, m x u1) and v0 . m = 1, u1 . v0 = u2 . v0 = 0, they are
+    (-u2 . e, u1 . e).  e is never along v0 on an admissible pair, whose R
+    in Lie(G) pairs positively with e."""
+    g = math.gcd(u1_e, u2_e)
+    return -u2_e // g, u1_e // g
+
+
+def _vertex_circles(k, lie) -> Tuple[Optional[Tuple[int, int]], ...]:
+    """The vertex circle (`_vertex_circle`) on each edge ray v, between
+    faces v and v + 1, from its Lie(G) pairings lie[v]; None where either
+    face is flat, as no reader takes a circle there: such a vertex belongs
+    to a fat vertex, not to a closed orbit of its own."""
+    m = len(k)
+    return tuple(
+        [_vertex_circle(*lie[v]) if k[v] and k[(v + 1) % m] else None for v in range(len(lie))]
+    )
+
+
+def _pair_lie(facts: _Facts) -> Tuple[Tuple[int, int], ...]:
+    """The Lie(G) pairings (u1 . e, u2 . e) of the pair's edge rays, which
+    the transverse circle and the vertex circles read, computed on first
+    use."""
+    lie = facts.memo.get("lie")
+    if lie is None:
+        lie = facts.memo["lie"] = _pairings(*facts.profile.lieG_basis, facts.rays)
+    return lie
+
+
+def _pair_circles(facts: _Facts) -> Tuple[Optional[Tuple[int, int]], ...]:
+    """The pair's vertex circles, computed on first use."""
+    circles = facts.memo.get("circles")
+    if circles is None:
+        circles = facts.memo["circles"] = _vertex_circles(facts.profile.k, _pair_lie(facts))
+    return circles
 
 
 def reeb_lie_g_coords(profile: IsotropyProfile, R: ReebVector):
-    """R in the (u1, u2) basis, as a pair of QuadNumbers: p and q span
-    Lie(G), so `_lie_g_integers` reads their coordinates."""
-    (a_p, b_p), (a_q, b_q) = (_lie_g_integers(profile, v) for v in (R.p, R.q))
-    return QuadNumber(a_p, a_q, R.d), QuadNumber(b_p, b_q, R.d)
+    """R in the (u1, u2) basis, as a pair of QuadNumbers: P and Q span
+    Lie(G), so `_lie_g_integers` reads their integer coordinates, and R is
+    (P + sqrt(d) Q) / den."""
+    (a_p, b_p), (a_q, b_q) = _lie_g_integers(profile, R.P), _lie_g_integers(profile, R.Q)
+    return QuadNumber(a_p, a_q, R.d, R.den), QuadNumber(b_p, b_q, R.d, R.den)
 
 
 def det_g(profile: IsotropyProfile, x: ReebVector, y: Vec3) -> QuadNumber:
     """det of (x, y) in the Lie(G) lattice frame, x a Reeb vector, y integer."""
     g, g_p, g_q = _det_g_parts(profile, x, y)
-    return QuadNumber(Fraction(g_p, x.den * g), Fraction(g_q, x.den * g), x.d)
+    return QuadNumber(g_p, g_q, x.d, x.den * g)
 
 
 def _det_g_parts(profile: IsotropyProfile, R: ReebVector, y: Vec3) -> Tuple[int, int, int]:
@@ -398,27 +422,31 @@ def _chosen_ybar(facts: _Facts) -> Vec3:
     """The pair's transverse circle, chosen on first use."""
     ybar = facts.memo.get("ybar")
     if ybar is None:
-        ybar = facts.memo["ybar"] = _transverse_circle(facts.profile, facts.rays)
+        ybar = facts.memo["ybar"] = _transverse_circle(facts.profile, _pair_lie(facts))
     return ybar
 
 
-def _transverse_circle(profile: IsotropyProfile, rays) -> Vec3:
+def _transverse_circle(profile: IsotropyProfile, lie) -> Vec3:
     """On a side {(sigma r, t)} or {(t, sigma r)}, |t| <= r, of the square
     of radius r the constraints confine t / r to an interval, so the least
     r with a point on that side is the least denominator of a fraction in
     it.  The bounds are kept as integer pairs, and each side hands them to
     `least_denominator_of_pairs` as they are.  A point of least radius is
     primitive: dividing it by a common factor would give a feasible point
-    of smaller radius."""
-    u1, u2 = profile.lieG_basis
-    pairs = [(dot(u1, e), dot(u2, e)) for e in rays]
+    of smaller radius.
+
+    `lie` holds each edge ray's Lie(G) pairings (u1 . e, u2 . e)
+    (`_pair_lie`).  Sizes: a bound is one ratio of two pairings as they are,
+    never a sum, a comparison multiplies two pairings, and the descent keeps
+    to the size of its ends; so no intermediate exceeds twice the bits of
+    the largest pairing, besides the radius q and the t it returns."""
     found = []
     for sigma in (-1, 1):
         for first in (True, False):
             # Each constraint reads alpha + beta x > 0 for x = t / r in [-1, 1];
             # x is bounded by lo = ln / ld and hi = hn / hd with ld, hd > 0.
             ln, ld, lo_open, hn, hd, hi_open = -1, 1, False, 1, 1, False
-            for c1, c2 in pairs:
+            for c1, c2 in lie:
                 alpha, beta = (sigma * c1, c2) if first else (sigma * c2, c1)
                 if beta == 0:
                     if alpha <= 0:
@@ -436,6 +464,7 @@ def _transverse_circle(profile: IsotropyProfile, rays) -> Vec3:
                     t = ln * q // ld + 1 if lo_open else -q
                     found.append((q, (sigma * q, t) if first else (t, sigma * q)))
     _, (a, b) = min(found)
+    u1, u2 = profile.lieG_basis
     return vec_add(vec_scale(a, u1), vec_scale(b, u2))
 
 
@@ -486,10 +515,13 @@ def width_of_flat_face(
     big_a, big_b = _det_r(R, n_prev, n_next)
     big_d = det3(n_prev, n_next, ybar)
     g, g_p, g_q = _det_g_parts(profile, R, ybar)
-    scale = R.den * g
     w_formula = _quotient(
-        (scale * (y * big_a - big_d * a), scale * (y * big_b - big_d * b)),
-        (s_prev * s_next * (a * g_p + d * b * g_q), s_prev * s_next * (a * g_q + b * g_p)),
+        y * big_a - big_d * a,
+        y * big_b - big_d * b,
+        s_prev * s_next,
+        a * g_p + d * b * g_q,
+        a * g_q + b * g_p,
+        R.den * g,
         d,
     )
     if w_formula.sign() < 0:
@@ -498,8 +530,12 @@ def width_of_flat_face(
     m = profile.complement
     m_lo, m_hi = dot(m, e_lo), dot(m, e_hi)
     chord = _quotient(
-        (R.den * (m_hi * a_lo - m_lo * a), R.den * (m_hi * b_lo - m_lo * b)),
-        (a * a_lo + d * b * b_lo, a * b_lo + b * a_lo),
+        m_hi * a_lo - m_lo * a,
+        m_hi * b_lo - m_lo * b,
+        1,
+        a * a_lo + d * b * b_lo,
+        a * b_lo + b * a_lo,
+        R.den,
         d,
     )
     if chord.sign() < 0:
@@ -516,7 +552,7 @@ def face_slope(profile: IsotropyProfile, R: ReebVector, ybar: Vec3, n: Vec3):
     den = _det_r(R, ybar, n)
     if den == (0, 0):
         raise DegenerateInput("slope undefined on a flat face")
-    return _quotient(num, den, R.d)
+    return _quotient(*num, 1, *den, 1, R.d)
 
 
 def slope_change(profile: IsotropyProfile, R: ReebVector, ybar: Vec3, n: Vec3, np: Vec3):
@@ -527,7 +563,7 @@ def slope_change(profile: IsotropyProfile, R: ReebVector, ybar: Vec3, n: Vec3, n
     g, g_p, g_q = _det_g_parts(profile, R, ybar)
     a, b = _det_r(R, n, np)
     s = dot(profile.v0, n) * dot(profile.v0, np)
-    return _quotient((g * a, g * b), (s * g_p, s * g_q), R.d)
+    return _quotient(a, b, s, g_p, g_q, g, R.d)
 
 
 # ---------------------------------------------------------------------------
@@ -665,7 +701,7 @@ def closure_identity_residual(
     these are sign labels, not the geometric labels of
     `euler.evaluate_identity`).  Ybar must be a transverse circle
     (`_checked_ybar`); any other vector raises DegenerateInput.  The terms
-    are summed in Z, and a Fraction is built only for the result.
+    are summed in Z (`ratio_sum`), and the result is built from that sum.
     """
     facts, ybar, arcs = _arc_data(cone, R, ybar)
     signs, normals = facts.signs, cone.normals
@@ -680,4 +716,5 @@ def closure_identity_residual(
     terms = [term(1, c2[-1], c1[-1]), term(1, c1[0], c2[0])]
     for sgn, arc in ((-1, c1), (1, c2)):
         terms += [term(sgn, b, a) for a, b in zip(arc, arc[1:])]
-    return QuadNumber(Fraction(*ratio_sum(terms)), Fraction(0), R.d)
+    num, den = ratio_sum(terms)
+    return QuadNumber(num, 0, R.d, den)

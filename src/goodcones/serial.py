@@ -18,8 +18,8 @@ from fractions import Fraction
 from typing import Optional
 
 from .cone import GoodCone, load_cone
-from .exactnum import QuadNumber, _discriminant_fault
-from .graph import EdgeItem, FatVertex, IsotropyGraph, canonical_form, ratio_text
+from .exactnum import QuadNumber, _discriminant_fault, ratio_text
+from .graph import EdgeItem, FatVertex, IsotropyGraph, canonical_form
 from .reeb import ReebVector
 
 
@@ -47,7 +47,8 @@ def is_integer_triples(value) -> bool:
 
 
 def quad_to_json(x: QuadNumber) -> dict:
-    return {"rat": str(x.rat), "irr": str(x.irr), "d": x.d}
+    n = x.den
+    return {"rat": ratio_text(x.a, n), "irr": ratio_text(x.b, n), "d": x.d}
 
 
 def cone_to_json(cone: GoodCone) -> dict:

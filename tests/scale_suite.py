@@ -6,8 +6,10 @@ tier-1 run does not collect it; run it with
 
 - Read path: the CLI on documents of 4099, 259 and 99 faces (each command
   within 120 s, one of them through `python -m goodcones.cli`), a full reeb
-  pass twice on `example_family(4096)`, and the face invariants of every
-  face of the largest cones.
+  pass twice on `example_family(4096)`, a full reeb pass on fresh objects of
+  `obstructed_family(512)` within 1.5 s (0.40 s; 2.2-2.6 s when
+  `ratio_sum` kept its running denominator over the lcm of every term's),
+  and the face invariants of every face of the largest cones.
 - Write path: `close_chain` on the end chains of `example_family(256)` and
   `obstructed_family(128)`, and a blow-down normal at every face of
   `example_family(4096)` within 3 s: the cone is validated once, not once
@@ -58,7 +60,7 @@ from goodcones.surgery import find_blowdown_normal, plan_blowdown_sequence, repl
 from conftest import mat_mul, random_good_cone, random_sl3, sl3_image
 from test_cli_session import SRC, call, write_doc
 from test_construct import chains_cut_from, plan_cone
-from test_reeb_slot import reeb_pass
+from test_reeb_slot import copies, reeb_pass
 
 BOUND_S = 120
 
@@ -110,6 +112,19 @@ def test_second_reeb_pass_on_example_4096_reads_the_slot():
     assert reeb_pass(cone, reeb) == first
     assert time.perf_counter() - start < BOUND_S
     assert first["report"].ok and first["residual"].is_zero()
+
+
+COLD_PASS_BOUND_S = 1.5
+
+
+def test_cold_reeb_pass_on_obstructed_512():
+    """The closure residual and the chain sums add 512 terms whose
+    denominators are nearly coprime (ROADMAP item 13)."""
+    cone, reeb = copies(*obstructed_family(512, seed=0))
+    start = time.perf_counter()
+    out = reeb_pass(cone, reeb)
+    assert time.perf_counter() - start < COLD_PASS_BOUND_S
+    assert out["report"].ok and out["residual"].is_zero()
 
 
 FACE_CONES = {

@@ -18,12 +18,14 @@ grow with the number of faces."""
 
 import math
 import random
+import sys
 from fractions import Fraction
 from functools import cmp_to_key
 
 import pytest
 
 import goodcones.euler as euler_module
+import goodcones.exactnum as exactnum_module
 import goodcones.reeb as reeb_module
 from goodcones.cone import GoodCone, ValidityReport, edge_rays, validate
 from goodcones.construct import example_family, obstructed_family
@@ -516,15 +518,57 @@ def test_fractions_are_built_only_for_returned_values(monkeypatch, k):
     assert rank_of(R) == 2
     assert built == []
     assert closure_identity_residual(cone, R, ybar).is_zero()
-    assert len(built) == 2
-    del built[:]
-    assert _transverse_circle(profile, edge_rays(cone)) == ybar
+    # the residual is built from the integer sum, as a QuadNumber
+    assert built == []
+    assert _transverse_circle(profile, reeb_module._pair_lie(reeb_module._facts(cone, R))) == ybar
     # two rational ends for each side of the square that is searched
     assert len(built) <= 8
 
     built = counting_fractions(monkeypatch, euler_module)
     assert chain_euler_sum(chain) == (k - 1, k - 1)
     assert len(built) == 1
+
+
+def test_ratio_sum_keeps_its_running_pair_bounded(monkeypatch):
+    """On `obstructed_family(256)` the terms' denominators, products of
+    neighbouring isotropy orders, are nearly coprime, so a running pair
+    kept over the lcm of them all reaches about 91,000 bits.  The largest
+    den inside `ratio_sum`, read by a trace of its frames, must stay within
+    twice the largest term denominator plus the largest result denominator
+    (858 + 698 bits)."""
+    code = exactnum_module.ratio_sum.__code__
+    original = exactnum_module.ratio_sum
+    reached, term_bits, result_bits = [0], [], []
+
+    def local(frame, event, arg):
+        den = frame.f_locals.get("den")
+        if den is not None:
+            reached[0] = max(reached[0], den.bit_length())
+        return local
+
+    def tracer(frame, event, arg):
+        return local if frame.f_code is code else None
+
+    def traced(terms):
+        terms = list(terms)
+        term_bits.append(max(b for _, b in terms).bit_length())
+        previous = sys.gettrace()
+        sys.settrace(tracer)
+        try:
+            num, den = original(terms)
+        finally:
+            sys.settrace(previous)
+        result_bits.append(Fraction(num, den).denominator.bit_length())
+        return num, den
+
+    for module in (reeb_module, euler_module):
+        monkeypatch.setattr(module, "ratio_sum", traced)
+    cone, R = obstructed_family(256, seed=0)
+    ybar = choose_transverse_circle(cone, R)
+    assert closure_identity_residual(cone, R, ybar).is_zero()
+    assert verify_global_identity(cone, R).ok
+    assert len(term_bits) == 2 and max(term_bits) == 858 and max(result_bits) == 698
+    assert max(term_bits) < reached[0] <= 2 * (max(term_bits) + max(result_bits))
 
 
 def test_corpus_reaches_the_large_entries_and_the_flat_faces():

@@ -371,7 +371,7 @@ def test_every_cached_value_is_immutable():
         assert facts.cone is cone and facts.R is reeb
         # Hashable means built from tuples, frozensets and frozen records.
         hash((facts.rays, facts.profile))
-        assert set(facts.memo) == {"ybar", "arcs"}
+        assert set(facts.memo) == {"lie", "ybar", "circles", "arcs"}
         for value in facts.memo.values():
             hash(value)
 
@@ -527,11 +527,11 @@ def budget_pairs():
 def test_a_reeb_pass_keeps_to_its_compute_once_budget(monkeypatch):
     """One `reeb_pass` on fresh copies of a pair builds the profile, the
     Lie(G) basis and the edge rays once, computes one Delzant witness per
-    adjacent pair and reads each vertex circle once per reader (the Euler
-    identity and the graph), only at vertices between two faces that are
-    not flat.  Vertex circles come from the edge ray's pairings with the
-    Lie(G) basis and edge rays from `_ray_table`, so no `cross_primitive`
-    is left on the read path."""
+    adjacent pair and computes each vertex circle once, for both readers
+    (the Euler identity and the graph), only at vertices between two faces
+    that are not flat.  Vertex circles come from the edge ray's pairings
+    with the Lie(G) basis, kept on the slot, and edge rays from
+    `_ray_table`, so no `cross_primitive` is left on the read path."""
     calls = dict.fromkeys(BUDGETED, 0)
     modules = (
         goodcones.exactnum,
@@ -564,5 +564,5 @@ def test_a_reeb_pass_keeps_to_its_compute_once_budget(monkeypatch):
             "delzant_witness": len(cone),
             "cross_primitive": 0,
             "_ray_table": 1,
-            "_vertex_circle": 2 * circles,
+            "_vertex_circle": circles,
         }, cone
