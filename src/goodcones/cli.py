@@ -44,7 +44,6 @@ from .reeb import (
     InadmissibleReeb,
     RankError,
     _checked_profile,
-    _polygon,
     is_admissible,
     isotropy_profile,
     rank_of,
@@ -193,7 +192,7 @@ def render_svg(doc: Document, out_path: str) -> None:
     except InadmissibleReeb:
         raise InadmissibleReeb("reeb vector is not admissible for this cone") from None
     profile = facts.profile
-    poly = _polygon(reeb, facts.rays, facts.pairs)
+    poly = facts.polygon
     coords = [abs(float(c)) for c in reeb.coords()]
     drop = coords.index(max(coords))
     keep = [j for j in range(3) if j != drop]

@@ -87,7 +87,7 @@ def obstructed_family(
         assert g == 1
         dd, b = -x, y
         assert a * dd - b * c == -1
-        l_new = vec_add(vec_add(vec_scale(b, n_prev), vec_scale(dd, l_prev)), vec_scale(0, n_cur))
+        l_new = vec_add(vec_scale(b, n_prev), vec_scale(dd, l_prev))
         assert det3(n_cur, n_new, l_new) == 1, (n_cur, n_new, l_new)
         ns.append(n_new)
         ls.append(l_new)

@@ -25,7 +25,6 @@ from .reeb import (
     ReebVector,
     _arc_data,
     _lie_g_integers,
-    _pair_circles,
     _vertex_between,
 )
 
@@ -175,7 +174,7 @@ class EulerReport:
 class IdentityData:
     """Everything verify_global_identity needs, exposed so that negative
     controls can mutate the k-table before evaluation.  circles[v] is the
-    isotropy circle at the polygon vertex v (`reeb._vertex_circles`), None
+    isotropy circle at the polygon vertex v (`reeb._Facts.circles`), None
     next to a flat face."""
 
     cone: GoodCone
@@ -224,7 +223,7 @@ def build_identity_data(
         arcs=arcs,
         ybar=ybar,
         k=list(profile.k),
-        circles=_pair_circles(facts),
+        circles=facts.circles,
     )
 
 

@@ -316,10 +316,6 @@ def vec_add(u: Vec3, v: Vec3) -> Vec3:
     return (u[0] + v[0], u[1] + v[1], u[2] + v[2])
 
 
-def vec_sub(u: Vec3, v: Vec3) -> Vec3:
-    return (u[0] - v[0], u[1] - v[1], u[2] - v[2])
-
-
 def vec_scale(c: Scalar, u: Vec3) -> Vec3:
     return (c * u[0], c * u[1], c * u[2])
 
@@ -401,22 +397,12 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return old_r, old_s, old_t
 
 
-def least_denominator(lo, lo_open: bool, hi, hi_open: bool) -> Optional[int]:
-    """Least q >= 1 such that some p / q lies in the interval from lo to hi
-    (rational ends, each open or closed); None when it is empty.  The
-    descent is `least_denominator_of_pairs` on the ends' numerators and
-    denominators."""
-    lo, hi = (x if isinstance(x, (int, Fraction)) else Fraction(x) for x in (lo, hi))
-    return least_denominator_of_pairs(
-        lo.numerator, lo.denominator, lo_open, hi.numerator, hi.denominator, hi_open
-    )
-
-
 def least_denominator_of_pairs(
     a: int, b: int, lo_open: bool, c: int, e: int, hi_open: bool
 ) -> Optional[int]:
-    """`least_denominator` of the interval from a / b to c / e, b, e > 0,
-    neither pair need be in lowest terms.
+    """Least q >= 1 such that some p / q lies in the interval from a / b to
+    c / e, b, e > 0, each end open or closed; None when it is empty.
+    Neither pair need be in lowest terms.
 
     Continued-fraction (Stern–Brocot) descent: an interval holding no
     integer lies in (n, n + 1), and x -> 1 / (x - n) maps it onto one in
@@ -616,10 +602,6 @@ def delzant_witness(n: Vec3, np: Vec3) -> Optional[Vec3]:
 # ---------------------------------------------------------------------------
 
 Mat3 = Tuple[Tuple[int, int, int], Tuple[int, int, int], Tuple[int, int, int]]
-
-
-def mat_from_columns(c1: Vec3, c2: Vec3, c3: Vec3) -> Mat3:
-    return tuple(zip(c1, c2, c3))
 
 
 def mat_vec(a: Mat3, v: Vec3) -> Vec3:

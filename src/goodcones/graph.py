@@ -25,7 +25,6 @@ from .exactnum import (
     QuadNumber,
     Vec3,
     _xgcd,
-    cross_primitive,
     det3,
     dot,
     int_triple,
@@ -35,13 +34,10 @@ from .exactnum import (
 from .reeb import (
     ReebVector,
     _arc_data,
+    _chain_facts,
     _lie_g_integers,
-    _pair_circles,
-    _pairings,
-    _polygon,
-    _profile_of,
+    _vertex,
     _vertex_between,
-    _vertex_circles,
     reeb_lie_g_coords,
 )
 
@@ -227,7 +223,7 @@ def _fat(
 def _regular_vertex(profile, circles, v: int) -> RegularVertex:
     """The one builder of regular vertices: the closed orbit at the polygon
     vertex between faces v and v+1, of order gcd(k_v, k_{v+1}), whose
-    circle is circles[v] (`reeb._vertex_circles`)."""
+    circle is circles[v] (`reeb._Facts.circles`)."""
     return RegularVertex(
         order=profile.vertex_orders[v],
         direction=_canonical_sign(circles[v]),
@@ -243,7 +239,7 @@ def extract_graph(
     transverse moment functional, and the Reeb class in Lie(G)_Z
     coordinates."""
     facts, _, arcs = _arc_data(cone, R, ybar)
-    profile, circles = facts.profile, _pair_circles(facts)
+    profile, circles = facts.profile, facts.circles
 
     def extreme(ext) -> Extreme:
         i = ext.index
@@ -489,28 +485,31 @@ def germ_profile(germ: GermOfChain):
     """Profile of a germ (v0, per-face isotropy magnitudes, the Lie(G)
     frame) and the two end moment values (constant on each flat end
     segment, computable from the inner vertices alone)."""
-    R, ns = germ.reeb, germ.normals
-    profile, _ = _profile_of(R, ns)
-    k = profile.k
+    facts, moment_min, moment_max = _germ_facts(germ)
+    return {"profile": facts.profile, "moment_min": moment_min, "moment_max": moment_max}
+
+
+def _germ_facts(germ: GermOfChain):
+    """The record of the germ's Reeb vector against its open chain of
+    normals (`reeb._chain_facts`), checked to have flat ends, no flat
+    interior face and end rays on which R does not vanish, and the moment
+    values of the two end vertices e / (R . e)."""
+    R = germ.reeb
+    facts = _chain_facts(R, germ.normals)
+    k = facts.profile.k
     if k[0] != 0 or k[-1] != 0:
         raise GraphAssemblyError("germ ends must be flat (v0 . n = 0)")
     if any(x == 0 for x in k[1:-1]):
         raise GraphAssemblyError("germ interior must not contain flats")
-    # The two end edge rays, oriented so that R pairs positively with them.
-    ends, pairs = [], []
-    for face in (0, len(k) - 2):
-        ray = cross_primitive(ns[face], ns[face + 1])
-        ((a, b),) = _pairings(R.P, R.Q, (ray,))
-        sign = quad_sign(a, b, R.d)
-        if sign == 0:
+    u1, u2 = facts.profile.lieG_basis
+    moments = []
+    for v in (0, -1):
+        (a, b), ray = facts.pairs[v], facts.rays[v]
+        if quad_sign(a, b, R.d) == 0:
             raise GraphAssemblyError("Reeb pairs degenerately with a germ edge")
-        if sign < 0:
-            ray, a, b = tuple(-x for x in ray), -a, -b
-        ends.append(ray)
-        pairs.append((a, b))
-    u1, u2 = profile.lieG_basis
-    moment = [(dot(p, u1), dot(p, u2)) for p in _polygon(R, ends, pairs).vertices]
-    return {"profile": profile, "moment_min": moment[0], "moment_max": moment[1]}
+        p = _vertex(R, ray, a, b)
+        moments.append((dot(p, u1), dot(p, u2)))
+    return facts, moments[0], moments[1]
 
 
 def validate_germ(germ: GermOfChain) -> None:
@@ -540,19 +539,16 @@ def assemble_fiber_sum(
     chains: List[Tuple[ChainItem, ...]] = []
     for germ in germs:
         validate_germ(germ)
-        prof = germ_profile(germ)
-        profile = prof["profile"]
+        facts, moment_min, moment_max = _germ_facts(germ)
+        profile = facts.profile
         if reeb_lie_g_coords(profile, germ.reeb) != bundle.reeb_class:
             raise GraphAssemblyError("germ Reeb class does not match the bundle fiber")
-        if prof["moment_min"] != bundle.moment_min or prof["moment_max"] != bundle.moment_max:
+        if moment_min != bundle.moment_min or moment_max != bundle.moment_max:
             raise GraphAssemblyError("germ extreme moment values do not match the bundle")
         k = profile.k
         ends_min.append(k[1])
         ends_max.append(k[-2])
-        ns = germ.normals
-        rays = [cross_primitive(a, b) for a, b in zip(ns, ns[1:])]
-        circles = _vertex_circles(k, _pairings(*profile.lieG_basis, rays))
-        chains.append(_chain_items(profile, ns, circles, range(1, len(k) - 1)))
+        chains.append(_chain_items(profile, germ.normals, facts.circles, range(1, len(k) - 1)))
 
     def fat(data, ends) -> FatVertex:
         direction, (b, f), f_rev = data

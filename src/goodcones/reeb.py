@@ -29,27 +29,30 @@ the way.
 
 One slot.  A fact of one object lives on that object: a cone keeps its
 goodness verdict (`cone._verdict`) and its edge rays (`cone.edge_rays`),
-and R its cleared parts.  The module keeps only facts of a pair, those of
-the last (cone, R) pair that a public call accepted: the cone's edge rays,
-their pairings (P . e_i, Q . e_i), which the admissibility check computes
-and the polygon, the vertex ranking, the widths and `cli.render_svg`
-read, the profile and the signed isotropies v0 . n^i, which the arcs, the
-widths and the closure residual read, and, filled on first use, the rays'
-Lie(G) pairings (u1 . e_i, u2 . e_i), its chosen Ybar, its vertex circles,
-which the Euler identity and the graph both read, and its arcs for the
-last Ybar.  The slot is keyed by the identity of the two objects and holds
-them, so a pass of Reeb, Euler and graph calls on one pair builds the
-profile once.  It holds one pair, so its memory does not grow with the
-number of calls.  It is written only after every check has passed, so a
-raising call leaves it as it was, and the error order is that of a first
-call: `InvalidCone`, then `InadmissibleReeb`, then `RankError`, then
-`DegenerateInput` for a caller's Ybar or face, whose checks run on every
-call.  Every cached
-value is immutable, and callers that hand out a mutable value
-(`euler.IdentityData.k`) copy it.  The slot is read once per call and
-replaced by one assignment of a complete record, and a memo entry depends
-on its record alone, so threads racing on it (or on a cone's verdict, rays
-or witnesses) can only repeat work.
+and R its cleared parts.  The module keeps only facts of a pair, in one
+record (`_Facts`) for the last (cone, R) pair that a public call
+accepted: the cone's edge rays, their pairings (P . e_i, Q . e_i), which
+the admissibility check computes and the polygon, the vertex ranking and
+the widths read, the profile and the signed isotropies v0 . n^i, which
+the arcs, the widths and the closure residual read, and, computed on
+first read, the rays' Lie(G) pairings (u1 . e_i, u2 . e_i), the chosen
+Ybar, the vertex circles, which the Euler identity and the graph both
+read, the polygon, which `moment_polygon` and `cli.render_svg` return
+and draw, and the arcs for the last Ybar.  A germ's open chain of normals
+gets the same record from `_chain_facts`, which the graph's fiber sums
+read and no slot keeps.  The slot is keyed by the identity of the two
+objects and holds them, so a pass of Reeb, Euler and graph calls on one
+pair builds the profile once.  It holds one pair, so its memory does not
+grow with the number of calls.  It is written only after every check has
+passed, so a raising call leaves it as it was, and the error order is
+that of a first call: `InvalidCone`, then `InadmissibleReeb`, then
+`RankError`, then `DegenerateInput` for a caller's Ybar or face, whose
+checks run on every call.  Every kept value is immutable, and callers
+that hand out a mutable value (`euler.IdentityData.k`) copy it.  The slot
+is read once per call and replaced by one assignment of a complete
+record, and a fact computed on first read depends on its record alone,
+so threads racing on it (or on a cone's verdict, rays or witnesses) can
+only repeat work.
 """
 
 from __future__ import annotations
@@ -57,8 +60,8 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cmp_to_key
-from typing import NamedTuple, Optional, Tuple
+from functools import cached_property, cmp_to_key
+from typing import Optional, Tuple
 
 from .cone import GoodCone, InvalidCone, edge_rays, require_valid
 from .exactnum import (
@@ -69,6 +72,7 @@ from .exactnum import (
     _quotient,
     cramer_rows,
     cross,
+    cross_primitive,
     det3,
     dot,
     least_denominator_of_pairs,
@@ -169,23 +173,17 @@ class MomentPolygon:
 
 
 def moment_polygon(cone: GoodCone, R: ReebVector) -> MomentPolygon:
-    facts = _facts(cone, R)
-    return _polygon(R, facts.rays, facts.pairs)
+    return _facts(cone, R).polygon
 
 
 def _vertex(R: ReebVector, e: Vec3, a: int, b: int) -> Tuple[QuadNumber, QuadNumber, QuadNumber]:
     """The slice point e / (R . e) = den e / (a + sqrt(d) b), with
-    (a, b) = (P . e, Q . e), that is den e (a - sqrt(d) b) / (a^2 - d b^2)."""
+    (a, b) = (P . e, Q . e), that is den e (a - sqrt(d) b) / (a^2 - d b^2).
+    It does not change when e -> -e, which negates a and b too."""
     d = R.d
     norm = a * a - d * b * b
     ra, rb = R.den * a, -R.den * b
     return tuple([QuadNumber(c * ra, c * rb, d, norm) for c in e])
-
-
-def _polygon(R: ReebVector, rays, pairs) -> MomentPolygon:
-    """The polygon with vertices e / (R . e), given each ray's pairing
-    (`_pairings`); R must be admissible."""
-    return MomentPolygon(vertices=tuple([_vertex(R, e, a, b) for e, (a, b) in zip(rays, pairs)]))
 
 
 def _integer_span_normal(R: ReebVector) -> Vec3:
@@ -217,30 +215,62 @@ class IsotropyProfile:
     complement: Vec3
     lieG_rows: Tuple[Vec3, Vec3]
 
-    def signed(self, cone: GoodCone) -> Tuple[int, ...]:
-        return tuple(dot(self.v0, n) for n in cone.normals)
-
 
 def isotropy_profile(cone: GoodCone, R: ReebVector) -> IsotropyProfile:
     return _checked_profile(cone, R).profile
 
 
-class _Facts(NamedTuple):
-    """The checked facts of one (cone, R) pair: the cone's edge rays, their
-    pairings (P . e_i, Q . e_i) with R (`_pairings`), the profile and the
-    signed isotropies v0 . n^i; `profile` and `signs` are None when R has
-    rank 1.  `memo` holds the facts filled on first use: "lie", the rays'
-    Lie(G) pairings (u1 . e_i, u2 . e_i) (`_pair_lie`), "ybar", the chosen
-    transverse circle, "circles", the vertex circles (`_pair_circles`), and
-    "arcs", the pair (Ybar, arcs) of the last Ybar."""
+class _Facts:
+    """The checked facts of R against a list of normals, a cone's cyclic
+    one (`_facts`) or a germ's open chain (`_chain_facts`, with cone None):
+    the edge rays, e_v between normals v and v + 1, their pairings
+    (P . e_v, Q . e_v) with R (`_pairings`), the profile and the signed
+    isotropies v0 . n; `profile` and `signs` are None when R has rank 1.
+    The other facts are computed on first read and kept: `lie`, the rays'
+    Lie(G) pairings (u1 . e_v, u2 . e_v); `circles`, the vertex circles;
+    `ybar`, the chosen transverse circle; `polygon`, the moment polygon;
+    and `arcs`, the pair (Ybar, arcs) of the last Ybar, None until one is
+    read."""
 
-    cone: GoodCone
-    R: ReebVector
-    rays: Tuple[Vec3, ...]
-    pairs: Tuple[Tuple[int, int], ...]
-    profile: Optional[IsotropyProfile]
-    signs: Optional[Tuple[int, ...]]
-    memo: dict
+    def __init__(self, cone, R, rays, pairs, profile, signs):
+        self.cone = cone
+        self.R = R
+        self.rays = rays
+        self.pairs = pairs
+        self.profile = profile
+        self.signs = signs
+        self.arcs = None
+
+    @cached_property
+    def lie(self) -> Tuple[Tuple[int, int], ...]:
+        return _pairings(*self.profile.lieG_basis, self.rays)
+
+    @cached_property
+    def circles(self) -> Tuple[Optional[Tuple[int, int]], ...]:
+        """The vertex circle (`_vertex_circle`) on each edge ray v, between
+        faces v and v + 1; None where either face is flat, as no reader
+        takes a circle there: such a vertex belongs to a fat vertex, not to
+        a closed orbit of its own."""
+        k = self.profile.k
+        m = len(k)
+        return tuple(
+            [
+                _vertex_circle(*lie) if k[v] and k[(v + 1) % m] else None
+                for v, lie in enumerate(self.lie)
+            ]
+        )
+
+    @cached_property
+    def ybar(self) -> Vec3:
+        return _transverse_circle(self.profile, self.lie)
+
+    @cached_property
+    def polygon(self) -> MomentPolygon:
+        """The polygon with vertices e / (R . e); R must be admissible."""
+        R = self.R
+        return MomentPolygon(
+            vertices=tuple([_vertex(R, e, a, b) for e, (a, b) in zip(self.rays, self.pairs)])
+        )
 
 
 _slot: Optional[_Facts] = None
@@ -269,7 +299,7 @@ def _facts(cone: GoodCone, R: ReebVector) -> _Facts:
             raise InvalidCone(
                 f"more than two flat faces {sorted(profile.flats)}: rank-2 data inconsistent"
             )
-    facts = _Facts(cone, R, rays, pairs, profile, signs, {})
+    facts = _Facts(cone, R, rays, pairs, profile, signs)
     # A rank-1 pair is not kept: the calls that need a profile refuse it,
     # and a refusing call must leave the slot as it was.
     if profile is not None:
@@ -287,6 +317,15 @@ def _checked_profile(cone: GoodCone, R: ReebVector) -> _Facts:
     if facts.profile is None:
         raise RankError(_RANK_2_ONLY)
     return facts
+
+
+def _chain_facts(R: ReebVector, normals) -> _Facts:
+    """The record of a rank-2 R against an open chain of normals, a germ's:
+    one edge ray between each two consecutive normals.  Checks neither
+    goodness nor admissibility."""
+    profile, signs = _profile_of(R, normals)
+    rays = tuple([cross_primitive(a, b) for a, b in zip(normals, normals[1:])])
+    return _Facts(None, R, rays, _pairings(R.P, R.Q, rays), profile, signs)
 
 
 def _profile_of(R: ReebVector, normals) -> Tuple[IsotropyProfile, Tuple[int, ...]]:
@@ -339,35 +378,6 @@ def _vertex_circle(u1_e: int, u2_e: int) -> Tuple[int, int]:
     return -u2_e // g, u1_e // g
 
 
-def _vertex_circles(k, lie) -> Tuple[Optional[Tuple[int, int]], ...]:
-    """The vertex circle (`_vertex_circle`) on each edge ray v, between
-    faces v and v + 1, from its Lie(G) pairings lie[v]; None where either
-    face is flat, as no reader takes a circle there: such a vertex belongs
-    to a fat vertex, not to a closed orbit of its own."""
-    m = len(k)
-    return tuple(
-        [_vertex_circle(*lie[v]) if k[v] and k[(v + 1) % m] else None for v in range(len(lie))]
-    )
-
-
-def _pair_lie(facts: _Facts) -> Tuple[Tuple[int, int], ...]:
-    """The Lie(G) pairings (u1 . e, u2 . e) of the pair's edge rays, which
-    the transverse circle and the vertex circles read, computed on first
-    use."""
-    lie = facts.memo.get("lie")
-    if lie is None:
-        lie = facts.memo["lie"] = _pairings(*facts.profile.lieG_basis, facts.rays)
-    return lie
-
-
-def _pair_circles(facts: _Facts) -> Tuple[Optional[Tuple[int, int]], ...]:
-    """The pair's vertex circles, computed on first use."""
-    circles = facts.memo.get("circles")
-    if circles is None:
-        circles = facts.memo["circles"] = _vertex_circles(facts.profile.k, _pair_lie(facts))
-    return circles
-
-
 def reeb_lie_g_coords(profile: IsotropyProfile, R: ReebVector):
     """R in the (u1, u2) basis, as a pair of QuadNumbers: P and Q span
     Lie(G), so `_lie_g_integers` reads their integer coordinates, and R is
@@ -415,15 +425,7 @@ def choose_transverse_circle(cone: GoodCone, R: ReebVector) -> Vec3:
     condition Ybar . e_i > 0 since R is admissible; R itself lies in the
     feasible cone, so it is never empty.
     """
-    return _chosen_ybar(_checked_profile(cone, R))
-
-
-def _chosen_ybar(facts: _Facts) -> Vec3:
-    """The pair's transverse circle, chosen on first use."""
-    ybar = facts.memo.get("ybar")
-    if ybar is None:
-        ybar = facts.memo["ybar"] = _transverse_circle(facts.profile, _pair_lie(facts))
-    return ybar
+    return _checked_profile(cone, R).ybar
 
 
 def _transverse_circle(profile: IsotropyProfile, lie) -> Vec3:
@@ -436,7 +438,7 @@ def _transverse_circle(profile: IsotropyProfile, lie) -> Vec3:
     of smaller radius.
 
     `lie` holds each edge ray's Lie(G) pairings (u1 . e, u2 . e)
-    (`_pair_lie`).  Sizes: a bound is one ratio of two pairings as they are,
+    (`_Facts.lie`).  Sizes: a bound is one ratio of two pairings as they are,
     never a sum, a comparison multiplies two pairings, and the descent keeps
     to the size of its ends; so no intermediate exceeds twice the bits of
     the largest pairing, besides the radius q and the t it returns."""
@@ -611,13 +613,13 @@ def _arc_data(cone: GoodCone, R: ReebVector, ybar: Optional[Vec3]):
     the facts."""
     facts = _checked_profile(cone, R)
     if ybar is None:
-        ybar = _chosen_ybar(facts)
+        ybar = facts.ybar
     else:
         _checked_ybar(facts.profile, facts.rays, ybar)
     key = tuple(ybar)
-    last = facts.memo.get("arcs")
+    last = facts.arcs
     if last is None or last[0] != key:
-        last = facts.memo["arcs"] = (key, _arcs(facts, ybar))
+        last = facts.arcs = (key, _arcs(facts, ybar))
     return facts, ybar, last[1]
 
 

@@ -8,7 +8,8 @@ numbers as {"rat","irr","d"}.
 The loaders check the shape and the types of what they read and raise
 `DocumentError` for anything else: a cone's normals are JSON integers
 (not floats or booleans), a Reeb vector's entries are integers or "p/q"
-strings, and its d is a square-free integer with 2 <= d < 2**63.
+strings, and its d is a square-free integer with 2 <= d < 2**63.  A
+document's "reeb" and "metadata" are absent only when missing or null.
 """
 
 from __future__ import annotations
@@ -107,12 +108,16 @@ def document_from_json(obj) -> Document:
         return Document(cone=cone_from_json(obj))
     if "cone" not in obj:
         raise DocumentError("a document needs a 'cone' field, or 'normals' for a bare cone")
-    meta = obj.get("metadata") or {}
-    if not isinstance(meta, dict):
+    # Only a missing key or null means "absent"; any other value is read.
+    meta = obj.get("metadata")
+    if meta is None:
+        meta = {}
+    elif not isinstance(meta, dict):
         raise DocumentError("'metadata' must be a JSON object")
+    reeb = obj.get("reeb")
     return Document(
         cone=cone_from_json(obj["cone"]),
-        reeb=reeb_from_json(obj["reeb"]) if obj.get("reeb") else None,
+        reeb=None if reeb is None else reeb_from_json(reeb),
         metadata=dict(meta),
     )
 

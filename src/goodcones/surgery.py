@@ -33,8 +33,6 @@ from .exactnum import (
     is_delzant_pair,
     is_prime,
     is_primitive,
-    mat_from_columns,
-    mat_vec,
     plane_lattice_basis,
     primitive_part,
     solve_dot_one,
@@ -219,29 +217,29 @@ def _blowdown_candidates(
 
     if constraint is None:
 
-        def admissible(t: Optional[Vec3]) -> bool:
-            if t is None or t == (0, 0, 0) or not is_primitive(t):
-                return False
-            return _theta_member(n_prev, n_i, n_next, t) and delzant(t)
+        def admissible(t: Vec3) -> bool:
+            return is_primitive(t) and _theta_member(n_prev, n_i, n_next, t) and delzant(t)
 
-        seen = set()
         t = _prime_construction(cone, i, admissible)
         if t is not None:
-            seen.add(t)
             yield t
+        # (n^{i-1}, n^i, n^{i+1}) is a basis of R^3, so two box points give
+        # one normal exactly when they are proportional: the point with
+        # coprime entries comes first, at the least radius.
         for radius in range(1, BLOWDOWN_BOX + 1):
             for s1 in range(1, radius + 1):
                 for s2 in range(1, radius + 1):
                     low = 1 if radius in (s1, s2) else radius
                     for s3 in range(low, radius + 1):
+                        if math.gcd(s1, s2, s3) != 1:
+                            continue
                         cand = primitive_part(
                             vec_add(
                                 vec_add(vec_scale(s1, n_prev), vec_scale(s2, n_i)),
                                 vec_scale(s3, n_next),
                             )
                         )
-                        if cand not in seen and delzant(cand):
-                            seen.add(cand)
+                        if cand != t and delzant(cand):
                             yield cand
         return
 
@@ -317,12 +315,11 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
     # det3(w, n^{i+2}, n^{i+1}) = -det3(n^{i+1}, n^{i+2}, w) = -1, so the
     # chart (-w, n^{i+2}, n^{i+1}) has determinant 1 and Cramer rows for
     # its inverse.
-    n_next, n_next2 = cone.normal(i + 1), cone.normal(i + 2)
-    chart = ((-w[0], -w[1], -w[2]), n_next2, n_next)
-    base = mat_from_columns(*chart)
+    n_prev, n_i = cone.normal(i - 1), cone.normal(i)
+    chart = ((-w[0], -w[1], -w[2]), cone.normal(i + 2), cone.normal(i + 1))
     rows = cramer_rows(*chart)
-    x = tuple([dot(r, cone.normal(i - 1)) for r in rows])
-    y = tuple([dot(r, cone.normal(i)) for r in rows])
+    x = tuple([dot(r, n_prev) for r in rows])
+    y = tuple([dot(r, n_i) for r in rows])
     z = tuple([dot(r, wz) for r in rows])
     minor12 = y[0] * x[1] - x[0] * y[1]
     minor13 = y[0] * x[2] - x[0] * y[2]
@@ -345,8 +342,8 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
         for shift in range(3):
             s1 = c * eps * s10 - shift * y[0]
             s2 = c * eps * s20 + shift * x[0]
-            cand_chart = tuple(s1 * x[j] + s2 * y[j] + z[j] for j in range(3))
-            cand = mat_vec(base, cand_chart)
+            # x, y and z are chart coordinates of n^{i-1}, n^i and wz
+            cand = tuple([s1 * n_prev[j] + s2 * n_i[j] + wz[j] for j in range(3)])
             if admissible(cand):
                 return cand
     return None

@@ -172,6 +172,16 @@ def bundle_from_cone(cone, reeb, flat_lo, flat_hi, germ):
     )
 
 
+def pytest_collection_modifyitems(items):
+    """A file or socket left open, or an exception raised where nothing can
+    catch it, fails the test that leaked it."""
+    for item in items:
+        item.add_marker(pytest.mark.filterwarnings("error::ResourceWarning"))
+        item.add_marker(
+            pytest.mark.filterwarnings("error::pytest.PytestUnraisableExceptionWarning")
+        )
+
+
 @pytest.fixture
 def rnd():
     return random.Random(20240817)

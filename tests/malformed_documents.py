@@ -48,4 +48,14 @@ def malformed_documents() -> dict:
         "normal-entry-boolean": _edited(lambda d: _set_entry(d, True)),
         "normal-two-entries": _edited(lambda d: d["cone"]["normals"][0].pop()),
         "metadata-not-an-object": _edited(lambda d: d.update(metadata=["example"])),
+        # Falsy values other than null are malformed, not absent.
+        "reeb-empty-object": _edited(lambda d: d.update(reeb={})),
+        "reeb-zero": _edited(lambda d: d.update(reeb=0)),
+        "reeb-false": _edited(lambda d: d.update(reeb=False)),
+        "reeb-empty-string": _edited(lambda d: d.update(reeb="")),
+        "reeb-empty-list": _edited(lambda d: d.update(reeb=[])),
+        "metadata-zero": _edited(lambda d: d.update(metadata=0)),
+        "metadata-false": _edited(lambda d: d.update(metadata=False)),
+        "metadata-empty-string": _edited(lambda d: d.update(metadata="")),
+        "metadata-empty-list": _edited(lambda d: d.update(metadata=[])),
     }

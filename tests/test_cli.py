@@ -277,7 +277,8 @@ def test_catalog_roundtrip(tmp_path, doc_path, capsys):
     assert code == 0 and listing[0]["hash"] == digest
     code, got = run_json(capsys, ["catalog", "get", digest, "--store", store])
     assert code == 0
-    original = json.loads(open(doc_path).read())
+    with open(doc_path) as fh:
+        original = json.load(fh)
     assert got["cone"] == original["cone"]
     # adding the identical document is idempotent
     code, out = run_json(capsys, ["catalog", "add", doc_path, "--store", store])
@@ -421,6 +422,7 @@ def test_malformed_json_exit2(tmp_path, capsys):
 
 
 def test_serialization_roundtrip(doc_path):
-    original = json.loads(open(doc_path).read())
+    with open(doc_path) as fh:
+        original = json.load(fh)
     doc = document_from_json(original)
     assert document_to_json(doc) == original

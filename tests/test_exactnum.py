@@ -32,7 +32,6 @@ from goodcones.exactnum import (
     solve_dot_one,
     vec_add,
     vec_scale,
-    vec_sub,
 )
 
 ints = st.integers(min_value=-30, max_value=30)
@@ -147,7 +146,7 @@ def old_window_witness(n, np):
     norms = []
     for da in range(-2, 3):
         for db in range(-2, 3):
-            cand = vec_sub(l0, vec_add(vec_scale(a0 + da, n), vec_scale(b0 + db, np)))
+            cand = vec_add(l0, vec_scale(-1, vec_add(vec_scale(a0 + da, n), vec_scale(b0 + db, np))))
             key = (dot(cand, cand), cand)
             norms.append(key[0])
             if best is None or key < best[0]:
@@ -271,7 +270,7 @@ def old_plane_lattice_basis(v0):
         i = next(i for i in nz if i != j)
         q = vals[i] // vals[j]
         vals[i] -= q * vals[j]
-        cols[i] = vec_sub(cols[i], vec_scale(q, cols[j]))
+        cols[i] = vec_add(cols[i], vec_scale(-q, cols[j]))
     pivot = next(i for i, x in enumerate(vals) if x != 0)
     u1, u2 = [cols[i] for i in range(3) if i != pivot]
     if det3(u1, u2, v0) < 0:

@@ -10,7 +10,6 @@ from goodcones.exactnum import (
     DegenerateInput,
     det3,
     dot,
-    least_denominator,
     least_denominator_of_pairs,
     mat_vec,
     quad,
@@ -183,7 +182,9 @@ def test_least_denominator_brute_force():
         for hi in ends:
             for lo_open in (False, True):
                 for hi_open in (False, True):
-                    got = least_denominator(lo, lo_open, hi, hi_open)
+                    got = least_denominator_of_pairs(
+                        lo.numerator, lo.denominator, lo_open, hi.numerator, hi.denominator, hi_open
+                    )
                     assert got == brute(lo, lo_open, hi, hi_open), (lo, hi, lo_open, hi_open)
                     # the descent on end pairs with a common factor each
                     assert got == least_denominator_of_pairs(

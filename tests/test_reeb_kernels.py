@@ -44,7 +44,7 @@ from goodcones.exactnum import (
     det3,
     dot,
     is_delzant_pair,
-    least_denominator,
+    least_denominator_of_pairs,
     quad,
     quad_sign,
     solve_dot_one,
@@ -117,6 +117,11 @@ def old_admissible(cone, R):
     return all(old_sign(old_pair(R, e)) > 0 for e in edge_rays(cone))
 
 
+def signed(profile, cone):
+    """The signed isotropies v0 . n of the cone's normals."""
+    return tuple(dot(profile.v0, n) for n in cone.normals)
+
+
 def old_polygon(R, rays):
     verts = []
     for e in rays:
@@ -142,7 +147,7 @@ def old_ranks(pi_vals):
 def old_arcs(cone, profile, pi_vals):
     """(minimum, maximum, neg_arc, pos_arc) from the moment polygon."""
     k = len(cone)
-    signs = profile.signed(cone)
+    signs = signed(profile, cone)
 
     def extreme_at(argbest):
         if argbest in profile.flats:
@@ -170,7 +175,7 @@ def old_arcs(cone, profile, pi_vals):
 
 def old_residual(cone, R, profile, ybar, neg, pos):
     d = R.d
-    signs = profile.signed(cone)
+    signs = signed(profile, cone)
     y = lift(ybar, d)
 
     def nrm(face):
@@ -270,7 +275,7 @@ def old_transverse_circle(profile, rays):
 
 def old_fraction_residual(cone, R, profile, arcs, ybar):
     """`closure_identity_residual` summing Fractions term by term."""
-    signs = profile.signed(cone)
+    signs = signed(profile, cone)
 
     def term(f1, f2):
         return Fraction(
@@ -484,14 +489,17 @@ def test_least_denominator_matches_fraction_descent_on_large_ends():
                 for lo_open in (False, True):
                     for hi_open in (False, True):
                         expected = old_least_denominator(lo, lo_open, hi, hi_open, infinite_steps)
-                        assert least_denominator(lo, lo_open, hi, hi_open) == expected, (
+                        assert least_denominator_of_pairs(
+                            lo.numerator, lo.denominator, lo_open,
+                            hi.numerator, hi.denominator, hi_open,
+                        ) == expected, (
                             lo, lo_open, hi, hi_open,
                         )
     # The step at which the upper end becomes infinite, on every size.
     assert len(infinite_steps) > 100
     assert max(max(lo.denominator, hi.denominator) for lo, hi in infinite_steps).bit_length() > 2048
-    assert least_denominator(1, True, Fraction(3, 2), False) == 2
-    assert least_denominator(Fraction(-7, 3), False, -2, True) == 3
+    assert least_denominator_of_pairs(1, 1, True, 3, 2, False) == 2
+    assert least_denominator_of_pairs(-7, 3, False, -2, 1, True) == 3
 
 
 def counting_fractions(monkeypatch, module):
@@ -520,7 +528,7 @@ def test_fractions_are_built_only_for_returned_values(monkeypatch, k):
     assert closure_identity_residual(cone, R, ybar).is_zero()
     # the residual is built from the integer sum, as a QuadNumber
     assert built == []
-    assert _transverse_circle(profile, reeb_module._pair_lie(reeb_module._facts(cone, R))) == ybar
+    assert _transverse_circle(profile, reeb_module._facts(cone, R).lie) == ybar
     # two rational ends for each side of the square that is searched
     assert len(built) <= 8
 

@@ -25,7 +25,7 @@ from goodcones.cone import GoodCone, InvalidCone, face_invariants, gluing_matrix
 from goodcones.construct import example_family, obstructed_family
 from goodcones.euler import build_identity_data, evaluate_identity, verify_global_identity
 from goodcones.exactnum import DegenerateInput, cross_primitive, dot
-from goodcones.graph import canonical_form, extract_graph
+from goodcones.graph import GermOfChain, canonical_form, extract_graph
 from goodcones.reeb import (
     InadmissibleReeb,
     RankError,
@@ -40,7 +40,13 @@ from goodcones.reeb import (
     width_of_flat_face,
 )
 
-from conftest import random_admissible_rank2_reeb, random_good_cone, random_orbit_blowup
+from conftest import (
+    random_admissible_rank2_reeb,
+    random_good_cone,
+    random_orbit_blowup,
+    random_sl3,
+    sl3_image,
+)
 
 
 def copies(cone, reeb):
@@ -371,9 +377,10 @@ def test_every_cached_value_is_immutable():
         assert facts.cone is cone and facts.R is reeb
         # Hashable means built from tuples, frozensets and frozen records.
         hash((facts.rays, facts.profile))
-        assert set(facts.memo) == {"lie", "ybar", "circles", "arcs"}
-        for value in facts.memo.values():
-            hash(value)
+        # The pass reads every fact, so each is kept (a KeyError if not).
+        kept = [vars(facts)[name] for name in ("lie", "ybar", "circles", "polygon")]
+        assert facts.arcs is not None
+        hash((*kept, facts.arcs))
 
 
 # ---------------------------------------------------------------------------
@@ -508,6 +515,8 @@ def test_the_slots_pairings_and_signs_are_direct_dot_products():
 BUDGETED = (
     "plane_lattice_basis",
     "_profile_of",
+    "_pairings",
+    "_transverse_circle",
     "delzant_witness",
     "cross_primitive",
     "_ray_table",
@@ -529,9 +538,11 @@ def test_a_reeb_pass_keeps_to_its_compute_once_budget(monkeypatch):
     Lie(G) basis and the edge rays once, computes one Delzant witness per
     adjacent pair and computes each vertex circle once, for both readers
     (the Euler identity and the graph), only at vertices between two faces
-    that are not flat.  Vertex circles come from the edge ray's pairings
-    with the Lie(G) basis, kept on the slot, and edge rays from
-    `_ray_table`, so no `cross_primitive` is left on the read path."""
+    that are not flat.  The rays are paired twice, with (P, Q) and with
+    the Lie(G) basis, and the transverse circle is chosen once.  Vertex
+    circles come from the edge ray's pairings with the Lie(G) basis, kept
+    on the slot, and edge rays from `_ray_table`, so no `cross_primitive`
+    is left on the read path."""
     calls = dict.fromkeys(BUDGETED, 0)
     modules = (
         goodcones.exactnum,
@@ -561,8 +572,52 @@ def test_a_reeb_pass_keeps_to_its_compute_once_budget(monkeypatch):
         assert calls == {
             "plane_lattice_basis": 1,
             "_profile_of": 1,
+            "_pairings": 2,
+            "_transverse_circle": 1,
             "delzant_witness": len(cone),
             "cross_primitive": 0,
             "_ray_table": 1,
             "_vertex_circle": circles,
         }, cone
+
+
+# ---------------------------------------------------------------------------
+# The record: attributes kept on first read, and one record for germs.
+# ---------------------------------------------------------------------------
+
+
+def test_a_second_read_of_each_attribute_returns_the_same_object():
+    for cone, reeb in CORPUS[::5]:
+        cone, reeb = copies(cone, reeb)
+        facts = goodcones.reeb._facts(cone, reeb)
+        for name in ("lie", "circles", "ybar", "polygon"):
+            assert getattr(facts, name) is getattr(facts, name), name
+        assert moment_polygon(cone, reeb) is facts.polygon
+        assert choose_transverse_circle(cone, reeb) is facts.ybar
+
+
+def germ_cases():
+    rnd = random.Random(27)
+    for k in range(2, 17):
+        yield example_family(k)
+        for d in (2, 3, 5):
+            yield sl3_image(random_sl3(rnd), *example_family(k, d))
+
+
+def test_germ_circles_match_the_cone_on_shared_vertices():
+    """The germ cut from a closed cone at its two flat faces 0 and k + 1
+    shares the cone's edge rays 0..k; its record gives the cone record's
+    vertex circles there, up to sign, None next to a flat face."""
+    for cone, reeb in germ_cases():
+        k = len(cone) - 3
+        germ = GermOfChain(normals=cone.normals[: k + 2], reeb=reeb)
+        whole = goodcones.reeb._facts(cone, reeb)
+        part = goodcones.reeb._chain_facts(germ.reeb, germ.normals)
+        assert part.cone is None and len(part.rays) == k + 1
+        assert part.rays == whole.rays[: k + 1]
+        for mine, theirs in zip(part.circles, whole.circles):
+            if theirs is None:
+                assert mine is None
+            else:
+                assert mine in (theirs, (-theirs[0], -theirs[1])), (mine, theirs)
+        assert part.circles[0] is part.circles[-1] is None
