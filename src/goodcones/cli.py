@@ -427,12 +427,11 @@ def _cmd_construct(args) -> int:
         raise UsageError(f"--d must be below 2**63, got {args.d}")
     if _discriminant_fault(args.d):
         raise UsageError(f"--d must be a square-free integer >= 2, got {args.d}")
+    # argparse's `choices` admits only the two families.
     if args.family == "example":
         cone, reeb = construct.example_family(args.k, d=args.d)
-    elif args.family == "obstructed":
-        cone, reeb = construct.obstructed_family(args.k, seed=args.seed, d=args.d)
     else:
-        raise UsageError(f"unknown family {args.family!r}")
+        cone, reeb = construct.obstructed_family(args.k, seed=args.seed, d=args.d)
     doc = Document(
         cone=cone,
         reeb=reeb,

@@ -17,7 +17,8 @@ Arithmetic.  Only R is irrational; normals, edge rays, Ybar and the
 isotropy data are integers.  A ReebVector carries R cleared to integer
 parts, R = (P + sqrt(d) Q) / den with den > 0, so that R . e is
 (P . e + sqrt(d) Q . e) / den.  Every sign and every order (admissibility,
-the ranking of vertices by Ybar-moment, the arcs) is then decided in Z by
+the least and greatest vertex by Ybar-moment, which fix the extremes; the
+arcs are then a walk of the faces from the minimum) is decided in Z by
 `quad_sign`, and a determinant against R is the pair of integer
 determinants against P and Q; the rank is read off P x Q.  The
 transverse-circle descent and every intermediate sum also run in Z, the
@@ -32,8 +33,8 @@ goodness verdict (`cone._verdict`) and its edge rays (`cone.edge_rays`),
 and R its cleared parts.  The module keeps only facts of a pair, in one
 record (`_Facts`) for the last (cone, R) pair that a public call
 accepted: the cone's edge rays, their pairings (P . e_i, Q . e_i), which
-the admissibility check computes and the polygon, the vertex ranking and
-the widths read, the profile and the signed isotropies v0 . n^i, which
+the admissibility check computes and the polygon, the extremes and the
+widths read, the profile and the signed isotropies v0 . n^i, which
 the arcs, the widths and the closure residual read, and, computed on
 first read, the rays' Lie(G) pairings (u1 . e_i, u2 . e_i), the chosen
 Ybar, the vertex circles, which the Euler identity and the graph both
@@ -60,10 +61,10 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, cmp_to_key
+from functools import cached_property
 from typing import Optional, Tuple
 
-from .cone import GoodCone, InvalidCone, edge_rays, require_valid
+from .cone import GoodCone, edge_rays, require_valid
 from .exactnum import (
     DegenerateInput,
     QuadNumber,
@@ -294,11 +295,17 @@ def _facts(cone: GoodCone, R: ReebVector) -> _Facts:
             raise InadmissibleReeb(f"R pairs non-positively with edge {e}")
     profile = signs = None
     if cross(R.P, R.Q) != (0, 0, 0):
+        # At most two faces are flat, those whose normals lie in the plane
+        # v0-perp, as no three normals of a good cone are coplanar.  Say
+        # three lie in a plane H.  For each of them, n^x, the functional
+        # det3(n^x, n^{x+1}, .) is positive on every normal but n^x and
+        # n^{x+1} and vanishes on their span, so n^{x+1} is neither one of
+        # the three nor in H, and on H it vanishes only on the line of n^x:
+        # the other two lie strictly on one side of that line.  Three vectors a, b, c of one plane
+        # cannot all do so: in coordinates on H, det(a, c) and det(b, c)
+        # would both share the sign of det(a, b), and det(b, c) that of
+        # det(b, a) = -det(a, b).
         profile, signs = _profile_of(R, cone.normals)
-        if len(profile.flats) > 2:
-            raise InvalidCone(
-                f"more than two flat faces {sorted(profile.flats)}: rank-2 data inconsistent"
-            )
     facts = _Facts(cone, R, rays, pairs, profile, signs)
     # A rank-1 pair is not kept: the calls that need a profile refuse it,
     # and a refusing call must leave the slot as it was.
@@ -625,10 +632,52 @@ def _arc_data(cone: GoodCone, R: ReebVector, ybar: Optional[Vec3]):
 
 def _arcs(facts: _Facts, ybar: Vec3) -> ArcDecomposition:
     """The two boundary chains of the pair between the extremes of a
-    transverse Ybar."""
-    cone, profile, signs = facts.cone, facts.profile, facts.signs
-    k = len(cone)
-    rank = _moment_ranks(facts, ybar)
+    transverse Ybar, read off a walk of the faces from the minimum.
+
+    The Ybar-moment of the vertex e_v / (R . e_v) is (Ybar . e_v) / (R . e_v).
+    With y = Ybar . e and (a, b) = (P . e, Q . e) every a + b sqrt(d) is
+    positive (R is admissible), so vertex i lies below vertex j exactly when
+    (y_i a_j - y_j a_i) + sqrt(d) (y_i b_j - y_j b_i) < 0; one pass of these
+    comparisons finds the first vertex of least and of greatest moment, as
+    `min` and `max` would.
+
+    Face f runs in the slice from vertex f - 1 to vertex f along a
+    positive multiple of n^f x R: the step is normal to n^f and R, and
+    n^{f+1}, which vanishes at vertex f and is positive at vertex f - 1,
+    pairs with n^f x R to -R . e_f < 0.  So the moment moves along face f
+    by a positive multiple of Ybar . (n^f x R) = n^f . (R x Ybar).  R and
+    Ybar both lie in Lie(G), so R x Ybar = lambda v0, with lambda != 0 as
+    R has rank 2 and Ybar is rational: along face f the moment moves by a
+    positive multiple of lambda (v0 . n^f).  The faces of one sign of
+    v0 . n all raise it, those of the other sign all lower it, and a flat
+    face is a level segment.  The polygon is convex, so walking the faces
+    cyclically from the minimum vertex the moment rises to the maximum and
+    falls back: the faces that share the sign of the first signed face
+    form one chain in walk order, the others the other chain in reverse
+    walk order, both by increasing moment.  For a transverse Ybar the flat
+    faces are thus exactly the flat extremes, and they belong to no chain.
+    Both chains are nonempty: the moment rises and falls on a closed
+    polygon, and at most two faces are flat (`_facts`)."""
+    profile, signs = facts.profile, facts.signs
+    k = len(signs)
+    d = facts.R.d
+    y0, y1, y2 = ybar
+    keys = [
+        (y0 * e0 + y1 * e1 + y2 * e2, a, b)
+        for (e0, e1, e2), (a, b) in zip(facts.rays, facts.pairs)
+    ]
+
+    def below(i: int, j: int) -> bool:
+        yi, ai, bi = keys[i]
+        yj, aj, bj = keys[j]
+        return quad_sign(yi * aj - yj * ai, yi * bj - yj * bi, d) < 0
+
+    lo = hi = 0
+    for v in range(1, k):
+        if below(v, lo):
+            lo = v
+        elif below(hi, v):
+            hi = v
 
     def extreme_at(argbest: int) -> Extreme:
         # A vertex incident to a flat face belongs to that 3-dim component.
@@ -639,53 +688,14 @@ def _arcs(facts: _Facts, ybar: Vec3) -> ArcDecomposition:
             return Extreme("flat", nxt)
         return Extreme("vertex", argbest)
 
-    lo = min(range(k), key=rank.__getitem__)
-    hi = max(range(k), key=rank.__getitem__)
-    minimum = extreme_at(lo)
-    maximum = extreme_at(hi)
-
-    # A flat face is a Ybar level segment, so for a transverse Ybar the flat
-    # faces are exactly the flat extremes, and each chain face has a sign.
-    neg = [face for face in range(k) if signs[face] < 0]
-    pos = [face for face in range(k) if signs[face] > 0]
-
-    def face_level(face: int):
-        lo_v, hi_v = rank[(face - 1) % k], rank[face]
-        return min(lo_v, hi_v), max(lo_v, hi_v)
-
-    neg.sort(key=face_level)
-    pos.sort(key=face_level)
+    walk = [(lo + step) % k for step in range(1, k + 1)]
+    first = next(signs[f] for f in walk if signs[f])
+    rising = tuple([f for f in walk if signs[f] * first > 0])
+    falling = tuple([f for f in reversed(walk) if signs[f] * first < 0])
+    neg, pos = (rising, falling) if first < 0 else (falling, rising)
     return ArcDecomposition(
-        minimum=minimum, maximum=maximum, neg_arc=tuple(neg), pos_arc=tuple(pos)
+        minimum=extreme_at(lo), maximum=extreme_at(hi), neg_arc=neg, pos_arc=pos
     )
-
-
-def _moment_ranks(facts: _Facts, ybar: Vec3) -> list:
-    """Rank of each vertex e_i / (R . e_i) of the pair by its Ybar-moment
-    pi_i = (Ybar . e_i) / (R . e_i), tied vertices ranked equal.  With
-    y = Ybar . e and (a, b) = (P . e, Q . e) the pair's pairing, every
-    a + b sqrt(d) is positive (R is admissible), so pi_i < pi_j exactly when
-    (y_i a_j - y_j a_i) + sqrt(d) (y_i b_j - y_j b_i) < 0."""
-    y0, y1, y2 = ybar
-    keys = [
-        (y0 * e0 + y1 * e1 + y2 * e2, a, b)
-        for (e0, e1, e2), (a, b) in zip(facts.rays, facts.pairs)
-    ]
-    d = facts.R.d
-
-    def compare(i: int, j: int) -> int:
-        yi, ai, bi = keys[i]
-        yj, aj, bj = keys[j]
-        return quad_sign(yi * aj - yj * ai, yi * bj - yj * bi, d)
-
-    order = sorted(range(len(keys)), key=cmp_to_key(compare))
-    rank = [0] * len(keys)
-    r = 0
-    for prev, cur in zip(order, order[1:]):
-        if compare(prev, cur):
-            r += 1
-        rank[cur] = r
-    return rank
 
 
 def closure_identity_residual(
@@ -712,8 +722,7 @@ def closure_identity_residual(
         det = det3(normals[f1], normals[f2], ybar)
         return sgn * det, abs(signs[f1] * signs[f2])
 
-    if not arcs.neg_arc or not arcs.pos_arc:
-        raise InvalidCone("arc decomposition degenerate: empty boundary chain")
+    # Both chains are nonempty (`_arcs`).
     c1, c2 = arcs.neg_arc, arcs.pos_arc
     terms = [term(1, c2[-1], c1[-1]), term(1, c1[0], c2[0])]
     for sgn, arc in ((-1, c1), (1, c2)):

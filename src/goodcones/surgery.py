@@ -105,16 +105,12 @@ def cut(cone: GoodCone, spec: CutSpec) -> SurgeryResult:
         result = _edited(normals, f"orbit cut at vertex {v} yields a non-good cone")
         return SurgeryResult(cone=result, kind="orbit-blowup", index=v)
     if len(negative) == 2:
+        # The edge rays are, in cyclic order, the vertices of a convex
+        # polygon (a slice of the cone), on which t is affine, so the rays
+        # it cuts are a cyclic run: two of them are the edges i - 1 and i
+        # of one face i.
         a, b = negative
-        # The two edge rays of face i are i-1 and i.
-        if (a + 1) % k == b:
-            face = b
-        elif (b + 1) % k == a:
-            face = a
-        else:
-            raise SurgeryRejected(
-                f"cut edges {negative} are not the two edges of one face"
-            )
+        face = b if (a + 1) % k == b else a
         normals = list(cone.normals)
         normals[face] = t
         result = _edited(normals, f"lens cut at face {face} yields a non-good cone")

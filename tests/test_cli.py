@@ -114,6 +114,7 @@ def test_non_good_document_exits_1(capsys, tmp_path):
         ["plan", "--keep", "a,b"],
         ["plan", "--keep", "0,,4"],
         ["blowup", "--t=1,x,1"],
+        ["blowup", "--t", "1,0"],
         ["euler-check", "--ybar", "1,2,1.5"],
     ],
 )
@@ -140,8 +141,15 @@ def test_close_without_normals_exits_2(capsys, tmp_path):
         ([[1, 0], [0, 1, 0]], "list of integer triples"),
         ([["a", 0, 1], [0, 1, 0], [0, 0, 1]], "list of integer triples"),
         ([[1, 0, 0], [0, 0, 1], [0, 1, 0]], "not positively convex"),
+        ([[1, 0, 0]], "need at least two chain normals"),
     ],
-    ids=["normals-not-a-list", "normal-of-length-2", "non-integer-entry", "not-convex"],
+    ids=[
+        "normals-not-a-list",
+        "normal-of-length-2",
+        "non-integer-entry",
+        "not-convex",
+        "one-normal",
+    ],
 )
 def test_close_malformed_chain_exits_2(capsys, tmp_path, chain, message):
     path = tmp_path / "chain.json"
@@ -410,6 +418,48 @@ def test_corrupt_stored_document_exits_2(tmp_path, doc_path, capsys):
     code = run(["catalog", "list", "--store", store])
     out, err = capsys.readouterr()
     assert code == 2 and out == "" and "Traceback" not in err
+
+
+def run_error(capsys, argv):
+    """(exit code, message) of a call that must print only a JSON error."""
+    code = run(argv)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    return code, json.loads(captured.err)["error"]
+
+
+def test_missing_input_file_exits_2(capsys, tmp_path):
+    path = str(tmp_path / "absent.json")
+    assert run_error(capsys, ["validate", path]) == (2, f"no such file: {path}")
+
+
+def test_catalog_add_over_a_tampered_document_exits_1(tmp_path, doc_path, capsys):
+    store = str(tmp_path / "store")
+    code, out = run_json(capsys, ["catalog", "add", doc_path, "--store", store])
+    digest = out["hash"]
+    stored = os.path.join(store, f"{digest}.json")
+    with open(stored) as fh:
+        obj = json.load(fh)
+    obj["metadata"]["name"] = "tampered"
+    with open(stored, "w") as fh:
+        json.dump(obj, fh)
+    assert run_error(capsys, ["catalog", "add", doc_path, "--store", store]) == (
+        1,
+        f"hash collision with differing content: {digest}",
+    )
+
+
+def test_integer_reeb_entries_and_null_metadata_are_read(capsys, tmp_path):
+    """JSON integers are read as the entries "1", "0", ... of R, and a null
+    "metadata" as none."""
+    cone, reeb = example_family(2)
+    doc = document_to_json(Document(cone=cone, reeb=reeb))
+    read = dict(doc, metadata=None)
+    read["reeb"] = {"p": [1, 0, 1], "q": [1, 3, 7], "d": 2}
+    path = tmp_path / "ints.json"
+    path.write_text(json.dumps(read))
+    assert document_to_json(document_from_json(read)) == doc
+    assert run_json(capsys, ["rank", str(path)]) == (0, {"rank": 2, "admissible": True})
 
 
 def test_malformed_json_exit2(tmp_path, capsys):

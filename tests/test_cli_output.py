@@ -1,4 +1,5 @@
-"""Every subcommand that `test_golden.py` does not pin prints exactly
+"""Every subcommand that `test_golden.py` does not pin, and `graph` on a
+document with two regular extremes, prints exactly
 `json.dumps(obj, indent=2)` and a newline on stdout: ASCII with \\u
 escapes, keys in the order they were built.  The catalog's stored
 documents may carry any JSON metadata (floats, NaN, non-ASCII text,
@@ -9,7 +10,9 @@ import json
 import pytest
 
 from goodcones.cli import run
+from goodcones.cone import GoodCone
 from goodcones.construct import example_family
+from goodcones.reeb import reeb_from_vectors
 from goodcones.serial import Document, document_to_json
 
 METADATA = {
@@ -29,8 +32,14 @@ def write(path, obj) -> str:
 def files(tmp_path):
     cone, reeb = example_family(2)
     doc = document_to_json(Document(cone=cone, reeb=reeb, metadata=METADATA))
+    # both extremes regular vertices, as in `test_golden.py`
+    regular = Document(
+        cone=GoodCone(((1, -2, 0), (4, -7, 2), (0, 0, 1), (-1, -3, 7), (0, -1, 1))),
+        reeb=reeb_from_vectors((7, -30, 30), (13, -34, 24), 5),
+    )
     return {
         "doc": write(tmp_path / "ex2.json", doc),
+        "regular": write(tmp_path / "regular.json", document_to_json(regular)),
         "bad": write(tmp_path / "bad.json", {"normals": [[1, 0, 0], [0, 1, 0], [1, 1, 0]]}),
         "chain": write(tmp_path / "chain.json", {"normals": doc["cone"]["normals"][:-1]}),
         "store": str(tmp_path / "store"),
@@ -55,6 +64,7 @@ CASES = {
     "validate-not-good": (["validate", "{bad}"], 1),
     "invariants": (["invariants", "{doc}", "--face", "1"], 0),
     "rank": (["rank", "{doc}"], 0),
+    "graph-regular-extremes": (["graph", "{regular}"], 0),
     "blowup": (["blowup", "{doc}", "--t", "1,0,0"], 0),
     "blowdown": (["blowdown", "{doc}", "--face", "3"], 0),
     "blowdown-rejected": (["blowdown", "{doc}", "--face", "1"], 1),

@@ -62,6 +62,11 @@ def test_validate_needs_three_normals():
         validate(GoodCone(((1, 0, 0), (0, 1, 0))))
 
 
+def test_load_cone_needs_three_normals():
+    with pytest.raises(DegenerateInput, match=r"^a cone needs at least 3 normals$"):
+        load_cone([(1, 0, 0), (0, 1, 0)])
+
+
 def test_load_cone_reorients_with_warning():
     with pytest.warns(UserWarning):
         cone = load_cone([(1, 0, 0), (0, 1, 0), (0, 0, -1)])

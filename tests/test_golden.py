@@ -41,6 +41,12 @@ FAMILIES = {
     "example-6": lambda: example_family(6),
     "example-12": lambda: example_family(12),
     "obstructed-3-seed-5": lambda: obstructed_family(3, seed=5),
+    # A conftest random pair (seed 3) whose extremes are both regular
+    # vertices; every other document here has two flat faces.
+    "random-seed-3-regular": lambda: (
+        GoodCone(((1, -2, 0), (4, -7, 2), (0, 0, 1), (-1, -3, 7), (0, -1, 1))),
+        reeb_from_vectors((7, -30, 30), (13, -34, 24), 5),
+    ),
 }
 
 # (exit code, sha256 of stdout); for render the digest is that of the SVG
@@ -126,6 +132,10 @@ GOLDEN = {
     ("obstructed-3-seed-5", "render"): (
         0,
         "9845ac740249492993db4edcd96102345de17dbe92d4708ec42801e80f385578",
+    ),
+    ("random-seed-3-regular", "graph"): (
+        0,
+        "0b5524de65b1e86faa789e392cc678b291923cc12d49afda9fd96b2248fcc6ba",
     ),
 }
 

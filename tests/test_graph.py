@@ -28,6 +28,7 @@ from goodcones.graph import (
     validate_germ,
 )
 from goodcones.reeb import (
+    RankError,
     isotropy_profile,
     reeb_from_vectors,
 )
@@ -250,6 +251,13 @@ def test_germ_requires_flat_ends():
     cone, reeb = example_family(2)
     with pytest.raises(GraphAssemblyError):
         germ_profile(GermOfChain(normals=cone.normals[1:4], reeb=reeb))
+
+
+def test_germ_needs_a_rank_2_reeb_vector():
+    cone, _ = example_family(2)
+    rank_1 = reeb_from_vectors((1, 2, 3), (2, 4, 6))
+    with pytest.raises(RankError, match=r"^v0 is only defined for rank-2 Reeb vectors$"):
+        germ_profile(GermOfChain(normals=cone.normals[:4], reeb=rank_1))
 
 
 def _lexmin_scan(n, a, b):

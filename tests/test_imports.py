@@ -9,7 +9,10 @@ or `class` of the package must be read (as a name or an attribute)
 somewhere in the package or the test suite outside its own definition;
 a re-export in `__init__.py` does not count.  So must every method or
 property of a top-level class whose name is not a dunder: outside its own
-definition, in its own module, or in another."""
+definition, in its own module, or in another.  So must every top-level
+function of the test suite, where a parameter of its name (a fixture's
+use) counts as a read; tests (`test_*`) and pytest hooks (`pytest_*`) are
+exempt."""
 
 import ast
 from pathlib import Path
@@ -63,25 +66,37 @@ def _is_dunder(name):
     return name.startswith("__") and name.endswith("__")
 
 
+def _names_read_or_requested(node):
+    """The names `node` reads, and its parameter names, which request a
+    pytest fixture of that name."""
+    return _names_read(node) | {n.arg for n in ast.walk(node) if isinstance(n, ast.arg)}
+
+
+def _top_level_statements(sources, read):
+    """(module, statement, names) for each top-level statement of each
+    module of `sources` (name to source), where names are those that `read`
+    finds in every other top-level statement of every module."""
+    trees = {m: ast.parse(src) for m, src in sources.items()}
+    # Names read by each top-level statement, and by each whole module.
+    per_stmt = {m: [read(n) for n in t.body] for m, t in trees.items()}
+    whole = {m: set().union(*stmts) for m, stmts in per_stmt.items()}
+    for m, tree in trees.items():
+        elsewhere = set().union(*(w for o, w in whole.items() if o != m))
+        for pos, node in enumerate(tree.body):
+            yield m, node, elsewhere.union(
+                *(names for j, names in enumerate(per_stmt[m]) if j != pos)
+            )
+
+
 def unreferenced_definitions(package, others):
     """(module, name) of each top-level def/class in the `package` sources,
     and (module, "Class.name") of each non-dunder method or property of a
     top-level class there, that no code reads outside its own definition;
     `others` are further sources whose reads count.  Both map a module name
     to its source."""
-    trees = {m: ast.parse(src) for m, src in {**others, **package}.items()}
-    # Names read by each top-level statement, and by each whole module.
-    per_stmt = {m: [_names_read(n) for n in t.body] for m, t in trees.items()}
-    whole = {m: set().union(*stmts) for m, stmts in per_stmt.items()}
     found = []
-    for m in package:
-        elsewhere = set().union(*(w for o, w in whole.items() if o != m))
-        for pos, node in enumerate(trees[m].body):
-            if not isinstance(node, (ast.FunctionDef, ast.ClassDef)):
-                continue
-            outside = elsewhere.union(
-                *(names for j, names in enumerate(per_stmt[m]) if j != pos)
-            )
+    for m, node, outside in _top_level_statements({**others, **package}, _names_read):
+        if m in package and isinstance(node, (ast.FunctionDef, ast.ClassDef)):
             if node.name not in outside:
                 found.append((m, node.name))
             if not isinstance(node, ast.ClassDef):
@@ -98,6 +113,24 @@ def unreferenced_definitions(package, others):
                 if member.name not in in_class:
                     found.append((m, f"{node.name}.{member.name}"))
     return found
+
+
+def unreferenced_test_helpers(tests, others):
+    """(module, name) of each top-level function of the `tests` sources that
+    no code reads outside its own definition, nor requests as a fixture by
+    a parameter of that name; tests (`test_*`) and pytest hooks
+    (`pytest_*`) are exempt.  `others` are further sources whose reads
+    count.  Both map a module name to its source."""
+    return [
+        (m, node.name)
+        for m, node, outside in _top_level_statements(
+            {**others, **tests}, _names_read_or_requested
+        )
+        if m in tests
+        and isinstance(node, ast.FunctionDef)
+        and not node.name.startswith(("test_", "pytest_"))
+        and node.name not in outside
+    ]
 
 
 def test_no_unreferenced_package_definitions():
@@ -124,6 +157,29 @@ def test_definition_scan_flags_unreferenced():
         ("a", "lonely"),
         ("c", "Host.planted"),
     ]
+
+
+def test_no_unreferenced_test_helpers():
+    sources = {str(p.relative_to(ROOT)): p.read_text() for p in MODULES}
+    tests = {m: s for m, s in sources.items() if m.startswith("tests")}
+    others = {m: s for m, s in sources.items() if m not in tests}
+    assert unreferenced_test_helpers(tests, others) == []
+
+
+def test_helper_scan_flags_unreferenced_and_accepts_fixtures():
+    tests = {
+        "t": (
+            "import pytest\n\n"
+            "def pytest_configure(config):\n    pass\n\n"
+            "@pytest.fixture\ndef parser():\n    return 1\n\n"
+            "def oracle(x):\n    return oracle(x)\n\n"
+            "def helper():\n    return 2\n\n"
+            "def test_one(parser):\n    assert helper() == 2\n"
+        ),
+        "u": "def shared():\n    pass\n",
+    }
+    others = {"a": "from u import shared\nshared()\n"}
+    assert unreferenced_test_helpers(tests, others) == [("t", "oracle")]
 
 
 def modules_with_global(sources):

@@ -290,6 +290,14 @@ def test_slope_change_law(rnd):
             assert (direct - closed).is_zero()
 
 
+def test_face_slope_refuses_a_flat_face():
+    prof = isotropy_profile(FAMILY2, R_FAMILY2)
+    y = choose_transverse_circle(FAMILY2, R_FAMILY2)
+    flat = min(prof.flats)
+    with pytest.raises(DegenerateInput, match=r"^slope undefined on a flat face$"):
+        face_slope(prof, R_FAMILY2, y, FAMILY2.normal(flat))
+
+
 def test_polygon_closure_identity(rnd):
     y = choose_transverse_circle(FAMILY2, R_FAMILY2)
     assert closure_identity_residual(FAMILY2, R_FAMILY2, y).is_zero()

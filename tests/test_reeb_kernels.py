@@ -5,16 +5,15 @@ routes, `face_slope` and `slope_change` must agree exactly on the random
 cones of conftest, on `example_family(k)` up to k = 256 and on
 `obstructed_family(k)` up to k = 96 (entries of 107 bits).  `quad_sign` is
 checked against a Fraction bracket of sqrt(d), and `validate` against a
-copy of its old triple loop.  The vertex ranking, a private kernel, is
-checked directly: ties decide nothing on valid cones, where they come only
-from flat faces, so the arcs alone would not show a tie ranked apart.  The
-cleared parts a ReebVector carries are checked against a copy of the
-clearing function they replaced.  The transverse circle, its
-least-denominator descent, the closure residual and the chain sums run on
-integer pairs; each is checked against a copy of its Fraction version on
-the same corpus, and the descent also on ends of up to 4096 bits.  A
-Fraction is built only for a returned value, so the number built does not
-grow with the number of faces."""
+copy of its old triple loop.  The arcs, a walk of the faces from the least
+vertex, are checked against a sort of the oracle's moments, and the two
+ends of each flat face against a tie in those moments.  The cleared parts
+a ReebVector carries are checked against a copy of the clearing function
+they replaced.  The transverse circle, its least-denominator descent, the
+closure residual and the chain sums run on integer pairs; each is checked
+against a copy of its Fraction version on the same corpus, and the descent
+also on ends of up to 4096 bits.  A Fraction is built only for a returned
+value, so the number built does not grow with the number of faces."""
 
 import math
 import random
@@ -52,7 +51,6 @@ from goodcones.exactnum import (
     vec_scale,
 )
 from goodcones.reeb import (
-    _moment_ranks,
     _transverse_circle,
     arc_decomposition,
     choose_transverse_circle,
@@ -134,14 +132,6 @@ def old_moments(cone, R, ybar):
     """Ybar-moment of each polygon vertex, as sort keys."""
     verts = old_polygon(R, edge_rays(cone))
     return [old_key(sum(ybar[j] * v[j] for j in range(3))) for v in verts]
-
-
-def old_ranks(pi_vals):
-    order = sorted(range(len(pi_vals)), key=lambda i: pi_vals[i])
-    rank = [0] * len(pi_vals)
-    for prev, cur in zip(order, order[1:]):
-        rank[cur] = rank[prev] + (pi_vals[prev] != pi_vals[cur])
-    return rank
 
 
 def old_arcs(cone, profile, pi_vals):
@@ -385,11 +375,9 @@ def test_read_path_matches_quadratic_field_routes(cone, R, scale):
     ybar = choose_transverse_circle(cone, R)
 
     pi_vals = old_moments(cone, R, ybar)
-    rank = _moment_ranks(reeb_module._facts(cone, R), ybar)
-    assert rank == old_ranks(pi_vals)
     # The two ends of a flat face lie in one Ybar-level set: a tie.
     k = len(cone)
-    assert all(rank[(i - 1) % k] == rank[i] for i in profile.flats)
+    assert all(pi_vals[(i - 1) % k] == pi_vals[i] for i in profile.flats)
 
     arcs = arc_decomposition(cone, R, ybar)
     minimum, maximum, neg, pos = old_arcs(cone, profile, pi_vals)
@@ -413,6 +401,63 @@ def test_read_path_matches_quadratic_field_routes(cone, R, scale):
             )
         if profile.k[i]:
             assert face_slope(profile, R, ybar, n) == old_face_slope(profile, R, ybar, n)
+
+
+def transverse_ybars(cone, R, radius=4):
+    """Every transverse a u1 + b u2 with |a|, |b| <= radius."""
+    u1, u2 = isotropy_profile(cone, R).lieG_basis
+    rays = edge_rays(cone)
+    for a in range(-radius, radius + 1):
+        for b in range(-radius, radius + 1):
+            ybar = vec_add(vec_scale(a, u1), vec_scale(b, u2))
+            if all(dot(ybar, e) > 0 for e in rays):
+                yield ybar
+
+
+@pytest.mark.parametrize("cone, R", [c for _, c in CASES], ids=[n for n, _ in CASES])
+def test_arcs_take_at_most_two_comparisons_per_vertex(monkeypatch, cone, R):
+    """`_arcs` finds both extremes in one pass of at most 2 (k - 1)
+    `quad_sign` calls, and both chains it walks are nonempty, for the
+    chosen Ybar and every transverse Ybar of max-norm at most 4; on cones
+    of up to 35 faces the arcs also match the oracle's sort for each."""
+    k = len(cone)
+    ybars = [choose_transverse_circle(cone, R), *transverse_ybars(cone, R)]
+    facts = reeb_module._facts(cone, R)
+    profile = facts.profile
+    calls = [0]
+
+    def counting(*args):
+        calls[0] += 1
+        return quad_sign(*args)
+
+    monkeypatch.setattr(reeb_module, "quad_sign", counting)
+    for ybar in ybars:
+        calls[0] = 0
+        arcs = reeb_module._arcs(facts, ybar)
+        assert calls[0] <= 2 * (k - 1), ybar
+        assert arcs.neg_arc and arcs.pos_arc, ybar
+        if k <= 35:
+            minimum, maximum, neg, pos = old_arcs(cone, profile, old_moments(cone, R, ybar))
+            assert (arcs.minimum.kind, arcs.minimum.index) == minimum
+            assert (arcs.maximum.kind, arcs.maximum.index) == maximum
+            assert (arcs.neg_arc, arcs.pos_arc) == (neg, pos)
+
+
+UP_TO_67_FACES = [(name, cone) for name, (cone, _) in CASES if len(cone) <= 67]
+
+
+@pytest.mark.parametrize(
+    "cone", [c for _, c in UP_TO_67_FACES], ids=[n for n, _ in UP_TO_67_FACES]
+)
+def test_no_three_normals_are_coplanar(cone):
+    """So at most two faces are flat for any rank-2 R: the flat faces are
+    those whose normals lie in the plane v0-perp."""
+    normals = cone.normals
+    k = len(normals)
+    for i in range(k):
+        for j in range(i + 1, k):
+            c = cross(normals[i], normals[j])
+            assert all(dot(c, normals[m]) for m in range(j + 1, k)), (i, j)
 
 
 @pytest.mark.parametrize("cone, R", [c for _, c in CASES], ids=[n for n, _ in CASES])

@@ -521,6 +521,7 @@ BUDGETED = (
     "cross_primitive",
     "_ray_table",
     "_vertex_circle",
+    "_arcs",
 )
 
 
@@ -539,7 +540,8 @@ def test_a_reeb_pass_keeps_to_its_compute_once_budget(monkeypatch):
     adjacent pair and computes each vertex circle once, for both readers
     (the Euler identity and the graph), only at vertices between two faces
     that are not flat.  The rays are paired twice, with (P, Q) and with
-    the Lie(G) basis, and the transverse circle is chosen once.  Vertex
+    the Lie(G) basis, the transverse circle is chosen once, and the arcs
+    of that Ybar are walked once for every reader of them.  Vertex
     circles come from the edge ray's pairings with the Lie(G) basis, kept
     on the slot, and edge rays from `_ray_table`, so no `cross_primitive`
     is left on the read path."""
@@ -578,6 +580,7 @@ def test_a_reeb_pass_keeps_to_its_compute_once_budget(monkeypatch):
             "cross_primitive": 0,
             "_ray_table": 1,
             "_vertex_circle": circles,
+            "_arcs": 1,
         }, cone
 
 

@@ -1,13 +1,16 @@
+import itertools
 import math
+import random
 import re
 from fractions import Fraction
 
 import pytest
 
-from goodcones.cone import GoodCone, load_cone, validate
+from goodcones.cone import GoodCone, edge_rays, load_cone, validate
 import goodcones.surgery as surgery_module
 from goodcones.construct import example_family, obstructed_family
 from goodcones.exactnum import (
+    DegenerateInput,
     SearchExhausted,
     content,
     cross,
@@ -22,6 +25,7 @@ from goodcones.surgery import (
     CutSpec,
     PlanningError,
     SurgeryRejected,
+    _blowdown_candidates,
     blowdown_delete,
     can_blowdown_by_multiplicities,
     cone_hash,
@@ -103,6 +107,39 @@ def test_replace_range_identity_and_double_blowdown():
 def test_replace_range_rejects_cutting_normal():
     with pytest.raises(SurgeryRejected):
         replace_range(BLOWN, [2], (-9, 1, 1))  # this half-space cuts the cone
+
+
+@pytest.mark.parametrize(
+    "rng, t, error, message",
+    [
+        ([], (1, 0, 0), SurgeryRejected, "empty replacement range"),
+        ([0, 2], (1, 0, 0), SurgeryRejected, "range [0, 2] is not contiguous"),
+        ([0, 1, 2, 3, 4], (1, 0, 0), SurgeryRejected, "range must be a proper subset of the faces"),
+        ([1], (2, 0, 2), DegenerateInput, "replacement normal (2, 0, 2) is not primitive"),
+    ],
+    ids=["empty", "non-contiguous", "all-faces", "non-primitive"],
+)
+def test_replace_range_refuses_bad_ranges_and_normals(rng, t, error, message):
+    with pytest.raises(error) as info:
+        replace_range(FAMILY2, rng, t)
+    assert str(info.value) == message
+
+
+def test_a_cut_of_two_edges_cuts_the_two_edges_of_one_face(rnd):
+    """`cut` reads a cut of two edge rays as a lens cut of the face between
+    them: on a good cone the rays a normal cuts are a cyclic run."""
+    seen = 0
+    for n in range(12):
+        cone = random_good_cone(rnd, cuts=n % 4)
+        rays = edge_rays(cone)
+        k = len(cone)
+        for t in itertools.product(range(-3, 4), repeat=3):
+            negative = [i for i, e in enumerate(rays) if dot(t, e) < 0]
+            if len(negative) == 2:
+                a, b = negative
+                assert (a + 1) % k == b or (b + 1) % k == a, (cone, t)
+                seen += 1
+    assert seen > 100
 
 
 def test_orbit_roundtrips_random(rnd):
@@ -267,6 +304,76 @@ def test_plan_family3(rnd):
     again = replay(plan, cone)
     assert again.normals == final.normals
     assert cone_hash(again) == cone_hash(final)
+
+
+def random_plan_inputs(seed=11, count=60):
+    """Conftest random cones of 0 to 5 cuts, each with a random contiguous
+    run of 1 to k - 2 faces removed: (cone, keep, first removed, length)."""
+    rnd = random.Random(seed)
+    for n in range(count):
+        cone = random_good_cone(rnd, cuts=n % 6)
+        k = len(cone)
+        start = rnd.randrange(k)
+        length = rnd.randint(1, k - 2) if k > 3 else 1
+        yield cone, [(start + length + j) % k for j in range(k - length)], start, length
+
+
+def first_reducing_candidate(cone, f):
+    """(t, candidates skipped) for the first t of a fresh
+    `_blowdown_candidates` stream of face f whose replace of face f and
+    delete of the face after it both succeed."""
+    after = cone.normal(f + 1)
+    for skipped, t in enumerate(_blowdown_candidates(cone, f, None)):
+        try:
+            c1 = replace_range(cone, [f], t)
+            blowdown_delete(c1, c1.normals.index(after))
+        except SurgeryRejected:
+            continue
+        return t, skipped
+
+
+def test_plan_continues_past_rejected_candidates(monkeypatch):
+    """On this corpus the planner's delete step rejects candidates, and the
+    planner goes on to the next: every plan replays through its hash chain
+    to a good cone of the kept faces, in their cyclic order, and one new
+    face where the run was, and each replace takes the first candidate
+    whose replace and delete both succeed."""
+    rejected = []
+    original = surgery_module.blowdown_delete
+
+    def counting(cone, i):
+        try:
+            return original(cone, i)
+        except SurgeryRejected:
+            rejected.append((cone.normals, i))
+            raise
+
+    monkeypatch.setattr(surgery_module, "blowdown_delete", counting)
+    skipped = 0
+    for cone, keep, start, length in random_plan_inputs():
+        plan = plan_blowdown_sequence(cone, keep)
+        assert len(plan.steps) == 2 * (length - 1)
+        final = replay(plan, cone)
+        digest = cone_hash(cone)
+        for step in plan.steps:
+            assert step.pre == digest
+            digest = step.post
+        assert digest == cone_hash(final)
+        assert validate(final).is_good
+        new = tuple(plan.steps[-2].params["t"]) if plan.steps else cone.normal(start)
+        kept = [cone.normals[i] for i in keep]
+        assert any(
+            final.normals[j:] + final.normals[:j] == tuple(kept) + (new,)
+            for j in range(len(final))
+        )
+        current = cone
+        for replace, delete in zip(plan.steps[::2], plan.steps[1::2]):
+            t, first = first_reducing_candidate(current, replace.params["range"][0])
+            assert list(t) == replace.params["t"]
+            skipped += first
+            current = replace_range(current, replace.params["range"], t)
+            current = blowdown_delete(current, delete.params["i"])
+    assert len(rejected) > 0 and skipped > 0
 
 
 def _replay_outcome(steps, cone):
