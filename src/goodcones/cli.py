@@ -93,6 +93,8 @@ def _load_json(path: str):
         raise UsageError(
             f"malformed JSON in {path} at line {exc.lineno}, column {exc.colno}: {exc.msg}"
         )
+    except RecursionError:
+        raise UsageError(f"malformed JSON in {path}: nested too deeply") from None
 
 
 class UsageError(ValueError):
@@ -199,15 +201,16 @@ def render_svg(doc: Document, out_path: str) -> None:
     pts = [(float(v[keep[0]]), float(v[keep[1]])) for v in poly.vertices]
     xs = [p[0] for p in pts]
     ys = [p[1] for p in pts]
-    span = max(max(xs) - min(xs), max(ys) - min(ys)) or 1.0
+    x_min, y_max = min(xs), max(ys)
+    span = max(max(xs) - x_min, y_max - min(ys)) or 1.0
     scale = 400.0 / span
     margin = 40.0
 
     def sx(p):
-        return margin + (p[0] - min(xs)) * scale
+        return margin + (p[0] - x_min) * scale
 
     def sy(p):
-        return margin + (max(ys) - p[1]) * scale
+        return margin + (y_max - p[1]) * scale
 
     lines: List[str] = []
     lines.append(
@@ -592,15 +595,35 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 @cache
-def _parser() -> argparse.ArgumentParser:
-    """The parser of this process, built on the first `run` and reused:
-    parse_args keeps no state between calls."""
-    return build_parser()
+def _parser():
+    """The parser of this process and its subcommands' parsers by name,
+    built on the first `run` and reused: parse_args keeps no state between
+    calls."""
+    parser = build_parser()
+    (commands,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+    return parser, commands.choices
+
+
+def _parse(argv: Optional[Sequence[str]]) -> argparse.Namespace:
+    """`build_parser().parse_args(argv)`, on one parser where it can be.
+    The top-level parser hands all of argv[1:] to the subcommand that
+    argv[0] names, so that subcommand's parser reads them directly; the
+    top-level parser runs only when argv[0] names none or arguments are
+    left over, and then reports the usage error itself."""
+    parser, commands = _parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    command = commands.get(argv[0]) if argv else None
+    if command is not None:
+        args, extra = command.parse_known_args(argv[1:])
+        if not extra:
+            args.command = argv[0]
+            return args
+    return parser.parse_args(argv)
 
 
 def run(argv: Optional[Sequence[str]] = None) -> int:
     try:
-        args = _parser().parse_args(argv)
+        args = _parse(argv)
     except SystemExit as exc:
         return 2 if exc.code not in (0, None) else 0
     try:

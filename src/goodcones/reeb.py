@@ -106,8 +106,10 @@ class ReebVector:
     d: int = 2
 
     def __post_init__(self):
-        p = tuple(Fraction(x) for x in self.p)
-        q = tuple(Fraction(x) for x in self.q)
+        # Only an entry that is not a Fraction already (as the loader's are)
+        # is converted.
+        p = tuple([x if type(x) is Fraction else Fraction(x) for x in self.p])
+        q = tuple([x if type(x) is Fraction else Fraction(x) for x in self.q])
         if all(x == 0 for x in p) and all(x == 0 for x in q):
             raise DegenerateInput("zero Reeb vector")
         if fault := _discriminant_fault(self.d):
@@ -125,7 +127,7 @@ class ReebVector:
 
 
 def reeb_from_vectors(p, q, d: int = 2) -> ReebVector:
-    return ReebVector(tuple(Fraction(x) for x in p), tuple(Fraction(x) for x in q), d)
+    return ReebVector(tuple(p), tuple(q), d)
 
 
 def rank_of(R: ReebVector) -> int:

@@ -7,9 +7,11 @@ numbers as {"rat","irr","d"}.
 
 The loaders check the shape and the types of what they read and raise
 `DocumentError` for anything else: a cone's normals are JSON integers
-(not floats or booleans), a Reeb vector's entries are integers or "p/q"
-strings, and its d is a square-free integer with 2 <= d < 2**63.  A
-document's "reeb" and "metadata" are absent only when missing or null.
+(not floats or booleans), a Reeb vector's entries are integers or ASCII
+strings "n" or "n/m" of decimal digits with an optional "-" before n and
+m nonzero (no spaces, "+", underscores, decimal points or exponents), and
+its d is a square-free integer with 2 <= d < 2**63.  A document's "reeb"
+and "metadata" are absent only when missing or null.
 """
 
 from __future__ import annotations
@@ -29,22 +31,34 @@ class DocumentError(ValueError):
 
 
 def parse_frac(value) -> Fraction:
+    """A Reeb entry: a JSON integer, or an ASCII string "n" or "n/m" of
+    decimal digits, with an optional "-" before n and m nonzero.  The
+    digits are read by `int`, so a string beyond its digit limit is
+    rejected too."""
     if type(value) is int:
         return Fraction(value)
-    if isinstance(value, str):
-        try:
-            return Fraction(value)
-        except (ValueError, ZeroDivisionError):
-            pass
+    if isinstance(value, str) and value.isascii():
+        num, slash, den = value.partition("/")
+        digits = num[1:] if num[:1] == "-" else num
+        if digits.isdigit() and (den.isdigit() or not slash):
+            try:
+                return Fraction(int(num), int(den)) if slash else Fraction(int(num))
+            except (ValueError, ZeroDivisionError):  # beyond int's digit limit, or m = 0
+                pass
     raise DocumentError(f"expected integer or 'p/q' string, got {value!r}")
 
 
 def is_integer_triples(value) -> bool:
     """A JSON list of lists of three integers each (booleans excluded)."""
-    return isinstance(value, list) and all(
-        isinstance(v, list) and len(v) == 3 and all(type(x) is int for x in v)
-        for v in value
-    )
+    if not isinstance(value, list):
+        return False
+    for v in value:
+        if not isinstance(v, list) or len(v) != 3:
+            return False
+        a, b, c = v
+        if type(a) is not int or type(b) is not int or type(c) is not int:
+            return False
+    return True
 
 
 def quad_to_json(x: QuadNumber) -> dict:

@@ -1,7 +1,8 @@
 """Malformed documents: JSON values that `serial.document_from_json` must
 reject with DocumentError, so that every subcommand reading them exits 2
 with a one-line JSON error.  Each is one edit of a good `example_family(2)`
-document.  Shared by the tier-1 tests and the CI smoke step."""
+document.  `tests/test_cli_session.py` runs each through `document_from_json`
+and through the CLI."""
 
 import copy
 
@@ -30,6 +31,15 @@ def malformed_documents() -> dict:
         "p-entry-not-a-number": _edited(lambda d: d["reeb"].update(p=["x", 0, 0])),
         "p-entry-zero-denominator": _edited(lambda d: d["reeb"].update(p=["1/0", 0, 0])),
         "p-entry-float": _edited(lambda d: d["reeb"].update(p=[0.5, 0, 0])),
+        # Strings that `Fraction` reads but the entry grammar, an optional
+        # "-", ASCII digits and an optional "/" and digits, does not admit.
+        "p-entry-exponent": _edited(lambda d: d["reeb"].update(p=["1e2", 0, 0])),
+        "p-entry-decimal-point": _edited(lambda d: d["reeb"].update(p=["0.5", 0, 0])),
+        "p-entry-spaces": _edited(lambda d: d["reeb"].update(p=[" 1 ", 0, 0])),
+        "p-entry-underscore": _edited(lambda d: d["reeb"].update(p=["1_0", 0, 0])),
+        "p-entry-plus-sign": _edited(lambda d: d["reeb"].update(p=["+1", 0, 0])),
+        "p-entry-non-ascii-digits": _edited(lambda d: d["reeb"].update(p=["\u0661", 0, 0])),
+        "q-entry-fullwidth-denominator": _edited(lambda d: d["reeb"].update(q=["1/\uff12", 0, 1])),
         "p-two-entries": _edited(lambda d: d["reeb"].update(p=[1, 0])),
         "q-missing": _edited(lambda d: d["reeb"].pop("q")),
         "reeb-not-an-object": _edited(lambda d: d.update(reeb="p+q")),

@@ -471,6 +471,17 @@ def test_malformed_json_exit2(tmp_path, capsys):
     assert "line" in err and "column" in err
 
 
+def test_deeply_nested_json_exit2(tmp_path, capsys):
+    """JSON nested deeper than the decoder can recurse is malformed input:
+    one line of JSON error and exit 2, not a RecursionError traceback."""
+    path = tmp_path / "deep.json"
+    path.write_text("[" * 100_000 + "]" * 100_000)
+    code = run(["rank", str(path)])
+    out, err = capsys.readouterr()
+    assert code == 2 and out == ""
+    assert json.loads(err) == {"error": f"malformed JSON in {path}: nested too deeply"}
+
+
 def test_serialization_roundtrip(doc_path):
     with open(doc_path) as fh:
         original = json.load(fh)

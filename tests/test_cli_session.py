@@ -4,12 +4,15 @@ codes of bad input: malformed documents, bad `construct` options and
 unusable paths exit 2 with a one-line JSON error and no traceback, and
 `catalog` takes its options before or after the positional argument."""
 
+import argparse
 import json
 import os
+import random
 import re
 import subprocess
 import sys
 import time
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,7 @@ from goodcones.construct import example_family, obstructed_family
 from goodcones.reeb import ReebVector
 from goodcones.serial import Document, DocumentError, document_from_json, document_to_json
 
+from conftest import random_sl3, sl3_image
 from malformed_documents import malformed_documents
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -294,3 +298,123 @@ def test_catalog_accepts_options_in_either_position(capsys, tmp_path):
                                   ["catalog", "get", "--store", "s"], ["catalog", "list"]])
 def test_catalog_usage_errors_exit_2(capsys, argv):
     assert call(capsys, argv)[0] == 2
+
+
+# ---------------------------------------------------------------------------
+# Argument parsing: one parser per call, the same usage messages.
+# ---------------------------------------------------------------------------
+
+
+def parsed_directly(capsys, argv):
+    """(exit code, stdout, stderr) of `build_parser().parse_args(argv)`, with
+    the exit code that `run` gives a SystemExit; the namespace if it parses."""
+    try:
+        args = cli.build_parser().parse_args(argv)
+    except SystemExit as exc:
+        out, err = capsys.readouterr()
+        return 2 if exc.code not in (0, None) else 0, out, err
+    return args
+
+
+USAGE_ARGVS = [
+    [],
+    ["-h"],
+    ["--help"],
+    ["-h", "validate"],
+    ["validate", "-h"],
+    ["catalog", "add", "--help"],
+    ["no-such-command"],
+    ["-x", "validate", "f.json"],
+    ["validate", "f.json", "extra"],
+    ["validate", "f.json", "--face", "1"],
+    ["catalog", "list", "--store", "s", "extra"],
+    ["validate"],
+    ["invariants", "f.json"],
+    ["blowup", "f.json", "--t"],
+    ["invariants", "f.json", "--face", "x"],
+    ["construct", "--family", "example", "--k", "two"],
+    ["construct", "--family", "example", "--k", "2.5"],
+    ["construct", "--family", "nope", "--k", "2"],
+    ["catalog"],
+    ["catalog", "nope"],
+    ["catalog", "get", "--store", "s"],
+]
+
+
+@pytest.mark.parametrize("argv", USAGE_ARGVS, ids=" ".join)
+def test_usage_errors_match_the_top_level_parser(capsys, fresh_parser, argv):
+    expected = parsed_directly(capsys, argv)
+    assert isinstance(expected, tuple), "not a usage error"
+    assert call(capsys, argv) == expected
+
+
+PARSED_ARGVS = [
+    ["validate", "f.json"],
+    ["validate", "--", "f.json"],
+    ["invariants", "--face", "2", "f.json"],
+    ["invariants", "f.json", "--face=-1"],
+    ["euler-check", "f.json", "--ybar", "1,2,3"],
+    ["euler-check", "f.json", "--ybar=-1,2,3"],
+    ["construct", "--family", "obstructed", "--k", "3"],
+    ["construct", "--family", "example", "--k", "8", "--seed", "3", "--d", "5"],
+    ["plan", "f.json", "--keep", "0,1"],
+    ["toric-check", "--vmin", "1,0", "--vmax", "0,1"],
+    ["catalog", "add", "--store", "s", "f.json"],
+    ["catalog", "get", "abc", "--store", "s"],
+    ["catalog", "list", "--store", "s"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSED_ARGVS, ids=" ".join)
+def test_parsed_arguments_match_the_top_level_parser(capsys, fresh_parser, argv):
+    expected = parsed_directly(capsys, argv)
+    assert not isinstance(expected, tuple), "a usage error"
+    assert vars(cli._parse(argv)) == vars(expected)
+
+
+def test_a_cli_call_keeps_to_its_compute_once_budget(capsys, monkeypatch, tmp_path):
+    """One `run(["profile", doc])` parses argv once, on the subcommand's
+    parser alone, and its `document_from_json` builds one Fraction per
+    Reeb entry, in `parse_frac`, which the ReebVector keeps."""
+    rnd = random.Random(14)
+    cone, reeb = sl3_image(random_sl3(rnd), *example_family(16))
+    third = ReebVector(tuple(x / 3 for x in reeb.p), tuple(x / 7 for x in reeb.q), 3)
+    paths = [write_doc(tmp_path, "image", cone, reeb), write_doc(tmp_path, "thirds", cone, third)]
+    assert "/" in Path(paths[1]).read_text()
+
+    parsers = []
+    parse_known_args = argparse.ArgumentParser.parse_known_args
+
+    def counting_parse(self, *args, **kwargs):
+        parsers.append(self)
+        return parse_known_args(self, *args, **kwargs)
+
+    built = []
+    new = Fraction.__new__
+
+    def counting_new(cls, *args, **kwargs):
+        value = new(cls, *args, **kwargs)
+        built.append(value)
+        return value
+
+    decoded = []
+    decode = cli.document_from_json
+
+    def counting_decode(obj):
+        start = len(built)
+        doc = decode(obj)
+        decoded.append((doc, built[start:]))
+        return doc
+
+    monkeypatch.setattr(argparse.ArgumentParser, "parse_known_args", counting_parse)
+    monkeypatch.setattr(Fraction, "__new__", counting_new)
+    monkeypatch.setattr(cli, "document_from_json", counting_decode)
+    commands = cli._parser()[1]
+    for path in paths:
+        parsers.clear()
+        decoded.clear()
+        assert cli.run(["profile", path]) == 0
+        assert parsers == [commands["profile"]]
+        ((doc, fractions),) = decoded
+        assert [id(x) for x in fractions] == [id(x) for x in doc.reeb.p + doc.reeb.q]
+    capsys.readouterr()
