@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
-from .cone import GoodCone, InvalidCone
+from .cone import GoodCone
 from .exactnum import Vec3, det3, ratio_sum
 from .reeb import (
     ArcDecomposition,
@@ -249,9 +249,8 @@ def evaluate_identity(data: IdentityData) -> EulerReport:
     normals = cone.normals
     m = len(normals)
     terms: List[IdentityTerm] = []
+    # Both chains are nonempty (`_arcs`).
     neg, pos = arcs.neg_arc, arcs.pos_arc
-    if not neg or not pos:
-        raise InvalidCone("degenerate arc decomposition")
     low = arcs.minimum
     start = low.index if low.kind == "vertex" else (low.index - 1) % m
     chain1, chain2 = (neg, pos) if neg[0] == start else (pos, neg)
@@ -314,7 +313,7 @@ def evaluate_identity(data: IdentityData) -> EulerReport:
                 ok = False
                 per_chain.append((idx, 0, lcm))
             rhs += total
-    ok = ok and lhs == rhs and all(d >= 1 for _, d, _ in per_chain)
+    ok = ok and lhs == rhs  # a recorded d < 1 comes only with ok = False
     return EulerReport(
         lhs=lhs, rhs=rhs, per_chain=tuple(per_chain), ok=ok, terms=tuple(terms)
     )

@@ -28,7 +28,6 @@ from .exactnum import (
     det3,
     dot,
     int_triple,
-    quad_sign,
     ratio_text,
 )
 from .reeb import (
@@ -389,34 +388,23 @@ def _encode_item(item) -> list:
 def canonical_form(g: IsotropyGraph) -> str:
     """Deterministic encoding, invariant under relabeling (chain order and
     min/max flip), under the GL(2,Z) action on all torus data, and under
-    reversing the cyclic reading of the fat vertices' Euler residues."""
-    a = reeb_frame_matrix(g)
-    base = transform_graph(g, a)
+    reversing the cyclic reading of the fat vertices' Euler residues.  The
+    graph is encoded once, in its Reeb frame; the min/max flip swaps the
+    encoded extremes and reverses each encoded chain."""
+    base = transform_graph(g, reeb_frame_matrix(g))
+    reeb = [_encode_quad(x) for x in base.reeb_class]
+    chains = [[_encode_item(i) for i in ch] for ch in base.chains]
+    readings = [
+        (_encode_extreme(v), _encode_extreme(v, reversed_reading=True))
+        for v in (base.minimum, base.maximum)
+    ]
     variants = []
     for flip in (False, True):
-        if flip:
-            cand = IsotropyGraph(
-                reeb_class=base.reeb_class,
-                minimum=base.maximum,
-                maximum=base.minimum,
-                chains=tuple(tuple(reversed(ch)) for ch in base.chains),
-            )
-        else:
-            cand = base
-        chains = sorted(
-            json.dumps([_encode_item(i) for i in ch], sort_keys=True)
-            for ch in cand.chains
-        )
-        for reversed_reading in (False, True):
-            payload = {
-                "reeb": [_encode_quad(x) for x in cand.reeb_class],
-                "min": _encode_extreme(cand.minimum, reversed_reading),
-                "max": _encode_extreme(cand.maximum, reversed_reading),
-                "chains": chains,
-            }
-            variants.append(
-                json.dumps(payload, sort_keys=True, separators=(",", ":"))
-            )
+        low, high = readings[::-1] if flip else readings
+        encoded = sorted(json.dumps(ch[::-1] if flip else ch) for ch in chains)
+        for r in (0, 1):
+            payload = {"reeb": reeb, "min": low[r], "max": high[r], "chains": encoded}
+            variants.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     return min(variants)
 
 
@@ -491,9 +479,11 @@ def germ_profile(germ: GermOfChain):
 
 def _germ_facts(germ: GermOfChain):
     """The record of the germ's Reeb vector against its open chain of
-    normals (`reeb._chain_facts`), checked to have flat ends, no flat
-    interior face and end rays on which R does not vanish, and the moment
-    values of the two end vertices e / (R . e)."""
+    normals (`reeb._chain_facts`), checked to have flat ends and no flat
+    interior face, and the moment values of the two end vertices e / (R . e).
+    R does not vanish on an end ray e: R . e = 0 would put e, for a rank-2
+    R, on the line of v0, so both normals of e would be flat, and one of
+    them is interior."""
     R = germ.reeb
     facts = _chain_facts(R, germ.normals)
     k = facts.profile.k
@@ -505,8 +495,6 @@ def _germ_facts(germ: GermOfChain):
     moments = []
     for v in (0, -1):
         (a, b), ray = facts.pairs[v], facts.rays[v]
-        if quad_sign(a, b, R.d) == 0:
-            raise GraphAssemblyError("Reeb pairs degenerately with a germ edge")
         p = _vertex(R, ray, a, b)
         moments.append((dot(p, u1), dot(p, u2)))
     return facts, moments[0], moments[1]

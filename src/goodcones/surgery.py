@@ -304,10 +304,9 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
     table on the cone (`cone._pair_witness`), so a walk over every face
     computes each pair's witness once.  The drift (s10, s20) is
     `_s_pair`'s, which solves the case z0 = 0 instead of scanning it."""
+    # Not None: both callers validate the cone, whose adjacent pairs are Delzant.
     w = _pair_witness(cone, i + 1)
     wz = _pair_witness(cone, i - 1)
-    if w is None or wz is None:
-        return None
     # det3(w, n^{i+2}, n^{i+1}) = -det3(n^{i+1}, n^{i+2}, w) = -1, so the
     # chart (-w, n^{i+2}, n^{i+1}) has determinant 1 and Cramer rows for
     # its inverse.
@@ -465,10 +464,12 @@ def _planned(cone: GoodCone, keep: Sequence[int]) -> Tuple[SurgeryPlan, GoodCone
         f = current.normals.index(run[0])
         placed = False
         for t in _blowdown_candidates(current, f, None):
-            try:
-                c1 = replace_range(current, [f], t)
-            except SurgeryRejected:
-                continue
+            # Never rejected: t = s1 n^{f-1} + s2 n^f + s3 n^{f+1}, all s > 0,
+            # is primitive and Delzant-paired with both neighbours, so every
+            # old edge ray pairs >= 0 with t, and each new triple's det3 is a
+            # positive s-term plus terms >= 0 (the chord from n^{f-1} to
+            # n^{f+1} of the convex polygon of normals leaves only n^f below).
+            c1 = replace_range(current, [f], t)
             idx = c1.normals.index(run[1])
             try:
                 c2 = blowdown_delete(c1, idx)

@@ -200,16 +200,23 @@ def test_close_a_chain_no_good_cone_closes_exits_1(capsys, tmp_path):
     )
 
 
-def test_closed_stdout_exits_quietly(doc_path):
+@pytest.mark.parametrize("k", [2, 64])
+def test_closed_stdout_exits_quietly(tmp_path, k):
     """A reader that closes the pipe first (`goodcones ... | head`) gets no
-    traceback: the write fails with EPIPE and the CLI exits 1."""
+    traceback: the write fails with EPIPE and `main` exits 1.  At k = 2 the
+    output fits the stdout buffer and fails at `main`'s flush; at k = 64 it
+    is larger than the buffer and fails inside the subcommand's write."""
+    cone, reeb = example_family(k)
+    doc_path = tmp_path / "doc.json"
+    doc_path.write_text(json.dumps(document_to_json(Document(cone=cone, reeb=reeb))))
     read_end, write_end = os.pipe()
     os.close(read_end)
     src = str(Path(__file__).resolve().parent.parent / "src")
     env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    env.pop("PYTHONUNBUFFERED", None)  # keep stdout block-buffered
     try:
         proc = subprocess.run(
-            [sys.executable, "-m", "goodcones.cli", "euler-check", doc_path],
+            [sys.executable, "-m", "goodcones.cli", "euler-check", str(doc_path)],
             stdout=write_end,
             stderr=subprocess.PIPE,
             env=env,

@@ -105,6 +105,19 @@ def test_obstructed_family_seed_variation():
     assert len(seen) >= 2  # different seeds reach different cones
 
 
+@pytest.mark.parametrize("family", [example_family, obstructed_family])
+def test_families_need_k_at_least_2(family):
+    with pytest.raises(ValueError, match="^k must be at least 2$"):
+        family(1)
+
+
+def test_obstructed_conditions_fail_at_the_wrong_length():
+    cone, _ = obstructed_family(4)
+    assert verify_obstructed_conditions(cone, 4)
+    assert not verify_obstructed_conditions(cone, 3)
+    assert not verify_obstructed_conditions(cone, 5)
+
+
 def test_close_chain_toy():
     chain = [(0, 1, 0), (-1, 1, 1), (0, 0, 1)]
     t = close_chain(chain)

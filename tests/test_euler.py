@@ -1,5 +1,6 @@
 import math
 import random
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -139,6 +140,37 @@ def test_global_identity_negative_control():
     report = evaluate_identity(data)
     assert not report.ok
     assert report.lhs != report.rhs or any(d < 1 for _, d, _ in report.per_chain)
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: euler_quotient(0, 0, 0, 0, 1, 1), "a0 must be positive"),
+        (lambda: euler_lens(1, 0, 0, 1), "degenerate weights for this lens space"),
+        (lambda: euler_lens(2, 1, 2, 1), "degenerate weights for this lens space"),
+        (lambda: euler_near_B_orbit(0, 1, 1, True), "multiplicities must be positive"),
+        (lambda: euler_near_B_lens((1, 0, 0), (0, 1, 0), (0, 0, 1), 1, 0, False),
+         "multiplicities must be positive"),
+        (lambda: critical_jump(1, 0, 1), "arguments must be positive"),
+        (lambda: ChainDescriptor(k=(1, 0), a=(1,)), "all entries must be >= 1"),
+    ],
+)
+def test_euler_argument_checks(call, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        call()
+
+
+def test_identity_cross_checks_are_live():
+    """Circles that disagree with the determinant route, and an interior
+    face whose k-table entry is 0, raise instead of reporting."""
+    data = build_identity_data(*example_family(4))
+    doubled = tuple(c and (2 * c[0], 2 * c[1]) for c in data.circles)
+    with pytest.raises(ChainDataError, match="^intersection count mismatch at vertex "):
+        evaluate_identity(replace(data, circles=doubled))
+    arc = max(data.arcs.neg_arc, data.arcs.pos_arc, key=len)
+    data.k[arc[1]] = 0
+    with pytest.raises(ChainDataError, match="^interior face with k = 0$"):
+        evaluate_identity(data)
 
 
 def test_report_serialization():

@@ -409,6 +409,26 @@ def test_quadnumber_order_with_an_unsupported_operand(symbol, op):
         op(quad(1, 1, 2), quad(1, 1, 3))
 
 
+@pytest.mark.parametrize(
+    "name", ["__add__", "__sub__", "__rsub__", "__mul__", "__truediv__", "__rtruediv__", "__eq__"]
+)
+def test_quadnumber_returns_not_implemented_for_a_str(name):
+    assert getattr(quad(1, 1), name)("a") is NotImplemented
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+def test_quadnumber_arithmetic_with_a_str_raises_type_error(op):
+    for left, right in ((quad(1, 1), "a"), ("a", quad(1, 1))):
+        with pytest.raises(TypeError):
+            op(left, right)
+    assert quad(1, 1) != "a" and "a" != quad(1, 1)
+
+
+def test_primitive_part_of_zero_raises():
+    with pytest.raises(DegenerateInput, match="^zero vector has no primitive part$"):
+        primitive_part((0, 0, 0))
+
+
 def test_quadnumber_equality_and_hash_across_discriminants():
     mixed = [quad(1, 0, 2), quad(1, 0, 3), quad(Fraction(1, 2), 0, 5), Fraction(1, 2), 1,
              quad(1, 1, 2), quad(1, 1, 3), quad(0, 1, 2), quad(0, 1, 3), quad(0, 0, 7), 0]

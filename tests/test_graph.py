@@ -1,5 +1,7 @@
 import math
 import random
+import re
+from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -251,6 +253,42 @@ def test_germ_requires_flat_ends():
     cone, reeb = example_family(2)
     with pytest.raises(GraphAssemblyError):
         germ_profile(GermOfChain(normals=cone.normals[1:4], reeb=reeb))
+
+
+def _germ_of_example_2(normals=None):
+    cone, reeb = example_family(2)
+    return GermOfChain(normals=cone.normals[:4] if normals is None else normals, reeb=reeb)
+
+
+def _bundle_of_example_2(**changes):
+    cone, reeb = example_family(2)
+    return replace(bundle_from_cone(cone, reeb, 0, 3, _germ_of_example_2()), **changes)
+
+
+EX2 = example_family(2)[0].normals  # n^0 and n^3 are flat
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: _germ_of_example_2(EX2[:2]), GraphAssemblyError, "a germ needs flat ends and an interior"),
+        (lambda: germ_profile(_germ_of_example_2(EX2 + EX2[:1])), GraphAssemblyError,
+         "germ interior must not contain flats"),
+        (lambda: validate_germ(_germ_of_example_2(EX2[:4][::-1])), GraphAssemblyError,
+         f"germ triple {EX2[3]},{EX2[2]},{EX2[1]} is not convex"),
+        (lambda: assemble_fiber_sum(_bundle_of_example_2(moment_min=(1, 1)), [_germ_of_example_2()]),
+         GraphAssemblyError, "germ extreme moment values do not match the bundle"),
+        (lambda: assemble_fiber_sum(_bundle_of_example_2(fat_min=((0, 0), (1, 0), 0)), []),
+         DegenerateInput, "zero direction"),
+        (lambda: toric_condition_check((1, 2), (-2, -4)), DegenerateInput,
+         "v_min, v_max must be linearly independent"),
+    ],
+    ids=["germ-too-short", "flat-interior", "non-convex-triple", "moment-mismatch",
+         "zero-fat-direction", "toric-dependent"],
+)
+def test_germ_fiber_sum_and_toric_errors(call, error, message):
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call()
 
 
 def test_germ_needs_a_rank_2_reeb_vector():

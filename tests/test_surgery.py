@@ -457,6 +457,8 @@ def test_solve_local_blowup_minimal_height_oracle():
 
 
 def test_solve_local_blowup_errors():
+    with pytest.raises(ValueError, match="^lam0 must be nonzero$"):
+        solve_local_blowup(quad(0), quad(0, 1), 1, 1, Fraction(1))
     with pytest.raises(ValueError):
         solve_local_blowup(quad(1), quad(2), 1, 1, Fraction(1))  # rank 1
     with pytest.raises(ValueError):
