@@ -4,12 +4,15 @@ document catalog.
 
 Exit codes: 0 success, 1 mathematical impossibility (validation failure,
 obstruction, exhausted search), 2 usage or malformed input.
+
+Loading a document needs `serial`, `cone`, `reeb` and `exactnum`, which are
+imported here; each subcommand imports the other modules it uses when it
+runs, so that a call loads only what its subcommand needs.
 """
 
 from __future__ import annotations
 
 import argparse
-import hashlib
 import json
 import math
 import os
@@ -19,64 +22,38 @@ import sys
 from functools import cache
 from typing import List, Optional, Sequence
 
-from . import construct
-from .cone import (
-    GoodCone,
-    InvalidCone,
-    face_invariants,
-    require_valid,
-    validate,
-)
-from .euler import ChainDataError, verify_global_identity
-from .exactnum import (
-    DISCRIMINANT_BOUND,
-    DegenerateInput,
-    SearchExhausted,
-    _discriminant_fault,
-)
-from .graph import (
-    GraphAssemblyError,
-    count_nontrivial_chains,
-    extract_graph,
-    toric_condition_check,
-)
-from .reeb import (
-    InadmissibleReeb,
-    RankError,
-    _checked_profile,
-    is_admissible,
-    isotropy_profile,
-    rank_of,
-)
+from .cone import GoodCone, face_invariants, require_valid, validate
+from .exactnum import DISCRIMINANT_BOUND, _discriminant_fault
+from .reeb import InadmissibleReeb, _checked_profile, is_admissible, isotropy_profile, rank_of
 from .serial import (
     Document,
     DocumentError,
     cone_to_json,
     document_from_json,
     document_to_json,
-    graph_to_json,
     is_integer_triples,
 )
-from .surgery import (
-    CutSpec,
-    PlanningError,
-    SurgeryRejected,
-    _planned,
-    blowdown_delete,
-    cut,
-)
 
-DOMAIN_ERRORS = (
-    InvalidCone,
-    SurgeryRejected,
-    InadmissibleReeb,
-    RankError,
-    SearchExhausted,
-    PlanningError,
-    ChainDataError,
-    GraphAssemblyError,
-    DegenerateInput,
-)
+# The exceptions that exit 1, by the module that defines them.  An operation
+# raises only exceptions of modules it has loaded (`_domain_errors`).
+DOMAIN_ERRORS = {
+    "cone": ("InvalidCone",),
+    "surgery": ("SurgeryRejected", "PlanningError"),
+    "reeb": ("InadmissibleReeb", "RankError"),
+    "exactnum": ("SearchExhausted", "DegenerateInput"),
+    "euler": ("ChainDataError",),
+    "graph": ("GraphAssemblyError",),
+}
+
+
+def _domain_errors() -> tuple:
+    """The exceptions of DOMAIN_ERRORS whose modules are loaded."""
+    return tuple(
+        getattr(module, name)
+        for key, names in DOMAIN_ERRORS.items()
+        if (module := sys.modules.get(f"{__package__}.{key}")) is not None
+        for name in names
+    )
 
 
 def _load_json(path: str):
@@ -255,6 +232,8 @@ def render_svg(doc: Document, out_path: str) -> None:
 
 
 def _doc_hash(doc: Document) -> str:
+    import hashlib
+
     payload = json.dumps(document_to_json(doc), sort_keys=True, separators=(",", ":"))
     return hashlib.sha256(payload.encode()).hexdigest()
 
@@ -369,6 +348,9 @@ def _cmd_profile(args) -> int:
 
 
 def _cmd_graph(args) -> int:
+    from .graph import count_nontrivial_chains, extract_graph
+    from .serial import graph_to_json
+
     doc = _load_document(args.file)
     reeb = _need_reeb(doc)
     g = extract_graph(doc.cone, reeb)
@@ -379,6 +361,8 @@ def _cmd_graph(args) -> int:
 
 
 def _cmd_euler_check(args) -> int:
+    from .euler import verify_global_identity
+
     doc = _load_document(args.file)
     reeb = _need_reeb(doc)
     ybar = _parse_vec(args.ybar) if args.ybar else None
@@ -388,6 +372,8 @@ def _cmd_euler_check(args) -> int:
 
 
 def _cmd_blowup(args) -> int:
+    from .surgery import CutSpec, cut
+
     doc = _load_document(args.file)
     result = cut(doc.cone, CutSpec(_parse_vec(args.t)))
     _emit(
@@ -401,6 +387,8 @@ def _cmd_blowup(args) -> int:
 
 
 def _cmd_blowdown(args) -> int:
+    from .surgery import SurgeryRejected, blowdown_delete
+
     doc = _load_document(args.file)
     try:
         result = blowdown_delete(doc.cone, args.face)
@@ -417,6 +405,8 @@ def _cmd_blowdown(args) -> int:
 
 
 def _cmd_plan(args) -> int:
+    from .surgery import _planned
+
     doc = _load_document(args.file)
     plan, final = _planned(doc.cone, _parse_vec(args.keep, None))
     _emit({"steps": plan.to_json(), "final": cone_to_json(final)})
@@ -424,6 +414,8 @@ def _cmd_plan(args) -> int:
 
 
 def _cmd_construct(args) -> int:
+    from . import construct
+
     if args.k < 2:
         raise UsageError(f"--k must be at least 2, got {args.k}")
     if args.d >= DISCRIMINANT_BOUND:
@@ -452,6 +444,8 @@ def _parse_chain(normals, path: str):
 
 
 def _cmd_close(args) -> int:
+    from . import construct
+
     obj = _load_json(args.file)
     if isinstance(obj, dict) and "normals" not in obj:
         raise UsageError(f"{args.file} has no 'normals' field")
@@ -466,6 +460,8 @@ def _cmd_close(args) -> int:
 
 
 def _cmd_toric_check(args) -> int:
+    from .graph import toric_condition_check
+
     v = toric_condition_check(_parse_vec(args.vmin, 2), _parse_vec(args.vmax, 2))
     if v is None:
         _emit({"found": False})
@@ -631,7 +627,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, DocumentError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    except (CatalogError, *DOMAIN_ERRORS) as exc:
+    except (CatalogError, *_domain_errors()) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

@@ -19,7 +19,9 @@ from typing import List, Optional, Tuple
 from .exactnum import (
     DegenerateInput,
     Mat3,
+    Record,
     Vec3,
+    _set,
     content,
     cross,
     delzant_witness,
@@ -38,14 +40,12 @@ class InvalidCone(ValueError):
         self.report = report
 
 
-@dataclass(frozen=True)
-class ValidityReport:
+class ValidityReport(Record):
     is_good: bool
     failures: Tuple[Tuple[str, Tuple[int, ...]], ...]
 
 
-@dataclass(frozen=True)
-class FaceInvariants:
+class FaceInvariants(Record):
     """Lens-space data of a face: order b of pi_1, Euler class f of the
     normal bundle as the canonical residue in [0, b), and the full gluing
     matrix between the two equivariant Heegaard trivializations."""
@@ -53,6 +53,11 @@ class FaceInvariants:
     b: int
     f: int
     gluing: Mat3
+
+    def __init__(self, b: int, f: int, gluing: Mat3):
+        _set(self, "b", b)
+        _set(self, "f", f)
+        _set(self, "gluing", gluing)
 
 
 @dataclass(frozen=True)

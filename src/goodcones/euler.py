@@ -17,7 +17,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .cone import GoodCone
-from .exactnum import Vec3, det3, ratio_sum
+from .exactnum import Record, Vec3, _set, det3, ratio_sum
 from .reeb import (
     ArcDecomposition,
     Extreme,
@@ -96,18 +96,19 @@ def critical_jump(a: int, k: int, kp: int) -> Fraction:
     return Fraction(a, k * kp)
 
 
-@dataclass(frozen=True)
-class ChainDescriptor:
+class ChainDescriptor(Record):
     """Multiplicities k_1..k_l of a chain's gradient manifolds and the
     transverse intersection weights a_{i,i+1} of its interior orbits."""
 
     k: Tuple[int, ...]
     a: Tuple[int, ...]
 
-    def __post_init__(self):
-        if len(self.a) != len(self.k) - 1:
+    def __init__(self, k: Tuple[int, ...], a: Tuple[int, ...]):
+        _set(self, "k", k)
+        _set(self, "a", a)
+        if len(a) != len(k) - 1:
             raise ValueError("need |a| = |k| - 1")
-        if any(x < 1 for x in self.k) or any(x < 1 for x in self.a):
+        if any(x < 1 for x in k) or any(x < 1 for x in a):
             raise ValueError("all entries must be >= 1")
 
 
@@ -132,22 +133,48 @@ def chain_euler_sum(chain: ChainDescriptor) -> Tuple[Fraction, int]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class IdentityTerm:
+class IdentityTerm(Record):
     kind: str  # 'extreme-min' | 'extreme-max' | 'jump'
     location: Tuple[int, ...]
     a: Optional[int]
     k: Tuple[int, ...]
     value: Fraction
 
+    def __init__(
+        self,
+        kind: str,
+        location: Tuple[int, ...],
+        a: Optional[int],
+        k: Tuple[int, ...],
+        value: Fraction,
+    ):
+        _set(self, "kind", kind)
+        _set(self, "location", location)
+        _set(self, "a", a)
+        _set(self, "k", k)
+        _set(self, "value", value)
 
-@dataclass(frozen=True)
-class EulerReport:
+
+class EulerReport(Record):
     lhs: Fraction
     rhs: Fraction
     per_chain: Tuple[Tuple[int, int, int], ...]  # (chain index, d, lcm)
     ok: bool
     terms: Tuple[IdentityTerm, ...]
+
+    def __init__(
+        self,
+        lhs: Fraction,
+        rhs: Fraction,
+        per_chain: Tuple[Tuple[int, int, int], ...],
+        ok: bool,
+        terms: Tuple[IdentityTerm, ...],
+    ):
+        _set(self, "lhs", lhs)
+        _set(self, "rhs", rhs)
+        _set(self, "per_chain", per_chain)
+        _set(self, "ok", ok)
+        _set(self, "terms", terms)
 
     def to_dict(self) -> dict:
         return {

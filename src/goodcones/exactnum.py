@@ -262,6 +262,70 @@ class QuadNumber:
         return f"QuadNumber({ratio_text(self._a, n)} + {ratio_text(self._b, n)}*sqrt({self._d}))"
 
 
+# Sets a field of a Record, past its frozen __setattr__.
+_set = object.__setattr__
+
+
+class Record:
+    """Base of the library's frozen result records, a plain class with no
+    per-class generated code.  A subclass's fields are its annotated names,
+    in order.  Its instances print, compare, hash, copy and pickle as
+    `dataclass(frozen=True)` instances with those fields do: the repr is
+    `Name(field=value, ...)`, == holds between records of one class with
+    equal field tuples (NotImplemented across classes), the hash is that of
+    the field tuple, and assigning or deleting an attribute raises
+    AttributeError.
+
+    The inherited constructor takes every field, positionally or by
+    keyword.  A record that is built often, or that checks or normalises
+    its fields, defines its own `__init__`, which sets each field with
+    `_set`."""
+
+    _fields: Tuple[str, ...] = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        cls._fields = tuple(cls.__annotations__)
+
+    def __init__(self, *args, **kwargs):
+        fields = self._fields
+        name = type(self).__name__
+        if len(args) > len(fields):
+            raise TypeError(f"{name}() takes {len(fields)} arguments, got {len(args)}")
+        for field, value in zip(fields, args):
+            _set(self, field, value)
+        for field in fields[len(args):]:
+            if field not in kwargs:
+                raise TypeError(f"{name}() missing argument {field!r}")
+            _set(self, field, kwargs.pop(field))
+        if kwargs:
+            raise TypeError(f"{name}() got an unexpected keyword argument {next(iter(kwargs))!r}")
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, field) for field in self._fields])
+
+    def __repr__(self):
+        items = ", ".join([f"{field}={getattr(self, field)!r}" for field in self._fields])
+        return f"{type(self).__qualname__}({items})"
+
+    def __eq__(self, other):
+        if other.__class__ is self.__class__:
+            return self._values() == other._values()
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __reduce__(self):
+        return type(self), self._values()
+
+
 def _cleared(rat, irr, den) -> Tuple[int, int, int]:
     """Integers (a, b, n) with (a + b sqrt(d)) / n = (rat + irr sqrt(d)) / den
     for rational rat, irr and den, each read as a Fraction."""

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -23,7 +23,9 @@ from .construct import close_chain_normals
 from .exactnum import (
     DegenerateInput,
     QuadNumber,
+    Record,
     Vec3,
+    _set,
     _xgcd,
     det3,
     dot,
@@ -45,8 +47,7 @@ class GraphAssemblyError(ValueError):
     pass
 
 
-@dataclass(frozen=True)
-class FiniteCyclicSubgroup:
+class FiniteCyclicSubgroup(Record):
     """Finite cyclic subgroup of T^2 = (Q/Z)^2 generated by (a, b)/order,
     stored by its order and the integer residues (a, b) mod the order.
 
@@ -63,13 +64,14 @@ class FiniteCyclicSubgroup:
     order: int
     residues: Tuple[int, int]
 
-    def __post_init__(self):
-        n, (a, b) = self.order, self.residues
-        if type(n) is not int or type(a) is not int or type(b) is not int:
-            raise TypeError(f"order and residues must be int, got {n!r}, {a!r}, {b!r}")
-        if n < 1:
+    def __init__(self, order: int, residues: Tuple[int, int]):
+        a, b = residues
+        if type(order) is not int or type(a) is not int or type(b) is not int:
+            raise TypeError(f"order and residues must be int, got {order!r}, {a!r}, {b!r}")
+        if order < 1:
             raise ValueError("order must be positive")
-        object.__setattr__(self, "residues", (a % n, b % n))
+        _set(self, "order", order)
+        _set(self, "residues", (a % order, b % order))
 
     @property
     def generator(self) -> Tuple[Fraction, Fraction]:
@@ -103,8 +105,7 @@ def _canonical_subgroup(n: int, a: int, b: int) -> FiniteCyclicSubgroup:
     return FiniteCyclicSubgroup(n, ((g % m) * e, (c + h * r) * e))
 
 
-@dataclass(frozen=True)
-class FatVertex:
+class FatVertex(Record):
     """3-dimensional extreme: isotropy circle direction in Lie(G)_Z
     coordinates, Seifert data (genus, exceptional multiplicities, orbifold
     Euler number), and the normal Euler class as a residue (b, f).
@@ -124,9 +125,24 @@ class FatVertex:
     normal_euler: Tuple[int, int]
     normal_euler_rev: int
 
+    def __init__(
+        self,
+        direction: Tuple[int, int],
+        genus: int,
+        multiplicities: Tuple[int, ...],
+        orbifold_euler: Fraction,
+        normal_euler: Tuple[int, int],
+        normal_euler_rev: int,
+    ):
+        _set(self, "direction", direction)
+        _set(self, "genus", genus)
+        _set(self, "multiplicities", multiplicities)
+        _set(self, "orbifold_euler", orbifold_euler)
+        _set(self, "normal_euler", normal_euler)
+        _set(self, "normal_euler_rev", normal_euler_rev)
 
-@dataclass(frozen=True)
-class RegularVertex:
+
+class RegularVertex(Record):
     """Closed-orbit vertex: component-group order and the primitive
     direction of the isotropy circle in Lie(G)_Z coordinates (the subgroup
     is the preimage of the unique Z/order of the quotient circle, so these
@@ -135,21 +151,27 @@ class RegularVertex:
     order: int
     direction: Tuple[int, int]
 
+    def __init__(self, order: int, direction: Tuple[int, int]):
+        _set(self, "order", order)
+        _set(self, "direction", direction)
 
-@dataclass(frozen=True)
-class EdgeItem:
+
+class EdgeItem(Record):
     """Lens space with isotropy order >= 2 along a chain."""
 
     multiplicity: int
     isotropy: FiniteCyclicSubgroup
+
+    def __init__(self, multiplicity: int, isotropy: FiniteCyclicSubgroup):
+        _set(self, "multiplicity", multiplicity)
+        _set(self, "isotropy", isotropy)
 
 
 Extreme = object  # FatVertex | RegularVertex
 ChainItem = object  # EdgeItem | RegularVertex
 
 
-@dataclass(frozen=True)
-class IsotropyGraph:
+class IsotropyGraph(Record):
     reeb_class: Tuple[QuadNumber, QuadNumber]
     minimum: Extreme
     maximum: Extreme
@@ -341,7 +363,14 @@ def transform_graph(g: IsotropyGraph, a) -> IsotropyGraph:
     def tr_extreme(v):
         direction = _canonical_sign(_apply_matrix(a, v.direction))
         if isinstance(v, FatVertex):
-            return replace(v, direction=direction)
+            return FatVertex(
+                direction,
+                v.genus,
+                v.multiplicities,
+                v.orbifold_euler,
+                v.normal_euler,
+                v.normal_euler_rev,
+            )
         return RegularVertex(order=v.order, direction=direction)
 
     def tr_item(item):
@@ -440,16 +469,16 @@ def toric_condition_check(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class GermOfChain:
+class GermOfChain(Record):
     """Chain germ with flat faces at both ends: the ordered face normals
     (first and last orthogonal to the Reeb plane) and the Reeb vector."""
 
     normals: Tuple[Vec3, ...]
     reeb: ReebVector
 
-    def __post_init__(self):
-        object.__setattr__(self, "normals", tuple([int_triple(n) for n in self.normals]))
+    def __init__(self, normals: Tuple[Vec3, ...], reeb: ReebVector):
+        _set(self, "normals", tuple([int_triple(n) for n in normals]))
+        _set(self, "reeb", reeb)
         if len(self.normals) < 3:
             raise GraphAssemblyError("a germ needs flat ends and an interior")
 

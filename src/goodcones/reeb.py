@@ -68,6 +68,7 @@ from .cone import GoodCone, edge_rays, require_valid
 from .exactnum import (
     DegenerateInput,
     QuadNumber,
+    Record,
     Vec3,
     _discriminant_fault,
     _quotient,
@@ -79,6 +80,7 @@ from .exactnum import (
     least_denominator_of_pairs,
     plane_lattice_basis,
     primitive_part,
+    _set,
     quad_sign,
     ratio_sum,
     solve_dot_one,
@@ -164,8 +166,7 @@ def is_admissible(cone: GoodCone, R: ReebVector) -> bool:
     return True
 
 
-@dataclass(frozen=True)
-class MomentPolygon:
+class MomentPolygon(Record):
     """Exact cross-section of the cone by the affine slice {R . v = 1}.
 
     vertices[i] lies on the edge ray between faces i and i+1; the face-i
@@ -173,6 +174,9 @@ class MomentPolygon:
     """
 
     vertices: Tuple[Tuple[QuadNumber, QuadNumber, QuadNumber], ...]
+
+    def __init__(self, vertices: Tuple[Tuple[QuadNumber, QuadNumber, QuadNumber], ...]):
+        _set(self, "vertices", vertices)
 
 
 def moment_polygon(cone: GoodCone, R: ReebVector) -> MomentPolygon:
@@ -200,8 +204,7 @@ def _integer_span_normal(R: ReebVector) -> Vec3:
     return c if first > 0 else tuple(-y for y in c)
 
 
-@dataclass(frozen=True)
-class IsotropyProfile:
+class IsotropyProfile(Record):
     """Rank-2 combinatorics of (cone, R): the Lie(G) normal v0, the face
     isotropy magnitudes k_i = |v0 . n^i|, the flat faces (k_i = 0), the
     vertex orders gcd(k_i, k_{i+1}) with gcd(0, k) = k, the oriented
@@ -217,6 +220,24 @@ class IsotropyProfile:
     lieG_basis: Tuple[Vec3, Vec3]
     complement: Vec3
     lieG_rows: Tuple[Vec3, Vec3]
+
+    def __init__(
+        self,
+        v0: Vec3,
+        k: Tuple[int, ...],
+        flats: frozenset,
+        vertex_orders: Tuple[int, ...],
+        lieG_basis: Tuple[Vec3, Vec3],
+        complement: Vec3,
+        lieG_rows: Tuple[Vec3, Vec3],
+    ):
+        _set(self, "v0", v0)
+        _set(self, "k", k)
+        _set(self, "flats", flats)
+        _set(self, "vertex_orders", vertex_orders)
+        _set(self, "lieG_basis", lieG_basis)
+        _set(self, "complement", complement)
+        _set(self, "lieG_rows", lieG_rows)
 
 
 def isotropy_profile(cone: GoodCone, R: ReebVector) -> IsotropyProfile:
@@ -582,17 +603,19 @@ def slope_change(profile: IsotropyProfile, R: ReebVector, ybar: Vec3, n: Vec3, n
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Extreme:
+class Extreme(Record):
     """Either a flat face (kind 'flat', index = face) or a polygon vertex
     (kind 'vertex', index = vertex between faces index, index+1)."""
 
     kind: str
     index: int
 
+    def __init__(self, kind: str, index: int):
+        _set(self, "kind", kind)
+        _set(self, "index", index)
 
-@dataclass(frozen=True)
-class ArcDecomposition:
+
+class ArcDecomposition(Record):
     """Faces split into the two boundary chains between the moment extremes,
     each ordered by increasing Ybar-moment.  neg_arc collects the faces with
     v0 . n < 0, pos_arc those with v0 . n > 0."""
@@ -601,6 +624,14 @@ class ArcDecomposition:
     maximum: Extreme
     neg_arc: Tuple[int, ...]
     pos_arc: Tuple[int, ...]
+
+    def __init__(
+        self, minimum: Extreme, maximum: Extreme, neg_arc: Tuple[int, ...], pos_arc: Tuple[int, ...]
+    ):
+        _set(self, "minimum", minimum)
+        _set(self, "maximum", maximum)
+        _set(self, "neg_arc", neg_arc)
+        _set(self, "pos_arc", pos_arc)
 
 
 def _vertex_between(face: int, nxt: int, k: int) -> int:

@@ -16,13 +16,11 @@ and "metadata" are absent only when missing or null.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Optional
 
 from .cone import GoodCone, load_cone
-from .exactnum import QuadNumber, _discriminant_fault, ratio_text
-from .graph import EdgeItem, FatVertex, IsotropyGraph, canonical_form
+from .exactnum import QuadNumber, Record, _discriminant_fault, _set, ratio_text
 from .reeb import ReebVector
 
 
@@ -100,11 +98,21 @@ def reeb_from_json(obj) -> ReebVector:
     return ReebVector(tuple(parse_frac(x) for x in p), tuple(parse_frac(x) for x in q), d)
 
 
-@dataclass(frozen=True)
-class Document:
+# The default of `Document`'s metadata: a new empty dict for each document.
+_NEW_DICT = object()
+
+
+class Document(Record):
     cone: GoodCone
-    reeb: Optional[ReebVector] = None
-    metadata: dict = field(default_factory=dict)
+    reeb: Optional[ReebVector]
+    metadata: dict
+
+    def __init__(
+        self, cone: GoodCone, reeb: Optional[ReebVector] = None, metadata: dict = _NEW_DICT
+    ):
+        _set(self, "cone", cone)
+        _set(self, "reeb", reeb)
+        _set(self, "metadata", {} if metadata is _NEW_DICT else metadata)
 
 
 def document_to_json(doc: Document) -> dict:
@@ -136,7 +144,11 @@ def document_from_json(obj) -> Document:
     )
 
 
-def graph_to_json(g: IsotropyGraph) -> dict:
+def graph_to_json(g) -> dict:
+    """The JSON encoding of the `IsotropyGraph` g.  `graph` is imported
+    here, so that loading a document does not load it."""
+    from .graph import EdgeItem, FatVertex, canonical_form
+
     def enc_extreme(v):
         if isinstance(v, FatVertex):
             return {

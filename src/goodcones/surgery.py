@@ -16,7 +16,6 @@ from __future__ import annotations
 import hashlib
 import heapq
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import Iterator, List, Optional, Sequence, Tuple
 
@@ -24,8 +23,10 @@ from .cone import GoodCone, _pair_witness, _verdict, edge_rays, require_valid
 from .exactnum import (
     DegenerateInput,
     QuadNumber,
+    Record,
     SearchExhausted,
     Vec3,
+    _set,
     cramer_rows,
     det3,
     dot,
@@ -55,22 +56,25 @@ class PlanningError(RuntimeError):
         self.step = step
 
 
-@dataclass(frozen=True)
-class CutSpec:
+class CutSpec(Record):
     t: Vec3
 
-    def __post_init__(self):
-        t = int_triple(self.t)
+    def __init__(self, t: Vec3):
+        t = int_triple(t)
         if not is_primitive(t):
             raise DegenerateInput(f"cutting normal {t} is not primitive")
-        object.__setattr__(self, "t", t)
+        _set(self, "t", t)
 
 
-@dataclass(frozen=True)
-class SurgeryResult:
+class SurgeryResult(Record):
     cone: GoodCone
     kind: str  # 'orbit-blowup' | 'lens-blowup'
     index: int  # cut vertex (orbit) or replaced face (lens), in the old cone
+
+    def __init__(self, cone: GoodCone, kind: str, index: int):
+        _set(self, "cone", cone)
+        _set(self, "kind", kind)
+        _set(self, "index", index)
 
 
 def cone_hash(cone: GoodCone) -> str:
@@ -390,16 +394,20 @@ def find_blowdown_normal(
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class PlanStep:
+class PlanStep(Record):
     op: str  # 'replace' | 'delete' | 'cut'
     params: dict
     pre: str
     post: str
 
+    def __init__(self, op: str, params: dict, pre: str, post: str):
+        _set(self, "op", op)
+        _set(self, "params", params)
+        _set(self, "pre", pre)
+        _set(self, "post", post)
 
-@dataclass(frozen=True)
-class SurgeryPlan:
+
+class SurgeryPlan(Record):
     steps: Tuple[PlanStep, ...]
 
     def to_json(self) -> list:
@@ -502,8 +510,7 @@ def _planned(cone: GoodCone, keep: Sequence[int]) -> Tuple[SurgeryPlan, GoodCone
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class LocalBlowupSolution:
+class LocalBlowupSolution(Record):
     l: QuadNumber
     u: int
     v: int

@@ -228,6 +228,16 @@ def test_closed_stdout_exits_quietly(tmp_path, k):
     assert proc.stderr == b""
 
 
+def test_main_exits_with_the_code_of_run(capsys, monkeypatch, doc_path):
+    """`main` in process: it runs the subcommand sys.argv names, flushes
+    stdout and exits with the code of `run`."""
+    monkeypatch.setattr(sys, "argv", ["goodcones", "validate", doc_path])
+    with pytest.raises(SystemExit) as exc:
+        cli_module.main()
+    assert exc.value.code == 0
+    assert json.loads(capsys.readouterr().out)["is_good"] is True
+
+
 def test_construct_and_close(capsys, tmp_path):
     code, out = run_json(capsys, ["construct", "--family", "example", "--k", "2"])
     assert code == 0
