@@ -423,16 +423,24 @@ def canonical_form(g: IsotropyGraph) -> str:
     base = transform_graph(g, reeb_frame_matrix(g))
     reeb = [_encode_quad(x) for x in base.reeb_class]
     chains = [[_encode_item(i) for i in ch] for ch in base.chains]
-    readings = [
-        (_encode_extreme(v), _encode_extreme(v, reversed_reading=True))
-        for v in (base.minimum, base.maximum)
-    ]
+    extremes = (base.minimum, base.maximum)
+    # A regular extreme reads the same both ways, so the reversed reading is
+    # a second variant only when an extreme is fat.
+    readings = [[_encode_extreme(v) for v in extremes]]
+    if any(isinstance(v, FatVertex) for v in extremes):
+        readings.append(
+            [
+                _encode_extreme(v, reversed_reading=True) if isinstance(v, FatVertex) else e
+                for v, e in zip(extremes, readings[0])
+            ]
+        )
     variants = []
     for flip in (False, True):
-        low, high = readings[::-1] if flip else readings
         encoded = sorted(json.dumps(ch[::-1] if flip else ch) for ch in chains)
-        for r in (0, 1):
-            payload = {"reeb": reeb, "min": low[r], "max": high[r], "chains": encoded}
+        for low, high in readings:
+            if flip:
+                low, high = high, low
+            payload = {"reeb": reeb, "min": low, "max": high, "chains": encoded}
             variants.append(json.dumps(payload, sort_keys=True, separators=(",", ":")))
     return min(variants)
 

@@ -69,11 +69,19 @@ def cone_to_json(cone: GoodCone) -> dict:
 
 
 def cone_from_json(obj) -> GoodCone:
+    """The cone of a JSON object with a list of integer triples as its
+    'normals'.  Here each normal is checked to be a list of three; its
+    entries are type-checked once, by `int_triple` as the cone is built,
+    whose TypeError becomes the DocumentError."""
     if not isinstance(obj, dict) or "normals" not in obj:
         raise DocumentError("cone JSON needs a 'normals' field")
-    if not is_integer_triples(obj["normals"]):
-        raise DocumentError("'normals' must be a list of integer triples")
-    return load_cone(obj["normals"])
+    normals = obj["normals"]
+    if isinstance(normals, list) and all(isinstance(n, list) and len(n) == 3 for n in normals):
+        try:
+            return load_cone(normals)
+        except TypeError:
+            pass
+    raise DocumentError("'normals' must be a list of integer triples")
 
 
 def reeb_to_json(r: ReebVector) -> dict:

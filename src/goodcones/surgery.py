@@ -307,7 +307,9 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
     are the canonical ones that `face_invariants` reads, from the same
     table on the cone (`cone._pair_witness`), so a walk over every face
     computes each pair's witness once.  The drift (s10, s20) is
-    `_s_pair`'s, which solves the case z0 = 0 instead of scanning it."""
+    `_s_pair`'s, in closed form when the witness coordinate z0 is 0; the
+    construction gives up (None) when a minor vanishes or there is no
+    drift pair, and the box that follows it takes over."""
     # Not None: both callers validate the cone, whose adjacent pairs are Delzant.
     w = _pair_witness(cone, i + 1)
     wz = _pair_witness(cone, i - 1)
@@ -353,19 +355,38 @@ def _s_pair(x0: int, y0: int, z0: int) -> Optional[Tuple[int, int]]:
     1 <= a < s such that v = a x0 + (s - a) y0 is nonzero and coprime to
     z0; None when there is none.
 
-    When z0 = 0, gcd(v, 0) = |v|, so v = a (x0 - y0) + s y0 must be +-1:
-    for each s, a = (+-1 - s y0) / (x0 - y0) leaves at most two candidates
-    in [1, s - 1], and none when x0 = y0.  Otherwise the pairs are scanned
-    in that order."""
+    When z0 = 0, gcd(v, 0) = |v|, so v = a d + s y0, with d = x0 - y0,
+    must be e = +-1, and the pair is solved in closed form, one congruence
+    per sign.  No pair exists when d = 0, as v = s y0 with s >= 2.
+    Otherwise a = (e - s y0) / d is an integer exactly when
+    s y0 = e (mod |d|), and 0 < a < s exactly when sign(d) (e - s y0) > 0
+    and sign(d) (e - s x0) < 0: two linear bounds on s, which leave an
+    integer interval of [2, 63].  A common factor of y0 and |d| would
+    divide e, so there is no pair unless y0 is a unit mod |d|; then
+    s = e / y0 (mod |d|) (any s when |d| = 1), and the least such s in the
+    sign's interval is its candidate.  The least (s, a) of the two
+    candidates is the scan's first pair.  On the calls from
+    `_prime_construction`, (x0, y0, z0) is a row of a unimodular matrix
+    (the chart coordinates of n^{i-1}, n^i and their witness), so when
+    z0 = 0, gcd(d, y0) = gcd(x0, y0) = 1 and only the bounds can leave no
+    pair.  When z0 != 0 the pairs are scanned in that order."""
     if z0 == 0:
         d = x0 - y0
-        if d == 0:
+        m = abs(d)
+        if d == 0 or math.gcd(y0, m) != 1:
             return None
-        for s in range(2, 64):
-            for a in sorted((e - s * y0) // d for e in (-1, 1) if (e - s * y0) % d == 0):
-                if 0 < a < s:
-                    return a, s - a
-        return None
+        inverse = pow(y0, -1, m)
+        sign = 1 if d > 0 else -1
+        found = []
+        for e in (-1, 1):
+            span = _positive_interval([(sign * e, -sign * y0), (-sign * e, sign * x0)], 2, 63)
+            s = span.start + (e * inverse - span.start) % m
+            if s in span:
+                found.append((s, (e - s * y0) // d))
+        if not found:
+            return None
+        s, a = min(found)
+        return a, s - a
     for s in range(2, 64):
         for a in range(1, s):
             v = a * x0 + (s - a) * y0

@@ -9,10 +9,12 @@
   copies of the former scans, which filter the whole (2r+1)^3 box and the
   whole (2r+1)^2 square of the constraint slice, must give the same first
   candidates in the same order.
-* The prime construction solves its drift pair when z0 = 0 and reads its
-  witnesses from the witness table.  A test-local copy of the former
-  construction, which scanned every drift pair and computed both witnesses
-  on each call, must give the same normal on every face of a corpus; a
+* The prime construction solves its drift pair in closed form when
+  z0 = 0 and reads its witnesses from the witness table.  A test-local
+  copy of the former construction, which scanned every drift pair and
+  computed both witnesses on each call, must give the same normal on every
+  face of a corpus; the drift pair must equal the scan on a grid and on
+  wide random pairs, and a z0 = 0 solve runs a bounded number of lines; a
   walk over every face computes each pair's witness once, and interleaved
   face reads and searches on two cones give what fresh calls give.
 * `cone_hash` writes its JSON text itself: the text of `json.dumps`.
@@ -23,6 +25,7 @@ import itertools
 import json
 import math
 import random
+import sys
 
 import goodcones.cone
 import goodcones.surgery as surgery
@@ -361,6 +364,109 @@ def test_s_pair_matches_the_scan():
         x0, y0 = (rnd.randint(-10**6, 10**6) for _ in range(2))
         z0 = rnd.choice((0, rnd.randint(-10**6, 10**6)))
         assert _s_pair(x0, y0, z0) == _old_s_pair(x0, y0, z0), (x0, y0, z0)
+
+
+def test_s_pair_solves_z0_zero_on_the_grid():
+    """Every (x0, y0) with |x0|, |y0| <= 60 and z0 = 0."""
+    found = 0
+    for x0, y0 in itertools.product(range(-60, 61), repeat=2):
+        pair = _s_pair(x0, y0, 0)
+        assert pair == _old_s_pair(x0, y0, 0), (x0, y0)
+        found += pair is not None
+    assert found == 4410
+
+
+def _wide_pairs(rnd, bits):
+    """Random (x0, y0) of `bits` bits, which almost never have a drift
+    pair, and ones built to have the drift e at some (s, a): with a = 1,
+    x0 = e - (s - 1) y0, and with a = s - 1, y0 = e - (s - 1) x0."""
+    for _ in range(60):
+        yield rnd.randint(-(2**bits), 2**bits), rnd.randint(-(2**bits), 2**bits)
+    for _ in range(60):
+        s, e, w = rnd.randint(2, 63), rnd.choice((-1, 1)), rnd.randint(-(2**bits), 2**bits)
+        yield (e - (s - 1) * w, w) if rnd.random() < 0.5 else (w, e - (s - 1) * w)
+
+
+def test_s_pair_solves_z0_zero_on_wide_pairs():
+    rnd = random.Random(32)
+    outcomes = set()
+    for bits in (64, 256):
+        for x0, y0 in _wide_pairs(rnd, bits):
+            pair = _s_pair(x0, y0, 0)
+            assert pair == _old_s_pair(x0, y0, 0), (x0, y0)
+            outcomes.add(pair is None)
+    assert outcomes == {True, False}
+
+
+def test_s_pair_closed_form_cases():
+    """Each exit of the closed form, against the scan."""
+    cases = {
+        (5, 5): None,  # d = 0
+        (4, -2): None,  # y0 = -2 is not a unit mod |d| = 6
+        (1, 0): (1, 1),  # |d| = 1: s = 2 for e = +1; e = -1 has an empty interval
+        (-1, 0): (1, 1),  # |d| = 1: s = 2 for e = -1; e = +1 has an empty interval
+        (3, 2): None,  # |d| = 1: both intervals are empty (v >= 2 on them)
+        (1, -1): (1, 2),  # |d| = 2: both signs at s = 3, and a = 1 is the least
+        (-7, 1): (1, 6),  # |d| = 8: s = -1 (mod 8) gives s = 7 for e = -1
+        (1, -7): (6, 1),  # the mirror: a and s - a swap
+        (-100, 1): None,  # |d| = 101: each class's least s is beyond 63
+        (2**70 + 1, 1): None,  # empty intervals at 71 bits
+    }
+    for (x0, y0), expected in cases.items():
+        assert _old_s_pair(x0, y0, 0) == expected, (x0, y0)
+        assert _s_pair(x0, y0, 0) == expected, (x0, y0)
+
+
+def _counting_lines(monkeypatch):
+    """Wrap `surgery._s_pair`: each call appends (z0 == 0, found, lines),
+    with `lines` the number of line events of the call and of the Python
+    calls it makes, counted by a trace function set for that call only."""
+    calls = []
+    original = surgery._s_pair
+
+    def counted(x0, y0, z0):
+        lines = 0
+
+        def local(frame, event, arg):
+            nonlocal lines
+            lines += event == "line"
+            return local
+
+        previous = sys.gettrace()
+        sys.settrace(lambda frame, event, arg: local)
+        try:
+            pair = original(x0, y0, z0)
+        finally:
+            sys.settrace(previous)
+        calls.append((z0 == 0, pair is not None, lines))
+        return pair
+
+    monkeypatch.setattr(surgery, "_s_pair", counted)
+    return calls, counted
+
+
+# Line events of a z0 = 0 drift-pair solve: 37 at most on Python 3.11 to
+# 3.13, on every input of the test.  A loop over s = 2..63 runs 315 or more
+# on the corpus's calls that find no pair.
+Z0_ZERO_LINES = 48
+
+
+def test_a_drift_pair_with_z0_zero_runs_a_bounded_number_of_lines(monkeypatch):
+    """Counted, not timed: the drift-pair work of `find_blowdown_normal` at
+    every face of the corpus, and of z0 = 0 solves on pairs of up to 256
+    bits, whose lines stay within one bound."""
+    calls, counted = _counting_lines(monkeypatch)
+    for cone in CORPUS:
+        for i in range(len(cone)):
+            find_blowdown_normal(cone, i)
+    # the corpus reaches the exit this bound is for: z0 = 0 and no pair
+    assert sum(z0_zero and not found for z0_zero, found, _ in calls) >= 500
+    rnd = random.Random(33)
+    for bits in (8, 64, 256):
+        for x0, y0 in _wide_pairs(rnd, bits):
+            counted(x0, y0, 0)
+    solves = [lines for z0_zero, _, lines in calls if z0_zero]
+    assert max(solves) <= Z0_ZERO_LINES, max(solves)
 
 
 def test_prime_construction_matches_the_old_one_on_the_corpus():
