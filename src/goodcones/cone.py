@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 from .exactnum import (
@@ -60,26 +59,25 @@ class FaceInvariants(Record):
         _set(self, "gluing", gluing)
 
 
-@dataclass(frozen=True)
-class GoodCone:
+class GoodCone(Record):
     normals: Tuple[Vec3, ...]
-    # Not fields, so outside ==, hash and repr: the good verdict set by
-    # `_verdict`, the pair witnesses that `_pair_witness` keeps and the edge
-    # rays that `edge_rays` keeps.
+    # Not fields, so outside ==, hash, repr, copy and pickle: the good
+    # verdict set by `_verdict`, the pair witnesses that `_pair_witness`
+    # keeps and the edge rays that `edge_rays` keeps.
     _good = False
     _witnesses = None
     _rays = None
 
-    def __post_init__(self):
+    def __init__(self, normals):
         # tuple() of a list allocates once at the final length; tuple() of a
         # generator resizes as it grows, and on this hot path (every surgery
         # builds a cone) those resizes fragment the heap and peak RSS grows
         # with the number of cones built.
-        normals = tuple([int_triple(n) for n in self.normals])
+        normals = tuple([int_triple(n) for n in normals])
         for n in normals:
             if not is_primitive(n):
                 raise DegenerateInput(f"normal {n} is not primitive")
-        object.__setattr__(self, "normals", normals)
+        _set(self, "normals", normals)
 
     def __len__(self):
         return len(self.normals)

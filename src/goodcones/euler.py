@@ -12,7 +12,6 @@ pair for both this module and the graph.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Tuple
 
@@ -197,12 +196,11 @@ class EulerReport(Record):
         }
 
 
-@dataclass
-class IdentityData:
+class IdentityData(Record):
     """Everything verify_global_identity needs, exposed so that negative
-    controls can mutate the k-table before evaluation.  circles[v] is the
-    isotropy circle at the polygon vertex v (`reeb._Facts.circles`), None
-    next to a flat face."""
+    controls can mutate the k-table in place before evaluation (the record
+    is frozen; its list `k` is not).  circles[v] is the isotropy circle at
+    the polygon vertex v (`reeb._Facts.circles`), None next to a flat face."""
 
     cone: GoodCone
     profile: IsotropyProfile

@@ -267,19 +267,19 @@ _set = object.__setattr__
 
 
 class Record:
-    """Base of the library's frozen result records, a plain class with no
-    per-class generated code.  A subclass's fields are its annotated names,
-    in order.  Its instances print, compare, hash, copy and pickle as
+    """Base of every frozen result record of the library, a plain class with
+    no per-class generated code.  A subclass's fields are its annotated
+    names, in order.  Its instances print, compare and hash as
     `dataclass(frozen=True)` instances with those fields do: the repr is
     `Name(field=value, ...)`, == holds between records of one class with
     equal field tuples (NotImplemented across classes), the hash is that of
     the field tuple, and assigning or deleting an attribute raises
-    AttributeError.
+    AttributeError.  Copy and pickle rebuild a record from its fields, so
+    they drop any other attribute, such as a cache set with `_set`.
 
     The inherited constructor takes every field, positionally or by
     keyword.  A record that is built often, or that checks or normalises
-    its fields, defines its own `__init__`, which sets each field with
-    `_set`."""
+    its fields, defines its own `__init__`, which sets each field with `_set`."""
 
     _fields: Tuple[str, ...] = ()
 

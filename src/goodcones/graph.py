@@ -14,7 +14,6 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from typing import List, Optional, Sequence, Tuple
 
@@ -491,8 +490,7 @@ class GermOfChain(Record):
             raise GraphAssemblyError("a germ needs flat ends and an interior")
 
 
-@dataclass(frozen=True)
-class LensBundleDescriptor:
+class LensBundleDescriptor(Record):
     """Combinatorial data of a lens space bundle over a closed surface:
     base genus, the Reeb class in Lie(G)_Z coordinates, the two extreme
     moment values of the fiber, and the decorations of the two fat

@@ -59,7 +59,6 @@ only repeat work.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Optional, Tuple
@@ -97,31 +96,31 @@ class InadmissibleReeb(ValueError):
     """Reeb vector does not pair positively with the cone."""
 
 
-@dataclass(frozen=True)
-class ReebVector:
+class ReebVector(Record):
     """R = p + sqrt(d) q with rational parts p, q (3-tuples of Fractions),
     also kept cleared as R = (P + sqrt(d) Q) / den with integer 3-vectors
     P, Q and den > 0 (attributes, not fields, so outside ==, hash and repr)."""
 
     p: Tuple[Fraction, Fraction, Fraction]
     q: Tuple[Fraction, Fraction, Fraction]
-    d: int = 2
+    d: int
 
-    def __post_init__(self):
+    def __init__(self, p, q, d: int = 2):
         # Only an entry that is not a Fraction already (as the loader's are)
         # is converted.
-        p = tuple([x if type(x) is Fraction else Fraction(x) for x in self.p])
-        q = tuple([x if type(x) is Fraction else Fraction(x) for x in self.q])
+        p = tuple([x if type(x) is Fraction else Fraction(x) for x in p])
+        q = tuple([x if type(x) is Fraction else Fraction(x) for x in q])
         if all(x == 0 for x in p) and all(x == 0 for x in q):
             raise DegenerateInput("zero Reeb vector")
-        if fault := _discriminant_fault(self.d):
+        if fault := _discriminant_fault(d):
             raise ValueError(fault)
         den = math.lcm(*(x.denominator for x in p + q))
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "q", q)
-        object.__setattr__(self, "P", tuple(x.numerator * (den // x.denominator) for x in p))
-        object.__setattr__(self, "Q", tuple(x.numerator * (den // x.denominator) for x in q))
-        object.__setattr__(self, "den", den)
+        _set(self, "p", p)
+        _set(self, "q", q)
+        _set(self, "d", d)
+        _set(self, "P", tuple(x.numerator * (den // x.denominator) for x in p))
+        _set(self, "Q", tuple(x.numerator * (den // x.denominator) for x in q))
+        _set(self, "den", den)
 
     def coords(self) -> Tuple[QuadNumber, QuadNumber, QuadNumber]:
         d, den = self.d, self.den

@@ -306,13 +306,17 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
     The two witnesses, of the pairs (n^{i+1}, n^{i+2}) and (n^{i-1}, n^i),
     are the canonical ones that `face_invariants` reads, from the same
     table on the cone (`cone._pair_witness`), so a walk over every face
-    computes each pair's witness once.  The drift (s10, s20) is
-    `_s_pair`'s, in closed form when the witness coordinate z0 is 0; the
-    construction gives up (None) when a minor vanishes or there is no
-    drift pair, and the box that follows it takes over."""
-    # Not None: both callers validate the cone, whose adjacent pairs are Delzant.
+    computes each pair's witness once.  The chart has determinant 1, so on a
+    good cone minor12 = -det3(n^{i-1}, n^i, n^{i+1}) < 0, and minor13 =
+    det3(n^{i-1}, n^i, n^{i+2}) is 0 exactly on 3 faces: None.  With more,
+    x0, y0 = -det3(n^{i+1}, n^{i+2}, .) of n^{i-1}, n^i are negative, so no
+    drift is +-1 and `_s_pair` has no pair when the witness coordinate z0 is
+    0: None, and the box that follows takes over."""
+    # Not None on a validated cone; read on 3 faces too, for the face reads after a walk.
     w = _pair_witness(cone, i + 1)
     wz = _pair_witness(cone, i - 1)
+    if len(cone) == 3:
+        return None
     # det3(w, n^{i+2}, n^{i+1}) = -det3(n^{i+1}, n^{i+2}, w) = -1, so the
     # chart (-w, n^{i+2}, n^{i+1}) has determinant 1 and Cramer rows for
     # its inverse.
@@ -324,16 +328,12 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
     z = tuple([dot(r, wz) for r in rows])
     minor12 = y[0] * x[1] - x[0] * y[1]
     minor13 = y[0] * x[2] - x[0] * y[2]
-    if minor12 == 0 or minor13 == 0 or (x[0] == 0 and y[0] == 0):
-        return None
-    # coefficient of s1 in t.(y x e3) is x1 y2 - x2 y1; epsilon makes the
-    # s1, s2 drift enter the target cone
-    eps = 1 if -minor12 > 0 else -1
     pair = _s_pair(x[0], y[0], z[0])
     if pair is None:
         return None
     s10, s20 = pair
-    step = eps * (s10 * x[0] + s20 * y[0])
+    # -minor12 > 0 is the coefficient of s1 in t.(y x e3): the drift enters Theta(i)
+    step = s10 * x[0] + s20 * y[0]
     for c in range(1, 4096):
         t1 = c * step + z[0]
         if abs(t1) < 2 or not is_prime(abs(t1)):
@@ -341,8 +341,8 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
         if minor12 % abs(t1) == 0 or minor13 % abs(t1) == 0:
             continue
         for shift in range(3):
-            s1 = c * eps * s10 - shift * y[0]
-            s2 = c * eps * s20 + shift * x[0]
+            s1 = c * s10 - shift * y[0]
+            s2 = c * s20 + shift * x[0]
             # x, y and z are chart coordinates of n^{i-1}, n^i and wz
             cand = tuple([s1 * n_prev[j] + s2 * n_i[j] + wz[j] for j in range(3)])
             if admissible(cand):

@@ -149,6 +149,12 @@ def random_admissible_rank2_reeb(rnd, cone, d=2, tries=50):
     raise RuntimeError("could not build a rank-2 admissible Reeb vector")
 
 
+def replaced(record, **changes):
+    """A copy of `record` built by its class's constructor, with the named
+    fields changed and the others shared."""
+    return type(record)(**{**{f: getattr(record, f) for f in record._fields}, **changes})
+
+
 def bundle_from_cone(cone, reeb, flat_lo, flat_hi, germ):
     """Lens bundle whose fiber is the germ and whose fat vertices are the
     flat faces flat_lo, flat_hi of the closed cone."""

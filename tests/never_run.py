@@ -44,7 +44,7 @@ ALLOWED = (
         "_prime_construction",
         "return None",
         "no input of the suite runs the prime loop to its end without an admissible "
-        "normal; the vanishing-minor and no-drift-pair exits of the same text run",
+        "normal; the 3-face and no-drift-pair exits of the same text run",
     ),
     (
         "surgery.py",

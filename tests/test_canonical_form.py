@@ -3,7 +3,6 @@ encodes it again, and the encode-once budget of one call."""
 
 import json
 import random
-from dataclasses import replace
 
 import pytest
 
@@ -28,6 +27,7 @@ from conftest import (
     random_admissible_rank2_reeb,
     random_good_cone,
     random_sl3,
+    replaced,
     sl3_image,
 )
 
@@ -81,7 +81,7 @@ def fiber_sums():
         bundle = bundle_from_cone(cone, reeb, 0, k + 1, germ)
         for genus in (0, 2):
             for germs in ([], [germ], [germ, germ]):
-                yield assemble_fiber_sum(replace(bundle, genus=genus), germs)
+                yield assemble_fiber_sum(replaced(bundle, genus=genus), germs)
 
 
 def shape(g: IsotropyGraph):

@@ -1,6 +1,5 @@
 import math
 import random
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -23,7 +22,7 @@ from goodcones.euler import (
 )
 from goodcones.reeb import reeb_from_vectors
 
-from conftest import SIMPLICIAL, random_admissible_rank2_reeb, random_good_cone
+from conftest import SIMPLICIAL, random_admissible_rank2_reeb, random_good_cone, replaced
 
 FAMILY2 = load_cone([(1, 0, 1), (1, 1, 1), (1, 2, 3), (1, 3, 7), (1, 1, 4)])
 R_FAMILY2 = reeb_from_vectors((1, 0, 1), (1, 3, 7))
@@ -166,7 +165,7 @@ def test_identity_cross_checks_are_live():
     data = build_identity_data(*example_family(4))
     doubled = tuple(c and (2 * c[0], 2 * c[1]) for c in data.circles)
     with pytest.raises(ChainDataError, match="^intersection count mismatch at vertex "):
-        evaluate_identity(replace(data, circles=doubled))
+        evaluate_identity(replaced(data, circles=doubled))
     arc = max(data.arcs.neg_arc, data.arcs.pos_arc, key=len)
     data.k[arc[1]] = 0
     with pytest.raises(ChainDataError, match="^interior face with k = 0$"):

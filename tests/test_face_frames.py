@@ -260,7 +260,7 @@ def test_reversed_euler_residue_builds_no_cone_and_scans_no_witness(monkeypatch)
     def forbidden(*args, **kwargs):
         raise AssertionError("reversed_euler_residue left the adjacent triple")
 
-    monkeypatch.setattr(GoodCone, "__post_init__", forbidden)
+    monkeypatch.setattr(GoodCone, "__init__", forbidden)
     forbid_witness_scans(monkeypatch, forbidden)
     assert [reversed_euler_residue(cone, i) for i in range(len(cone))] == expected
 

@@ -1,7 +1,6 @@
 import math
 import random
 import re
-from dataclasses import replace
 from fractions import Fraction
 
 import pytest
@@ -42,6 +41,7 @@ from conftest import (
     random_gl3,
     random_good_cone,
     random_sl3,
+    replaced,
     sl3_image,
 )
 
@@ -262,7 +262,7 @@ def _germ_of_example_2(normals=None):
 
 def _bundle_of_example_2(**changes):
     cone, reeb = example_family(2)
-    return replace(bundle_from_cone(cone, reeb, 0, 3, _germ_of_example_2()), **changes)
+    return replaced(bundle_from_cone(cone, reeb, 0, 3, _germ_of_example_2()), **changes)
 
 
 EX2 = example_family(2)[0].normals  # n^0 and n^3 are flat

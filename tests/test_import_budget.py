@@ -1,9 +1,9 @@
 """The import budget of one CLI call, counted, not timed.  In a fresh
 interpreter started without `site` (`-S`, so that nothing but the call
 imports), `cli.run([cmd, doc])` may load only the `goodcones` modules that
-its subcommand uses, only the heavy stdlib modules listed for it, and only
-as many `dataclasses.dataclass` decorations as listed (counted by wrapping
-the decorator before the import)."""
+its subcommand uses and only the heavy stdlib modules listed for it.  No
+subcommand, and no public name of the package, loads `dataclasses` or
+`inspect`."""
 
 import ast
 import json
@@ -18,17 +18,17 @@ from goodcones.construct import example_family
 from goodcones.serial import Document, document_to_json
 
 SRC = Path(__file__).resolve().parent.parent / "src"
-HEAVY = ("hashlib", "heapq", "random", "json", "argparse")
+HEAVY = ("hashlib", "heapq", "random", "json", "argparse", "dataclasses", "inspect")
 # Loading a document and parsing argv.
 LOAD = {"cli", "serial", "cone", "reeb", "exactnum"}
 BASE = {"json", "argparse"}
-# subcommand: (further argv, goodcones modules, heavy stdlib modules, decorations)
+# subcommand: (further argv, goodcones modules, heavy stdlib modules)
 BUDGET = {
-    "validate": ([], LOAD, BASE, 2),
-    "profile": ([], LOAD, BASE, 2),
-    "euler-check": ([], LOAD | {"euler"}, BASE, 3),
-    "graph": ([], LOAD | {"graph", "construct"}, BASE | {"random"}, 3),
-    "plan": (["--keep", "0,4,5"], LOAD | {"surgery"}, BASE | {"hashlib", "heapq"}, 2),
+    "validate": ([], LOAD, BASE),
+    "profile": ([], LOAD, BASE),
+    "euler-check": ([], LOAD | {"euler"}, BASE),
+    "graph": ([], LOAD | {"graph", "construct"}, BASE | {"random"}),
+    "plan": (["--keep", "0,4,5"], LOAD | {"surgery"}, BASE | {"hashlib", "heapq"}),
 }
 
 PACKAGE_CHILD = """
@@ -43,29 +43,27 @@ from goodcones import validate
 print(repr((before, sorted(sys.modules))))
 """
 
+PUBLIC_CHILD = """
+import sys
+
+sys.path.insert(0, sys.argv[1])
+import goodcones
+
+for name in goodcones.__all__:
+    getattr(goodcones, name)
+print(repr(sorted(sys.modules)))
+"""
+
 CHILD = """
-import dataclasses, io, sys
+import io, sys
 from contextlib import redirect_stdout
 
 sys.path.insert(0, sys.argv[1])
-original = dataclasses.dataclass
-decorated = []
-
-
-def counting(cls=None, /, **kwargs):
-    def wrap(c):
-        decorated.append(c.__qualname__)
-        return original(c, **kwargs)
-
-    return wrap if cls is None else wrap(cls)
-
-
-dataclasses.dataclass = counting
 from goodcones import cli
 
 with redirect_stdout(io.StringIO()):
     code = cli.run(sys.argv[2:])
-print(repr((code, sorted(sys.modules), decorated)))
+print(repr((code, sorted(sys.modules))))
 """
 
 
@@ -81,11 +79,10 @@ def package_modules(modules):
     return {m[len("goodcones."):] for m in modules if m.startswith("goodcones.")}
 
 
-def run_counted(argv):
-    """(exit code, loaded modules, decorated class names) of `cli.run(argv)`
-    in a fresh interpreter."""
+def run_child(child, *argv):
+    """The value that `child` prints, run in a fresh interpreter."""
     out = subprocess.run(
-        [sys.executable, "-S", "-c", CHILD, str(SRC), *argv],
+        [sys.executable, "-S", "-c", child, str(SRC), *argv],
         capture_output=True,
         text=True,
         check=True,
@@ -95,32 +92,35 @@ def run_counted(argv):
 
 @pytest.mark.parametrize("command", sorted(BUDGET))
 def test_a_cli_call_imports_only_what_its_subcommand_uses(document, command):
-    extra, modules, heavy, decorations = BUDGET[command]
-    code, loaded, decorated = run_counted([command, document, *extra])
+    extra, modules, heavy = BUDGET[command]
+    code, loaded = run_child(CHILD, command, document, *extra)
     assert code == 0
     assert package_modules(loaded) <= modules
     assert {m for m in HEAVY if m in loaded} <= heavy
-    assert len(decorated) <= decorations <= 4
 
 
-def test_the_budget_sees_imports_and_decorations(document):
-    """The counting child sees what the call loads: `graph` loads the graph
-    module and its one dataclass."""
-    code, loaded, decorated = run_counted(["graph", document])
+def test_the_budget_sees_the_graph_imports(document):
+    """The child sees what the call loads: `graph` loads the graph module
+    and `random`."""
+    code, loaded = run_child(CHILD, "graph", document)
     assert code == 0
-    assert "goodcones.graph" in loaded and "LensBundleDescriptor" in decorated
+    assert "goodcones.graph" in loaded and "random" in loaded
+
+
+def test_no_public_name_imports_dataclasses_or_inspect():
+    """Every name of `__all__`, resolved in one interpreter, loads every
+    module that defines a public name and neither `dataclasses` nor
+    `inspect`."""
+    loaded = run_child(PUBLIC_CHILD)
+    modules = {"cone", "construct", "euler", "exactnum", "graph", "reeb", "surgery"}
+    assert package_modules(loaded) >= modules
+    assert "dataclasses" not in loaded and "inspect" not in loaded
 
 
 def test_the_package_imports_a_public_name_on_first_use():
     """`import goodcones` loads no module; `from goodcones import validate`
     loads the module that defines it and what that imports."""
-    out = subprocess.run(
-        [sys.executable, "-S", "-c", PACKAGE_CHILD, str(SRC)],
-        capture_output=True,
-        text=True,
-        check=True,
-    ).stdout
-    before, after = ast.literal_eval(out)
+    before, after = run_child(PACKAGE_CHILD)
     assert package_modules(before) == set()
     assert package_modules(after) == {"cone", "exactnum"}
 

@@ -12,7 +12,8 @@ property of a top-level class whose name is not a dunder: outside its own
 definition, in its own module, or in another.  So must every top-level
 function of the test suite, where a parameter of its name (a fixture's
 use) counts as a read; tests (`test_*`) and pytest hooks (`pytest_*`) are
-exempt."""
+exempt.  No module of the package imports `dataclasses`, at any level: the
+records derive from `exactnum.Record`."""
 
 import ast
 from pathlib import Path
@@ -205,3 +206,40 @@ def test_global_scan_flags_global_statements():
         "c": "class C:\n    def m(self):\n        global z\n",
     }
     assert modules_with_global(sources) == ["a", "c"]
+
+
+def modules_importing(sources, module):
+    """Names of the modules, among `sources` (name to source), that import
+    `module` or a submodule of it by an absolute `import` or `from ...
+    import` anywhere in the module."""
+
+    def names(node):
+        if isinstance(node, ast.Import):
+            return [alias.name for alias in node.names]
+        if isinstance(node, ast.ImportFrom) and node.level == 0:
+            return [node.module]
+        return []
+
+    return sorted(
+        m for m, src in sources.items()
+        if any(
+            name == module or name.startswith(f"{module}.")
+            for node in ast.walk(ast.parse(src))
+            for name in names(node)
+        )
+    )
+
+
+def test_no_package_module_imports_dataclasses():
+    sources = {p.name: p.read_text() for p in PACKAGE.glob("*.py")}
+    assert modules_importing(sources, "dataclasses") == []
+
+
+def test_import_scan_flags_dataclasses_imports():
+    sources = {
+        "a": "import dataclasses\n",
+        "b": "from dataclasses import dataclass\n",
+        "c": "def f():\n    import os, dataclasses as dc\n    return dc\n",
+        "d": "import dataclasses_json\nfrom .dataclasses import x\nfrom os import dataclasses\n",
+    }
+    assert modules_importing(sources, "dataclasses") == ["a", "b", "c"]

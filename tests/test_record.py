@@ -1,4 +1,4 @@
-"""`exactnum.Record`, the base of the library's 21 result records, against
+"""`exactnum.Record`, the base of the library's 25 result records, against
 `dataclass(frozen=True)`: for each record class a test-local dataclass twin
 with the same field names gives the same repr, == and hash on instances
 taken from real calls.  The records are frozen, unequal across classes, and
@@ -14,7 +14,14 @@ import pytest
 
 from goodcones.cone import FaceInvariants, GoodCone, ValidityReport, face_invariants, validate
 from goodcones.construct import example_family, obstructed_family
-from goodcones.euler import ChainDescriptor, EulerReport, IdentityTerm, verify_global_identity
+from goodcones.euler import (
+    ChainDescriptor,
+    EulerReport,
+    IdentityData,
+    IdentityTerm,
+    build_identity_data,
+    verify_global_identity,
+)
 from goodcones.exactnum import Record, quad
 from goodcones.graph import (
     EdgeItem,
@@ -22,6 +29,7 @@ from goodcones.graph import (
     FiniteCyclicSubgroup,
     GermOfChain,
     IsotropyGraph,
+    LensBundleDescriptor,
     RegularVertex,
     extract_graph,
 )
@@ -30,6 +38,7 @@ from goodcones.reeb import (
     Extreme,
     IsotropyProfile,
     MomentPolygon,
+    ReebVector,
     arc_decomposition,
     isotropy_profile,
     moment_polygon,
@@ -46,6 +55,7 @@ from goodcones.surgery import (
 )
 
 from conftest import (
+    bundle_from_cone,
     orbit_cut_normal,
     random_admissible_rank2_reeb,
     random_good_cone,
@@ -53,13 +63,16 @@ from conftest import (
 )
 
 RECORDS = (
+    GoodCone,
     ValidityReport,
     FaceInvariants,
+    ReebVector,
     MomentPolygon,
     IsotropyProfile,
     Extreme,
     ArcDecomposition,
     ChainDescriptor,
+    IdentityData,
     IdentityTerm,
     EulerReport,
     FiniteCyclicSubgroup,
@@ -68,6 +81,7 @@ RECORDS = (
     EdgeItem,
     IsotropyGraph,
     GermOfChain,
+    LensBundleDescriptor,
     Document,
     CutSpec,
     SurgeryResult,
@@ -98,9 +112,11 @@ def collect():
 
     for k in (3, 5):
         cone, reeb = example_family(k)
-        add(GermOfChain(normals=cone.normals[: k + 2], reeb=reeb))
+        germ = GermOfChain(normals=cone.normals[: k + 2], reeb=reeb)
+        add(germ, bundle_from_cone(cone, reeb, 0, k + 1, germ))
     rnd = random.Random(5)
     for cone, reeb in pairs():
+        add(cone, reeb, build_identity_data(cone, reeb))
         add(validate(cone), *[face_invariants(cone, i) for i in range(len(cone))])
         add(moment_polygon(cone, reeb), isotropy_profile(cone, reeb))
         arcs = arc_decomposition(cone, reeb)
@@ -147,7 +163,7 @@ def hash_or_error(x):
 
 
 def test_every_record_class_has_distinct_samples():
-    assert len(RECORDS) == 21
+    assert len(RECORDS) == 25
     for cls in RECORDS:
         assert issubclass(cls, Record)
         assert len(set(map(repr, SAMPLES[cls]))) >= 2, cls.__name__
@@ -205,7 +221,7 @@ def test_constructor_takes_fields_by_position_or_keyword(cls):
         cls(*args, None)
     with pytest.raises(TypeError):
         cls(*args, extra=None)
-    if cls is not Document:
+    if cls not in (Document, ReebVector):  # their last field has a default
         with pytest.raises(TypeError):
             cls(*args[:-1])
 

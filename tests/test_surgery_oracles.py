@@ -16,7 +16,10 @@
   face of a corpus; the drift pair must equal the scan on a grid and on
   wide random pairs, and a z0 = 0 solve runs a bounded number of lines; a
   walk over every face computes each pair's witness once, and interleaved
-  face reads and searches on two cones give what fresh calls give.
+  face reads and searches on two cones give what fresh calls give.  At
+  every face of the corpus the chart identities that make its removed
+  guards dead hold: minor12 < 0, minor13 = 0 exactly on 3 faces, and on 4
+  or more faces x0, y0 < 0, so a z0 = 0 face has no drift pair.
 * `cone_hash` writes its JSON text itself: the text of `json.dumps`.
 """
 
@@ -35,6 +38,7 @@ from goodcones.exactnum import (
     DegenerateInput,
     cramer_rows,
     delzant_witness,
+    det3,
     dot,
     is_delzant_pair,
     is_prime,
@@ -479,6 +483,37 @@ def test_prime_construction_matches_the_old_one_on_the_corpus():
             faces += 1
             solved += t is not None
     assert faces == 4276 and 0 < solved < faces
+
+
+def test_the_prime_construction_chart_identities_hold_on_the_corpus():
+    """In the chart (-w, n^{i+2}, n^{i+1}) of determinant 1: minor12 =
+    -det3(n^{i-1}, n^i, n^{i+1}) < 0, minor13 = det3(n^{i-1}, n^i, n^{i+2}),
+    0 exactly on 3 faces, and with 4 or more faces x0 < 0 and y0 < 0, so
+    when z0 = 0 there is no drift pair and the construction gives up."""
+    three = dead_pairs = 0
+    for cone in CORPUS:
+        k = len(cone)
+        for i in range(k):
+            n_prev, n_i, n_next, n_next2 = (cone.normal(i + j) for j in (-1, 0, 1, 2))
+            w = delzant_witness(n_next, n_next2)
+            rows = cramer_rows((-w[0], -w[1], -w[2]), n_next2, n_next)
+            wz = delzant_witness(n_prev, n_i)
+            x, y, z = ([dot(r, v) for r in rows] for v in (n_prev, n_i, wz))
+            minor12 = y[0] * x[1] - x[0] * y[1]
+            minor13 = y[0] * x[2] - x[0] * y[2]
+            assert minor12 == -det3(n_prev, n_i, n_next) < 0, (cone.normals, i)
+            assert minor13 == det3(n_prev, n_i, n_next2), (cone.normals, i)
+            assert (minor13 == 0) == (k == 3), (cone.normals, i)
+            if k == 3:
+                three += 1
+                assert _prime_construction(cone, i, _admissible_at(cone, i)) is None
+                continue
+            assert x[0] < 0 and y[0] < 0, (cone.normals, i)
+            if z[0] == 0:
+                dead_pairs += 1
+                assert _s_pair(x[0], y[0], 0) is None, (cone.normals, i)
+                assert _prime_construction(cone, i, _admissible_at(cone, i)) is None
+    assert three == 240 and dead_pairs >= 500, (three, dead_pairs)
 
 
 def _counting_witnesses(monkeypatch):

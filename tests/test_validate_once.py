@@ -11,13 +11,14 @@ it validates 0 times.  A cone that is not good is never recorded.  No good
 cone reaches the O(k^2) report.
 
 The verdict and R's cleared parts are invisible: they take no part in ==,
-hash or repr, and they survive copies and pickling."""
+hash or repr.  A copy or an unpickled object is rebuilt from its fields:
+R's cleared parts are recomputed, and a cone drops its verdict, edge rays
+and witnesses, which the next reads recompute equal."""
 
 import copy
 import json
 import os
 import pickle
-from dataclasses import fields
 from fractions import Fraction
 
 import pytest
@@ -28,7 +29,14 @@ import goodcones.reeb
 import goodcones.serial
 import goodcones.surgery
 from goodcones.cli import render_svg, run
-from goodcones.cone import GoodCone, InvalidCone, require_valid, validate
+from goodcones.cone import (
+    GoodCone,
+    InvalidCone,
+    edge_rays,
+    face_invariants,
+    require_valid,
+    validate,
+)
 from goodcones.construct import example_family, obstructed_family
 from goodcones.euler import build_identity_data, verify_global_identity
 from goodcones.graph import extract_graph
@@ -252,15 +260,31 @@ def test_good_cones_never_reach_the_quadratic_report(monkeypatch):
 def test_a_cone_with_a_verdict_equals_a_fresh_copy():
     cone = GoodCone(CONE.normals)
     require_valid(cone)
-    assert [f.name for f in fields(GoodCone)] == ["normals"]
+    assert GoodCone._fields == ("normals",)
     for twin in (GoodCone(CONE.normals), copy.copy(cone), pickle.loads(pickle.dumps(cone))):
         assert twin == cone and hash(twin) == hash(cone) and repr(twin) == repr(cone)
+
+
+def test_a_copied_or_unpickled_cone_drops_its_cached_facts_and_recomputes_them():
+    cone = GoodCone(CONE.normals)
+    require_valid(cone)
+    rays = edge_rays(cone)
+    invariants = [face_invariants(cone, i) for i in range(len(cone))]
+    assert cone._good and None not in cone._witnesses
+    for twin in (copy.copy(cone), copy.deepcopy(cone), pickle.loads(pickle.dumps(cone))):
+        assert (twin._good, twin._rays, twin._witnesses) == (False, None, None)
+        assert vars(twin) == {"normals": cone.normals}
+        require_valid(twin)
+        assert twin._good
+        assert edge_rays(twin) == rays
+        assert [face_invariants(twin, i) for i in range(len(twin))] == invariants
+        assert twin._witnesses == cone._witnesses
 
 
 def test_a_reeb_vector_equals_a_fresh_copy():
     R = ReebVector((Fraction(1, 2), Fraction(3, 4), 5), (0, Fraction(1, 3), Fraction(-2, 9)), 3)
     assert (R.P, R.Q, R.den) == ((18, 27, 180), (0, 12, -8), 36)
-    assert [f.name for f in fields(ReebVector)] == ["p", "q", "d"]
+    assert ReebVector._fields == ("p", "q", "d")
     fresh = ReebVector(R.p, R.q, R.d)
     assert repr(R) == f"ReebVector(p={R.p!r}, q={R.q!r}, d=3)"
     for twin in (fresh, copy.copy(R), pickle.loads(pickle.dumps(R))):
