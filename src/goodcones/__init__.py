@@ -44,6 +44,7 @@ _EXPORTS = {
     "exactnum": (
         "DEFAULT_DISCRIMINANT",
         "DegenerateInput",
+        "DomainError",
         "QuadNumber",
         "SearchExhausted",
         "cross_primitive",

@@ -2,8 +2,10 @@
 stdout, SVG rendering of moment cross-sections, and a content-addressed
 document catalog.
 
-Exit codes: 0 success, 1 mathematical impossibility (validation failure,
-obstruction, exhausted search), 2 usage or malformed input.
+Exit codes: 0 success, 1 mathematical impossibility (an
+`exactnum.DomainError`: validation failure, obstruction, exhausted search;
+or a `CatalogError`), 2 usage or malformed input (`UsageError`,
+`DocumentError`).  The exception's class alone decides the code.
 
 Loading a document needs `serial`, `cone`, `reeb` and `exactnum`, which are
 imported here; each subcommand imports the other modules it uses when it
@@ -23,7 +25,7 @@ from functools import cache
 from typing import List, Optional, Sequence
 
 from .cone import GoodCone, face_invariants, require_valid, validate
-from .exactnum import DISCRIMINANT_BOUND, _discriminant_fault
+from .exactnum import DISCRIMINANT_BOUND, DomainError, _discriminant_fault
 from .reeb import InadmissibleReeb, _checked_profile, is_admissible, isotropy_profile, rank_of
 from .serial import (
     Document,
@@ -33,27 +35,6 @@ from .serial import (
     document_to_json,
     is_integer_triples,
 )
-
-# The exceptions that exit 1, by the module that defines them.  An operation
-# raises only exceptions of modules it has loaded (`_domain_errors`).
-DOMAIN_ERRORS = {
-    "cone": ("InvalidCone",),
-    "surgery": ("SurgeryRejected", "PlanningError"),
-    "reeb": ("InadmissibleReeb", "RankError"),
-    "exactnum": ("SearchExhausted", "DegenerateInput"),
-    "euler": ("ChainDataError",),
-    "graph": ("GraphAssemblyError",),
-}
-
-
-def _domain_errors() -> tuple:
-    """The exceptions of DOMAIN_ERRORS whose modules are loaded."""
-    return tuple(
-        getattr(module, name)
-        for key, names in DOMAIN_ERRORS.items()
-        if (module := sys.modules.get(f"{__package__}.{key}")) is not None
-        for name in names
-    )
 
 
 def _load_json(path: str):
@@ -627,7 +608,7 @@ def run(argv: Optional[Sequence[str]] = None) -> int:
     except (UsageError, DocumentError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 2
-    except (CatalogError, *_domain_errors()) as exc:
+    except (CatalogError, DomainError) as exc:
         print(json.dumps({"error": str(exc)}), file=sys.stderr)
         return 1
 

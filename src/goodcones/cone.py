@@ -17,6 +17,7 @@ from typing import List, Optional, Tuple
 
 from .exactnum import (
     DegenerateInput,
+    DomainError,
     Mat3,
     Record,
     Vec3,
@@ -31,12 +32,8 @@ from .exactnum import (
 )
 
 
-class InvalidCone(ValueError):
+class InvalidCone(DomainError, ValueError):
     """Raised when an operation requires a good cone and validation fails."""
-
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
 
 class ValidityReport(Record):

@@ -16,7 +16,7 @@ from fractions import Fraction
 from typing import List, Optional, Tuple
 
 from .cone import GoodCone
-from .exactnum import Record, Vec3, _set, det3, ratio_sum
+from .exactnum import DomainError, Record, Vec3, _set, det3, ratio_sum
 from .reeb import (
     ArcDecomposition,
     Extreme,
@@ -28,7 +28,7 @@ from .reeb import (
 )
 
 
-class ChainDataError(ValueError):
+class ChainDataError(DomainError, ValueError):
     """Chain data violates the integrality/positivity identity."""
 
 

@@ -18,11 +18,22 @@ Vec3 = Tuple[Scalar, Scalar, Scalar]
 DEFAULT_DISCRIMINANT = 2
 
 
-class DegenerateInput(ValueError):
+class DomainError(Exception):
+    """Well-formed input for which the theorems leave no answer: a cone that
+    is not good, an inadmissible Reeb ray, an exhausted search.  The CLI
+    exits 1 on it.  `report` is the evidence when there is one (the
+    validity report of a cone that is not good), else None."""
+
+    def __init__(self, message, report=None):
+        super().__init__(message)
+        self.report = report
+
+
+class DegenerateInput(DomainError, ValueError):
     """Input violates a geometric precondition (zero/parallel vectors...)."""
 
 
-class SearchExhausted(RuntimeError):
+class SearchExhausted(DomainError, RuntimeError):
     """A lattice point the caller asked for does not exist: no admissible
     candidate satisfies the constraints."""
 

@@ -21,6 +21,7 @@ from .cone import GoodCone, _normal_euler_residues, validate
 from .construct import close_chain_normals
 from .exactnum import (
     DegenerateInput,
+    DomainError,
     QuadNumber,
     Record,
     Vec3,
@@ -42,7 +43,7 @@ from .reeb import (
 )
 
 
-class GraphAssemblyError(ValueError):
+class GraphAssemblyError(DomainError, ValueError):
     pass
 
 

@@ -66,6 +66,7 @@ from typing import Optional, Tuple
 from .cone import GoodCone, edge_rays, require_valid
 from .exactnum import (
     DegenerateInput,
+    DomainError,
     QuadNumber,
     Record,
     Vec3,
@@ -88,11 +89,11 @@ from .exactnum import (
 )
 
 
-class RankError(ValueError):
+class RankError(DomainError, ValueError):
     """Operation needs a rank-2 Reeb vector."""
 
 
-class InadmissibleReeb(ValueError):
+class InadmissibleReeb(DomainError, ValueError):
     """Reeb vector does not pair positively with the cone."""
 
 

@@ -22,6 +22,7 @@ from typing import Iterator, List, Optional, Sequence, Tuple
 from .cone import GoodCone, _pair_witness, _verdict, edge_rays, require_valid
 from .exactnum import (
     DegenerateInput,
+    DomainError,
     QuadNumber,
     Record,
     SearchExhausted,
@@ -42,15 +43,11 @@ from .exactnum import (
 )
 
 
-class SurgeryRejected(ValueError):
+class SurgeryRejected(DomainError, ValueError):
     """Cut/delete/replace does not realize one of the two modeled surgeries."""
 
-    def __init__(self, message, report=None):
-        super().__init__(message)
-        self.report = report
 
-
-class PlanningError(RuntimeError):
+class PlanningError(DomainError, RuntimeError):
     def __init__(self, message, step=None):
         super().__init__(message)
         self.step = step
@@ -309,9 +306,10 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
     computes each pair's witness once.  The chart has determinant 1, so on a
     good cone minor12 = -det3(n^{i-1}, n^i, n^{i+1}) < 0, and minor13 =
     det3(n^{i-1}, n^i, n^{i+2}) is 0 exactly on 3 faces: None.  With more,
-    x0, y0 = -det3(n^{i+1}, n^{i+2}, .) of n^{i-1}, n^i are negative, so no
-    drift is +-1 and `_s_pair` has no pair when the witness coordinate z0 is
-    0: None, and the box that follows takes over."""
+    x0, y0 = -det3(n^{i+1}, n^{i+2}, .) of n^{i-1}, n^i are negative, so
+    every drift a x0 + b y0 with a, b >= 1 is at most -2, and no drift is
+    coprime to a witness coordinate z0 of 0: None, and the box that follows
+    takes over."""
     # Not None on a validated cone; read on 3 faces too, for the face reads after a walk.
     w = _pair_witness(cone, i + 1)
     wz = _pair_witness(cone, i - 1)
@@ -326,6 +324,8 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
     x = tuple([dot(r, n_prev) for r in rows])
     y = tuple([dot(r, n_i) for r in rows])
     z = tuple([dot(r, wz) for r in rows])
+    if z[0] == 0:
+        return None
     minor12 = y[0] * x[1] - x[0] * y[1]
     minor13 = y[0] * x[2] - x[0] * y[2]
     pair = _s_pair(x[0], y[0], z[0])
@@ -353,40 +353,7 @@ def _prime_construction(cone: GoodCone, i: int, admissible) -> Optional[Vec3]:
 def _s_pair(x0: int, y0: int, z0: int) -> Optional[Tuple[int, int]]:
     """(a, s - a) for the least (s, a), in that order, with 2 <= s < 64 and
     1 <= a < s such that v = a x0 + (s - a) y0 is nonzero and coprime to
-    z0; None when there is none.
-
-    When z0 = 0, gcd(v, 0) = |v|, so v = a d + s y0, with d = x0 - y0,
-    must be e = +-1, and the pair is solved in closed form, one congruence
-    per sign.  No pair exists when d = 0, as v = s y0 with s >= 2.
-    Otherwise a = (e - s y0) / d is an integer exactly when
-    s y0 = e (mod |d|), and 0 < a < s exactly when sign(d) (e - s y0) > 0
-    and sign(d) (e - s x0) < 0: two linear bounds on s, which leave an
-    integer interval of [2, 63].  A common factor of y0 and |d| would
-    divide e, so there is no pair unless y0 is a unit mod |d|; then
-    s = e / y0 (mod |d|) (any s when |d| = 1), and the least such s in the
-    sign's interval is its candidate.  The least (s, a) of the two
-    candidates is the scan's first pair.  On the calls from
-    `_prime_construction`, (x0, y0, z0) is a row of a unimodular matrix
-    (the chart coordinates of n^{i-1}, n^i and their witness), so when
-    z0 = 0, gcd(d, y0) = gcd(x0, y0) = 1 and only the bounds can leave no
-    pair.  When z0 != 0 the pairs are scanned in that order."""
-    if z0 == 0:
-        d = x0 - y0
-        m = abs(d)
-        if d == 0 or math.gcd(y0, m) != 1:
-            return None
-        inverse = pow(y0, -1, m)
-        sign = 1 if d > 0 else -1
-        found = []
-        for e in (-1, 1):
-            span = _positive_interval([(sign * e, -sign * y0), (-sign * e, sign * x0)], 2, 63)
-            s = span.start + (e * inverse - span.start) % m
-            if s in span:
-                found.append((s, (e - s * y0) // d))
-        if not found:
-            return None
-        s, a = min(found)
-        return a, s - a
+    z0; None when there is none."""
     for s in range(2, 64):
         for a in range(1, s):
             v = a * x0 + (s - a) * y0

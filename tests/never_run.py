@@ -43,8 +43,10 @@ ALLOWED = (
         "surgery.py",
         "_prime_construction",
         "return None",
-        "no input of the suite runs the prime loop to its end without an admissible "
-        "normal; the 3-face and no-drift-pair exits of the same text run",
+        "four exits have this text; the suite runs the 3-face and z0 = 0 exits, but "
+        "no input of it reaches the no-drift-pair exit (z0 != 0 and every drift of "
+        "the scan shares a factor with z0) or runs the prime loop to its end "
+        "without an admissible normal",
     ),
     (
         "surgery.py",

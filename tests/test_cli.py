@@ -1,13 +1,17 @@
+import importlib
 import json
 import os
+import pkgutil
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+import goodcones
 import goodcones.cli as cli_module
 from goodcones.cli import run
+from goodcones.exactnum import DomainError
 from goodcones.reeb import reeb_from_vectors
 from goodcones.serial import Document, document_from_json, document_to_json
 from goodcones.construct import example_family
@@ -443,6 +447,53 @@ def run_error(capsys, argv):
     captured = capsys.readouterr()
     assert captured.out == ""
     return code, json.loads(captured.err)["error"]
+
+
+# The exception classes of the package that are not domain errors, and why.
+NOT_DOMAIN_ERRORS = {
+    "goodcones.cli.UsageError": "exit 2: a malformed argument or an unusable path",
+    "goodcones.serial.DocumentError": "exit 2: a malformed document",
+    "goodcones.construct.ChainError": "`close` re-raises it as a UsageError, exit 2",
+    "goodcones.cli.CatalogError": "exit 1, caught by name: a store's content, not mathematics",
+}
+
+
+def package_exceptions():
+    """Every exception class defined in a module of the package, by its
+    dotted name, with each module imported."""
+    found = {}
+    for info in pkgutil.iter_modules(goodcones.__path__):
+        module = importlib.import_module(f"goodcones.{info.name}")
+        for value in vars(module).values():
+            if (
+                isinstance(value, type)
+                and issubclass(value, BaseException)
+                and value.__module__ == module.__name__
+            ):
+                found[f"{module.__name__}.{value.__qualname__}"] = value
+    return found
+
+
+def test_every_package_exception_is_a_domain_error_or_listed():
+    """The class of an exception decides its exit code: a DomainError exits
+    1, and the classes of NOT_DOMAIN_ERRORS are caught by name."""
+    found = package_exceptions()
+    outside = {name for name, cls in found.items() if not issubclass(cls, DomainError)}
+    assert outside == set(NOT_DOMAIN_ERRORS)
+    for cls in found.values():
+        if issubclass(cls, DomainError):
+            assert cls("message").report is None, cls
+
+
+def test_a_new_domain_error_exits_1(capsys, monkeypatch, doc_path):
+    class Planted(DomainError):
+        pass
+
+    def fail(cone, i):
+        raise Planted("planted")
+
+    monkeypatch.setattr(cli_module, "face_invariants", fail)
+    assert run_error(capsys, ["invariants", doc_path, "--face", "1"]) == (1, "planted")
 
 
 def test_missing_input_file_exits_2(capsys, tmp_path):

@@ -89,6 +89,8 @@ def test_usage_and_domain_errors_then_good_calls(capsys, fresh_parser, ex6, tmp_
     bad = tmp_path / "bad.json"
     bad.write_text(json.dumps({"normals": [[1, 0, 0], [0, 1, 0], [1, 1, 0]]}))
     ex2 = write_doc(tmp_path, "ex2", *example_family(2))
+    concave = tmp_path / "concave.json"
+    concave.write_text(json.dumps({"normals": [[1, 0, 0], [1, 1, 0], [0, 1, 0]]}))
     argvs = [
         ["invariants", ex6, "--face", "x"],
         ["invariants", ex6, "--face", "1"],
@@ -100,10 +102,13 @@ def test_usage_and_domain_errors_then_good_calls(capsys, fresh_parser, ex6, tmp_
         ["construct", "--family", "example", "--k", "2"],
         ["euler-check", ex2, "--ybar", "1,0,0"],  # off the Lie(G) plane
         ["euler-check", ex6, "--ybar", "3,-1,-3"],  # not transverse
+        ["plan", ex6, "--keep", "0,2,4,5,6,7"],  # removed 1, 3, 8: PlanningError
+        ["catalog", "get", "0" * 64, "--store", str(tmp_path / "store")],  # CatalogError
+        ["close", str(concave)],  # not convex: ChainError, a usage error
     ]
     got = assert_sequence_matches_alone(capsys, argvs)
-    assert [code for code, _, _ in got] == [2, 0, 2, 0, 1, 0, 2, 0, 1, 1]
-    for code, out, err in got[-2:]:
+    assert [code for code, _, _ in got] == [2, 0, 2, 0, 1, 0, 2, 0, 1, 1, 1, 1, 2]
+    for code, out, err in got[-5:]:
         assert out == "" and "Traceback" not in err
         assert len(err.splitlines()) == 1 and set(json.loads(err)) == {"error"}
 
